@@ -5,10 +5,9 @@ plain, optimistic and doubled-optimistic gradient schemes, with a brute-force
 spectral oracle confirming every formula.
 """
 
-from .dynamics import (Algo, DogdaState, IterateState, StopReason, Trajectory,
-                       companion_matrix, dogda_step, gda_step, ogda_step, run,
-                       trajectory_to_csv)
-from .games import (BilinearGame, NashSet, accelerate, game_from_json,
+from .dynamics import (Algo, IterateState, StopReason, Trajectory,
+                       companion_matrix, run, trajectory_to_csv)
+from .games import (BilinearGame, NashSet, accelerate, doubled, game_from_json,
                     game_to_json, nash_set, payoffs, scale_opponent)
 from .predict import (DistanceD, Geometry, LimitPrediction, distance_to_nash,
                       divergence_witness, predict_limit, tight_witness)
@@ -20,14 +19,14 @@ from .verify import (BoundCheck, OutcomeClass, OutcomeKind, RateFit,
                      run_all_suites)
 
 __all__ = [
-    "Algo", "BilinearGame", "BoundCheck", "DistanceD", "DogdaState",
-    "Geometry", "IterateState", "LimitPrediction", "NashSet", "OutcomeClass",
+    "Algo", "BilinearGame", "BoundCheck", "DistanceD", "Geometry",
+    "IterateState", "LimitPrediction", "NashSet", "OutcomeClass",
     "OutcomeKind", "RateFit", "Regime", "RootSet", "SpectralReport",
     "StopReason", "Trajectory", "Verdict", "accelerate", "check_bound",
     "classify", "companion_matrix", "distance_to_nash", "divergence_witness",
-    "dogda_step", "estimate_rate", "game_from_json", "game_to_json",
-    "gda_step", "is_diagonalizable", "lambda_spectrum", "nash_set",
-    "ogda_step", "optimal_eta", "oracle_reconcile", "payoffs",
+    "doubled", "estimate_rate", "game_from_json", "game_to_json",
+    "is_diagonalizable", "lambda_spectrum", "nash_set",
+    "optimal_eta", "oracle_reconcile", "payoffs",
     "predict_limit", "rate_report", "run", "run_all_suites", "s_star_roots",
     "scale_opponent", "tight_witness", "trajectory_to_csv",
 ]

@@ -2,17 +2,14 @@
 and run the full verification suite.
 
 Exit codes: 0 ok, 1 config error, 2 inapplicable regime, 3 verification
-failure. Identical config + seed gives byte-identical outputs. The env var
-SADDLE_LAB_THREADS caps sweep parallelism.
+failure. Identical config + seed gives byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,6 +84,17 @@ def _build_init(game: BilinearGame, spec: dict | None,
     return IterateState(x0, y0, x_prev, y_prev)
 
 
+def _count(obj: dict, key: str, default: int | None) -> int | None:
+    """A positive integer setting; absent means default."""
+    value = obj.get(key, default)
+    if value is None and default is None:
+        return None
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer()) or value < 1):
+        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def parse_config(obj: dict, seed: int | None = None) -> ExperimentConfig:
     try:
         game = games_mod.game_from_json(obj["game"])
@@ -107,16 +115,16 @@ def parse_config(obj: dict, seed: int | None = None) -> ExperimentConfig:
         eta_range = (start, stop, step)
     else:
         eta = float(eta_obj)
-        if eta <= 0:
+        if not eta > 0:
             raise ConfigError("eta must be positive")
     return ExperimentConfig(
         name=str(obj.get("name", "experiment")),
         game=game, algo=algo, eta=eta, eta_range=eta_range,
         init_spec=obj.get("init"),
-        max_steps=int(obj.get("max_steps", 5000)),
+        max_steps=_count(obj, "max_steps", 5000),
         stop_tol=float(obj.get("stop_tol", DEFAULT_STOP_TOL)),
         blow_cap=float(obj.get("blow_cap", DEFAULT_BLOW_CAP)),
-        record_stride=obj.get("record_stride"),
+        record_stride=_count(obj, "record_stride", None),
         description=str(obj.get("description", "")),
         seed=obj.get("seed", seed))
 
@@ -192,8 +200,20 @@ PRESETS = {
 # ---------------------------------------------------------------------------
 
 
+def _finite_or_null(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
 def _json_dump(obj, path: Path | None) -> str:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Strict JSON: non-finite floats are written as null."""
+    text = json.dumps(_finite_or_null(obj), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
     if path is not None:
         path.write_text(text)
     return text
@@ -209,6 +229,8 @@ def cmd_analyze(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     if cfg.eta is None:
         raise ConfigError("analyze needs a scalar eta")
     payload = _analysis_payload(cfg, cfg.eta)
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / f"{cfg.name}.analysis.json" if out_dir else None
     text = _json_dump(payload, target)
     if target is None:
@@ -297,18 +319,19 @@ def cmd_run(configs: list[ExperimentConfig], out_dir: Path, fmt: str) -> int:
         else:
             traj_path = out_dir / f"{cfg.name}.trajectory.json"
             traj = result["trajectory"]
+            n, p = cfg.game.n, cfg.game.p
             _json_dump({
                 "comments": comments,
                 "times": traj.times,
-                "x": [[float(v) for v in s.x] for s in traj.states],
-                "y": [[float(v) for v in s.y] for s in traj.states],
+                "x": traj.states[:, :n].tolist(),
+                "y": traj.states[:, n:n + p].tolist(),
             }, traj_path)
         _json_dump(_verification_json(result), out_dir / f"{cfg.name}.verify.json")
         print(f"wrote {traj_path}")
     return EXIT_OK
 
 
-def _sweep_worker(cfg: ExperimentConfig, eta: float) -> dict:
+def _sweep_row(cfg: ExperimentConfig, eta: float) -> dict:
     report = spectral.rate_report(cfg.game, eta, cfg.algo)
     row = {"eta": eta, "lambda_max": report.lambda_max,
            "applicable": report.applicable, "fitted_ratio": float("nan")}
@@ -320,24 +343,10 @@ def _sweep_worker(cfg: ExperimentConfig, eta: float) -> dict:
     return row
 
 
-def _max_workers() -> int:
-    env = os.environ.get("SADDLE_LAB_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.eta_range is None:
         raise ConfigError("sweep needs an eta range {start, stop, step}")
-    etas = cfg.etas()
-    workers = _max_workers()
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda e: _sweep_worker(cfg, e), etas))
-    else:
-        rows = [_sweep_worker(cfg, e) for e in etas]
-    rows.sort(key=lambda r: r["eta"])
+    rows = [_sweep_row(cfg, eta) for eta in cfg.etas()]
     usable = [r for r in rows if r["applicable"] and np.isfinite(r["fitted_ratio"])]
     if not usable:
         print("no eta in the requested range is applicable", file=sys.stderr)
@@ -363,6 +372,8 @@ def cmd_verify(seed: int, out_dir: Path | None) -> int:
     payload = {"seed": seed,
                "all_passed": all(r.passed for r in results),
                "checks": [r.to_json() for r in results]}
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / "verification.json" if out_dir else None
     text = _json_dump(payload, target)
     for r in results:

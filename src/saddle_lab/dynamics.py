@@ -1,18 +1,20 @@
-"""Iteration engines for bilinear games and the companion form of the linear system.
+"""The iteration engine for bilinear games and the companion form of the linear system.
 
-Steps are pure: each engine maps a state to the next state. `run` drives an
-engine until a step budget, a convergence floor, or a divergence cap is hit.
+GDA and OGDA advance the flat stacked state (x_t, y_t, x_{t-1}, y_{t-1});
+DOGDA is OGDA on the doubled game (`games.doubled`). `run` iterates until a
+step budget, a convergence floor, or a divergence cap is hit.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
-from .games import BilinearGame, DimensionMismatchError, payoffs
+from .games import BilinearGame, DimensionMismatchError, doubled, payoffs
 from .linalg import as_vector
 
 
@@ -40,7 +42,6 @@ class IterateState:
     y: np.ndarray
     x_prev: np.ndarray
     y_prev: np.ndarray
-    blown_up: bool = False
 
     def __post_init__(self):
         self.x = as_vector(self.x)
@@ -63,93 +64,6 @@ class IterateState:
         return [float(np.linalg.norm(v)) for v in (self.x, self.y, self.x_prev, self.y_prev)]
 
 
-@dataclass
-class DogdaState:
-    """Two mirrored optimistic systems: (x, y_aux) and (x_aux, y).
-
-    The pair actually played is (x, y); the aux components are the private
-    copies each uncoupled zero-sum system evolves.
-    """
-
-    x: np.ndarray
-    y_aux: np.ndarray
-    x_aux: np.ndarray
-    y: np.ndarray
-    x_prev: np.ndarray
-    y_aux_prev: np.ndarray
-    x_aux_prev: np.ndarray
-    y_prev: np.ndarray
-    blown_up: bool = False
-
-    def __post_init__(self):
-        for name in ("x", "y_aux", "x_aux", "y", "x_prev", "y_aux_prev",
-                     "x_aux_prev", "y_prev"):
-            setattr(self, name, as_vector(getattr(self, name)))
-
-    @classmethod
-    def from_iterate(cls, s: IterateState) -> "DogdaState":
-        return cls(s.x, s.y, s.x, s.y, s.x_prev, s.y_prev, s.x_prev, s.y_prev)
-
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.x, self.y_aux, self.x_aux, self.y,
-                               self.x_prev, self.y_aux_prev, self.x_aux_prev, self.y_prev])
-
-    def block_norms(self) -> list[float]:
-        return [float(np.linalg.norm(v)) for v in
-                (self.x, self.y_aux, self.x_aux, self.y,
-                 self.x_prev, self.y_aux_prev, self.x_aux_prev, self.y_prev)]
-
-
-def _check_dims(game: BilinearGame, x: np.ndarray, y: np.ndarray):
-    if x.size != game.n or y.size != game.p:
-        raise DimensionMismatchError(
-            f"state is ({x.size}, {y.size}), game is ({game.n}, {game.p})")
-
-
-def ogda_step(game: BilinearGame, eta: float, s: IterateState) -> IterateState:
-    """One optimistic ascent step for both players (double current gradient,
-    subtract the previous one)."""
-    _check_dims(game, s.x, s.y)
-    gx_now = game.A @ s.y + game.b
-    gx_old = game.A @ s.y_prev + game.b
-    gy_now = game.B.T @ s.x + game.f
-    gy_old = game.B.T @ s.x_prev + game.f
-    return IterateState(s.x + eta * (2.0 * gx_now - gx_old),
-                        s.y + eta * (2.0 * gy_now - gy_old), s.x, s.y)
-
-
-def gda_step(game: BilinearGame, eta: float, s: IterateState) -> IterateState:
-    """Plain simultaneous gradient ascent; the previous iterates are ignored."""
-    _check_dims(game, s.x, s.y)
-    return IterateState(s.x + eta * (game.A @ s.y + game.b),
-                        s.y + eta * (game.B.T @ s.x + game.f), s.x, s.y)
-
-
-def dogda_step(game: BilinearGame, eta: float, s: DogdaState) -> DogdaState:
-    """One step of the doubled optimistic scheme.
-
-    (x, y_aux) runs the zero-sum optimistic dynamics for player 2's payoff
-    (x descends it, y_aux ascends it); (x_aux, y) runs them for player 1's
-    payoff. The played pair (x, y) therefore converges to a Nash equilibrium
-    of the original general-sum game whenever both halves converge.
-    """
-    _check_dims(game, s.x, s.y)
-    g2x_now = game.B @ s.y_aux + game.e
-    g2x_old = game.B @ s.y_aux_prev + game.e
-    g2y_now = game.B.T @ s.x + game.f
-    g2y_old = game.B.T @ s.x_prev + game.f
-    g1x_now = game.A @ s.y + game.b
-    g1x_old = game.A @ s.y_prev + game.b
-    g1y_now = game.A.T @ s.x_aux + game.c
-    g1y_old = game.A.T @ s.x_aux_prev + game.c
-    return DogdaState(
-        x=s.x - eta * (2.0 * g2x_now - g2x_old),
-        y_aux=s.y_aux + eta * (2.0 * g2y_now - g2y_old),
-        x_aux=s.x_aux + eta * (2.0 * g1x_now - g1x_old),
-        y=s.y - eta * (2.0 * g1y_now - g1y_old),
-        x_prev=s.x, y_aux_prev=s.y_aux, x_aux_prev=s.x_aux, y_prev=s.y)
-
-
 def companion_matrix(game: BilinearGame, eta: float) -> np.ndarray:
     """The 2(n+p)-square matrix driving Z_{t+1} = M Z_t for the homogeneous
     optimistic dynamics, Z_t = (x_t, y_t, x_{t-1}, y_{t-1})."""
@@ -167,20 +81,23 @@ def companion_matrix(game: BilinearGame, eta: float) -> np.ndarray:
 
 @dataclass
 class Trajectory:
+    """Recorded states of one run: row k of `states` is the stacked state
+    (x_t, y_t, x_{t-1}, y_{t-1}) at t = times[k]. A DOGDA run records the
+    played pair only."""
+
     algorithm: Algo
     eta: float
-    states: list = field(default_factory=list)
-    times: list[int] = field(default_factory=list)
+    n: int
+    states: np.ndarray
+    times: list[int]
     record_stride: int = 1
     stop_reason: StopReason = StopReason.MAX_STEPS
 
     @property
-    def final(self):
-        return self.states[-1]
-
-    def positions(self) -> np.ndarray:
-        """Recorded (x, y) rows, one per recorded state."""
-        return np.array([np.concatenate([s.x, s.y]) for s in self.states])
+    def final(self) -> IterateState:
+        row = self.states[-1]
+        n, half = self.n, row.size // 2
+        return IterateState(row[:n], row[n:half], row[half:half + n], row[half + n:])
 
 
 def default_record_stride(n: int, p: int, max_steps: int) -> int:
@@ -189,53 +106,97 @@ def default_record_stride(n: int, p: int, max_steps: int) -> int:
     return max(1, math.ceil(max_steps / 4096))
 
 
-def run(game: BilinearGame, algo: Algo, eta: float, init,
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _norm(v: np.ndarray) -> float:
+    # the arithmetic of np.linalg.norm on a 1-d float vector, without its overhead
+    return math.sqrt(v.dot(v))
+
+
+def run(game: BilinearGame, algo: Algo, eta: float, init: IterateState,
         max_steps: int = 10000, stop_tol: float = DEFAULT_STOP_TOL,
         blow_cap: float = DEFAULT_BLOW_CAP, record_stride: int | None = None) -> Trajectory:
     """Iterate until the step budget, the convergence floor, or the blow-up cap.
 
     Convergence means the full state moved by less than stop_tol in one step;
-    divergence means some block norm crossed blow_cap (a single coordinate
-    block is enough, blow-ups live in one eigendirection). Every
-    record_stride-th state is kept, plus the final one.
+    divergence means the norm of x_t or of y_t exceeds blow_cap or is not
+    finite (a single coordinate block is enough, blow-ups live in one
+    eigendirection). Every record_stride-th state is kept, plus the final one.
+    DOGDA runs OGDA on `games.doubled(game)`, starting each aux copy at the
+    played one (previous pairs alike); both stop rules see the doubled state,
+    and only the played pair is recorded.
     """
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
     algo = Algo(algo)
-    if algo is Algo.DOGDA and isinstance(init, IterateState):
-        init = DogdaState.from_iterate(init)
-    if algo is not Algo.DOGDA and isinstance(init, DogdaState):
-        raise ValueError("doubled state passed to a non-doubled algorithm")
+    if not eta > 0:
+        raise ValueError(f"eta must be positive, got {eta}")
+    _check_count("max_steps", max_steps)
     if record_stride is None:
         record_stride = default_record_stride(game.n, game.p, max_steps)
+    _check_count("record_stride", record_stride)
+    n, p = game.n, game.p
+    if init.x.size != n or init.y.size != p:
+        raise DimensionMismatchError(
+            f"state is ({init.x.size}, {init.y.size}), game is ({n}, {p})")
 
-    step = {Algo.GDA: gda_step, Algo.OGDA: ogda_step, Algo.DOGDA: dogda_step}[algo]
-    traj = Trajectory(algo, float(eta), [init], [0], record_stride)
-    state = init
+    z = init.stacked()
+    played = slice(None)
+    if algo is Algo.DOGDA:
+        game = doubled(game)
+        x, y, x_prev, y_prev = init.x, init.y, init.x_prev, init.y_prev
+        z = np.concatenate([x, x, y, y, x_prev, x_prev, y_prev, y_prev])
+        m = 2 * (n + p)
+        played = np.r_[0:n, 2 * n + p:m, m:m + n, m + 2 * n + p:2 * m]
+    states = np.empty((max_steps // record_stride + 2, 2 * (n + p)))
+    times, stop = _simulate(game, algo is not Algo.GDA, eta, z, played, states,
+                            max_steps, stop_tol, blow_cap, record_stride)
+    return Trajectory(algo, float(eta), n, states[:len(times)], times,
+                      record_stride, stop)
+
+
+def _simulate(game: BilinearGame, optimistic: bool, eta: float, z: np.ndarray,
+              played, states: np.ndarray, max_steps: int, stop_tol: float,
+              blow_cap: float, record_stride: int) -> tuple[list[int], StopReason]:
+    """The step loop of `run`. z alternates with one scratch buffer, and
+    z[played] is written into the next row of states at each recorded time."""
+    n, p = game.n, game.p
+    A, BT, b, f = game.A, game.B.T, game.b, game.f
+    x, y = z[:n], z[n:n + p]
+    if optimistic:
+        gx_old = A @ z[2 * n + p:] + b
+        gy_old = BT @ z[n + p:2 * n + p] + f
+    # x_{t-1}, y_{t-1} passed the divergence test one step before x_t, y_t;
+    # only x_0, y_0 are tested here.
+    prev_ok = _norm(x) <= blow_cap and _norm(y) <= blow_cap
+    states[0] = z[played]
+    times = [0]
+    stop = StopReason.MAX_STEPS
+    nxt = np.empty_like(z)
     for t in range(1, max_steps + 1):
-        new_state = step(game, eta, state)
-        if (max(new_state.block_norms()) > blow_cap
-                or not np.all(np.isfinite(new_state.stacked()))):
-            new_state.blown_up = True
-            traj.states.append(new_state)
-            traj.times.append(t)
-            traj.stop_reason = StopReason.DIVERGED
-            return traj
-        moved = float(np.linalg.norm(new_state.stacked() - state.stacked()))
-        state = new_state
-        if moved < stop_tol:
-            traj.states.append(state)
-            traj.times.append(t)
-            traj.stop_reason = StopReason.CONVERGED
-            return traj
-        if t % record_stride == 0:
-            traj.states.append(state)
-            traj.times.append(t)
-    if traj.times[-1] != max_steps:
-        traj.states.append(state)
-        traj.times.append(max_steps)
-    traj.stop_reason = StopReason.MAX_STEPS
-    return traj
+        gx = A @ y + b
+        gy = BT @ x + f
+        if optimistic:
+            np.add(x, eta * (2.0 * gx - gx_old), out=nxt[:n])
+            np.add(y, eta * (2.0 * gy - gy_old), out=nxt[n:n + p])
+            gx_old, gy_old = gx, gy
+        else:
+            np.add(x, eta * gx, out=nxt[:n])
+            np.add(y, eta * gy, out=nxt[n:n + p])
+        nxt[n + p:] = z[:n + p]
+        z, nxt = nxt, z
+        x, y = z[:n], z[n:n + p]
+        if not (prev_ok and _norm(x) <= blow_cap and _norm(y) <= blow_cap):
+            stop = StopReason.DIVERGED
+        elif _norm(z - nxt) < stop_tol:
+            stop = StopReason.CONVERGED
+        if stop is not StopReason.MAX_STEPS or t % record_stride == 0 or t == max_steps:
+            states[len(times)] = z[played]
+            times.append(t)
+            if stop is not StopReason.MAX_STEPS:
+                break
+    return times, stop
 
 
 def _fmt(value: float) -> str:
@@ -251,18 +212,15 @@ def trajectory_to_csv(traj: Trajectory, game: BilinearGame,
     column is left empty when no limit prediction is supplied.
     """
     n, p = game.n, game.p
+    target = None if limit is None else np.concatenate(limit)
     lines = [f"# {text}" for text in comments]
     cols = (["t"] + [f"x_{i}" for i in range(n)] + [f"y_{j}" for j in range(p)]
             + ["dist_limit", "g1", "g2"])
     lines.append(",".join(cols))
-    for t, s in zip(traj.times, traj.states):
-        g1, g2 = payoffs(game, s.x, s.y)
-        if limit is not None:
-            dist = math.hypot(*(np.concatenate([s.x - limit[0], s.y - limit[1]])))
-            dist_txt = _fmt(dist)
-        else:
-            dist_txt = ""
-        row = ([str(t)] + [_fmt(v) for v in s.x] + [_fmt(v) for v in s.y]
-               + [dist_txt, _fmt(g1), _fmt(g2)])
-        lines.append(",".join(row))
+    for t, row in zip(traj.times, traj.states):
+        xy = row[:n + p]
+        g1, g2 = payoffs(game, xy[:n], xy[n:])
+        dist_txt = "" if target is None else _fmt(math.hypot(*(xy - target)))
+        lines.append(",".join([str(t)] + [_fmt(v) for v in xy.tolist()]
+                              + [dist_txt, _fmt(g1), _fmt(g2)]))
     return "\n".join(lines) + "\n"

@@ -185,6 +185,19 @@ def scale_opponent(game: BilinearGame, l: float) -> BilinearGame:
         e=-l * game.b, f=-l * game.c, d=game.d, g=-l * game.d)
 
 
+def doubled(game: BilinearGame) -> BilinearGame:
+    """The zero-sum game on which OGDA is the doubled scheme DOGDA for `game`.
+
+    Player 1 plays (x, x_aux), player 2 plays (y_aux, y), and the coupling is
+    blockdiag(-B, A): (x, y_aux) runs the zero-sum dynamics of player 2's
+    payoff (x descends it), (x_aux, y) those of player 1's (y descends it).
+    """
+    zero = np.zeros_like(game.A)
+    return BilinearGame.zero_sum_game(
+        np.block([[-game.B, zero], [zero, game.A]]),
+        b=np.concatenate([-game.e, game.b]), c=np.concatenate([-game.f, game.c]))
+
+
 def game_to_json(game: BilinearGame) -> dict:
     return {
         "A": linalg.matrix_to_json(game.A),

@@ -236,7 +236,7 @@ def pinv(a, rank_tol: float | None = None) -> np.ndarray:
         rank_tol = default_rank_tol(m)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     cutoff = rank_tol * (s[0] if s.size else 0.0)
-    inv_s = np.where(s > cutoff, np.divide(1.0, s, where=s > cutoff), 0.0)
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
     return (vh.T * inv_s) @ u.T
 
 

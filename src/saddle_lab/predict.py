@@ -17,7 +17,7 @@ import numpy as np
 
 from . import games as games_mod
 from . import linalg
-from .dynamics import Algo, DogdaState, IterateState, companion_matrix
+from .dynamics import Algo, IterateState, companion_matrix
 from .games import BilinearGame
 from .spectral import Regime, rate_report
 
@@ -73,11 +73,10 @@ def _orthogonal_affine(point: np.ndarray, kernel: linalg.SubspaceBasis,
     return point + linalg.project(v0, kernel)
 
 
-def predict_limit(game: BilinearGame, algo: Algo, eta: float, init) -> LimitPrediction:
+def predict_limit(game: BilinearGame, algo: Algo, eta: float,
+                  init: IterateState) -> LimitPrediction:
     """Predict the limit of (x_t, y_t); invalidity is a value, not an error."""
     algo = Algo(algo)
-    if isinstance(init, DogdaState) and algo is not Algo.DOGDA:
-        raise ValueError("doubled state passed to a non-doubled algorithm")
     if algo is Algo.GDA:
         return _invalid(Geometry.ORTHOGONAL_ONTO_KERNELS,
                         "GDA has no characterized limit (it cycles or diverges)")
@@ -122,12 +121,10 @@ def _predict_general_sum(game: BilinearGame, eta: float,
     return LimitPrediction(x_inf, y_inf, geo, True)
 
 
-def _predict_dogda(game: BilinearGame, eta: float, init) -> LimitPrediction:
+def _predict_dogda(game: BilinearGame, eta: float, init: IterateState) -> LimitPrediction:
     """Each half of the doubled scheme is a plain zero-sum system; the played
     pair converges to orthogonal projections onto the two Nash constraints."""
     geo = Geometry.DOGDA_ORTHOGONAL
-    if isinstance(init, IterateState):
-        init = DogdaState.from_iterate(init)
     x_set = games_mod.solve_affine(game.B.T, game.f)
     y_set = games_mod.solve_affine(game.A, game.b)
     if not (x_set.feasible and y_set.feasible):

@@ -11,8 +11,8 @@ import numpy as np
 
 from . import games as games_mod
 from . import linalg, predict, spectral
-from .dynamics import (Algo, DogdaState, IterateState, StopReason, Trajectory,
-                       companion_matrix, dogda_step, ogda_step, run)
+from .dynamics import (Algo, IterateState, StopReason, Trajectory,
+                       companion_matrix, run)
 from .games import BilinearGame, payoffs
 from .predict import DistanceD, LimitPrediction
 from .spectral import Regime, SpectralReport
@@ -49,9 +49,8 @@ def _log_linear_fit(times: np.ndarray, values: np.ndarray) -> tuple[float, float
 
 
 def _distances(traj: Trajectory, x_inf: np.ndarray, y_inf: np.ndarray) -> np.ndarray:
-    return np.array([
-        math.hypot(*(np.concatenate([s.x - x_inf, s.y - y_inf])))
-        for s in traj.states])
+    target = np.concatenate([x_inf, y_inf])
+    return np.array([math.hypot(*(row[:target.size] - target)) for row in traj.states])
 
 
 @dataclass
@@ -129,7 +128,8 @@ def classify(traj: Trajectory, game: BilinearGame,
         s = traj.final
         return OutcomeClass(OutcomeKind.CONVERGED, limit=(s.x.copy(), s.y.copy()),
                             evidence={"final_norm": max(s.block_norms())})
-    pay = np.array([payoffs(game, s.x, s.y) for s in traj.states])
+    n, p = game.n, game.p
+    pay = np.array([payoffs(game, row[:n], row[n:n + p]) for row in traj.states])
     times = np.asarray(traj.times)
     tail = slice(max(0, len(times) - COOP_TREND_POINTS), len(times))
     g1_tail, g2_tail = pay[tail, 0], pay[tail, 1]
@@ -420,10 +420,11 @@ def suite_fixed_points(rng: np.random.Generator, trials: int = 20) -> CheckResul
         eta = _safe_eta(game, rng)
         ns = games_mod.nash_set(game)
         s = IterateState.at(ns.x_star, ns.y_star)
-        stepped = ogda_step(game, eta, s)
+        stepped = run(game, Algo.OGDA, eta, s, max_steps=1).final
         worst = max(worst, float(np.linalg.norm(stepped.stacked() - s.stacked())))
         off = _random_iterate(rng, game.n, game.p)
-        moved = np.linalg.norm(ogda_step(game, eta, off).stacked() - off.stacked())
+        stepped = run(game, Algo.OGDA, eta, off, max_steps=1).final
+        moved = np.linalg.norm(stepped.stacked() - off.stacked())
         grad = np.linalg.norm(np.concatenate([game.A @ off.y + game.b,
                                               game.B.T @ off.x + game.f]))
         if grad > 1e-6 and moved < 1e-12:
@@ -441,11 +442,11 @@ def suite_linear_system_equivalence(rng: np.random.Generator,
         lam = companion_matrix(game, eta)
         s = _random_iterate(rng, game.n, game.p)
         z = s.stacked()
-        for _ in range(50):
-            s = ogda_step(game, eta, s)
+        traj = run(game, Algo.OGDA, eta, s, max_steps=50, stop_tol=0.0, record_stride=1)
+        for row in traj.states[1:]:
             z = lam @ z
             denom = max(1.0, float(np.linalg.norm(z)))
-            worst = max(worst, float(np.linalg.norm(s.stacked() - z)) / denom)
+            worst = max(worst, float(np.linalg.norm(row - z)) / denom)
     return CheckResult("dynamics.linear_system_equivalence", worst < 1e-12, worst, 1e-12)
 
 
@@ -460,12 +461,12 @@ def suite_affine_shift_equivalence(rng: np.random.Generator,
         s_aff = _random_iterate(rng, game.n, game.p)
         s_hom = IterateState(s_aff.x - ns.x_star, s_aff.y - ns.y_star,
                              s_aff.x_prev - ns.x_star, s_aff.y_prev - ns.y_star)
-        for _ in range(40):
-            s_aff = ogda_step(game, eta, s_aff)
-            s_hom = ogda_step(homog, eta, s_hom)
-            shifted = s_hom.stacked() + np.concatenate(
-                [ns.x_star, ns.y_star, ns.x_star, ns.y_star])
-            worst = max(worst, float(np.linalg.norm(s_aff.stacked() - shifted))
+        aff = run(game, Algo.OGDA, eta, s_aff, max_steps=40, stop_tol=0.0, record_stride=1)
+        hom = run(homog, Algo.OGDA, eta, s_hom, max_steps=40, stop_tol=0.0, record_stride=1)
+        shift = np.concatenate([ns.x_star, ns.y_star, ns.x_star, ns.y_star])
+        for row_aff, row_hom in zip(aff.states[1:], hom.states[1:]):
+            shifted = row_hom + shift
+            worst = max(worst, float(np.linalg.norm(row_aff - shifted))
                         / max(1.0, float(np.linalg.norm(shifted))))
     return CheckResult("dynamics.affine_shift_equivalence", worst < 1e-12, worst, 1e-12)
 
@@ -477,18 +478,18 @@ def suite_dogda_decoupling(rng: np.random.Generator, trials: int = 10) -> CheckR
         game = BilinearGame.from_matrices(rng.normal(size=(n, p)),
                                           rng.normal(size=(n, p)))
         eta = _safe_eta(game, rng)
-        d = DogdaState.from_iterate(_random_iterate(rng, n, p))
-        block1 = BilinearGame.zero_sum_game(-game.B)  # (x, y_aux) half
-        block2 = BilinearGame.zero_sum_game(game.A)   # (x_aux, y) half
-        s1 = IterateState(d.x, d.y_aux, d.x_prev, d.y_aux_prev)
-        s2 = IterateState(d.x_aux, d.y, d.x_aux_prev, d.y_prev)
-        for _ in range(40):
-            d = dogda_step(game, eta, d)
-            s1 = ogda_step(block1, eta, s1)
-            s2 = ogda_step(block2, eta, s2)
-            gap1 = np.linalg.norm(np.concatenate([d.x - s1.x, d.y_aux - s1.y]))
-            gap2 = np.linalg.norm(np.concatenate([d.x_aux - s2.x, d.y - s2.y]))
-            scale = max(1.0, float(np.linalg.norm(d.stacked())))
+        init = _random_iterate(rng, n, p)
+        traj = run(game, Algo.DOGDA, eta, init, max_steps=40, stop_tol=0.0, record_stride=1)
+        # The played x follows the (x, y_aux) half on -B, the played y the
+        # (x_aux, y) half on A; both halves start from the initial state.
+        lam1 = companion_matrix(BilinearGame.zero_sum_game(-game.B), eta)
+        lam2 = companion_matrix(BilinearGame.zero_sum_game(game.A), eta)
+        z1 = z2 = init.stacked()
+        for row in traj.states[1:]:
+            z1, z2 = lam1 @ z1, lam2 @ z2
+            gap1 = np.linalg.norm(row[:n] - z1[:n])
+            gap2 = np.linalg.norm(row[n:n + p] - z2[n:n + p])
+            scale = max(1.0, float(np.linalg.norm(np.concatenate([z1, z2]))))
             worst = max(worst, float(gap1) / scale, float(gap2) / scale)
     return CheckResult("dynamics.dogda_decoupling", worst < 1e-12, worst, 1e-12)
 
@@ -639,7 +640,8 @@ def suite_prediction_is_fixed_point(rng: np.random.Generator,
         if algo is Algo.DOGDA:
             continue
         s = IterateState.at(pred.x_inf, pred.y_inf)
-        moved = np.linalg.norm(ogda_step(game, eta, s).stacked() - s.stacked())
+        stepped = run(game, Algo.OGDA, eta, s, max_steps=1).final
+        moved = np.linalg.norm(stepped.stacked() - s.stacked())
         worst = max(worst, float(moved))
     return CheckResult("predict.prediction_is_fixed_point", worst < 1e-10, worst, 1e-10)
 

@@ -99,13 +99,12 @@ def test_criterion_05_divergence_threshold():
 
 def test_criterion_06_gda_vs_ogda():
     eta = 0.3
-    s = IterateState.at([1.0], [1.0])
-    ok_ratio = True
-    for _ in range(300):
-        nxt = dynamics.gda_step(PENNIES, eta, s)
-        ratio = (nxt.x[0] ** 2 + nxt.y[0] ** 2) / (s.x[0] ** 2 + s.y[0] ** 2)
-        ok_ratio &= abs(ratio - (1 + eta ** 2)) <= 1e-12 * (1 + eta ** 2)
-        s = nxt
+    gda = dynamics.run(PENNIES, Algo.GDA, eta, IterateState.at([1.0], [1.0]),
+                       max_steps=300, record_stride=1)
+    sq = gda.states[:, 0] ** 2 + gda.states[:, 1] ** 2
+    ratios = sq[1:] / sq[:-1]
+    ok_ratio = (len(ratios) == 300
+                and bool(np.all(np.abs(ratios - (1 + eta ** 2)) <= 1e-12 * (1 + eta ** 2))))
     traj = dynamics.run(PENNIES, Algo.OGDA, eta, IterateState.at([1.0], [1.0]),
                         max_steps=2000)
     ogda_ok = (traj.stop_reason is StopReason.CONVERGED
@@ -193,8 +192,7 @@ def test_criterion_10_non_diagonalizable_counterexample():
     traj = dynamics.run(g, Algo.OGDA, 0.1,
                         IterateState.at([1.0, 0.0], [1.0, 0.0]),
                         max_steps=20000)
-    last_move = np.linalg.norm(traj.states[-1].stacked()
-                               - traj.states[-2].stacked())
+    last_move = np.linalg.norm(traj.states[-1] - traj.states[-2])
     non_convergent = (traj.stop_reason is not StopReason.CONVERGED
                       and last_move > 1.0)
     report(10, verdict is Verdict.NO and not pred.valid and non_convergent,

@@ -12,6 +12,10 @@ def write_config(tmp_path, obj, name="cfg.json"):
     return str(path)
 
 
+def reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
 def zero_sum_config(eta, **extra):
     cfg = {
         "name": "pennies",
@@ -57,6 +61,13 @@ class TestAnalyze:
         cfg = write_config(tmp_path, obj)
         assert cli.main(["analyze", "--config", cfg]) == cli.EXIT_CONFIG_ERROR
 
+    def test_creates_missing_out_dir(self, tmp_path):
+        cfg = write_config(tmp_path, zero_sum_config(0.3))
+        out = tmp_path / "missing" / "dir"
+        assert cli.main(["analyze", "--config", cfg, "--out-dir", str(out)]) == cli.EXIT_OK
+        payload = json.loads((out / "pennies.analysis.json").read_text())
+        assert payload["report"]["eta_regime"] == "Part2"
+
 
 class TestRun:
     def test_matching_pennies_preset(self, tmp_path):
@@ -83,6 +94,27 @@ class TestRun:
         verdict = json.loads((tmp_path / "matching-pennies-gda.verify.json")
                              .read_text())
         assert verdict["stop_reason"] == "Diverged"
+
+    def test_verify_json_is_strict(self, tmp_path):
+        cli.main(["run", "--preset", "matching-pennies-gda",
+                  "--out-dir", str(tmp_path)])
+        text = (tmp_path / "matching-pennies-gda.verify.json").read_text()
+        verdict = json.loads(text, parse_constant=reject_constant)
+        assert verdict["report"]["lambda_max"] is None
+
+    @pytest.mark.parametrize("settings, key", [
+        ({"record_stride": 0}, "record_stride"),
+        ({"record_stride": 2.5}, "record_stride"),
+        ({"max_steps": -5}, "max_steps"),
+        ({"max_steps": 0}, "max_steps")])
+    def test_bad_step_settings_exit_one(self, tmp_path, capsys, settings, key):
+        cfg = write_config(tmp_path, zero_sum_config(0.3, **settings))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg,
+                         "--out-dir", str(out)]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_wgan_basic_preset_tracks_the_rate(self, tmp_path):
         cli.main(["run", "--preset", "wgan-basic", "--out-dir", str(tmp_path)])
@@ -182,7 +214,9 @@ class TestSweep:
 
 class TestVerifyCommand:
     def test_full_suite_passes(self, tmp_path):
-        assert cli.main(["verify", "--out-dir", str(tmp_path)]) == cli.EXIT_OK
-        payload = json.loads((tmp_path / "verification.json").read_text())
+        out = tmp_path / "not" / "yet"
+        assert cli.main(["verify", "--out-dir", str(out)]) == cli.EXIT_OK
+        payload = json.loads((out / "verification.json").read_text(),
+                             parse_constant=reject_constant)
         assert payload["all_passed"]
         assert len(payload["checks"]) >= 20

@@ -2,10 +2,22 @@ import numpy as np
 import pytest
 
 from saddle_lab import dynamics, games
-from saddle_lab.dynamics import Algo, DogdaState, IterateState, StopReason
+from saddle_lab.dynamics import DEFAULT_BLOW_CAP, Algo, IterateState, StopReason
 from saddle_lab.games import BilinearGame
 
 PENNIES = BilinearGame.zero_sum_game([[1.0]])
+
+
+def one_step(game, algo, eta, s):
+    return dynamics.run(game, algo, eta, s, max_steps=1).final
+
+
+def exact_steps(game, algo, eta, s, steps):
+    """Every state of a run that stops neither early nor by convergence."""
+    traj = dynamics.run(game, algo, eta, s, max_steps=steps, stop_tol=0.0,
+                        record_stride=1)
+    assert traj.times == list(range(steps + 1))
+    return traj.states
 
 
 class TestOgdaStep:
@@ -15,12 +27,12 @@ class TestOgdaStep:
         y_star, x_star = rng.normal(size=2), rng.normal(size=3)
         g = BilinearGame.zero_sum_game(a, b=-a @ y_star, c=-a.T @ x_star)
         s = IterateState.at(x_star + 0 * x_star, y_star)
-        out = dynamics.ogda_step(g, 0.2, s)
+        out = one_step(g, Algo.OGDA, 0.2, s)
         assert np.allclose(out.stacked(), s.stacked(), atol=1e-12)
 
     def test_single_step_values(self):
         s = IterateState([1.0], [0.0], [1.0], [0.0])
-        out = dynamics.ogda_step(PENNIES, 0.1, s)
+        out = one_step(PENNIES, Algo.OGDA, 0.1, s)
         assert out.x[0] == pytest.approx(1.0)
         assert out.y[0] == pytest.approx(-0.1)
         assert out.x_prev[0] == 1.0 and out.y_prev[0] == 0.0
@@ -33,68 +45,109 @@ class TestOgdaStep:
         s = IterateState(rng.normal(size=2), rng.normal(size=3),
                          rng.normal(size=2), rng.normal(size=3))
         z = s.stacked()
-        for _ in range(50):
-            s = dynamics.ogda_step(g, 0.07, s)
+        for row in exact_steps(g, Algo.OGDA, 0.07, s, 50)[1:]:
             z = lam @ z
-            assert np.allclose(s.stacked(), z, rtol=1e-12, atol=1e-14)
+            assert np.allclose(row, z, rtol=1e-12, atol=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(games.DimensionMismatchError):
-            dynamics.ogda_step(PENNIES, 0.1, IterateState([1.0, 2.0], [0.0],
-                                                          [0.0, 0.0], [0.0]))
+            one_step(PENNIES, Algo.OGDA, 0.1, IterateState([1.0, 2.0], [0.0],
+                                                           [0.0, 0.0], [0.0]))
 
 
 class TestGdaStep:
     def test_single_step(self):
-        out = dynamics.gda_step(PENNIES, 0.1, IterateState.at([1.0], [0.0]))
+        out = one_step(PENNIES, Algo.GDA, 0.1, IterateState.at([1.0], [0.0]))
         assert np.allclose([out.x[0], out.y[0]], [1.0, -0.1])
 
     def test_norm_grows_exactly(self):
-        s = IterateState.at([1.0], [1.0])
         eta = 0.3
-        for _ in range(200):
-            nxt = dynamics.gda_step(PENNIES, eta, s)
-            num = nxt.x[0] ** 2 + nxt.y[0] ** 2
-            den = s.x[0] ** 2 + s.y[0] ** 2
+        states = exact_steps(PENNIES, Algo.GDA, eta, IterateState.at([1.0], [1.0]), 200)
+        for s, nxt in zip(states[:-1], states[1:]):
+            num = nxt[0] ** 2 + nxt[1] ** 2
+            den = s[0] ** 2 + s[1] ** 2
             assert num / den == pytest.approx(1 + eta ** 2, rel=1e-12)
-            s = nxt
 
     def test_nash_fixed(self):
-        out = dynamics.gda_step(PENNIES, 0.1, IterateState.at([0.0], [0.0]))
+        out = one_step(PENNIES, Algo.GDA, 0.1, IterateState.at([0.0], [0.0]))
         assert np.allclose(out.stacked(), 0.0)
 
 
 class TestDogdaStep:
     def test_zero_state_fixed(self):
         g = BilinearGame.from_matrices([[1.0]], [[1.0]])
-        s = DogdaState.from_iterate(IterateState.at([0.0], [0.0]))
-        assert np.allclose(dynamics.dogda_step(g, 0.2, s).stacked(), 0.0)
+        out = one_step(g, Algo.DOGDA, 0.2, IterateState.at([0.0], [0.0]))
+        assert np.allclose(out.stacked(), 0.0)
 
     def test_decouples_into_two_zero_sum_systems(self):
         rng = np.random.default_rng(2)
         g = BilinearGame.from_matrices(rng.normal(size=(2, 2)),
                                        rng.normal(size=(2, 2)))
-        d = DogdaState.from_iterate(
-            IterateState(rng.normal(size=2), rng.normal(size=2),
-                         rng.normal(size=2), rng.normal(size=2)))
+        init = IterateState(rng.normal(size=2), rng.normal(size=2),
+                            rng.normal(size=2), rng.normal(size=2))
         half1 = BilinearGame.zero_sum_game(-g.B)
         half2 = BilinearGame.zero_sum_game(g.A)
-        s1 = IterateState(d.x, d.y_aux, d.x_prev, d.y_aux_prev)
-        s2 = IterateState(d.x_aux, d.y, d.x_aux_prev, d.y_prev)
-        for _ in range(30):
-            d = dynamics.dogda_step(g, 0.11, d)
-            s1 = dynamics.ogda_step(half1, 0.11, s1)
-            s2 = dynamics.ogda_step(half2, 0.11, s2)
-            assert np.allclose(np.concatenate([d.x, d.y_aux]),
-                               np.concatenate([s1.x, s1.y]), atol=1e-12)
-            assert np.allclose(np.concatenate([d.x_aux, d.y]),
-                               np.concatenate([s2.x, s2.y]), atol=1e-12)
+        # OGDA on the doubled game from (x, x_aux) = (x, x), (y_aux, y) = (y, y)
+        lifted = IterateState(np.tile(init.x, 2), np.tile(init.y, 2),
+                              np.tile(init.x_prev, 2), np.tile(init.y_prev, 2))
+        full = exact_steps(games.doubled(g), Algo.OGDA, 0.11, lifted, 30)
+        s1 = exact_steps(half1, Algo.OGDA, 0.11, init, 30)
+        s2 = exact_steps(half2, Algo.OGDA, 0.11, init, 30)
+        x, x_aux, y_aux, y = full[:, 0:2], full[:, 2:4], full[:, 4:6], full[:, 6:8]
+        assert np.allclose(np.hstack([x, y_aux]), s1[:, :4], atol=1e-12)
+        assert np.allclose(np.hstack([x_aux, y]), s2[:, :4], atol=1e-12)
+        played = exact_steps(g, Algo.DOGDA, 0.11, init, 30)
+        assert np.array_equal(played[:, :4], np.hstack([x, y]))
 
     def test_nash_with_matching_primes_fixed(self):
         g = BilinearGame.from_matrices([[1.0, 0.0]], [[0.0, 1.0]])
-        s = DogdaState.from_iterate(IterateState.at([0.0], [0.0, 0.0]))
-        out = dynamics.dogda_step(g, 0.15, s)
+        s = IterateState.at([0.0], [0.0, 0.0])
+        out = one_step(g, Algo.DOGDA, 0.15, s)
         assert np.allclose(out.stacked(), s.stacked())
+
+
+def reference_states(game, eta, s, steps, optimistic):
+    """The per-step arithmetic the engine must reproduce bit for bit: both
+    gradients recomputed from the current and the previous pair."""
+    x, y, x_prev, y_prev = s.x, s.y, s.x_prev, s.y_prev
+    rows = [np.concatenate([x, y, x_prev, y_prev])]
+    for _ in range(steps):
+        if optimistic:
+            gx_now = game.A @ y + game.b
+            gx_old = game.A @ y_prev + game.b
+            gy_now = game.B.T @ x + game.f
+            gy_old = game.B.T @ x_prev + game.f
+            x, y, x_prev, y_prev = (x + eta * (2.0 * gx_now - gx_old),
+                                    y + eta * (2.0 * gy_now - gy_old), x, y)
+        else:
+            x, y, x_prev, y_prev = (x + eta * (game.A @ y + game.b),
+                                    y + eta * (game.B.T @ x + game.f), x, y)
+        rows.append(np.concatenate([x, y, x_prev, y_prev]))
+    return np.array(rows)
+
+
+def test_engine_matches_reference_arithmetic():
+    rng = np.random.default_rng(7)
+    n, p = 3, 5
+    g = BilinearGame(rng.normal(size=(n, p)), rng.normal(size=(n, p)),
+                     rng.normal(size=n), rng.normal(size=p),
+                     rng.normal(size=n), rng.normal(size=p))
+    init = IterateState(rng.normal(size=n), rng.normal(size=p),
+                        rng.normal(size=n), rng.normal(size=p))
+    eta = 0.05
+    for algo in (Algo.OGDA, Algo.GDA):
+        expected = reference_states(g, eta, init, 200, algo is Algo.OGDA)
+        assert np.array_equal(exact_steps(g, algo, eta, init, 200), expected)
+    # DOGDA: x follows the zero-sum half on player 2's payoff, y the half on
+    # player 1's, each started from the initial state.
+    half1 = BilinearGame.zero_sum_game(-g.B, b=-g.e, c=-g.f)
+    half2 = BilinearGame.zero_sum_game(g.A, b=g.b, c=g.c)
+    ref1 = reference_states(half1, eta, init, 200, True)
+    ref2 = reference_states(half2, eta, init, 200, True)
+    played = exact_steps(g, Algo.DOGDA, eta, init, 200)
+    np.testing.assert_allclose(played[:, :n], ref1[:, :n], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(played[:, n:n + p], ref2[:, n:n + p],
+                               rtol=1e-12, atol=1e-12)
 
 
 class TestCompanionMatrix:
@@ -135,7 +188,7 @@ class TestRun:
         traj = dynamics.run(PENNIES, Algo.GDA, 0.3,
                             IterateState.at([1.0], [1.0]), max_steps=2000)
         assert traj.stop_reason is StopReason.DIVERGED
-        assert traj.final.blown_up
+        assert max(traj.final.block_norms()) > DEFAULT_BLOW_CAP
 
     def test_common_payoff_growth(self):
         g = BilinearGame.from_matrices([[1.0]], [[1.0]])
@@ -144,7 +197,7 @@ class TestRun:
                             IterateState([1.0], [1.0], [0.0], [0.0]),
                             max_steps=100000)
         assert traj.stop_reason is StopReason.DIVERGED
-        xs = [s.x[0] for s in traj.states]
+        xs = traj.states[:, 0]
         for prev, cur in zip(xs[1:-2], xs[2:-1]):
             assert cur > prev * (1 + eta)
 
@@ -165,6 +218,23 @@ class TestRun:
         with pytest.raises(ValueError):
             dynamics.run(PENNIES, Algo.OGDA, 0.0, IterateState.at([1.0], [1.0]))
 
+    @pytest.mark.parametrize("settings", [
+        {"max_steps": 0}, {"max_steps": -5}, {"record_stride": 0},
+        {"record_stride": 2.5}])
+    def test_rejects_bad_step_settings(self, settings):
+        with pytest.raises(ValueError):
+            dynamics.run(PENNIES, Algo.OGDA, 0.3, IterateState.at([1.0], [1.0]),
+                         **settings)
+
+    def test_dogda_records_the_played_pair(self):
+        g = BilinearGame.from_matrices([[1.0, 0.5]], [[0.3, -1.0]])
+        traj = dynamics.run(g, Algo.DOGDA, 0.2,
+                            IterateState([1.0], [1.0, -1.0], [0.0], [0.0, 0.0]),
+                            max_steps=7, record_stride=3)
+        assert traj.times == [0, 3, 6, 7]
+        assert traj.states.shape == (4, 6)
+        assert np.array_equal(traj.states[0], [1.0, 1.0, -1.0, 0.0, 0.0, 0.0])
+
 
 class TestCsv:
     def test_header_and_precision(self):
@@ -176,7 +246,7 @@ class TestCsv:
         assert lines[1] == "t,x_0,y_0,dist_limit,g1,g2"
         row = lines[3].split(",")
         assert row[3] == ""  # no limit supplied
-        assert float(row[1]) == traj.states[1].x[0]  # 17 digits round-trip
+        assert float(row[1]) == traj.states[1, 0]  # 17 digits round-trip
 
     def test_distance_column(self):
         traj = dynamics.run(PENNIES, Algo.OGDA, 0.3,

@@ -97,7 +97,7 @@ class TestPredictLimit:
         pred = predict.predict_limit(g, Algo.OGDA, 0.05, init)
         assert pred.valid
         s = IterateState.at(pred.x_inf, pred.y_inf)
-        stepped = dynamics.ogda_step(g, 0.05, s)
+        stepped = dynamics.run(g, Algo.OGDA, 0.05, s, max_steps=1).final
         assert np.linalg.norm(stepped.stacked() - s.stacked()) < 1e-10
 
 
