@@ -30,10 +30,10 @@ def main() -> int:
     out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out")
     eta_star, lam_star = spectral.optimal_eta(1.0, 4.0)
     print(f"closed-form optimum: eta*={eta_star:.6f}, ratio*={lam_star:.6f}")
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(CONFIG, fh)
-        cfg_path = fh.name
-    return cli.main(["sweep", "--config", cfg_path, "--out-dir", str(out)])
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / f"{CONFIG['name']}.json"
+        cfg_path.write_text(json.dumps(CONFIG))
+        return cli.main(["sweep", "--config", str(cfg_path), "--out-dir", str(out)])
 
 
 if __name__ == "__main__":

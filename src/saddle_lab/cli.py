@@ -95,6 +95,19 @@ def _count(obj: dict, key: str, default: int | None) -> int | None:
     return int(value)
 
 
+def _threshold(obj: dict, key: str, default: float, zero_ok: bool) -> float:
+    """A finite real setting, > 0 (or >= 0 where zero_ok); absent means default."""
+    value = obj.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not (math.isfinite(number) and (number >= 0 if zero_ok else number > 0)):
+        raise ConfigError(f"{key} must be a finite number {'>=' if zero_ok else '>'} 0, "
+                          f"got {value!r}")
+    return number
+
+
 def parse_config(obj: dict, seed: int | None = None) -> ExperimentConfig:
     try:
         game = games_mod.game_from_json(obj["game"])
@@ -122,8 +135,8 @@ def parse_config(obj: dict, seed: int | None = None) -> ExperimentConfig:
         game=game, algo=algo, eta=eta, eta_range=eta_range,
         init_spec=obj.get("init"),
         max_steps=_count(obj, "max_steps", 5000),
-        stop_tol=float(obj.get("stop_tol", DEFAULT_STOP_TOL)),
-        blow_cap=float(obj.get("blow_cap", DEFAULT_BLOW_CAP)),
+        stop_tol=_threshold(obj, "stop_tol", DEFAULT_STOP_TOL, zero_ok=True),
+        blow_cap=_threshold(obj, "blow_cap", DEFAULT_BLOW_CAP, zero_ok=False),
         record_stride=_count(obj, "record_stride", None),
         description=str(obj.get("description", "")),
         seed=obj.get("seed", seed))

@@ -83,15 +83,32 @@ class BilinearGame:
         return cls(A, -A, b, c, -b, -c, d, -d)
 
 
-def payoffs(game: BilinearGame, x, y) -> tuple[float, float]:
-    """Evaluate both payoff forms at (x, y)."""
-    try:
-        xv = as_vector(x, game.n)
-        yv = as_vector(y, game.p)
-    except ValueError as exc:
-        raise DimensionMismatchError(str(exc)) from exc
-    g1 = float(xv @ game.A @ yv + game.b @ xv + game.c @ yv + game.d)
-    g2 = float(xv @ game.B @ yv + game.e @ xv + game.f @ yv + game.g)
+def payoffs(game: BilinearGame, x, y):
+    """Evaluate both payoff forms at one point or at k stacked points.
+
+    One point (x of length n, y of length p) gives a pair of floats. Stacked
+    rows, x of shape (k, n) and y of shape (k, p), give a pair of length-k
+    arrays, the payoffs at (x[i], y[i]). Shapes and finiteness are checked
+    once per call.
+    """
+    xv = np.asarray(x, dtype=float)
+    yv = np.asarray(y, dtype=float)
+    if xv.ndim <= 1 and yv.ndim <= 1:
+        try:
+            xv = as_vector(xv, game.n)
+            yv = as_vector(yv, game.p)
+        except ValueError as exc:
+            raise DimensionMismatchError(str(exc)) from exc
+        g1 = float(xv @ game.A @ yv + game.b @ xv + game.c @ yv + game.d)
+        g2 = float(xv @ game.B @ yv + game.e @ xv + game.f @ yv + game.g)
+        return g1, g2
+    if xv.ndim != 2 or xv.shape[1] != game.n or yv.shape != (len(xv), game.p):
+        raise DimensionMismatchError(
+            f"stacked points are {xv.shape} and {yv.shape}, game is ({game.n}, {game.p})")
+    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
+        raise DimensionMismatchError("vector entries must be finite")
+    g1 = np.einsum("ij,ij->i", xv @ game.A, yv) + xv @ game.b + yv @ game.c + game.d
+    g2 = np.einsum("ij,ij->i", xv @ game.B, yv) + xv @ game.e + yv @ game.f + game.g
     return g1, g2
 
 

@@ -51,6 +51,19 @@ def as_vector(v, length: int | None = None) -> np.ndarray:
     return out
 
 
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D array.
+
+    Each row is scaled by the power of two at its largest absolute entry
+    before squaring. The scaling is exact, and no square overflows, so a
+    row's norm is infinite only where math.hypot of that row is too.
+    """
+    rows = np.asarray(rows, dtype=float)
+    _, exp = np.frexp(np.abs(rows).max(axis=1, initial=0.0))
+    scaled = np.ldexp(rows, -exp[:, None])
+    return np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exp)
+
+
 def matrix_to_json(a: np.ndarray) -> dict:
     m = as_matrix(a)
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]),

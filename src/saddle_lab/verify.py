@@ -50,7 +50,7 @@ def _log_linear_fit(times: np.ndarray, values: np.ndarray) -> tuple[float, float
 
 def _distances(traj: Trajectory, x_inf: np.ndarray, y_inf: np.ndarray) -> np.ndarray:
     target = np.concatenate([x_inf, y_inf])
-    return np.array([math.hypot(*(row[:target.size] - target)) for row in traj.states])
+    return linalg.row_norms(traj.states[:, :target.size] - target)
 
 
 @dataclass
@@ -129,16 +129,16 @@ def classify(traj: Trajectory, game: BilinearGame,
         return OutcomeClass(OutcomeKind.CONVERGED, limit=(s.x.copy(), s.y.copy()),
                             evidence={"final_norm": max(s.block_norms())})
     n, p = game.n, game.p
-    pay = np.array([payoffs(game, row[:n], row[n:n + p]) for row in traj.states])
+    g1, g2 = payoffs(game, traj.states[:, :n], traj.states[:, n:n + p])
     times = np.asarray(traj.times)
     tail = slice(max(0, len(times) - COOP_TREND_POINTS), len(times))
-    g1_tail, g2_tail = pay[tail, 0], pay[tail, 1]
-    evidence = {"final_g1": float(pay[-1, 0]), "final_g2": float(pay[-1, 1]),
+    g1_tail, g2_tail = g1[tail], g2[tail]
+    evidence = {"final_g1": float(g1[-1]), "final_g2": float(g2[-1]),
                 "final_norm": max(traj.final.block_norms())}
     expected = _expected_payoff_growth(game, traj.eta)
     if expected is not None:
         evidence["expected_growth_ratio"] = expected
-    if (pay[-1] > coop_cap).all() and (g1_tail > 0).all() and (g2_tail > 0).all():
+    if min(g1[-1], g2[-1]) > coop_cap and (g1_tail > 0).all() and (g2_tail > 0).all():
         s1, _, _ = _log_linear_fit(times[tail], g1_tail)
         s2, _, _ = _log_linear_fit(times[tail], g2_tail)
         growth = math.exp(min(s1, s2))

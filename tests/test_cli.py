@@ -106,7 +106,11 @@ class TestRun:
         ({"record_stride": 0}, "record_stride"),
         ({"record_stride": 2.5}, "record_stride"),
         ({"max_steps": -5}, "max_steps"),
-        ({"max_steps": 0}, "max_steps")])
+        ({"max_steps": 0}, "max_steps"),
+        ({"blow_cap": 0.0}, "blow_cap"),
+        ({"blow_cap": "big"}, "blow_cap"),
+        ({"stop_tol": -1e-3}, "stop_tol"),
+        ({"stop_tol": None}, "stop_tol")])
     def test_bad_step_settings_exit_one(self, tmp_path, capsys, settings, key):
         cfg = write_config(tmp_path, zero_sum_config(0.3, **settings))
         out = tmp_path / "out"
@@ -115,6 +119,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and key in err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_infinite_blow_cap_exit_one(self, tmp_path, capsys):
+        # 1e309 parses as infinity; GDA on matching pennies at eta 0.9 would
+        # then run until its state overflows.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(zero_sum_config(0.9, algo="GDA", blow_cap=7.0))
+                       .replace('"blow_cap": 7.0', '"blow_cap": 1e309'))
+        assert cli.main(["run", "--config", str(cfg), "--out-dir",
+                         str(tmp_path / "out")]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "blow_cap" in err and "Traceback" not in err
 
     def test_wgan_basic_preset_tracks_the_rate(self, tmp_path):
         cli.main(["run", "--preset", "wgan-basic", "--out-dir", str(tmp_path)])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -220,7 +222,8 @@ class TestRun:
 
     @pytest.mark.parametrize("settings", [
         {"max_steps": 0}, {"max_steps": -5}, {"record_stride": 0},
-        {"record_stride": 2.5}])
+        {"record_stride": 2.5}, {"blow_cap": math.inf}, {"blow_cap": 0.0},
+        {"blow_cap": math.nan}, {"stop_tol": -1e-3}, {"stop_tol": math.inf}])
     def test_rejects_bad_step_settings(self, settings):
         with pytest.raises(ValueError):
             dynamics.run(PENNIES, Algo.OGDA, 0.3, IterateState.at([1.0], [1.0]),
@@ -255,3 +258,41 @@ class TestCsv:
             traj, PENNIES, limit=(np.zeros(1), np.zeros(1)))
         first = text.strip().split("\n")[1].split(",")
         assert float(first[3]) == pytest.approx(np.sqrt(2.0))
+
+    def test_blocks_match_per_row_reference(self):
+        """Block rendering against the per-row arithmetic: point payoffs,
+        math.hypot and one format() per cell."""
+        rng = np.random.default_rng(9)
+        n, p = 3, 5
+        g = BilinearGame(rng.normal(size=(n, p)), rng.normal(size=(n, p)),
+                         rng.normal(size=n), rng.normal(size=p),
+                         rng.normal(size=n), rng.normal(size=p), d=1.5, g=-0.5)
+        abs_game = BilinearGame(*(np.abs(v) for v in (g.A, g.B, g.b, g.c, g.e, g.f)),
+                                d=1.5, g=0.5)
+        init = IterateState(rng.normal(size=n), rng.normal(size=p),
+                            rng.normal(size=n), rng.normal(size=p))
+        traj = dynamics.run(g, Algo.DOGDA, 0.05, init, max_steps=2999, stop_tol=0.0,
+                            record_stride=1)
+        assert len(traj.times) == 3000 > 3 * dynamics.CSV_BLOCK_CELLS // (n + p + 3)
+        for limit in ((rng.normal(size=n), rng.normal(size=p)), None):
+            text = dynamics.trajectory_to_csv(traj, g, limit=limit, comments=("c",))
+            lines = text.split("\n")
+            assert lines[:2] == ["# c", "t," + ",".join(
+                [f"x_{i}" for i in range(n)] + [f"y_{j}" for j in range(p)]
+                + ["dist_limit", "g1", "g2"])]
+            assert lines[-1] == "" and len(lines) == 2 + 3000 + 1
+            for line, t, row in zip(lines[2:], traj.times, traj.states):
+                xy = row[:n + p]
+                cells = line.split(",")
+                assert cells[:1 + n + p] == [str(t)] + [format(v, ".17g")
+                                                        for v in xy.tolist()]
+                g1, g2 = games.payoffs(g, xy[:n], xy[n:])
+                # rounding scales with the sum of the absolute payoff terms
+                s1, s2 = games.payoffs(abs_game, np.abs(xy[:n]), np.abs(xy[n:]))
+                assert abs(float(cells[-2]) - g1) <= 1e-14 * max(1.0, s1)
+                assert abs(float(cells[-1]) - g2) <= 1e-14 * max(1.0, s2)
+                if limit is None:
+                    assert cells[-3] == ""
+                else:
+                    dist = math.hypot(*(xy - np.concatenate(limit)))
+                    assert abs(float(cells[-3]) - dist) <= 1e-14 * max(1.0, dist)

@@ -22,6 +22,43 @@ def test_payoff_dimension_mismatch():
         games.payoffs(g, [1.0, 2.0], [1.0])
 
 
+@pytest.mark.parametrize("x, y", [
+    ([[1.0], [np.inf], [2.0]], [[1.0], [1.0], [1.0]]),   # one non-finite row
+    ([[1.0], [2.0]], [[1.0], [1.0], [1.0]]),              # row counts differ
+    ([[1.0, 2.0]], [[1.0]]),                              # wrong width
+    ([[1.0]], [1.0])])                                    # stacked x, point y
+def test_stacked_payoff_dimension_mismatch(x, y):
+    g = BilinearGame.zero_sum_game([[1.0]])
+    with pytest.raises(games.DimensionMismatchError):
+        games.payoffs(g, x, y)
+
+
+def payoff_scales(g, x, y):
+    """Sums of the absolute terms of g1 and g2 at (x, y): what rounding scales with."""
+    ax, ay = np.abs(x), np.abs(y)
+    s1 = ax @ np.abs(g.A) @ ay + np.abs(g.b) @ ax + np.abs(g.c) @ ay + abs(g.d)
+    s2 = ax @ np.abs(g.B) @ ay + np.abs(g.e) @ ax + np.abs(g.f) @ ay + abs(g.g)
+    return max(1.0, s1), max(1.0, s2)
+
+
+def test_stacked_payoffs_match_points():
+    rng = np.random.default_rng(3)
+    n, p, k = 3, 5, 40
+    g = BilinearGame(rng.normal(size=(n, p)), rng.normal(size=(n, p)),
+                     rng.normal(size=n), rng.normal(size=p), rng.normal(size=n),
+                     rng.normal(size=p), d=rng.normal(), g=rng.normal())
+    mags = 10.0 ** rng.uniform(-3, 6, size=(k, 1))
+    xs, ys = rng.normal(size=(k, n)) * mags, rng.normal(size=(k, p)) * mags
+    g1, g2 = games.payoffs(g, xs, ys)
+    assert g1.shape == g2.shape == (k,)
+    for i in range(k):
+        p1, p2 = games.payoffs(g, xs[i], ys[i])
+        assert type(p1) is float and type(p2) is float
+        s1, s2 = payoff_scales(g, xs[i], ys[i])
+        assert abs(g1[i] - p1) <= 1e-14 * s1
+        assert abs(g2[i] - p2) <= 1e-14 * s2
+
+
 def test_zero_sum_payoffs_cancel():
     rng = np.random.default_rng(5)
     g = BilinearGame.zero_sum_game(rng.normal(size=(3, 2)),

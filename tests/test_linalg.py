@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,18 @@ from saddle_lab import linalg
 
 def rand_matrix(seed, n, p):
     return np.random.default_rng(seed).normal(size=(n, p))
+
+
+class TestRowNorms:
+    def test_matches_hypot_without_overflow(self):
+        rng = np.random.default_rng(4)
+        rows = np.vstack([rng.normal(size=(20, 6)) * 1e200,
+                          rng.normal(size=(5, 6)) * 1e-200,
+                          [[1e308, -1e308, 0.0, 0.0, 0.0, 0.0]], np.zeros((1, 6))])
+        norms = linalg.row_norms(rows)
+        assert np.all(np.isfinite(norms))
+        for row, norm in zip(rows, norms):
+            assert abs(norm - math.hypot(*row)) <= 1e-15 * math.hypot(*row)
 
 
 class TestSymEig:
