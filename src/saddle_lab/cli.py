@@ -21,6 +21,7 @@ from . import predict, spectral, verify
 from .dynamics import (DEFAULT_BLOW_CAP, DEFAULT_STOP_TOL, Algo, IterateState,
                        StopReason, run, trajectory_to_csv)
 from .games import BilinearGame
+from .linalg import as_vector
 from .verify import InsufficientDataError
 
 EXIT_OK = 0
@@ -40,16 +41,12 @@ class ExperimentConfig:
     algo: Algo
     eta: float | None                  # scalar run
     eta_range: tuple[float, float, float] | None  # (start, stop, step) sweep
-    init_spec: dict | None
+    init: IterateState
     max_steps: int = 5000
     stop_tol: float = DEFAULT_STOP_TOL
     blow_cap: float = DEFAULT_BLOW_CAP
     record_stride: int | None = None
     description: str = ""
-    seed: int | None = None
-
-    def initial_state(self) -> IterateState:
-        return _build_init(self.game, self.init_spec, self.seed)
 
     def etas(self) -> list[float]:
         if self.eta is not None:
@@ -65,23 +62,29 @@ def _build_init(game: BilinearGame, spec: dict | None,
     if spec is None:
         # generic deterministic default; prevs differ from the current pair
         return IterateState(np.ones(n), np.ones(p), np.zeros(n), np.zeros(p))
+    if not isinstance(spec, dict):
+        raise ConfigError(f"init must be an object, got {spec!r}")
     if spec.get("random"):
         seed = spec.get("seed", seed)
         if seed is None:
             raise ConfigError("random init requires a seed")
-        rng = np.random.default_rng(int(seed))
+        try:
+            rng = np.random.default_rng(int(seed))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad init seed {seed!r}: {exc}") from exc
         x0 = rng.uniform(-1.0, 1.0, n)
         y0 = rng.uniform(-1.0, 1.0, p)
         return IterateState(x0, y0, rng.uniform(-1.0, 1.0, n),
                             rng.uniform(-1.0, 1.0, p))
     try:
-        x0 = np.asarray(spec["x0"], dtype=float)
-        y0 = np.asarray(spec["y0"], dtype=float)
+        x0 = as_vector(spec["x0"], n)
+        y0 = as_vector(spec["y0"], p)
+        return IterateState(x0, y0, as_vector(spec.get("x_prev", x0), n),
+                            as_vector(spec.get("y_prev", y0), p))
     except KeyError as exc:
         raise ConfigError(f"init is missing {exc}") from exc
-    x_prev = np.asarray(spec.get("x_prev", x0), dtype=float)
-    y_prev = np.asarray(spec.get("y_prev", y0), dtype=float)
-    return IterateState(x0, y0, x_prev, y_prev)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad init: {exc}") from exc
 
 
 def _count(obj: dict, key: str, default: int | None) -> int | None:
@@ -95,7 +98,8 @@ def _count(obj: dict, key: str, default: int | None) -> int | None:
     return int(value)
 
 
-def _threshold(obj: dict, key: str, default: float, zero_ok: bool) -> float:
+def _threshold(obj: dict, key: str, default: float | None = None,
+               zero_ok: bool = False) -> float:
     """A finite real setting, > 0 (or >= 0 where zero_ok); absent means default."""
     value = obj.get(key, default)
     try:
@@ -109,37 +113,34 @@ def _threshold(obj: dict, key: str, default: float, zero_ok: bool) -> float:
 
 
 def parse_config(obj: dict, seed: int | None = None) -> ExperimentConfig:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"a config must be a JSON object, got {obj!r}")
     try:
         game = games_mod.game_from_json(obj["game"])
         algo = Algo(obj.get("algo", "OGDA"))
         eta_obj = obj["eta"]
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
+    name = str(obj.get("name", "experiment"))
+    if "/" in name or "\0" in name:
+        raise ConfigError(f"name must be a file name, got {name!r}")
     eta, eta_range = None, None
     if isinstance(eta_obj, dict):
-        try:
-            start = float(eta_obj["start"])
-            stop = float(eta_obj["stop"])
-            step = float(eta_obj["step"])
-        except KeyError as exc:
-            raise ConfigError(f"eta range is missing {exc}") from exc
-        if step <= 0 or stop < start:
-            raise ConfigError("eta range needs positive step and stop >= start")
+        start, stop, step = (_threshold(eta_obj, key) for key in ("start", "stop", "step"))
+        if stop < start:
+            raise ConfigError("eta range needs stop >= start")
         eta_range = (start, stop, step)
     else:
-        eta = float(eta_obj)
-        if not eta > 0:
-            raise ConfigError("eta must be positive")
+        eta = _threshold(obj, "eta")
     return ExperimentConfig(
-        name=str(obj.get("name", "experiment")),
+        name=name,
         game=game, algo=algo, eta=eta, eta_range=eta_range,
-        init_spec=obj.get("init"),
+        init=_build_init(game, obj.get("init"), obj.get("seed", seed)),
         max_steps=_count(obj, "max_steps", 5000),
         stop_tol=_threshold(obj, "stop_tol", DEFAULT_STOP_TOL, zero_ok=True),
-        blow_cap=_threshold(obj, "blow_cap", DEFAULT_BLOW_CAP, zero_ok=False),
+        blow_cap=_threshold(obj, "blow_cap", DEFAULT_BLOW_CAP),
         record_stride=_count(obj, "record_stride", None),
-        description=str(obj.get("description", "")),
-        seed=obj.get("seed", seed))
+        description=str(obj.get("description", "")))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +235,7 @@ def _json_dump(obj, path: Path | None) -> str:
 
 def _analysis_payload(cfg: ExperimentConfig, eta: float) -> dict:
     report = spectral.rate_report(cfg.game, eta, cfg.algo)
-    pred = predict.predict_limit(cfg.game, cfg.algo, eta, cfg.initial_state())
+    pred = predict.predict_limit(cfg.game, cfg.algo, eta, cfg.init)
     return {"report": report.to_json(), "limit": pred.to_json()}
 
 
@@ -255,7 +256,7 @@ def cmd_analyze(cfg: ExperimentConfig, out_dir: Path | None) -> int:
 
 
 def _run_one(cfg: ExperimentConfig, eta: float) -> dict:
-    init = cfg.initial_state()
+    init = cfg.init
     traj = run(cfg.game, cfg.algo, eta, init, max_steps=cfg.max_steps,
                stop_tol=cfg.stop_tol, blow_cap=cfg.blow_cap,
                record_stride=cfg.record_stride)

@@ -154,8 +154,10 @@ def run(game: BilinearGame, algo: Algo, eta: float, init: IterateState,
         m = 2 * (n + p)
         played = np.r_[0:n, 2 * n + p:m, m:m + n, m + 2 * n + p:2 * m]
     states = np.empty((max_steps // record_stride + 2, 2 * (n + p)))
-    times, stop = _simulate(game, algo is not Algo.GDA, eta, z, played, states,
-                            max_steps, stop_tol, blow_cap, record_stride)
+    # a step may overflow; the divergence test stops the run on that state
+    with np.errstate(over="ignore", invalid="ignore"):
+        times, stop = _simulate(game, algo is not Algo.GDA, eta, z, played, states,
+                                max_steps, stop_tol, blow_cap, record_stride)
     return Trajectory(algo, float(eta), n, states[:len(times)], times,
                       record_stride, stop)
 
@@ -203,6 +205,16 @@ def _simulate(game: BilinearGame, optimistic: bool, eta: float, z: np.ndarray,
     return times, stop
 
 
+def recorded_payoffs(traj: Trajectory, game: BilinearGame) -> tuple[np.ndarray, np.ndarray]:
+    """Payoffs (g1, g2) at each recorded state. A run stops at the first state
+    that is not finite, so only the last row can be one; its payoffs are NaN."""
+    n, p = game.n, game.p
+    g1, g2 = np.full(len(traj.times), np.nan), np.full(len(traj.times), np.nan)
+    k = len(g1) if np.isfinite(traj.states[-1]).all() else len(g1) - 1
+    g1[:k], g2[:k] = payoffs(game, traj.states[:k, :n], traj.states[:k, n:n + p])
+    return g1, g2
+
+
 # Cells formatted per block of rows. This bounds the Python floats alive at
 # once: at n+p=256 and 1501 rows, one tolist() of the whole table added about
 # 17 MB to peak memory, and blocks of 256 rows about 5 MB.
@@ -220,7 +232,7 @@ def trajectory_to_csv(traj: Trajectory, game: BilinearGame,
     """
     n, p = game.n, game.p
     xy = traj.states[:, :n + p]
-    g1, g2 = payoffs(game, xy[:, :n], xy[:, n:])
+    g1, g2 = recorded_payoffs(traj, game)
     target = None if limit is None else np.concatenate(limit)
     lines = [f"# {text}" for text in comments]
     cols = (["t"] + [f"x_{i}" for i in range(n)] + [f"y_{j}" for j in range(p)]

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# eig_complex is a desk-scale oracle, not a production eigensolver.
+# verify.oracle_reconcile runs the brute-force eigensolver on the 2(n+p)
+# companion matrix only up to this dimension; the analysis has no cap.
 MAX_ORACLE_DIM = 64
 
 
@@ -144,60 +145,34 @@ class ComplexScalarSet:
 
 
 def cluster_scalars(values, tol: float) -> ComplexScalarSet:
-    """Group near-equal scalars (union-find on pairwise distance <= tol)."""
+    """Group near-equal scalars, with no cluster wider than 2 tol.
+
+    In order of real part, each value not yet taken takes every untaken value
+    within tol of it. A cluster's center is the mean of its members in input
+    order (a singleton's is the value itself), its multiplicity their count.
+    """
     vals = np.asarray(values, dtype=complex).reshape(-1)
-    n = vals.size
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(vals[i] - vals[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    pts = vals.tolist()
+    order = sorted(range(len(pts)), key=lambda i: pts[i].real)
+    taken = [False] * len(pts)
     centers, mults = [], []
-    for members in groups.values():
-        centers.append(vals[members].mean())
+    for pos, i in enumerate(order):
+        if taken[i]:
+            continue
+        seed = pts[i]
+        members = [i]
+        for j in order[pos + 1:]:
+            if pts[j].real - seed.real > tol:
+                break
+            if not taken[j] and abs(pts[j] - seed) <= tol:
+                taken[j] = True
+                members.append(j)
+        centers.append(seed if len(members) == 1 else vals[sorted(members)].mean())
         mults.append(len(members))
-    centers = np.asarray(centers)
+    centers = np.asarray(centers, dtype=complex)
     mults = np.asarray(mults, dtype=int)
     order = np.lexsort((centers.imag, centers.real))
     return ComplexScalarSet(centers[order], mults[order])
-
-
-def _conjugate_symmetrize(s: ComplexScalarSet, tol: float) -> ComplexScalarSet:
-    """Snap a spectrum of a real matrix onto exact conjugate pairs / reals."""
-    vals = s.values.copy()
-    used = np.zeros(len(vals), dtype=bool)
-    for i in range(len(vals)):
-        if used[i]:
-            continue
-        if abs(vals[i].imag) <= tol:
-            vals[i] = complex(vals[i].real, 0.0)
-            used[i] = True
-            continue
-        partner = None
-        for j in range(len(vals)):
-            if j != i and not used[j] and abs(vals[j] - vals[i].conjugate()) <= 2 * tol:
-                partner = j
-                break
-        if partner is not None:
-            z = 0.5 * (vals[i] + vals[partner].conjugate())
-            vals[i], vals[partner] = z, z.conjugate()
-            used[i] = used[partner] = True
-        else:
-            used[i] = True
-    order = np.lexsort((vals.imag, vals.real))
-    return ComplexScalarSet(vals[order], s.multiplicities[order])
 
 
 def sym_eig(m, tol: float = 1e-10):
@@ -220,24 +195,27 @@ def sym_eig(m, tol: float = 1e-10):
 
 
 def eig_complex(m, eig_tol: float = 1e-8) -> ComplexScalarSet:
-    """All complex eigenvalues of a small real matrix, with multiplicities.
+    """All complex eigenvalues of a real matrix, with multiplicities.
 
-    Desk-scale oracle: dimension is capped at MAX_ORACLE_DIM. The result is
-    conjugate-closed (input is real so the spectrum must be).
+    Conjugate-closed by construction: values within the clustering tolerance
+    of the real axis are clustered as reals, and the upper half-plane is
+    clustered once and mirrored.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError("eig_complex needs a square matrix")
-    if a.shape[0] > MAX_ORACLE_DIM:
-        raise DimensionTooLargeError(
-            f"dimension {a.shape[0]} exceeds oracle cap {MAX_ORACLE_DIM}")
     try:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
-    scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
-    clustered = cluster_scalars(vals, eig_tol * scale)
-    return _conjugate_symmetrize(clustered, eig_tol * scale)
+    tol = eig_tol * max(1.0, float(np.max(np.abs(vals), initial=0.0)))
+    real = cluster_scalars(vals.real[np.abs(vals.imag) <= tol], tol)
+    upper = cluster_scalars(vals[vals.imag > tol], tol)
+    values = np.concatenate([real.values, upper.values, upper.values.conj()])
+    mults = np.concatenate([real.multiplicities, upper.multiplicities,
+                            upper.multiplicities])
+    order = np.lexsort((values.imag, values.real))
+    return ComplexScalarSet(values[order], mults[order])
 
 
 def pinv(a, rank_tol: float | None = None) -> np.ndarray:

@@ -101,13 +101,19 @@ def s_star_roots(mu: float, eta: float) -> RootSet:
     return RootSet(float(mu), float(eta), dedup)
 
 
+def _coupling_product(game: BilinearGame) -> np.ndarray:
+    """The smaller of B^T A (p x p) and A B^T (n x n). The larger one has the
+    same spectrum plus |n - p| zeros."""
+    return game.B.T @ game.A if game.p <= game.n else game.A @ game.B.T
+
+
 def coupling_spectrum(game: BilinearGame, eig_tol: float = 1e-8) -> ComplexScalarSet:
     """Distinct eigenvalues of B^T A and A B^T pooled together."""
-    bta = linalg.eig_complex(game.B.T @ game.A, eig_tol)
-    abt = linalg.eig_complex(game.A @ game.B.T, eig_tol)
-    pooled = np.concatenate([bta.values, abt.values])
-    scale = max(1.0, float(np.max(np.abs(pooled), initial=0.0)))
-    distinct = cluster_scalars(pooled, eig_tol * scale)
+    values = linalg.eig_complex(_coupling_product(game), eig_tol).values
+    if game.n != game.p:
+        values = np.append(values, 0j)
+    scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
+    distinct = cluster_scalars(values, eig_tol * scale)
     return ComplexScalarSet(distinct.values, np.ones(len(distinct.values), dtype=int))
 
 
@@ -120,18 +126,13 @@ def lambda_spectrum(game: BilinearGame, eta: float,
     and the |n - p| leftover dimensions contribute {0, 1} pairs. Totals always
     match the companion dimension 2(n + p).
     """
-    n, p = game.n, game.p
-    if p <= n:
-        base = linalg.eig_complex(game.B.T @ game.A, eig_tol)
-    else:
-        base = linalg.eig_complex(game.A @ game.B.T, eig_tol)
+    base = linalg.eig_complex(_coupling_product(game), eig_tol)
     roots: list[complex] = []
     for mu, mult in zip(base.values, base.multiplicities):
         if abs(mu.imag) <= REALITY_REL_TOL * (1.0 + abs(mu)):
             mu = complex(mu.real)
         roots.extend(_quartic_root_multiset(mu, eta) * int(mult))
-    pad = abs(n - p)
-    roots.extend([0j, 1 + 0j] * pad)
+    roots.extend([0j, 1 + 0j] * abs(game.n - game.p))
     root_scale = max(1.0, float(np.max(np.abs(roots), initial=0.0)))
     return cluster_scalars(roots, eig_tol * root_scale)
 
@@ -406,19 +407,19 @@ def is_diagonalizable(m, tol: float = 1e-8) -> Verdict:
     if dim == 0:
         return Verdict.YES
     scale = max(1.0, float(np.linalg.norm(a, ord="fro")))
-    vals = np.linalg.eigvals(a)
     # A defective eigenvalue of Jordan size k scatters by ~eps^(1/k); the
     # cluster radius must swallow at least k <= 3 so the scattered copies are
     # treated as one eigenvalue.
     radius = max(10.0 * tol, 4.0 * np.finfo(float).eps ** (1.0 / 3.0)) * scale
-    clusters = cluster_scalars(vals, radius)
-    centers = clusters.values
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            if abs(centers[i] - centers[j]) < 10.0 * radius:
-                return Verdict.BORDERLINE
-    geo_total = 0
-    for lam in centers:
+    clusters = cluster_scalars(np.linalg.eigvals(a), radius)
+    centers, mults = clusters.values, clusters.multiplicities
+    gaps = np.abs(centers[:, None] - centers[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    if (gaps < 10.0 * radius).any():
+        return Verdict.BORDERLINE
+    # a simple eigenvalue has geometric multiplicity 1
+    geo_total = int(np.sum(mults == 1))
+    for lam in centers[mults > 1]:
         sing = np.linalg.svd(a - lam * np.eye(dim), compute_uv=False)
         geo_total += int(np.sum(sing <= tol * scale))
     return Verdict.YES if geo_total == dim else Verdict.NO

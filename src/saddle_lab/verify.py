@@ -12,8 +12,8 @@ import numpy as np
 from . import games as games_mod
 from . import linalg, predict, spectral
 from .dynamics import (Algo, IterateState, StopReason, Trajectory,
-                       companion_matrix, run)
-from .games import BilinearGame, payoffs
+                       companion_matrix, recorded_payoffs, run)
+from .games import BilinearGame
 from .predict import DistanceD, LimitPrediction
 from .spectral import Regime, SpectralReport
 
@@ -103,10 +103,7 @@ class OutcomeClass:
 def _expected_payoff_growth(game: BilinearGame, eta: float) -> float | None:
     """Square of the dominant expanding root: the asymptotic per-step payoff
     growth when a positive coupling eigenvalue drives the blow-up."""
-    try:
-        spec = spectral.coupling_spectrum(game)
-    except linalg.DimensionTooLargeError:
-        return None
+    spec = spectral.coupling_spectrum(game)
     reals = [mu.real for mu in spec.values
              if abs(mu.imag) <= 1e-8 * (1.0 + abs(mu)) and mu.real > 1e-12]
     if not reals:
@@ -128,13 +125,15 @@ def classify(traj: Trajectory, game: BilinearGame,
         s = traj.final
         return OutcomeClass(OutcomeKind.CONVERGED, limit=(s.x.copy(), s.y.copy()),
                             evidence={"final_norm": max(s.block_norms())})
-    n, p = game.n, game.p
-    g1, g2 = payoffs(game, traj.states[:, :n], traj.states[:, n:n + p])
+    g1, g2 = recorded_payoffs(traj, game)
     times = np.asarray(traj.times)
     tail = slice(max(0, len(times) - COOP_TREND_POINTS), len(times))
     g1_tail, g2_tail = g1[tail], g2[tail]
+    # the last state may have overflowed, so its blocks are not revalidated
+    n, p = game.n, game.p
+    blocks = np.split(traj.states[-1], [n, n + p, 2 * n + p])
     evidence = {"final_g1": float(g1[-1]), "final_g2": float(g2[-1]),
-                "final_norm": max(traj.final.block_norms())}
+                "final_norm": float(np.max([np.linalg.norm(v) for v in blocks]))}
     expected = _expected_payoff_growth(game, traj.eta)
     if expected is not None:
         evidence["expected_growth_ratio"] = expected
@@ -222,7 +221,15 @@ def _greedy_match_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def oracle_reconcile(game: BilinearGame, eta: float) -> OracleReport:
-    """Compare the closed-form spectrum against the brute-force eigensolver."""
+    """Compare the closed-form spectrum against the brute-force eigensolver.
+
+    The oracle is desk-scale: a companion matrix above linalg.MAX_ORACLE_DIM
+    raises DimensionTooLargeError.
+    """
+    dim = 2 * (game.n + game.p)
+    if dim > linalg.MAX_ORACLE_DIM:
+        raise linalg.DimensionTooLargeError(
+            f"dimension {dim} exceeds oracle cap {linalg.MAX_ORACLE_DIM}")
     pred = spectral.lambda_spectrum(game, eta).as_multiset()
     obs = linalg.eig_complex(companion_matrix(game, eta)).as_multiset()
     if len(pred) != len(obs):

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from saddle_lab import cli
 
@@ -131,6 +134,55 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "blow_cap" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda c: c.update(eta=None), id="eta-null"),
+        pytest.param(lambda c: c.update(eta="fast"), id="eta-string"),
+        pytest.param(lambda c: c.update(eta=[0.3]), id="eta-list"),
+        pytest.param(lambda c: c.update(eta={"start": None, "stop": 0.4, "step": 0.1}),
+                     id="eta-start-null"),
+        pytest.param(lambda c: c.update(init={"x0": [1.0, 2.0], "y0": [1.0]}),
+                     id="init-wrong-length"),
+        pytest.param(lambda c: c.update(init={"x0": "abc", "y0": [1.0]}), id="init-string"),
+        pytest.param(lambda c: c.update(init={"x0": [1.0], "y0": [1.0], "y_prev": [None]}),
+                     id="init-prev-null"),
+        pytest.param(lambda c: c.update(init=[1, 2]), id="init-list"),
+        pytest.param(lambda c: c.update(init={"random": True, "seed": "x"}),
+                     id="init-seed-string"),
+        pytest.param(lambda c: c.update(init={"random": True, "seed": math.inf}),
+                     id="init-seed-infinite"),
+        pytest.param(lambda c: c.update(name="a\0b"), id="name-nul"),
+        pytest.param(lambda c: c.update(game=None), id="game-null"),
+        pytest.param(lambda c: c["game"]["A"].update(rows=None), id="rows-null")])
+    def test_malformed_fields_exit_one(self, tmp_path, capsys, mutate):
+        obj = zero_sum_config(0.3)
+        mutate(obj)
+        cfg = write_config(tmp_path, obj)
+        assert cli.main(["run", "--config", cfg, "--out-dir",
+                         str(tmp_path / "out")]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error:")
+
+    def test_list_of_non_objects_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, [zero_sum_config(0.3), 1, "x"])
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", cfg, "--out-dir", str(out)]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error:")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_overflowing_step_is_divergence(self, tmp_path):
+        # one GDA step from x0 = y0 = 10 at eta 1e308 overflows to infinity
+        cfg = write_config(tmp_path, zero_sum_config(
+            1e308, algo="GDA", init={"x0": [10.0], "y0": [10.0]}))
+        assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        verdict = json.loads((tmp_path / "pennies.verify.json").read_text(),
+                             parse_constant=reject_constant)
+        assert verdict["stop_reason"] == "Diverged" and verdict["steps"] == 1
+        assert verdict["classification"]["kind"] == "Diverged"
+        assert verdict["classification"]["evidence"]["final_g1"] is None
+        rows = (tmp_path / "pennies.csv").read_text().splitlines()
+        assert rows[-1].startswith("1,inf,")
+
     def test_wgan_basic_preset_tracks_the_rate(self, tmp_path):
         cli.main(["run", "--preset", "wgan-basic", "--out-dir", str(tmp_path)])
         for eta in (0.3, 0.03):
@@ -235,3 +287,54 @@ class TestVerifyCommand:
                              parse_constant=reject_constant)
         assert payload["all_passed"]
         assert len(payload["checks"]) >= 20
+
+
+def json_paths(obj, prefix=()):
+    """Every path to a value inside a JSON tree, the root excluded."""
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from json_paths(value, prefix + (key,))
+
+
+# Negative numbers stay above -1e6: entries near 1e200 overflow the
+# analysis (A^T A), which is a separate open defect.
+BAD_VALUES = st.one_of(
+    st.none(), st.text(max_size=4), st.integers(-10**6, -1),
+    st.floats(-1e6, -1e-6), st.just(math.nan), st.just(math.inf),
+    st.lists(st.floats(-2.0, 2.0), max_size=3))
+# fast presets: matching pennies (OGDA and GDA) and the two 2x2 dagger runs
+MUTABLE = [cfg for name in ("matching-pennies-ogda", "matching-pennies-gda",
+                            "wgan-dagger") for cfg in cli.PRESETS[name]()]
+
+
+class TestMutatedConfigs:
+    @settings(max_examples=60, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_runs_or_exits_one(self, tmp_path, capsys, data):
+        obj = json.loads(json.dumps(data.draw(st.sampled_from(MUTABLE))))
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(list(json_paths(obj))))
+            parent = obj
+            for key in path[:-1]:
+                parent = parent[key]
+            if isinstance(parent, dict) and data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(BAD_VALUES)
+            if not list(json_paths(obj)):
+                break
+        cfg = tmp_path / "mutated.json"
+        cfg.write_text(json.dumps(obj))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = cli.main(["run", "--config", str(cfg), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG_ERROR)
+        if code == cli.EXIT_CONFIG_ERROR:
+            assert err.count("\n") == 1 and err.startswith("config error:")
+        else:
+            for path in out.glob("*.json"):
+                json.loads(path.read_text(), parse_constant=reject_constant)

@@ -89,9 +89,58 @@ class TestEigComplex:
         assert np.allclose(np.sort_complex(multiset), conj, atol=1e-9)
         assert np.prod(multiset) == pytest.approx(np.linalg.det(m), rel=1e-8)
 
-    def test_dimension_cap(self):
-        with pytest.raises(linalg.DimensionTooLargeError):
-            linalg.eig_complex(np.eye(65))
+
+def union_find_clusters(values, tol):
+    """Reference: connected components of the pairs within tol."""
+    vals = np.asarray(values, dtype=complex)
+    parent = list(range(len(vals)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            if abs(vals[i] - vals[j]) <= tol:
+                parent[find(j)] = find(i)
+    groups = {}
+    for i in range(len(vals)):
+        groups.setdefault(find(i), []).append(i)
+    centers = np.array([vals[g].mean() for g in groups.values()])
+    mults = np.array([len(g) for g in groups.values()])
+    order = np.lexsort((centers.imag, centers.real))
+    return centers[order], mults[order]
+
+
+class TestClusterScalars:
+    def test_no_chaining(self):
+        # twelve points 9e-9 apart span about 1e-7; union-find made them one
+        values = 9e-9 * np.arange(12)
+        tol = 1e-8
+        s = linalg.cluster_scalars(values, tol)
+        assert s.total == 12 and len(s.values) > 1
+        start = 0
+        for center, mult in zip(s.values, s.multiplicities):
+            members = values[start:start + mult]
+            assert members.max() - members.min() <= 2 * tol
+            assert abs(center - members.mean()) < 1e-22
+            start += mult
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_union_find_when_separated(self, seed):
+        rng = np.random.default_rng(seed)
+        tol = 1e-8
+        base = rng.normal(size=12) + 1j * rng.normal(size=12) * (seed % 2)
+        copies = rng.integers(1, 4, size=12)
+        values = np.repeat(base, copies)
+        values = values + tol / 4 * (rng.uniform(-1, 1, values.size)
+                                     + 1j * rng.uniform(-1, 1, values.size))
+        values = values[rng.permutation(values.size)]
+        s = linalg.cluster_scalars(values, tol)
+        centers, mults = union_find_clusters(values, tol)
+        assert np.array_equal(s.values, centers)
+        assert np.array_equal(s.multiplicities, mults)
 
 
 class TestPinv:

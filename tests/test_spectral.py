@@ -94,7 +94,41 @@ class TestLambdaSpectrum:
             assert rep.counts_match and rep.max_distance < 1e-7
 
 
+class TestCouplingSpectrum:
+    @pytest.mark.parametrize("n, p", [(3, 2), (2, 3), (3, 3)])
+    def test_pools_both_products(self, n, p):
+        rng = np.random.default_rng(10 * n + p)
+        g = BilinearGame.from_matrices(rng.normal(size=(n, p)), rng.normal(size=(n, p)))
+        spec = spectral.coupling_spectrum(g).values
+        pooled = np.concatenate([np.linalg.eigvals(g.B.T @ g.A),
+                                 np.linalg.eigvals(g.A @ g.B.T)])
+        gaps = np.abs(spec[:, None] - pooled[None, :])
+        assert gaps.min(axis=1).max() < 1e-10 and gaps.min(axis=0).max() < 1e-10
+        # generic: min(n, p) distinct nonzero values, plus 0 when n != p
+        assert len(spec) == min(n, p) + (n != p)
+
+
+def spd_coupled_game(seed, n):
+    """General-sum B = -A P with P symmetric positive definite, so
+    Sp(B^T A) = -Sp(P A^T A) is real and negative."""
+    rng = np.random.default_rng(seed)
+    q = [np.linalg.qr(rng.normal(size=(n, n)))[0] for _ in range(3)]
+    a = (q[0] * np.linspace(0.5, 2.0, n)) @ q[1].T
+    spd = (q[2] * np.linspace(0.5, 1.5, n)) @ q[2].T
+    return BilinearGame.from_matrices(a, -a @ spd)
+
+
 class TestRateReport:
+    def test_general_sum_above_oracle_cap(self):
+        n = 80
+        g = spd_coupled_game(3, n)
+        eta = 0.3 / math.sqrt(np.abs(np.linalg.eigvals(g.B.T @ g.A)).max())
+        rep = spectral.rate_report(g, eta)
+        assert rep.eta_regime is Regime.PART2
+        rho = np.abs(np.linalg.eigvals(dynamics.companion_matrix(g, eta))).max()
+        assert rep.lambda_max == pytest.approx(rho, rel=1e-9)
+        assert spectral.lambda_spectrum(g, eta).total == 2 * (n + n)
+
     def test_wgan_identity_coupling(self):
         g = BilinearGame.zero_sum_game(-np.eye(2), b=[3.0, 4.0])
         rep = spectral.rate_report(g, 0.3)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from saddle_lab import dynamics, games, predict, spectral, verify
+from saddle_lab import dynamics, games, linalg, predict, spectral, verify
 from saddle_lab.dynamics import Algo, IterateState
 from saddle_lab.games import BilinearGame
 from saddle_lab.verify import OutcomeKind
@@ -158,6 +158,12 @@ class TestOracleReconcile:
         for eta in (0.02, 0.05, 0.1, 0.15, 0.2):
             rep = verify.oracle_reconcile(g, eta)
             assert rep.counts_match and rep.max_distance < 1e-7
+
+    def test_dimension_cap(self):
+        # 2(n + p) = 66 is above the oracle's cap of 64
+        g = BilinearGame.zero_sum_game(np.eye(17, 16))
+        with pytest.raises(linalg.DimensionTooLargeError):
+            verify.oracle_reconcile(g, 0.1)
 
 
 class TestSuites:
