@@ -112,6 +112,16 @@ def _threshold(obj: dict, key: str, default: float | None = None,
     return number
 
 
+def _check_magnitudes(game: BilinearGame) -> None:
+    """The analysis squares the coupling: its Gram and coupling products, and
+    their norms, must stay finite."""
+    A, B = game.A, game.B
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = (A.T @ A, A @ A.T, B.T @ B, B @ B.T, B.T @ A, A @ B.T)
+        if not all(math.isfinite(np.linalg.norm(m)) for m in products):
+            raise ConfigError("game entries are too large: their products overflow")
+
+
 def parse_config(obj: dict, seed: int | None = None) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError(f"a config must be a JSON object, got {obj!r}")
@@ -121,6 +131,7 @@ def parse_config(obj: dict, seed: int | None = None) -> ExperimentConfig:
         eta_obj = obj["eta"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
+    _check_magnitudes(game)
     name = str(obj.get("name", "experiment"))
     if "/" in name or "\0" in name:
         raise ConfigError(f"name must be a file name, got {name!r}")
@@ -450,25 +461,28 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out_dir) if args.out_dir else None
-    try:
-        if args.command == "verify":
-            return cmd_verify(args.seed, out_dir)
-        if args.command == "analyze":
-            configs = _load_configs(args)
-            if len(configs) != 1:
-                raise ConfigError("analyze expects exactly one config")
-            return cmd_analyze(configs[0], out_dir)
-        if args.command == "run":
-            return cmd_run(_load_configs(args), out_dir or Path("."), args.format)
-        if args.command == "sweep":
-            configs = _load_configs(args)
-            if len(configs) != 1:
-                raise ConfigError("sweep expects exactly one config")
-            return cmd_sweep(configs[0], out_dir or Path("."))
-        raise ConfigError(f"unknown command {args.command}")
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    # Huge but finite inputs may overflow states, payoffs or norms: these are
+    # written as inf/nan in CSV and null in JSON, without numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            if args.command == "verify":
+                return cmd_verify(args.seed, out_dir)
+            if args.command == "analyze":
+                configs = _load_configs(args)
+                if len(configs) != 1:
+                    raise ConfigError("analyze expects exactly one config")
+                return cmd_analyze(configs[0], out_dir)
+            if args.command == "run":
+                return cmd_run(_load_configs(args), out_dir or Path("."), args.format)
+            if args.command == "sweep":
+                configs = _load_configs(args)
+                if len(configs) != 1:
+                    raise ConfigError("sweep expects exactly one config")
+                return cmd_sweep(configs[0], out_dir or Path("."))
+            raise ConfigError(f"unknown command {args.command}")
+        except (ConfigError, OSError, json.JSONDecodeError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
 
 
 if __name__ == "__main__":

@@ -50,11 +50,11 @@ class IterateState:
         self.y_prev = as_vector(self.y_prev, self.y.size)
 
     @classmethod
-    def at(cls, x, y, x_prev=None, y_prev=None) -> "IterateState":
+    def at(cls, x, y) -> "IterateState":
+        """The state resting at (x, y): the previous pair equals the current one."""
         x = as_vector(x)
         y = as_vector(y)
-        return cls(x, y, x if x_prev is None else x_prev,
-                   y if y_prev is None else y_prev)
+        return cls(x, y, x, y)
 
     def stacked(self) -> np.ndarray:
         """Column vector (x_t, y_t, x_{t-1}, y_{t-1}) driving the linear form."""

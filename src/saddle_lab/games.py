@@ -19,6 +19,10 @@ import numpy as np
 from . import linalg
 from .linalg import SubspaceBasis, as_matrix, as_vector
 
+# solve_affine calls M z + r = 0 feasible when the least-squares residual is
+# at most this times 1 + ||r||
+FEASIBILITY_REL_TOL = 1e-10
+
 
 class DimensionMismatchError(ValueError):
     pass
@@ -86,30 +90,24 @@ class BilinearGame:
 def payoffs(game: BilinearGame, x, y):
     """Evaluate both payoff forms at one point or at k stacked points.
 
-    One point (x of length n, y of length p) gives a pair of floats. Stacked
-    rows, x of shape (k, n) and y of shape (k, p), give a pair of length-k
-    arrays, the payoffs at (x[i], y[i]). Shapes and finiteness are checked
-    once per call.
+    Stacked rows, x of shape (k, n) and y of shape (k, p), give a pair of
+    length-k arrays, the payoffs at (x[i], y[i]); one point (x of length n,
+    y of length p) is one such row and gives a pair of floats. Shapes and
+    finiteness are checked once per call.
     """
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
-    if xv.ndim <= 1 and yv.ndim <= 1:
-        try:
-            xv = as_vector(xv, game.n)
-            yv = as_vector(yv, game.p)
-        except ValueError as exc:
-            raise DimensionMismatchError(str(exc)) from exc
-        g1 = float(xv @ game.A @ yv + game.b @ xv + game.c @ yv + game.d)
-        g2 = float(xv @ game.B @ yv + game.e @ xv + game.f @ yv + game.g)
-        return g1, g2
+    point = xv.ndim <= 1 and yv.ndim <= 1
+    if point:
+        xv, yv = xv.reshape(1, -1), yv.reshape(1, -1)
     if xv.ndim != 2 or xv.shape[1] != game.n or yv.shape != (len(xv), game.p):
         raise DimensionMismatchError(
-            f"stacked points are {xv.shape} and {yv.shape}, game is ({game.n}, {game.p})")
+            f"points are {xv.shape} and {yv.shape}, game is ({game.n}, {game.p})")
     if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
         raise DimensionMismatchError("vector entries must be finite")
     g1 = np.einsum("ij,ij->i", xv @ game.A, yv) + xv @ game.b + yv @ game.c + game.d
     g2 = np.einsum("ij,ij->i", xv @ game.B, yv) + xv @ game.e + yv @ game.f + game.g
-    return g1, g2
+    return (float(g1[0]), float(g2[0])) if point else (g1, g2)
 
 
 @dataclass
@@ -121,18 +119,12 @@ class AffineSet:
     feasible: bool
     residual: float
 
-    def contains(self, z, tol: float = 1e-8) -> bool:
-        diff = as_vector(z, self.point.size) - self.point
-        off = diff - linalg.project(diff, self.directions)
-        return self.feasible and float(np.linalg.norm(off)) < tol
 
-
-def solve_affine(M: np.ndarray, rhs: np.ndarray, rank_tol: float | None = None) -> AffineSet:
+def solve_affine(M: np.ndarray, rhs: np.ndarray) -> AffineSet:
     """Least-squares particular solution of M z = -rhs, plus Ker(M)."""
-    tol = 1e-10 if rank_tol is None else rank_tol
     point = -linalg.pinv(M) @ rhs
     residual = float(np.linalg.norm(M @ point + rhs))
-    feasible = residual <= tol * (1.0 + float(np.linalg.norm(rhs)))
+    feasible = residual <= FEASIBILITY_REL_TOL * (1.0 + float(np.linalg.norm(rhs)))
     return AffineSet(point, linalg.kernel_basis(M), feasible, residual)
 
 
@@ -161,30 +153,26 @@ class NashSet:
         return rx, ry
 
 
-def nash_set(game: BilinearGame, rank_tol: float | None = None) -> NashSet:
+def nash_set(game: BilinearGame) -> NashSet:
     """Compute the Nash set; emptiness is reported, never raised."""
-    return NashSet(
-        x_part=solve_affine(game.B.T, game.f, rank_tol),
-        y_part=solve_affine(game.A, game.b, rank_tol),
-    )
+    return NashSet(x_part=solve_affine(game.B.T, game.f),
+                   y_part=solve_affine(game.A, game.b))
 
 
-def accelerate(game: BilinearGame, f_new=None) -> BilinearGame:
+def accelerate(game: BilinearGame) -> BilinearGame:
     """Replace player 2's coupling with minus the transposed pseudoinverse of A.
 
     The point of the construction: Sp(A B^T) collapses into {0, -1}, so the
     general-sum dynamics converge at the best possible ratio while keeping
-    player 1's payoff (A, b, c) untouched. By default f is chosen as
-    pinv(A) @ x* when the zero-sum x-equilibrium x* (A^T x* + c = 0) exists,
-    which keeps the x-limit of the original zero-sum game; otherwise f = 0.
+    player 1's payoff (A, b, c) untouched. f is pinv(A) @ x* when the
+    zero-sum x-equilibrium x* (A^T x* + c = 0) exists, which keeps the
+    x-limit of the original zero-sum game; otherwise f = 0.
     """
     a_pinv = linalg.pinv(game.A)
-    if f_new is None:
-        x_zs = solve_affine(game.A.T, game.c)
-        f_new = a_pinv @ x_zs.point if x_zs.feasible else np.zeros(game.p)
-    return BilinearGame(
-        A=game.A, B=-a_pinv.T, b=game.b, c=game.c,
-        e=np.zeros(game.n), f=as_vector(f_new, game.p), d=game.d, g=0.0)
+    x_zs = solve_affine(game.A.T, game.c)
+    f_new = a_pinv @ x_zs.point if x_zs.feasible else np.zeros(game.p)
+    return BilinearGame(A=game.A, B=-a_pinv.T, b=game.b, c=game.c,
+                        e=np.zeros(game.n), f=f_new, d=game.d, g=0.0)
 
 
 def scale_opponent(game: BilinearGame, l: float) -> BilinearGame:

@@ -13,6 +13,14 @@ import numpy as np
 # verify.oracle_reconcile runs the brute-force eigensolver on the 2(n+p)
 # companion matrix only up to this dimension; the analysis has no cap.
 MAX_ORACLE_DIM = 64
+# sym_eig rejects m when ||m - m^T||_F exceeds this times max(1, ||m||_F)
+SYMMETRY_REL_TOL = 1e-10
+# eig_complex clusters eigenvalues within this times max(1, largest modulus)
+EIG_CLUSTER_REL_TOL = 1e-8
+# subspaces_equal accepts a largest principal angle below this (radians)
+SUBSPACE_ANGLE_TOL = 1e-8
+# an oblique projection needs sigma_min of [onto | along] (orthonormal) above this
+COMPLEMENT_SIGMA_MIN = 1e-8
 
 
 class NotSymmetricError(ValueError):
@@ -110,11 +118,10 @@ class SubspaceBasis:
         return SubspaceBasis(self.ambient_dim, q[:, keep], orthonormal=True)
 
 
-def span(vectors, ambient_dim: int | None = None) -> SubspaceBasis:
+def span(vectors) -> SubspaceBasis:
     """Subspace spanned by the given (row-listed) vectors."""
     arr = np.atleast_2d(np.asarray(vectors, dtype=float))
-    basis = SubspaceBasis(arr.shape[1] if ambient_dim is None else ambient_dim, arr.T)
-    return basis.orthonormalized()
+    return SubspaceBasis(arr.shape[1], arr.T).orthonormalized()
 
 
 def full_space(n: int) -> SubspaceBasis:
@@ -137,11 +144,6 @@ class ComplexScalarSet:
         out = np.repeat(self.values, self.multiplicities)
         order = np.lexsort((out.imag, out.real))
         return out[order]
-
-    def max_modulus(self, exclude: complex | None = None, tol: float = 1e-9) -> float:
-        mods = [abs(v) for v in self.values
-                if exclude is None or abs(v - exclude) > tol]
-        return max(mods, default=0.0)
 
 
 def cluster_scalars(values, tol: float) -> ComplexScalarSet:
@@ -175,7 +177,7 @@ def cluster_scalars(values, tol: float) -> ComplexScalarSet:
     return ComplexScalarSet(centers[order], mults[order])
 
 
-def sym_eig(m, tol: float = 1e-10):
+def sym_eig(m):
     """Full eigendecomposition of a symmetric matrix.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending and
@@ -185,7 +187,7 @@ def sym_eig(m, tol: float = 1e-10):
     if a.shape[0] != a.shape[1]:
         raise NotSymmetricError("matrix is not square")
     scale = max(1.0, float(np.linalg.norm(a)))
-    if np.linalg.norm(a - a.T) > tol * scale:
+    if np.linalg.norm(a - a.T) > SYMMETRY_REL_TOL * scale:
         raise NotSymmetricError("matrix is not symmetric within tolerance")
     try:
         w, v = np.linalg.eigh(0.5 * (a + a.T))
@@ -194,7 +196,7 @@ def sym_eig(m, tol: float = 1e-10):
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def eig_complex(m, eig_tol: float = 1e-8) -> ComplexScalarSet:
+def eig_complex(m) -> ComplexScalarSet:
     """All complex eigenvalues of a real matrix, with multiplicities.
 
     Conjugate-closed by construction: values within the clustering tolerance
@@ -208,7 +210,7 @@ def eig_complex(m, eig_tol: float = 1e-8) -> ComplexScalarSet:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
-    tol = eig_tol * max(1.0, float(np.max(np.abs(vals), initial=0.0)))
+    tol = EIG_CLUSTER_REL_TOL * max(1.0, float(np.max(np.abs(vals), initial=0.0)))
     real = cluster_scalars(vals.real[np.abs(vals.imag) <= tol], tol)
     upper = cluster_scalars(vals[vals.imag > tol], tol)
     values = np.concatenate([real.values, upper.values, upper.values.conj()])
@@ -218,52 +220,44 @@ def eig_complex(m, eig_tol: float = 1e-8) -> ComplexScalarSet:
     return ComplexScalarSet(values[order], mults[order])
 
 
-def pinv(a, rank_tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose inverse via SVD; singular values below rank_tol*s_max drop to 0."""
+def pinv(a) -> np.ndarray:
+    """Moore-Penrose inverse via SVD; singular values below default_rank_tol*s_max drop to 0."""
     m = as_matrix(a)
     if m.size == 0:
         return m.T.copy()
-    if rank_tol is None:
-        rank_tol = default_rank_tol(m)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    cutoff = rank_tol * (s[0] if s.size else 0.0)
+    cutoff = default_rank_tol(m) * (s[0] if s.size else 0.0)
     inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
     return (vh.T * inv_s) @ u.T
 
 
-def matrix_rank(a, rank_tol: float | None = None) -> int:
+def matrix_rank(a) -> int:
     m = as_matrix(a)
     if m.size == 0:
         return 0
-    if rank_tol is None:
-        rank_tol = default_rank_tol(m)
     s = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(s > rank_tol * s[0]))
+    return int(np.sum(s > default_rank_tol(m) * s[0]))
 
 
-def kernel_basis(a, rank_tol: float | None = None) -> SubspaceBasis:
+def kernel_basis(a) -> SubspaceBasis:
     """Orthonormal basis of the numerical null space of `a` (may be empty)."""
     m = as_matrix(a)
     cols = m.shape[1]
     if m.size == 0:
         return SubspaceBasis(cols, np.eye(cols), orthonormal=True)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(m)
     _, s, vh = np.linalg.svd(m)
-    rank = int(np.sum(s > rank_tol * s[0])) if s.size else 0
+    rank = int(np.sum(s > default_rank_tol(m) * s[0])) if s.size else 0
     return SubspaceBasis(cols, vh[rank:].T.copy(), orthonormal=True)
 
 
-def image_basis(a, rank_tol: float | None = None) -> SubspaceBasis:
+def image_basis(a) -> SubspaceBasis:
     """Orthonormal basis of the column space of `a`."""
     m = as_matrix(a)
     rows = m.shape[0]
     if m.size == 0:
         return SubspaceBasis(rows, np.zeros((rows, 0)), orthonormal=True)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(m)
     u, s, _ = np.linalg.svd(m)
-    rank = int(np.sum(s > rank_tol * s[0])) if s.size else 0
+    rank = int(np.sum(s > default_rank_tol(m) * s[0])) if s.size else 0
     return SubspaceBasis(rows, u[:, :rank].copy(), orthonormal=True)
 
 
@@ -289,7 +283,7 @@ def project(v, onto: SubspaceBasis, along: SubspaceBasis | None = None) -> np.nd
             f"dim(onto)={q_onto.dim} + dim(along)={q_along.dim} != {onto.ambient_dim}")
     stacked = np.hstack([q_onto.vectors, q_along.vectors])
     smin = np.linalg.svd(stacked, compute_uv=False)[-1] if stacked.size else 0.0
-    if smin <= 1e-8:
+    if smin <= COMPLEMENT_SIGMA_MIN:
         raise NotComplementaryError(
             f"subspaces are numerically degenerate (sigma_min={smin:.3e})")
     coeffs = np.linalg.solve(stacked, vec)
@@ -313,8 +307,8 @@ def principal_angles(b1: SubspaceBasis, b2: SubspaceBasis) -> np.ndarray:
     return np.sort(np.arctan2(sines[:k], cosines[:k]))
 
 
-def subspaces_equal(b1: SubspaceBasis, b2: SubspaceBasis, tol: float = 1e-8) -> bool:
+def subspaces_equal(b1: SubspaceBasis, b2: SubspaceBasis) -> bool:
     if b1.orthonormalized().dim != b2.orthonormalized().dim:
         return False
     ang = principal_angles(b1, b2)
-    return bool(ang.size == 0 or ang.max() < tol)
+    return bool(ang.size == 0 or ang.max() < SUBSPACE_ANGLE_TOL)

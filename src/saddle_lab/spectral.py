@@ -25,8 +25,10 @@ from .dynamics import Algo, companion_matrix
 from .games import BilinearGame
 from .linalg import ComplexScalarSet, as_matrix, cluster_scalars
 
-MEMBERSHIP_REL_TOL = 1e-9   # for "1/(4 eta^2) in S(A)" and the rate indicators
-REALITY_REL_TOL = 1e-8      # for accepting Sp(B^T A) as real non-positive
+MEMBERSHIP_REL_TOL = 1e-9       # for "1/(4 eta^2) in S(A)" and the rate indicators
+REALITY_REL_TOL = 1e-8          # for accepting Sp(B^T A) as real non-positive
+GRAM_CLUSTER_REL_TOL = 1e-12    # merges Gram eigenvalues, times max(1, largest)
+DIAGONALIZABLE_REL_TOL = 1e-8   # singular values counted as null, times max(1, ||m||_F)
 
 
 class InvalidRatioError(ValueError):
@@ -107,18 +109,17 @@ def _coupling_product(game: BilinearGame) -> np.ndarray:
     return game.B.T @ game.A if game.p <= game.n else game.A @ game.B.T
 
 
-def coupling_spectrum(game: BilinearGame, eig_tol: float = 1e-8) -> ComplexScalarSet:
+def coupling_spectrum(game: BilinearGame) -> ComplexScalarSet:
     """Distinct eigenvalues of B^T A and A B^T pooled together."""
-    values = linalg.eig_complex(_coupling_product(game), eig_tol).values
+    values = linalg.eig_complex(_coupling_product(game)).values
     if game.n != game.p:
         values = np.append(values, 0j)
     scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
-    distinct = cluster_scalars(values, eig_tol * scale)
+    distinct = cluster_scalars(values, linalg.EIG_CLUSTER_REL_TOL * scale)
     return ComplexScalarSet(distinct.values, np.ones(len(distinct.values), dtype=int))
 
 
-def lambda_spectrum(game: BilinearGame, eta: float,
-                    eig_tol: float = 1e-8) -> ComplexScalarSet:
+def lambda_spectrum(game: BilinearGame, eta: float) -> ComplexScalarSet:
     """Spectrum of the companion matrix, predicted from the quartic root sets.
 
     Follows the multiset structure: every eigenvalue mu of the smaller of
@@ -126,7 +127,7 @@ def lambda_spectrum(game: BilinearGame, eta: float,
     and the |n - p| leftover dimensions contribute {0, 1} pairs. Totals always
     match the companion dimension 2(n + p).
     """
-    base = linalg.eig_complex(_coupling_product(game), eig_tol)
+    base = linalg.eig_complex(_coupling_product(game))
     roots: list[complex] = []
     for mu, mult in zip(base.values, base.multiplicities):
         if abs(mu.imag) <= REALITY_REL_TOL * (1.0 + abs(mu)):
@@ -134,7 +135,7 @@ def lambda_spectrum(game: BilinearGame, eta: float,
         roots.extend(_quartic_root_multiset(mu, eta) * int(mult))
     roots.extend([0j, 1 + 0j] * abs(game.n - game.p))
     root_scale = max(1.0, float(np.max(np.abs(roots), initial=0.0)))
-    return cluster_scalars(roots, eig_tol * root_scale)
+    return cluster_scalars(roots, linalg.EIG_CLUSTER_REL_TOL * root_scale)
 
 
 def rate_lambda_star(eta: float, mu: float) -> float:
@@ -206,30 +207,42 @@ def _positive_mus(mus: np.ndarray, mu_max: float, dims: tuple[int, int]) -> np.n
     return mus[mus > cutoff]
 
 
-def _sym_spectrum(m: np.ndarray) -> np.ndarray:
-    vals, _ = linalg.sym_eig(m)
-    return vals
+def _gram_fields(algo: Algo, eta: float, game: BilinearGame,
+                 grams: tuple[np.ndarray, ...]) -> tuple[dict, np.ndarray]:
+    """The report fields fixed by the pooled spectra of symmetric Gram products
+    (clipped at 0 and clustered), and the numerically positive values."""
+    mus = np.maximum(np.concatenate([linalg.sym_eig(m)[0] for m in grams]), 0.0)
+    scale = max(1.0, mus.max(initial=0.0))
+    distinct = cluster_scalars(mus, GRAM_CLUSTER_REL_TOL * scale).values.real
+    mu_max = float(distinct.max(initial=0.0))
+    base = dict(algo=algo, eta=float(eta), mu_max=mu_max, mu_imag_max=0.0,
+                mu_set=sorted((float(v) for v in distinct), reverse=True))
+    return base, _positive_mus(distinct, mu_max, (game.n, game.p))
+
+
+def _zero_coupling(base: dict, assumption: str) -> SpectralReport:
+    # A = 0: the dynamics freeze immediately; ratio 0 by convention.
+    return SpectralReport(
+        **base, mu_min=None, lambda_star=0.0, lambda_dstar=0.0, lambda_max=0.0,
+        C=_angle_constant_low(base["eta"], 0.0), eta_regime=Regime.PART2,
+        diagonalizable=Verdict.YES, assumptions_met={assumption: True})
+
+
+def _inapplicable(base: dict, assumptions: dict[str, bool], violated: str,
+                  diag: Verdict = Verdict.BORDERLINE) -> SpectralReport:
+    return SpectralReport(
+        **base, mu_min=None, lambda_star=0.0, lambda_dstar=0.0,
+        lambda_max=float("nan"), C=None, eta_regime=Regime.INAPPLICABLE,
+        diagonalizable=diag, assumptions_met=assumptions, violated=violated)
 
 
 def _zero_sum_report(game: BilinearGame, eta: float) -> SpectralReport:
-    mus = np.concatenate([_sym_spectrum(game.A.T @ game.A),
-                          _sym_spectrum(game.A @ game.A.T)])
-    mus = np.maximum(mus, 0.0)
-    distinct = cluster_scalars(mus, 1e-12 * max(1.0, mus.max(initial=0.0))).values.real
-    mu_max = float(distinct.max(initial=0.0))
-    positives = _positive_mus(distinct, mu_max, (game.n, game.p))
-    mu_set = sorted((float(v) for v in distinct), reverse=True)
-    base = dict(algo=Algo.OGDA, eta=float(eta), mu_set=mu_set, mu_imag_max=0.0,
-                mu_max=mu_max)
-
+    base, positives = _gram_fields(Algo.OGDA, eta, game,
+                                   (game.A.T @ game.A, game.A @ game.A.T))
     if positives.size == 0:
-        # A = 0: the dynamics freeze immediately; ratio 0 by convention.
-        return SpectralReport(
-            **base, mu_min=None, lambda_star=0.0, lambda_dstar=0.0, lambda_max=0.0,
-            C=_angle_constant_low(eta, 0.0), eta_regime=Regime.PART2,
-            diagonalizable=Verdict.YES,
-            assumptions_met={"eta_below_divergence_threshold": True})
+        return _zero_coupling(base, "eta_below_divergence_threshold")
 
+    mu_max = base["mu_max"]
     mu_min = float(positives.min())
     member_tol = MEMBERSHIP_REL_TOL * mu_max
     quarter = 1.0 / (4.0 * eta * eta)
@@ -283,19 +296,12 @@ def _general_sum_report(game: BilinearGame, eta: float) -> SpectralReport:
     base = dict(algo=Algo.OGDA, eta=float(eta), mu_set=mu_set,
                 mu_imag_max=mu_imag_max, mu_max=mu_max)
     assumptions = {"spectrum_real_nonpositive": real_ok and nonpos_ok}
-
-    def inapplicable(violated, mu_min=None, diag=Verdict.BORDERLINE):
-        return SpectralReport(
-            **base, mu_min=mu_min, lambda_star=0.0, lambda_dstar=0.0,
-            lambda_max=float("nan"), C=None, eta_regime=Regime.INAPPLICABLE,
-            diagonalizable=diag, assumptions_met=assumptions, violated=violated)
-
     if not (real_ok and nonpos_ok):
-        return inapplicable("spectrum_real_nonpositive")
+        return _inapplicable(base, assumptions, "spectrum_real_nonpositive")
 
     if mu_max > 0 and not eta < 0.5 / math.sqrt(mu_max):
         assumptions["eta_below_half_threshold"] = False
-        return inapplicable("eta_below_half_threshold")
+        return _inapplicable(base, assumptions, "eta_below_half_threshold")
     assumptions["eta_below_half_threshold"] = True
 
     square = game.n == game.p
@@ -307,7 +313,7 @@ def _general_sum_report(game: BilinearGame, eta: float) -> SpectralReport:
         diag_verdict = is_diagonalizable(companion_matrix(game, eta))
     assumptions["companion_diagonalizable"] = diag_verdict == Verdict.YES
     if diag_verdict != Verdict.YES:
-        return inapplicable("companion_diagonalizable", diag=diag_verdict)
+        return _inapplicable(base, assumptions, "companion_diagonalizable", diag_verdict)
 
     mu_min = float(positives.min()) if positives.size else None
     lam_max = rate_lambda_star(eta, mu_min) if mu_min is not None else 0.0
@@ -318,29 +324,14 @@ def _general_sum_report(game: BilinearGame, eta: float) -> SpectralReport:
 
 
 def _dogda_report(game: BilinearGame, eta: float) -> SpectralReport:
-    mus_a = np.maximum(_sym_spectrum(game.A.T @ game.A), 0.0)
-    mus_b = np.maximum(_sym_spectrum(game.B.T @ game.B), 0.0)
-    pooled = np.concatenate([mus_a, mus_b])
-    distinct = cluster_scalars(pooled, 1e-12 * max(1.0, pooled.max(initial=0.0))).values.real
-    mu_max = float(distinct.max(initial=0.0))
-    positives = _positive_mus(distinct, mu_max, (game.n, game.p))
-    mu_set = sorted((float(v) for v in distinct), reverse=True)
-    base = dict(algo=Algo.DOGDA, eta=float(eta), mu_set=mu_set, mu_imag_max=0.0,
-                mu_max=mu_max)
-
+    base, positives = _gram_fields(Algo.DOGDA, eta, game,
+                                   (game.A.T @ game.A, game.B.T @ game.B))
+    mu_max = base["mu_max"]
     if positives.size == 0:
-        return SpectralReport(
-            **base, mu_min=None, lambda_star=0.0, lambda_dstar=0.0, lambda_max=0.0,
-            C=_angle_constant_low(eta, 0.0), eta_regime=Regime.PART2,
-            diagonalizable=Verdict.YES,
-            assumptions_met={"eta_below_half_threshold": True})
+        return _zero_coupling(base, "eta_below_half_threshold")
     if not eta < 0.5 / math.sqrt(mu_max):
-        return SpectralReport(
-            **base, mu_min=None, lambda_star=0.0, lambda_dstar=0.0,
-            lambda_max=float("nan"), C=None, eta_regime=Regime.INAPPLICABLE,
-            diagonalizable=Verdict.BORDERLINE,
-            assumptions_met={"eta_below_half_threshold": False},
-            violated="eta_below_half_threshold")
+        return _inapplicable(base, {"eta_below_half_threshold": False},
+                             "eta_below_half_threshold")
     mu_prime_min = float(positives.min())
     lam_max = rate_lambda_star(eta, mu_prime_min)
     return SpectralReport(
@@ -364,11 +355,8 @@ def rate_report(game: BilinearGame, eta: float, algo: Algo = Algo.OGDA) -> Spect
     if algo is Algo.DOGDA:
         return _dogda_report(game, eta)
     if algo is Algo.GDA:
-        return SpectralReport(
-            algo=algo, eta=float(eta), mu_set=[], mu_imag_max=0.0, mu_min=None,
-            mu_max=0.0, lambda_star=0.0, lambda_dstar=0.0, lambda_max=float("nan"),
-            C=None, eta_regime=Regime.INAPPLICABLE, diagonalizable=Verdict.BORDERLINE,
-            assumptions_met={}, violated="no_convergence_theory_for_gda")
+        base = dict(algo=algo, eta=float(eta), mu_set=[], mu_imag_max=0.0, mu_max=0.0)
+        return _inapplicable(base, {}, "no_convergence_theory_for_gda")
     if game.zero_sum:
         return _zero_sum_report(game, eta)
     return _general_sum_report(game, eta)
@@ -392,7 +380,7 @@ def optimal_eta(mu_min: float, mu_max: float) -> tuple[float, float]:
     return eta_star, lam_star
 
 
-def is_diagonalizable(m, tol: float = 1e-8) -> Verdict:
+def is_diagonalizable(m) -> Verdict:
     """Numerical diagonalizability: do geometric multiplicities fill the dimension?
 
     Eigenvalues are clustered (a defective pair splits by roughly the square
@@ -410,7 +398,7 @@ def is_diagonalizable(m, tol: float = 1e-8) -> Verdict:
     # A defective eigenvalue of Jordan size k scatters by ~eps^(1/k); the
     # cluster radius must swallow at least k <= 3 so the scattered copies are
     # treated as one eigenvalue.
-    radius = max(10.0 * tol, 4.0 * np.finfo(float).eps ** (1.0 / 3.0)) * scale
+    radius = 4.0 * np.finfo(float).eps ** (1.0 / 3.0) * scale
     clusters = cluster_scalars(np.linalg.eigvals(a), radius)
     centers, mults = clusters.values, clusters.multiplicities
     gaps = np.abs(centers[:, None] - centers[None, :])
@@ -421,5 +409,5 @@ def is_diagonalizable(m, tol: float = 1e-8) -> Verdict:
     geo_total = int(np.sum(mults == 1))
     for lam in centers[mults > 1]:
         sing = np.linalg.svd(a - lam * np.eye(dim), compute_uv=False)
-        geo_total += int(np.sum(sing <= tol * scale))
+        geo_total += int(np.sum(sing <= DIAGONALIZABLE_REL_TOL * scale))
     return Verdict.YES if geo_total == dim else Verdict.NO

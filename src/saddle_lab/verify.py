@@ -17,9 +17,10 @@ from .games import BilinearGame
 from .predict import DistanceD, LimitPrediction
 from .spectral import Regime, SpectralReport
 
-FLOOR = 1e-13
+FLOOR = 1e-13              # distances at or below this are double-precision noise
 TRANSIENT_FRACTION = 0.2   # early eigen-mixture pollutes the slope
-COOP_CAP = 1e6
+ENVELOPE_SLACK = 1e-9      # absolute excess over the bound envelope that still passes
+COOP_CAP = 1e6             # both final payoffs above this for Cooperating
 COOP_TREND_POINTS = 50
 
 
@@ -61,8 +62,7 @@ class RateFit:
     floor_hit: bool
 
 
-def estimate_rate(traj: Trajectory, limit: LimitPrediction,
-                  floor: float = FLOOR) -> RateFit:
+def estimate_rate(traj: Trajectory, limit: LimitPrediction) -> RateFit:
     """Geometric ratio from the log-distance slope over the clean window
     (past the transient, above the double-precision floor)."""
     if traj.stop_reason is StopReason.DIVERGED:
@@ -71,11 +71,11 @@ def estimate_rate(traj: Trajectory, limit: LimitPrediction,
     dists = _distances(traj, x_inf, y_inf)
     times = np.asarray(traj.times)
     start = int(math.ceil(TRANSIENT_FRACTION * len(dists)))
-    floor_hits = np.nonzero(dists <= floor)[0]
+    floor_hits = np.nonzero(dists <= FLOOR)[0]
     end = int(floor_hits[0]) if floor_hits.size else len(dists)
     keep = slice(start, end)
     t_win, d_win = times[keep], dists[keep]
-    mask = d_win > floor
+    mask = d_win > FLOOR
     t_win, d_win = t_win[mask], d_win[mask]
     if t_win.size < 10:
         raise InsufficientDataError(
@@ -105,7 +105,8 @@ def _expected_payoff_growth(game: BilinearGame, eta: float) -> float | None:
     growth when a positive coupling eigenvalue drives the blow-up."""
     spec = spectral.coupling_spectrum(game)
     reals = [mu.real for mu in spec.values
-             if abs(mu.imag) <= 1e-8 * (1.0 + abs(mu)) and mu.real > 1e-12]
+             if abs(mu.imag) <= spectral.REALITY_REL_TOL * (1.0 + abs(mu))
+             and mu.real > 1e-12]
     if not reals:
         return None
     nu = math.sqrt(max(reals))
@@ -113,11 +114,10 @@ def _expected_payoff_growth(game: BilinearGame, eta: float) -> float | None:
     return top_root ** 2
 
 
-def classify(traj: Trajectory, game: BilinearGame,
-             coop_cap: float = COOP_CAP) -> OutcomeClass:
+def classify(traj: Trajectory, game: BilinearGame) -> OutcomeClass:
     """Converged / Cooperating (both payoffs blowing up together) / Diverged.
 
-    Cooperation needs both final payoffs above coop_cap and a fitted per-step
+    Cooperation needs both final payoffs above COOP_CAP and a fitted per-step
     payoff growth ratio above 1 over the trailing window, which separates
     joint payoff explosion from a one-sided norm blow-up.
     """
@@ -137,7 +137,7 @@ def classify(traj: Trajectory, game: BilinearGame,
     expected = _expected_payoff_growth(game, traj.eta)
     if expected is not None:
         evidence["expected_growth_ratio"] = expected
-    if min(g1[-1], g2[-1]) > coop_cap and (g1_tail > 0).all() and (g2_tail > 0).all():
+    if min(g1[-1], g2[-1]) > COOP_CAP and (g1_tail > 0).all() and (g2_tail > 0).all():
         s1, _, _ = _log_linear_fit(times[tail], g1_tail)
         s2, _, _ = _log_linear_fit(times[tail], g2_tail)
         growth = math.exp(min(s1, s2))
@@ -159,8 +159,7 @@ class BoundCheck:
 
 
 def check_bound(traj: Trajectory, report: SpectralReport, D: DistanceD,
-                limit: LimitPrediction, slack: float = 1e-9,
-                floor: float = FLOOR) -> BoundCheck:
+                limit: LimitPrediction) -> BoundCheck:
     """Check the exponential envelope on every recorded distance above the floor.
 
     With a closed-form constant (zero-sum Part2/Part3a) the envelope is
@@ -171,7 +170,7 @@ def check_bound(traj: Trajectory, report: SpectralReport, D: DistanceD,
     x_inf, y_inf = limit.pair()
     dists = _distances(traj, x_inf, y_inf)
     times = np.asarray(traj.times, dtype=float)
-    mask = dists > floor
+    mask = dists > FLOOR
     t_use, d_use = times[mask], dists[mask]
     if t_use.size == 0:
         return BoundCheck(True, 0.0, 0.0, report.lambda_max, 0.0, False)
@@ -181,7 +180,7 @@ def check_bound(traj: Trajectory, report: SpectralReport, D: DistanceD,
         env = report.C * D.value * np.power(lam, t_use)
         ratios = d_use / np.maximum(env, 1e-300)
         violations = d_use - env
-        ok = bool(np.all(violations <= slack))
+        ok = bool(np.all(violations <= ENVELOPE_SLACK))
         return BoundCheck(ok, float(ratios.max()), float(violations.max()),
                           lam, report.C, False)
 
@@ -190,7 +189,7 @@ def check_bound(traj: Trajectory, report: SpectralReport, D: DistanceD,
     scaled = d_use / np.power(lam, t_use)
     c_fit = float(scaled[:half].max())
     env = c_fit * 1.05 * np.power(lam, t_use[half:])
-    violations = d_use[half:] - env - slack
+    violations = d_use[half:] - env - ENVELOPE_SLACK
     ok = bool(np.all(violations <= 0.0)) if env.size else True
     worst = float((d_use[half:] / np.maximum(env, 1e-300)).max()) if env.size else 0.0
     return BoundCheck(ok, worst, float(violations.max(initial=0.0)), lam, c_fit, True)
@@ -257,16 +256,15 @@ class CheckResult:
 
 
 def random_matrix(rng: np.random.Generator, n: int, p: int,
-                  rank: int | None = None,
-                  sigma_range: tuple[float, float] = (0.5, 2.0)) -> np.ndarray:
-    """Random matrix with controlled singular values (well-conditioned on its
+                  rank: int | None = None) -> np.ndarray:
+    """Random matrix with singular values in [0.5, 2] (well-conditioned on its
     row/column space, optional exact rank deficiency)."""
     k = min(n, p)
     rank = k if rank is None else rank
     u, _ = np.linalg.qr(rng.normal(size=(n, n)))
     v, _ = np.linalg.qr(rng.normal(size=(p, p)))
     sig = np.zeros((n, p))
-    vals = rng.uniform(*sigma_range, size=k)
+    vals = rng.uniform(0.5, 2.0, size=k)
     vals[rank:] = 0.0
     np.fill_diagonal(sig, vals)
     return u @ sig @ v.T
@@ -315,9 +313,9 @@ def _random_iterate(rng: np.random.Generator, n: int, p: int) -> IterateState:
                         rng.uniform(-1, 1, n), rng.uniform(-1, 1, p))
 
 
-def suite_penrose(rng: np.random.Generator, trials: int = 100) -> CheckResult:
+def suite_penrose(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(100):
         shape = tuple(rng.integers(1, 7, size=2))
         a = rng.normal(size=shape)
         if rng.uniform() < 0.2:  # exercise rank deficiency
@@ -334,9 +332,9 @@ def suite_penrose(rng: np.random.Generator, trials: int = 100) -> CheckResult:
     return CheckResult("linalg.penrose_conditions", worst < 1e-10, worst, 1e-10)
 
 
-def suite_pinv_kernel(rng: np.random.Generator, trials: int = 40) -> CheckResult:
+def suite_pinv_kernel(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(40):
         n, p = (int(v) for v in rng.integers(1, 6, size=2))
         rank = int(rng.integers(1, min(n, p) + 1))
         a = random_matrix(rng, n, p, rank)
@@ -350,9 +348,9 @@ def suite_pinv_kernel(rng: np.random.Generator, trials: int = 40) -> CheckResult
     return CheckResult("linalg.pinv_kernel_identity", worst < 1e-8, worst, 1e-8)
 
 
-def suite_projection_idempotent(rng: np.random.Generator, trials: int = 60) -> CheckResult:
+def suite_projection_idempotent(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(60):
         dim = int(rng.integers(2, 7))
         k = int(rng.integers(1, dim))
         # complementary pair carved out of one well-conditioned invertible matrix
@@ -368,9 +366,9 @@ def suite_projection_idempotent(rng: np.random.Generator, trials: int = 60) -> C
     return CheckResult("linalg.projection_idempotent", worst < 1e-12, worst, 1e-12)
 
 
-def suite_eig_determinant(rng: np.random.Generator, trials: int = 40) -> CheckResult:
+def suite_eig_determinant(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(40):
         dim = int(rng.integers(1, 7))
         m = rng.normal(size=(dim, dim))
         s = linalg.eig_complex(m)
@@ -383,9 +381,9 @@ def suite_eig_determinant(rng: np.random.Generator, trials: int = 40) -> CheckRe
     return CheckResult("linalg.eig_det_and_conjugacy", worst < 1e-8, worst, 1e-8)
 
 
-def suite_sym_eig_reconstruction(rng: np.random.Generator, trials: int = 40) -> CheckResult:
+def suite_sym_eig_reconstruction(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(40):
         dim = int(rng.integers(1, 8))
         m = rng.normal(size=(dim, dim))
         m = m + m.T
@@ -395,9 +393,9 @@ def suite_sym_eig_reconstruction(rng: np.random.Generator, trials: int = 40) -> 
     return CheckResult("linalg.sym_eig_reconstruction", worst < 1e-10, worst, 1e-10)
 
 
-def suite_nash_scale_invariance(rng: np.random.Generator, trials: int = 20) -> CheckResult:
+def suite_nash_scale_invariance(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(20):
         game = random_zero_sum_game(rng)
         scaled = games_mod.scale_opponent(game, float(rng.uniform(0.2, 3.0)))
         ns0, ns1 = games_mod.nash_set(game), games_mod.nash_set(scaled)
@@ -410,9 +408,9 @@ def suite_nash_scale_invariance(rng: np.random.Generator, trials: int = 20) -> C
     return CheckResult("games.nash_scale_invariance", worst < 1e-8, worst, 1e-8)
 
 
-def suite_accelerate_spectrum(rng: np.random.Generator, trials: int = 20) -> CheckResult:
+def suite_accelerate_spectrum(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(20):
         game = games_mod.accelerate(random_zero_sum_game(rng))
         spec = linalg.eig_complex(game.A @ game.B.T)
         for mu in spec.values:
@@ -420,9 +418,9 @@ def suite_accelerate_spectrum(rng: np.random.Generator, trials: int = 20) -> Che
     return CheckResult("games.accelerate_spectrum_in_0_minus1", worst < 1e-8, worst, 1e-8)
 
 
-def suite_fixed_points(rng: np.random.Generator, trials: int = 20) -> CheckResult:
+def suite_fixed_points(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(20):
         game = random_zero_sum_game(rng)
         eta = _safe_eta(game, rng)
         ns = games_mod.nash_set(game)
@@ -440,10 +438,9 @@ def suite_fixed_points(rng: np.random.Generator, trials: int = 20) -> CheckResul
     return CheckResult("dynamics.fixed_points_are_nash", worst < 1e-10, worst, 1e-10)
 
 
-def suite_linear_system_equivalence(rng: np.random.Generator,
-                                    trials: int = 10) -> CheckResult:
+def suite_linear_system_equivalence(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(10):
         game = random_zero_sum_game(rng, affine=False)
         eta = _safe_eta(game, rng)
         lam = companion_matrix(game, eta)
@@ -457,10 +454,9 @@ def suite_linear_system_equivalence(rng: np.random.Generator,
     return CheckResult("dynamics.linear_system_equivalence", worst < 1e-12, worst, 1e-12)
 
 
-def suite_affine_shift_equivalence(rng: np.random.Generator,
-                                   trials: int = 10) -> CheckResult:
+def suite_affine_shift_equivalence(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(10):
         game = random_zero_sum_game(rng, affine=True)
         homog = BilinearGame.zero_sum_game(game.A)
         ns = games_mod.nash_set(game)
@@ -478,9 +474,9 @@ def suite_affine_shift_equivalence(rng: np.random.Generator,
     return CheckResult("dynamics.affine_shift_equivalence", worst < 1e-12, worst, 1e-12)
 
 
-def suite_dogda_decoupling(rng: np.random.Generator, trials: int = 10) -> CheckResult:
+def suite_dogda_decoupling(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(10):
         n, p = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         game = BilinearGame.from_matrices(rng.normal(size=(n, p)),
                                           rng.normal(size=(n, p)))
@@ -501,29 +497,23 @@ def suite_dogda_decoupling(rng: np.random.Generator, trials: int = 10) -> CheckR
     return CheckResult("dynamics.dogda_decoupling", worst < 1e-12, worst, 1e-12)
 
 
-def _spectrum_oracle_cases(rng: np.random.Generator, games_count: int = 25,
-                           etas_per_game: int = 5):
-    for i in range(games_count):
-        game = (random_zero_sum_game(rng) if i % 2 == 0
-                else random_negative_spectrum_game(rng))
-        for _ in range(etas_per_game):
-            yield game, _safe_eta(game, rng, lo=0.2, hi=0.95)
-
-
 def suite_spectrum_oracle(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for game, eta in _spectrum_oracle_cases(rng):
-        rep = oracle_reconcile(game, eta)
-        if not rep.counts_match:
-            return CheckResult("spectral.spectrum_oracle", False, float("inf"), 1e-7,
-                               "multiset sizes differ")
-        worst = max(worst, rep.max_distance)
+    for i in range(25):
+        game = (random_zero_sum_game(rng) if i % 2 == 0
+                else random_negative_spectrum_game(rng))
+        for _ in range(5):
+            rep = oracle_reconcile(game, _safe_eta(game, rng, lo=0.2, hi=0.95))
+            if not rep.counts_match:
+                return CheckResult("spectral.spectrum_oracle", False, float("inf"), 1e-7,
+                                   "multiset sizes differ")
+            worst = max(worst, rep.max_distance)
     return CheckResult("spectral.spectrum_oracle", worst < 1e-7, worst, 1e-7)
 
 
-def suite_root_residuals(rng: np.random.Generator, trials: int = 200) -> CheckResult:
+def suite_root_residuals(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(200):
         mu = float(rng.uniform(-30.0, 30.0))
         eta = float(rng.uniform(0.01, 0.6))
         rs = spectral.s_star_roots(mu, eta)
@@ -532,10 +522,9 @@ def suite_root_residuals(rng: np.random.Generator, trials: int = 200) -> CheckRe
     return CheckResult("spectral.root_residuals", worst < 1e-12, worst, 1e-12)
 
 
-def suite_rate_realized_by_spectrum(rng: np.random.Generator,
-                                    trials: int = 20) -> CheckResult:
+def suite_rate_realized_by_spectrum(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(20):
         game = random_zero_sum_game(rng, affine=False)
         mu_max = float(np.linalg.norm(game.A, 2)) ** 2
         eta = float(rng.uniform(0.15, 0.95)) / math.sqrt(3.0 * mu_max)
@@ -543,7 +532,8 @@ def suite_rate_realized_by_spectrum(rng: np.random.Generator,
         if not report.applicable:
             continue
         spec = spectral.lambda_spectrum(game, eta)
-        realized = spec.max_modulus(exclude=1.0 + 0.0j, tol=1e-9)
+        # the largest modulus apart from the unit root of the kernel directions
+        realized = max((abs(v) for v in spec.values if abs(v - 1.0) > 1e-9), default=0.0)
         worst = max(worst, abs(realized - report.lambda_max))
     return CheckResult("spectral.rate_realized_by_spectrum", worst < 1e-10, worst, 1e-10)
 
@@ -577,7 +567,7 @@ def suite_part2_monotonicity(rng: np.random.Generator) -> CheckResult:
                        0.0 if ok else 1.0, 0.0)
 
 
-def _applicable_prediction_cases(rng: np.random.Generator, count: int = 25):
+def _applicable_prediction_cases(rng: np.random.Generator, count: int):
     produced = 0
     while produced < count:
         kind = produced % 4
@@ -607,7 +597,7 @@ def _applicable_prediction_cases(rng: np.random.Generator, count: int = 25):
 
 def suite_limit_predictions(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for game, algo, eta, init, pred in _applicable_prediction_cases(rng):
+    for game, algo, eta, init, pred in _applicable_prediction_cases(rng, 25):
         traj = run(game, algo, eta, init, max_steps=60000, stop_tol=1e-14)
         if traj.stop_reason is StopReason.DIVERGED:
             return CheckResult("predict.limit_predictions", False, float("inf"), 1e-6,
@@ -620,9 +610,9 @@ def suite_limit_predictions(rng: np.random.Generator) -> CheckResult:
     return CheckResult("predict.limit_predictions", worst < 1e-6, worst, 1e-6)
 
 
-def suite_init_independence(rng: np.random.Generator, trials: int = 10) -> CheckResult:
+def suite_init_independence(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(10):
         game = random_zero_sum_game(rng)
         eta = _safe_eta(game, rng)
         init_a = _random_iterate(rng, game.n, game.p)
@@ -640,10 +630,9 @@ def suite_init_independence(rng: np.random.Generator, trials: int = 10) -> Check
     return CheckResult("predict.init_independence", worst < 1e-8, worst, 1e-8)
 
 
-def suite_prediction_is_fixed_point(rng: np.random.Generator,
-                                    trials: int = 15) -> CheckResult:
+def suite_prediction_is_fixed_point(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for game, algo, eta, init, pred in _applicable_prediction_cases(rng, trials):
+    for game, algo, eta, init, pred in _applicable_prediction_cases(rng, 15):
         if algo is Algo.DOGDA:
             continue
         s = IterateState.at(pred.x_inf, pred.y_inf)
@@ -653,9 +642,9 @@ def suite_prediction_is_fixed_point(rng: np.random.Generator,
     return CheckResult("predict.prediction_is_fixed_point", worst < 1e-10, worst, 1e-10)
 
 
-def suite_witness_rates(rng: np.random.Generator, trials: int = 8) -> CheckResult:
+def suite_witness_rates(rng: np.random.Generator) -> CheckResult:
     worst_low, worst_high = 0.0, 0.0
-    for _ in range(trials):
+    for _ in range(8):
         game = random_zero_sum_game(rng, affine=False)
         mu_max = float(np.linalg.norm(game.A, 2)) ** 2
         eta = float(rng.uniform(0.3, 0.9)) / math.sqrt(3.0 * mu_max)
@@ -674,9 +663,8 @@ def suite_witness_rates(rng: np.random.Generator, trials: int = 8) -> CheckResul
                        f"below={worst_low:.2e} above={worst_high:.2e}")
 
 
-def suite_cooperation_never_diverges(rng: np.random.Generator,
-                                     trials: int = 20) -> CheckResult:
-    for _ in range(trials):
+def suite_cooperation_never_diverges(rng: np.random.Generator) -> CheckResult:
+    for _ in range(20):
         n, p = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         a = rng.normal(size=(n, p))
         if np.linalg.norm(a) < 1e-9:
@@ -694,9 +682,9 @@ def suite_cooperation_never_diverges(rng: np.random.Generator,
     return CheckResult("verify.cooperation_never_diverges", True, 0.0, 0.0)
 
 
-def suite_part2_bounds(rng: np.random.Generator, trials: int = 10) -> CheckResult:
+def suite_part2_bounds(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(10):
         game = random_zero_sum_game(rng)
         mu_max = float(np.linalg.norm(game.A, 2)) ** 2
         eta = float(rng.uniform(0.3, 0.9)) * 0.5 / math.sqrt(mu_max)
@@ -709,17 +697,17 @@ def suite_part2_bounds(rng: np.random.Generator, trials: int = 10) -> CheckResul
         check = check_bound(traj, report, predict.distance_to_nash(game, init), pred)
         if not check.ok:
             return CheckResult("verify.part2_bound_envelope", False,
-                               check.max_violation, 1e-9, "envelope violated")
+                               check.max_violation, ENVELOPE_SLACK, "envelope violated")
         fit = estimate_rate(traj, pred)
         worst = max(worst, fit.fitted_ratio - report.lambda_max)
     return CheckResult("verify.part2_bound_envelope", worst <= 0.02, worst, 0.02)
 
 
-def suite_part3a_bounds(rng: np.random.Generator, trials: int = 8) -> CheckResult:
+def suite_part3a_bounds(rng: np.random.Generator) -> CheckResult:
     """The envelope also holds with the large-step constant (steps between
     1/(2 sqrt(mu_max)) and the divergence threshold)."""
     count, worst = 0, 0.0
-    while count < trials:
+    while count < 8:
         game = random_zero_sum_game(rng)
         mu_max = float(np.linalg.norm(game.A, 2)) ** 2
         eta = float(rng.uniform(0.51, 0.98)) / math.sqrt(3.0 * mu_max)
@@ -732,7 +720,7 @@ def suite_part3a_bounds(rng: np.random.Generator, trials: int = 8) -> CheckResul
         check = check_bound(traj, report, predict.distance_to_nash(game, init), pred)
         if not check.ok:
             return CheckResult("verify.part3a_bound_envelope", False,
-                               check.max_violation, 1e-9, "envelope violated")
+                               check.max_violation, ENVELOPE_SLACK, "envelope violated")
         worst = max(worst, check.worst_ratio)
         count += 1
     return CheckResult("verify.part3a_bound_envelope", worst <= 1.0, worst, 1.0)
