@@ -1,7 +1,7 @@
 """Command-line front end: analyze games, run trajectories, sweep step sizes,
 and run the full verification suite.
 
-Exit codes: 0 ok, 1 config error, 2 inapplicable regime, 3 verification
+Exit codes: 0 ok, 1 config or usage error, 2 inapplicable regime, 3 verification
 failure. Identical config + seed gives byte-identical outputs.
 """
 
@@ -72,15 +72,11 @@ def _build_init(game: BilinearGame, spec: dict | None,
             rng = np.random.default_rng(int(seed))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad init seed {seed!r}: {exc}") from exc
-        x0 = rng.uniform(-1.0, 1.0, n)
-        y0 = rng.uniform(-1.0, 1.0, p)
-        return IterateState(x0, y0, rng.uniform(-1.0, 1.0, n),
-                            rng.uniform(-1.0, 1.0, p))
+        return IterateState.of(rng.uniform(-1.0, 1.0, 2 * (n + p)), n)
     try:
         x0 = as_vector(spec["x0"], n)
         y0 = as_vector(spec["y0"], p)
-        return IterateState(x0, y0, as_vector(spec.get("x_prev", x0), n),
-                            as_vector(spec.get("y_prev", y0), p))
+        return IterateState(x0, y0, spec.get("x_prev", x0), spec.get("y_prev", y0))
     except KeyError as exc:
         raise ConfigError(f"init is missing {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -430,27 +426,31 @@ def _load_configs(args) -> list[ExperimentConfig]:
     return [parse_config(item, seed=args.seed) for item in items]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a config error: exit 1, one line
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="saddle-lab",
         description="Optimistic gradient dynamics on bilinear games: "
                     "exact rates, limits, and verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, preset=False):
+    def common(p, run=False):
         p.add_argument("--config", help="JSON experiment config")
-        if preset:
+        if run:
             p.add_argument("--preset", choices=sorted(PRESETS),
                            help="named built-in experiment")
+            p.add_argument("--format", choices=("csv", "json"), default="csv",
+                           help="trajectory output format")
         p.add_argument("--out-dir", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for random initializations")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="trajectory output format")
 
     common(sub.add_parser("analyze", help="spectral report + limit prediction"))
-    common(sub.add_parser("run", help="simulate and verify a trajectory"),
-           preset=True)
+    common(sub.add_parser("run", help="simulate and verify a trajectory"), run=True)
     common(sub.add_parser("sweep", help="rate fits across a step-size range"))
     verify_p = sub.add_parser("verify", help="run every property suite")
     verify_p.add_argument("--seed", type=int, default=20240)
@@ -459,14 +459,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    out_dir = Path(args.out_dir) if args.out_dir else None
-    # Huge but finite inputs may overflow states, payoffs or norms: these are
-    # written as inf/nan in CSV and null in JSON, without numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            if args.command == "verify":
-                return cmd_verify(args.seed, out_dir)
+    try:
+        args = build_parser().parse_args(argv)
+        out_dir = Path(args.out_dir) if args.out_dir else None
+        if args.command == "verify":  # no outside input: a numpy warning is a defect
+            return cmd_verify(args.seed, out_dir)
+        # Huge but finite inputs may overflow states, payoffs or norms: these are
+        # written as inf/nan in CSV and null in JSON, without numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
             if args.command == "analyze":
                 configs = _load_configs(args)
                 if len(configs) != 1:
@@ -479,10 +479,10 @@ def main(argv: list[str] | None = None) -> int:
                 if len(configs) != 1:
                     raise ConfigError("sweep expects exactly one config")
                 return cmd_sweep(configs[0], out_dir or Path("."))
-            raise ConfigError(f"unknown command {args.command}")
-        except (ConfigError, OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
+        raise ConfigError(f"unknown command {args.command}")
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
 
 
 if __name__ == "__main__":

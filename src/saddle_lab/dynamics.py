@@ -32,36 +32,42 @@ class StopReason(str, enum.Enum):
 
 DEFAULT_STOP_TOL = 1e-13   # just above the double-precision floor of log-distance plots
 DEFAULT_BLOW_CAP = 1e12
+# The record of a run starts with at most this many rows and doubles when full;
+# every run of the verify suites (60000 steps at most) and of perfbench fits.
+RECORD_ROWS_CAP = 1 << 16
 
 
-@dataclass
 class IterateState:
-    """Current pair (x, y) plus the previous pair the optimistic term needs."""
+    """The stacked state (x_t, y_t, x_{t-1}, y_{t-1}) as one flat float64 vector
+    `z`, with n = len(x); `x`, `y`, `x_prev` and `y_prev` are views of its blocks."""
 
-    x: np.ndarray
-    y: np.ndarray
-    x_prev: np.ndarray
-    y_prev: np.ndarray
+    __slots__ = ("z", "n")
 
-    def __post_init__(self):
-        self.x = as_vector(self.x)
-        self.y = as_vector(self.y)
-        self.x_prev = as_vector(self.x_prev, self.x.size)
-        self.y_prev = as_vector(self.y_prev, self.y.size)
+    def __init__(self, x, y, x_prev, y_prev):
+        x, y = as_vector(x), as_vector(y)
+        self.z = np.concatenate([x, y, as_vector(x_prev, x.size), as_vector(y_prev, y.size)])
+        self.n = x.size
+
+    @classmethod
+    def of(cls, z: np.ndarray, n: int) -> "IterateState":
+        """View an existing stacked vector as a state, without copying or checking it."""
+        state = cls.__new__(cls)
+        state.z, state.n = z, n
+        return state
 
     @classmethod
     def at(cls, x, y) -> "IterateState":
         """The state resting at (x, y): the previous pair equals the current one."""
-        x = as_vector(x)
-        y = as_vector(y)
         return cls(x, y, x, y)
 
-    def stacked(self) -> np.ndarray:
-        """Column vector (x_t, y_t, x_{t-1}, y_{t-1}) driving the linear form."""
-        return np.concatenate([self.x, self.y, self.x_prev, self.y_prev])
+    x = property(lambda self: self.z[:self.n])
+    y = property(lambda self: self.z[self.n:self.z.size // 2])
+    x_prev = property(lambda self: self.z[self.z.size // 2:][:self.n])
+    y_prev = property(lambda self: self.z[self.z.size // 2 + self.n:])
 
-    def block_norms(self) -> list[float]:
-        return [float(np.linalg.norm(v)) for v in (self.x, self.y, self.x_prev, self.y_prev)]
+    def stacked(self) -> np.ndarray:
+        """The stored vector (x_t, y_t, x_{t-1}, y_{t-1}) itself, not a copy."""
+        return self.z
 
 
 def companion_matrix(game: BilinearGame, eta: float) -> np.ndarray:
@@ -85,19 +91,16 @@ class Trajectory:
     (x_t, y_t, x_{t-1}, y_{t-1}) at t = times[k]. A DOGDA run records the
     played pair only."""
 
-    algorithm: Algo
     eta: float
     n: int
     states: np.ndarray
     times: list[int]
-    record_stride: int = 1
     stop_reason: StopReason = StopReason.MAX_STEPS
 
     @property
     def final(self) -> IterateState:
-        row = self.states[-1]
-        n, half = self.n, row.size // 2
-        return IterateState(row[:n], row[n:half], row[half:half + n], row[half + n:])
+        """The last recorded state, a view of the last row of `states`."""
+        return IterateState.of(self.states[-1], self.n)
 
 
 def default_record_stride(n: int, p: int, max_steps: int) -> int:
@@ -141,32 +144,31 @@ def run(game: BilinearGame, algo: Algo, eta: float, init: IterateState,
     if not (math.isfinite(stop_tol) and stop_tol >= 0):
         raise ValueError(f"stop_tol must be finite and >= 0, got {stop_tol}")
     n, p = game.n, game.p
-    if init.x.size != n or init.y.size != p:
+    if init.n != n or init.z.size != 2 * (n + p):
         raise DimensionMismatchError(
             f"state is ({init.x.size}, {init.y.size}), game is ({n}, {p})")
 
-    z = init.stacked()
+    z = init.z.copy()  # the step loop writes into z
     played = slice(None)
     if algo is Algo.DOGDA:
         game = doubled(game)
-        x, y, x_prev, y_prev = init.x, init.y, init.x_prev, init.y_prev
-        z = np.concatenate([x, x, y, y, x_prev, x_prev, y_prev, y_prev])
+        z = np.concatenate([np.tile(v, 2) for v in (init.x, init.y, init.x_prev, init.y_prev)])
         m = 2 * (n + p)
         played = np.r_[0:n, 2 * n + p:m, m:m + n, m + 2 * n + p:2 * m]
-    states = np.empty((max_steps // record_stride + 2, 2 * (n + p)))
+    states = np.empty((min(max_steps // record_stride + 2, RECORD_ROWS_CAP), 2 * (n + p)))
     # a step may overflow; the divergence test stops the run on that state
     with np.errstate(over="ignore", invalid="ignore"):
-        times, stop = _simulate(game, algo is not Algo.GDA, eta, z, played, states,
-                                max_steps, stop_tol, blow_cap, record_stride)
-    return Trajectory(algo, float(eta), n, states[:len(times)], times,
-                      record_stride, stop)
+        states, times, stop = _simulate(game, algo is not Algo.GDA, eta, z, played, states,
+                                        max_steps, stop_tol, blow_cap, record_stride)
+    return Trajectory(float(eta), n, states[:len(times)], times, stop)
 
 
 def _simulate(game: BilinearGame, optimistic: bool, eta: float, z: np.ndarray,
               played, states: np.ndarray, max_steps: int, stop_tol: float,
-              blow_cap: float, record_stride: int) -> tuple[list[int], StopReason]:
+              blow_cap: float, record_stride: int) -> tuple[np.ndarray, list[int], StopReason]:
     """The step loop of `run`. z alternates with one scratch buffer, and
-    z[played] is written into the next row of states at each recorded time."""
+    z[played] is written into the next row of states at each recorded time;
+    a full states array is replaced by one twice as long."""
     n, p = game.n, game.p
     A, BT, b, f = game.A, game.B.T, game.b, game.f
     x, y = z[:n], z[n:n + p]
@@ -198,11 +200,15 @@ def _simulate(game: BilinearGame, optimistic: bool, eta: float, z: np.ndarray,
         elif _norm(z - nxt) < stop_tol:
             stop = StopReason.CONVERGED
         if stop is not StopReason.MAX_STEPS or t % record_stride == 0 or t == max_steps:
+            if len(times) == len(states):
+                grown = np.empty((2 * len(states), states.shape[1]))
+                grown[:len(states)] = states
+                states = grown
             states[len(times)] = z[played]
             times.append(t)
             if stop is not StopReason.MAX_STEPS:
                 break
-    return times, stop
+    return states, times, stop
 
 
 def recorded_payoffs(traj: Trajectory, game: BilinearGame) -> tuple[np.ndarray, np.ndarray]:

@@ -94,11 +94,10 @@ def default_rank_tol(a: np.ndarray) -> float:
 
 @dataclass
 class SubspaceBasis:
-    """Columns of `vectors` span a subspace of R^ambient_dim."""
+    """Orthonormal columns of `vectors` span a subspace of R^ambient_dim."""
 
     ambient_dim: int
     vectors: np.ndarray  # shape (ambient_dim, dim)
-    orthonormal: bool = False
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=float)
@@ -109,23 +108,18 @@ class SubspaceBasis:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def orthonormalized(self) -> "SubspaceBasis":
-        if self.orthonormal or self.dim == 0:
-            return SubspaceBasis(self.ambient_dim, self.vectors, orthonormal=True)
-        q, r = np.linalg.qr(self.vectors)
-        keep = np.abs(np.diag(r)) > default_rank_tol(self.vectors) * max(
-            1.0, np.abs(np.diag(r)).max())
-        return SubspaceBasis(self.ambient_dim, q[:, keep], orthonormal=True)
-
 
 def span(vectors) -> SubspaceBasis:
-    """Subspace spanned by the given (row-listed) vectors."""
-    arr = np.atleast_2d(np.asarray(vectors, dtype=float))
-    return SubspaceBasis(arr.shape[1], arr.T).orthonormalized()
+    """Orthonormal basis (QR, rank-trimmed) of the span of the row-listed vectors."""
+    cols = np.atleast_2d(np.asarray(vectors, dtype=float)).T
+    q, r = np.linalg.qr(cols)
+    diag = np.abs(np.diag(r))
+    keep = diag > default_rank_tol(cols) * max(1.0, diag.max(initial=0.0))
+    return SubspaceBasis(cols.shape[0], q[:, keep])
 
 
 def full_space(n: int) -> SubspaceBasis:
-    return SubspaceBasis(n, np.eye(n), orthonormal=True)
+    return SubspaceBasis(n, np.eye(n))
 
 
 @dataclass
@@ -244,10 +238,10 @@ def kernel_basis(a) -> SubspaceBasis:
     m = as_matrix(a)
     cols = m.shape[1]
     if m.size == 0:
-        return SubspaceBasis(cols, np.eye(cols), orthonormal=True)
+        return SubspaceBasis(cols, np.eye(cols))
     _, s, vh = np.linalg.svd(m)
     rank = int(np.sum(s > default_rank_tol(m) * s[0])) if s.size else 0
-    return SubspaceBasis(cols, vh[rank:].T.copy(), orthonormal=True)
+    return SubspaceBasis(cols, vh[rank:].T.copy())
 
 
 def image_basis(a) -> SubspaceBasis:
@@ -255,10 +249,10 @@ def image_basis(a) -> SubspaceBasis:
     m = as_matrix(a)
     rows = m.shape[0]
     if m.size == 0:
-        return SubspaceBasis(rows, np.zeros((rows, 0)), orthonormal=True)
+        return SubspaceBasis(rows, np.zeros((rows, 0)))
     u, s, _ = np.linalg.svd(m)
     rank = int(np.sum(s > default_rank_tol(m) * s[0])) if s.size else 0
-    return SubspaceBasis(rows, u[:, :rank].copy(), orthonormal=True)
+    return SubspaceBasis(rows, u[:, :rank].copy())
 
 
 def project(v, onto: SubspaceBasis, along: SubspaceBasis | None = None) -> np.ndarray:
@@ -269,25 +263,23 @@ def project(v, onto: SubspaceBasis, along: SubspaceBasis | None = None) -> np.nd
     the component of v in `onto` when v is split as onto-part + along-part.
     """
     vec = as_vector(v, onto.ambient_dim)
-    q_onto = onto.orthonormalized()
     if along is None:
-        if q_onto.dim == 0:
+        if onto.dim == 0:
             return np.zeros_like(vec)
-        q = q_onto.vectors
+        q = onto.vectors
         return q @ (q.T @ vec)
     if along.ambient_dim != onto.ambient_dim:
         raise ValueError("onto/along live in different ambient spaces")
-    q_along = along.orthonormalized()
-    if q_onto.dim + q_along.dim != onto.ambient_dim:
+    if onto.dim + along.dim != onto.ambient_dim:
         raise NotComplementaryError(
-            f"dim(onto)={q_onto.dim} + dim(along)={q_along.dim} != {onto.ambient_dim}")
-    stacked = np.hstack([q_onto.vectors, q_along.vectors])
+            f"dim(onto)={onto.dim} + dim(along)={along.dim} != {onto.ambient_dim}")
+    stacked = np.hstack([onto.vectors, along.vectors])
     smin = np.linalg.svd(stacked, compute_uv=False)[-1] if stacked.size else 0.0
     if smin <= COMPLEMENT_SIGMA_MIN:
         raise NotComplementaryError(
             f"subspaces are numerically degenerate (sigma_min={smin:.3e})")
     coeffs = np.linalg.solve(stacked, vec)
-    return q_onto.vectors @ coeffs[:q_onto.dim]
+    return onto.vectors @ coeffs[:onto.dim]
 
 
 def principal_angles(b1: SubspaceBasis, b2: SubspaceBasis) -> np.ndarray:
@@ -296,19 +288,18 @@ def principal_angles(b1: SubspaceBasis, b2: SubspaceBasis) -> np.ndarray:
     Cosines alone lose accuracy below sqrt(eps); pairing them with the sines
     of the residual keeps tiny angles tiny.
     """
-    q1, q2 = b1.orthonormalized(), b2.orthonormalized()
-    if q1.dim == 0 or q2.dim == 0:
+    if b1.dim == 0 or b2.dim == 0:
         return np.zeros(0)
-    gram = q1.vectors.T @ q2.vectors
+    gram = b1.vectors.T @ b2.vectors
     cosines = np.sort(np.clip(np.linalg.svd(gram, compute_uv=False), 0.0, 1.0))
-    resid = q2.vectors - q1.vectors @ gram
+    resid = b2.vectors - b1.vectors @ gram
     sines = np.sort(np.clip(np.linalg.svd(resid, compute_uv=False), 0.0, 1.0))[::-1]
     k = min(len(sines), len(cosines))
     return np.sort(np.arctan2(sines[:k], cosines[:k]))
 
 
 def subspaces_equal(b1: SubspaceBasis, b2: SubspaceBasis) -> bool:
-    if b1.orthonormalized().dim != b2.orthonormalized().dim:
+    if b1.dim != b2.dim:
         return False
     ang = principal_angles(b1, b2)
     return bool(ang.size == 0 or ang.max() < SUBSPACE_ANGLE_TOL)

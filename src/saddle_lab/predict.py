@@ -155,19 +155,12 @@ def distance_to_nash(game: BilinearGame, init: IterateState) -> DistanceD:
     ns = games_mod.nash_set(game)
     if not ns.nonempty:
         raise EmptyNashSetError("game has no Nash equilibrium")
-    n, p = game.n, game.p
-    z0 = init.stacked()
-    z_star = np.concatenate([ns.x_star, ns.y_star, ns.x_star, ns.y_star])
-    cols = []
-    for u in ns.x_part.directions.orthonormalized().vectors.T:
-        w = np.concatenate([u, np.zeros(p), u, np.zeros(p)])
-        cols.append(w / math.sqrt(2.0))
-    for v in ns.y_part.directions.orthonormalized().vectors.T:
-        w = np.concatenate([np.zeros(n), v, np.zeros(n), v])
-        cols.append(w / math.sqrt(2.0))
-    diff = z0 - z_star
+    # a Nash direction u of x (or v of y) embeds as the resting state (u, 0, u, 0) / sqrt 2
+    cols = [IterateState.at(u, np.zeros(game.p)).z for u in ns.x_part.directions.vectors.T]
+    cols += [IterateState.at(np.zeros(game.n), v).z for v in ns.y_part.directions.vectors.T]
+    diff = init.z - IterateState.at(ns.x_star, ns.y_star).z
     if cols:
-        q = np.column_stack(cols)
+        q = np.column_stack(cols) / math.sqrt(2.0)
         diff = diff - q @ (q.T @ diff)
     return DistanceD(float(np.linalg.norm(diff)))
 
@@ -194,10 +187,7 @@ def _eigen_witness(game: BilinearGame, eta: float, mu: float,
     if resid > 1e-8:
         raise RuntimeError(f"eigenvector construction failed, residual {resid:.2e}")
     z_real = z.real if np.linalg.norm(z.real) > 1e-8 * np.linalg.norm(z) else z.imag
-    z_real = z_real / np.linalg.norm(z_real)
-    n, p = game.n, game.p
-    return IterateState(x=z_real[:n], y=z_real[n:n + p],
-                        x_prev=z_real[n + p:2 * n + p], y_prev=z_real[2 * n + p:])
+    return IterateState.of(z_real / np.linalg.norm(z_real), game.n)
 
 
 def tight_witness(game: BilinearGame, eta: float) -> IterateState:

@@ -33,6 +33,17 @@ def zero_sum_config(eta, **extra):
     return cfg
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--nope"], "unrecognized arguments: --nope"),
+    (["analyze", "--format", "json"], "unrecognized arguments: --format json"),
+    (["sweep", "--format", "csv"], "unrecognized arguments: --format csv"),
+    ([], "required: command"), (["run", "--seed", "x"], "--seed: invalid int value")])
+def test_usage_error_exit_one(capsys, argv, message):
+    assert cli.main(argv) == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:") and message in err
+
+
 class TestAnalyze:
     def test_applicable_exit_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, zero_sum_config(0.3))
@@ -216,6 +227,44 @@ class TestRun:
         last = (tmp_path / "pennies.csv").read_text().splitlines()[-1].split(",")
         assert last[0] == "1" and {last[-2], last[-1]} == {"inf", "-inf"}
 
+    def test_huge_step_budget(self, tmp_path):
+        cfg = write_config(tmp_path, zero_sum_config(0.3, max_steps=1e300))
+        assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        verdict = json.loads((tmp_path / "pennies.verify.json").read_text())
+        assert verdict["stop_reason"] == "Converged" and verdict["steps"] == 564
+
+    def test_long_fitted_envelope_is_silent(self, tmp_path, capsys):
+        # distances stay above the floor for 20000 steps, so lambda^t
+        # underflows; any numpy warning fails the test (filterwarnings = error)
+        obj = cli.PRESETS["wgan-dagger"]()[1]
+        obj["game"]["b"] = [-20508366217.229233, -0.5]
+        cfg = write_config(tmp_path, obj)
+        assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        verdict = json.loads((tmp_path / f"{obj['name']}.verify.json").read_text(),
+                             parse_constant=reject_constant)
+        assert verdict["steps"] == 20000 and verdict["bound"]["fitted_constant"]
+        assert verdict["bound"]["max_violation"] > 0 and not verdict["bound"]["ok"]
+
+    @pytest.mark.parametrize("zero_sum", [True, False])
+    def test_zero_rate_envelope_is_silent(self, tmp_path, capsys, zero_sum):
+        # A^T A underflows to 0, so lambda_max is 0 and the envelope is 0 after
+        # t = 0, while the state stays at distance sqrt(2) from the Nash point
+        obj = zero_sum_config(0.3)
+        obj["game"]["A"]["data"] = [1e-170]
+        if not zero_sum:
+            obj["game"].update({"B": {"rows": 1, "cols": 1, "data": [2e-170]},
+                                "e": [0.0], "f": [0.0], "zero_sum": False})
+        cfg = write_config(tmp_path, obj)
+        assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        bound = json.loads((tmp_path / "pennies.verify.json").read_text(),
+                           parse_constant=reject_constant)["bound"]
+        assert bound["lambda_used"] == 0.0 and bound["fitted_constant"] is not zero_sum
+        assert not bound["ok"] and math.isfinite(bound["constant_used"])
+        assert bound["max_violation"] == pytest.approx(math.sqrt(2.0))
+        assert bound["worst_ratio"] is None  # a ratio to a zero envelope is inf
+
     def test_wgan_basic_preset_tracks_the_rate(self, tmp_path):
         cli.main(["run", "--preset", "wgan-basic", "--out-dir", str(tmp_path)])
         for eta in (0.3, 0.03):
@@ -313,9 +362,9 @@ class TestSweep:
 
 
 class TestVerifyCommand:
-    def test_full_suite_passes(self, tmp_path):
-        out = tmp_path / "not" / "yet"
-        assert cli.main(["verify", "--out-dir", str(out)]) == cli.EXIT_OK
+    def test_full_suite_passes(self, verify_command):
+        code, out = verify_command
+        assert code == cli.EXIT_OK
         payload = json.loads((out / "verification.json").read_text(),
                              parse_constant=reject_constant)
         assert payload["all_passed"]

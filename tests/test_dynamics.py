@@ -152,6 +152,28 @@ def test_engine_matches_reference_arithmetic():
                                rtol=1e-12, atol=1e-12)
 
 
+class TestIterateState:
+    def test_blocks_are_views_of_one_vector(self):
+        s = IterateState([1.0], [2.0, 3.0], [4.0], [5.0, 6.0])
+        assert s.z.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0] and s.n == 1
+        assert (s.x.tolist(), s.y.tolist()) == ([1.0], [2.0, 3.0])
+        assert (s.x_prev.tolist(), s.y_prev.tolist()) == ([4.0], [5.0, 6.0])
+        assert all(np.shares_memory(v, s.z) for v in (s.x, s.y, s.x_prev, s.y_prev))
+        assert s.stacked() is s.z
+
+    def test_of_wraps_without_copying(self):
+        z = np.arange(6.0)
+        s = IterateState.of(z, 1)
+        assert s.z is z and s.y_prev.tolist() == [4.0, 5.0]
+
+    @pytest.mark.parametrize("blocks", [
+        ([1.0], [2.0], [3.0, 4.0], [5.0]), ([1.0], [2.0], [3.0], []),
+        ([math.nan], [2.0], [3.0], [4.0]), ([1.0], [2.0], [3.0], [math.inf])])
+    def test_constructor_checks_blocks(self, blocks):
+        with pytest.raises(ValueError):
+            IterateState(*blocks)
+
+
 class TestCompanionMatrix:
     def test_layout_for_unit_coupling(self):
         eta = 0.37
@@ -190,7 +212,42 @@ class TestRun:
         traj = dynamics.run(PENNIES, Algo.GDA, 0.3,
                             IterateState.at([1.0], [1.0]), max_steps=2000)
         assert traj.stop_reason is StopReason.DIVERGED
-        assert max(traj.final.block_norms()) > DEFAULT_BLOW_CAP
+        s = traj.final
+        norms = [np.linalg.norm(v) for v in (s.x, s.y, s.x_prev, s.y_prev)]
+        assert max(norms) > DEFAULT_BLOW_CAP
+
+    def test_final_of_overflowed_run(self):
+        # one GDA step from x0 = y0 = 10 at eta 1e308 overflows to infinity
+        traj = dynamics.run(PENNIES, Algo.GDA, 1e308, IterateState.at([10.0], [10.0]))
+        assert traj.stop_reason is StopReason.DIVERGED and traj.times == [0, 1]
+        assert traj.final.x.tolist() == [math.inf]
+        assert traj.final.y.tolist() == [-math.inf]
+
+    @pytest.mark.parametrize("algo", list(Algo))
+    def test_leaves_init_unchanged(self, algo):
+        g = BilinearGame.from_matrices([[1.0, 0.5]], [[0.3, -1.0]])
+        init = IterateState([1.0], [1.0, -1.0], [0.5], [0.0, 2.0])
+        before = init.z.copy()
+        dynamics.run(g, algo, 0.2, init, max_steps=9)
+        assert np.array_equal(init.z, before)
+
+    def test_huge_step_budget(self):
+        # the record starts at RECORD_ROWS_CAP rows, not max_steps + 2
+        traj = dynamics.run(PENNIES, Algo.OGDA, 0.3, IterateState.at([1.0], [1.0]),
+                            max_steps=10**300)
+        assert traj.stop_reason is StopReason.CONVERGED and traj.times[-1] == 564
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_record_grows(self, monkeypatch, stride):
+        g = BilinearGame.zero_sum_game([[1.0, 0.5], [0.0, 2.0]])
+        init = IterateState([1.0, -1.0], [0.5, 2.0], [0.0, 0.0], [1.0, 1.0])
+        whole = dynamics.run(g, Algo.OGDA, 0.1, init, max_steps=50, stop_tol=0.0,
+                             record_stride=stride)
+        monkeypatch.setattr(dynamics, "RECORD_ROWS_CAP", 4)
+        grown = dynamics.run(g, Algo.OGDA, 0.1, init, max_steps=50, stop_tol=0.0,
+                             record_stride=stride)
+        assert grown.times == whole.times and len(whole.times) > 4
+        assert np.array_equal(grown.states, whole.states)
 
     def test_common_payoff_growth(self):
         g = BilinearGame.from_matrices([[1.0]], [[1.0]])

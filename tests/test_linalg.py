@@ -190,7 +190,6 @@ class TestKernels:
         a[:, 3] = a[:, 0] - 2 * a[:, 1]
         ker = linalg.kernel_basis(a)
         gram = ker.vectors.T @ ker.vectors
-        assert ker.orthonormal
         assert np.linalg.norm(gram - np.eye(ker.dim)) < 1e-10
         assert np.linalg.norm(a @ ker.vectors) < 1e-12
 
@@ -203,6 +202,14 @@ class TestKernels:
 
 
 class TestProject:
+    def test_span_is_orthonormal(self):
+        vectors = rand_matrix(11, 3, 5) * [1.0, 1e3, 1e-3, 2.0, 1.0]
+        basis = linalg.span(vectors)
+        gram = basis.vectors.T @ basis.vectors
+        assert basis.dim == 3 and np.linalg.norm(gram - np.eye(3)) < 1e-12
+        for v in vectors:
+            assert np.linalg.norm(linalg.project(v, basis) - v) < 1e-12 * np.linalg.norm(v)
+
     def test_orthogonal_axis(self):
         onto = linalg.span([[1.0, 0.0]])
         assert np.allclose(linalg.project([3.0, 4.0], onto), [3.0, 0.0])

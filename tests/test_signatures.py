@@ -6,6 +6,7 @@ against the same value. A parameter comes back here only together with a
 caller that passes it.
 """
 
+import dataclasses
 import inspect
 
 import pytest
@@ -53,3 +54,13 @@ def test_suites_take_only_the_generator():
 def test_removed_methods_stay_removed():
     assert not hasattr(games.AffineSet, "contains")
     assert not hasattr(linalg.ComplexScalarSet, "max_modulus")
+    assert not hasattr(linalg.SubspaceBasis, "orthonormalized")
+    assert not hasattr(dynamics.IterateState, "block_norms")
+
+
+def test_one_stored_form_of_a_state():
+    assert dynamics.IterateState.__slots__ == ("z", "n")
+    assert [f.name for f in dataclasses.fields(dynamics.Trajectory)] == [
+        "eta", "n", "states", "times", "stop_reason"]
+    assert [f.name for f in dataclasses.fields(linalg.SubspaceBasis)] == [
+        "ambient_dim", "vectors"]

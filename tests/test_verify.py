@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -104,6 +105,13 @@ class TestCheckBound:
         assert not bound.ok
         assert bound.max_violation > 0
 
+    def test_zero_distance_constant_fails(self):
+        # D = 0 from a start on the Nash set: the envelope is 0 at every step
+        game, init, traj, report, pred = wgan_setup()
+        bound = verify.check_bound(traj, report, predict.DistanceD(0.0), pred)
+        assert not bound.ok and bound.worst_ratio == math.inf
+        assert bound.max_violation == verify._distances(traj, *pred.pair()).max()
+
     def test_part3b_fitted_envelope(self):
         w = predict.tight_witness(PENNIES, 0.5)
         traj = dynamics.run(PENNIES, Algo.OGDA, 0.5, w, max_steps=2000)
@@ -114,6 +122,23 @@ class TestCheckBound:
         assert bound.fitted_constant
         assert bound.lambda_used == pytest.approx(report.lambda_max + 0.01)
         assert bound.ok
+
+    def test_long_fitted_run_does_not_underflow(self):
+        # a Nash point far from the origin keeps the distance above the floor
+        # for all 20000 steps, where lambda^t underflows to 0
+        g = games.game_from_json({
+            "A": {"rows": 2, "cols": 2, "data": [1.0, 0.0, 0.0, 0.5]},
+            "B": {"rows": 2, "cols": 2, "data": [-1.0, 0.0, 0.0, -2.0]},
+            "b": [-20508366217.229233, -0.5], "c": [0.0, 0.0],
+            "e": [0.0, 0.0], "f": [0.0, 0.0], "zero_sum": False})
+        init = IterateState.at([1.0, 1.0], [0.0, 0.0])
+        traj = dynamics.run(g, Algo.OGDA, 0.49, init, max_steps=20000)
+        report = spectral.rate_report(g, 0.49)
+        pred = predict.predict_limit(g, Algo.OGDA, 0.49, init)
+        bound = verify.check_bound(traj, report, predict.distance_to_nash(g, init), pred)
+        assert traj.times[-1] == 20000 and report.lambda_max ** 20000 == 0.0
+        assert bound.fitted_constant and not bound.ok
+        assert math.isfinite(bound.max_violation) and bound.max_violation > 0
 
 
 class TestDogdaBound:
@@ -167,9 +192,10 @@ class TestOracleReconcile:
 
 
 class TestSuites:
-    def test_all_suites_pass(self):
-        results = verify.run_all_suites()
-        failed = [r.name for r in results if not r.passed]
+    def test_all_suites_pass(self, verify_command):
+        _, out = verify_command
+        results = json.loads((out / "verification.json").read_text())["checks"]
+        failed = [r["name"] for r in results if not r["passed"]]
         assert failed == []
 
     def test_deterministic(self):
