@@ -19,10 +19,11 @@ import numpy as np
 from . import games as games_mod
 from . import predict, spectral, verify
 from .dynamics import (DEFAULT_BLOW_CAP, DEFAULT_STOP_TOL, Algo, IterateState,
-                       StopReason, run, trajectory_to_csv)
+                       StopReason, Trajectory, run, trajectory_to_csv)
 from .games import BilinearGame
 from .linalg import as_vector
-from .verify import InsufficientDataError
+from .predict import LimitPrediction
+from .verify import InsufficientDataError, RateFit
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -262,34 +263,40 @@ def cmd_analyze(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     return EXIT_OK if regime in ("Part2", "Part3a", "Part3b") else EXIT_INAPPLICABLE
 
 
-def _run_one(cfg: ExperimentConfig, eta: float) -> dict:
-    init = cfg.init
-    traj = run(cfg.game, cfg.algo, eta, init, max_steps=cfg.max_steps,
+def _fit_one(cfg: ExperimentConfig, eta: float) -> tuple[Trajectory, LimitPrediction,
+                                                        RateFit | None]:
+    """Simulate at one step size, predict the limit and fit the rate (None
+    without a valid prediction, after divergence or on too few points)."""
+    traj = run(cfg.game, cfg.algo, eta, cfg.init, max_steps=cfg.max_steps,
                stop_tol=cfg.stop_tol, blow_cap=cfg.blow_cap,
                record_stride=cfg.record_stride)
-    report = spectral.rate_report(cfg.game, eta, cfg.algo)
-    pred = predict.predict_limit(cfg.game, cfg.algo, eta, init)
-    outcome = verify.classify(traj, cfg.game)
-    result = {
-        "trajectory": traj,
-        "init": init,
-        "report": report,
-        "prediction": pred,
-        "outcome": outcome,
-        "rate_fit": None,
-        "bound": None,
-    }
+    pred = predict.predict_limit(cfg.game, cfg.algo, eta, cfg.init)
+    fit = None
     if pred.valid and traj.stop_reason is not StopReason.DIVERGED:
         try:
-            result["rate_fit"] = verify.estimate_rate(traj, pred)
+            fit = verify.estimate_rate(traj, pred)
         except InsufficientDataError:
             pass
-        if report.applicable:
-            try:
-                dist = predict.distance_to_nash(cfg.game, init)
-                result["bound"] = verify.check_bound(traj, report, dist, pred)
-            except predict.EmptyNashSetError:
-                pass
+    return traj, pred, fit
+
+
+def _run_one(cfg: ExperimentConfig, eta: float) -> dict:
+    traj, pred, fit = _fit_one(cfg, eta)
+    report = spectral.rate_report(cfg.game, eta, cfg.algo)
+    result = {
+        "trajectory": traj,
+        "report": report,
+        "prediction": pred,
+        "outcome": verify.classify(traj, cfg.game),
+        "rate_fit": fit,
+        "bound": None,
+    }
+    if pred.valid and traj.stop_reason is not StopReason.DIVERGED and report.applicable:
+        try:
+            dist = predict.distance_to_nash(cfg.game, cfg.init)
+            result["bound"] = verify.check_bound(traj, report, dist, pred)
+        except predict.EmptyNashSetError:
+            pass
     return result
 
 
@@ -352,23 +359,18 @@ def cmd_run(configs: list[ExperimentConfig], out_dir: Path, fmt: str) -> int:
     return EXIT_OK
 
 
-def _sweep_row(cfg: ExperimentConfig, eta: float) -> dict:
-    report = spectral.rate_report(cfg.game, eta, cfg.algo)
-    row = {"eta": eta, "lambda_max": report.lambda_max,
-           "applicable": report.applicable, "fitted_ratio": float("nan")}
-    if not report.applicable:
-        return row
-    result = _run_one(cfg, eta)
-    if result["rate_fit"] is not None:
-        row["fitted_ratio"] = result["rate_fit"].fitted_ratio
-    return row
-
-
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.eta_range is None:
         raise ConfigError("sweep needs an eta range {start, stop, step}")
-    rows = [_sweep_row(cfg, eta) for eta in cfg.etas()]
-    usable = [r for r in rows if r["applicable"] and np.isfinite(r["fitted_ratio"])]
+    etas = cfg.etas()
+    curve = spectral.rate_curve(spectral.CouplingSpectrum(cfg.game, cfg.algo), etas)
+    usable = []
+    for eta, lam, applicable in zip(etas, curve.lambda_max.tolist(), curve.applicable):
+        if not applicable:
+            continue
+        fit = _fit_one(cfg, eta)[2]
+        if fit is not None and np.isfinite(fit.fitted_ratio):
+            usable.append({"eta": eta, "fitted_ratio": fit.fitted_ratio, "lambda_max": lam})
     if not usable:
         print("no eta in the requested range is applicable", file=sys.stderr)
         return EXIT_CONFIG_ERROR

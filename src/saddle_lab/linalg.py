@@ -110,12 +110,22 @@ class SubspaceBasis:
 
 
 def span(vectors) -> SubspaceBasis:
-    """Orthonormal basis (QR, rank-trimmed) of the span of the row-listed vectors."""
+    """Orthonormal basis of the span of the row-listed vectors.
+
+    Independent vectors keep their QR basis. When the R diagonal shows a
+    rank below the number of vectors, the unpivoted QR may have kept the
+    wrong columns, so the basis is the leading left singular vectors.
+    """
     cols = np.atleast_2d(np.asarray(vectors, dtype=float)).T
+    tol = default_rank_tol(cols)
     q, r = np.linalg.qr(cols)
     diag = np.abs(np.diag(r))
-    keep = diag > default_rank_tol(cols) * max(1.0, diag.max(initial=0.0))
-    return SubspaceBasis(cols.shape[0], q[:, keep])
+    keep = diag > tol * max(1.0, diag.max(initial=0.0))
+    if np.count_nonzero(keep) == cols.shape[1]:
+        return SubspaceBasis(cols.shape[0], q[:, keep])
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    rank = int(np.count_nonzero(s > tol * max(1.0, s.max(initial=0.0))))
+    return SubspaceBasis(cols.shape[0], u[:, :rank])
 
 
 def full_space(n: int) -> SubspaceBasis:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -138,27 +139,32 @@ def lambda_spectrum(game: BilinearGame, eta: float) -> ComplexScalarSet:
     return cluster_scalars(roots, linalg.EIG_CLUSTER_REL_TOL * root_scale)
 
 
-def rate_lambda_star(eta: float, mu: float) -> float:
-    """Modulus of the dominant root for mu below the 1/(4 eta^2) threshold."""
-    return math.sqrt(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - 4.0 * eta * eta * mu))))
+def rate_lambda_star(eta, mu):
+    """Modulus of the dominant root for mu below the 1/(4 eta^2) threshold
+    (eta and mu may be arrays)."""
+    return np.sqrt(0.5 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - 4.0 * eta * eta * mu))))
 
 
-def rate_lambda_dstar(eta: float, mu: float) -> float:
-    """Modulus of the dominant root for mu above the 1/(4 eta^2) threshold."""
+def rate_lambda_dstar(eta, mu):
+    """Modulus of the dominant root for mu above the 1/(4 eta^2) threshold
+    (eta and mu may be arrays)."""
     x2 = eta * eta * mu
-    return math.sqrt(2.0 * x2 + eta * math.sqrt(mu) * math.sqrt(max(0.0, 4.0 * x2 - 1.0)))
+    return np.sqrt(2.0 * x2 + eta * np.sqrt(mu) * np.sqrt(np.maximum(0.0, 4.0 * x2 - 1.0)))
 
 
-def _angle_constant_low(eta: float, mu: float) -> float:
+def _angle_constant_low(eta, mu):
     # valid when eta*sqrt(mu) < 1/2
     ratio = (1.0 + 5.0 * eta * eta * mu) / (2.0 + eta * eta * mu)
-    return math.sqrt(2.0 / (1.0 - math.sqrt(ratio)))
+    return np.sqrt(2.0 / (1.0 - np.sqrt(ratio)))
 
 
-def _angle_constant_high(eta: float, mu: float) -> float:
+def _angle_constant_high(eta, mu):
     # valid when eta*sqrt(mu) > 1/2
     ratio = (2.0 + eta * eta * mu) / (1.0 + 5.0 * eta * eta * mu)
-    return math.sqrt(2.0 / (1.0 - math.sqrt(ratio)))
+    return np.sqrt(2.0 / (1.0 - np.sqrt(ratio)))
+
+
+_APPLICABLE = (Regime.PART2, Regime.PART3A, Regime.PART3B)
 
 
 @dataclass
@@ -180,7 +186,7 @@ class SpectralReport:
 
     @property
     def applicable(self) -> bool:
-        return self.eta_regime in (Regime.PART2, Regime.PART3A, Regime.PART3B)
+        return self.eta_regime in _APPLICABLE
 
     def to_json(self) -> dict:
         return {
@@ -207,138 +213,224 @@ def _positive_mus(mus: np.ndarray, mu_max: float, dims: tuple[int, int]) -> np.n
     return mus[mus > cutoff]
 
 
-def _gram_fields(algo: Algo, eta: float, game: BilinearGame,
-                 grams: tuple[np.ndarray, ...]) -> tuple[dict, np.ndarray]:
-    """The report fields fixed by the pooled spectra of symmetric Gram products
-    (clipped at 0 and clustered), and the numerically positive values."""
-    mus = np.maximum(np.concatenate([linalg.sym_eig(m)[0] for m in grams]), 0.0)
-    scale = max(1.0, mus.max(initial=0.0))
-    distinct = cluster_scalars(mus, GRAM_CLUSTER_REL_TOL * scale).values.real
-    mu_max = float(distinct.max(initial=0.0))
-    base = dict(algo=algo, eta=float(eta), mu_max=mu_max, mu_imag_max=0.0,
-                mu_set=sorted((float(v) for v in distinct), reverse=True))
-    return base, _positive_mus(distinct, mu_max, (game.n, game.p))
+class CouplingSpectrum:
+    """The part of the rate analysis of one (game, algo) that no step size changes.
+
+    Zero-sum OGDA pools the spectra of A^T A and A A^T, DOGDA those of A^T A
+    and B^T B, each clipped at 0 and clustered. General-sum OGDA takes the
+    magnitudes of the non-positive real parts of Sp(B^T A), with the checks
+    that the spectrum is real and non-positive. `positives` are the
+    numerically positive values, ascending. `assumptions` are the conditions
+    a report checks, in order, and `violated` names the one that fails at
+    every step size (None when the step size decides).
+    """
+
+    def __init__(self, game: BilinearGame, algo: Algo = Algo.OGDA):
+        self.game = game
+        self.algo = Algo(algo)
+        self.mu_imag_max = 0.0
+        self.violated: str | None = None
+        self.general_sum = False
+        if self.algo is Algo.GDA:
+            self.assumptions: tuple[str, ...] = ()
+            self.violated = "no_convergence_theory_for_gda"
+            self.mu_set, self.mu_max, self.positives = [], 0.0, np.zeros(0)
+        elif self.algo is Algo.DOGDA:
+            self.assumptions = ("eta_below_half_threshold",)
+            self._gram(game.A.T @ game.A, game.B.T @ game.B)
+        elif game.zero_sum:
+            self.assumptions = ("eta_below_divergence_threshold",)
+            self._gram(game.A.T @ game.A, game.A @ game.A.T)
+        else:
+            self.general_sum = True
+            self.assumptions = ("spectrum_real_nonpositive", "eta_below_half_threshold",
+                                "companion_diagonalizable")
+            self._coupling()
+        self.mu_min = float(self.positives[0]) if self.positives.size else None
+
+    def _gram(self, *grams: np.ndarray) -> None:
+        mus = np.maximum(np.concatenate([linalg.sym_eig(m)[0] for m in grams]), 0.0)
+        scale = max(1.0, mus.max(initial=0.0))
+        distinct = cluster_scalars(mus, GRAM_CLUSTER_REL_TOL * scale).values.real
+        self.mu_max = float(distinct.max(initial=0.0))
+        self.mu_set = sorted((float(v) for v in distinct), reverse=True)
+        self.positives = np.sort(_positive_mus(distinct, self.mu_max,
+                                               (self.game.n, self.game.p)))
+
+    def _coupling(self) -> None:
+        mus = coupling_spectrum(self.game).values
+        self.mu_imag_max = float(np.max(np.abs(mus.imag), initial=0.0))
+        abs_scale = float(np.max(np.abs(mus), initial=0.0))
+        real_ok = bool(np.all(np.abs(mus.imag) <= REALITY_REL_TOL * (1.0 + np.abs(mus))))
+        nonpos_ok = bool(np.all(mus.real <= MEMBERSHIP_REL_TOL * (1.0 + abs_scale)))
+        mu_reals = np.minimum(mus.real, 0.0)
+        mu_mags = -mu_reals
+        self.mu_max = float(mu_mags.max(initial=0.0))
+        self.mu_set = sorted((float(v) for v in mu_reals), reverse=True)
+        self.positives = np.sort(_positive_mus(mu_mags, self.mu_max,
+                                               (self.game.n, self.game.p)))
+        if not (real_ok and nonpos_ok):
+            self.violated = "spectrum_real_nonpositive"
+
+    @functools.cached_property
+    def invertible(self) -> bool:
+        """A and B are square and of full rank: then the general-sum companion
+        matrix is diagonalizable below the half threshold."""
+        n = self.game.n
+        return (n == self.game.p and linalg.matrix_rank(self.game.A) == n
+                and linalg.matrix_rank(self.game.B) == n)
 
 
-def _zero_coupling(base: dict, assumption: str) -> SpectralReport:
-    # A = 0: the dynamics freeze immediately; ratio 0 by convention.
-    return SpectralReport(
-        **base, mu_min=None, lambda_star=0.0, lambda_dstar=0.0, lambda_max=0.0,
-        C=_angle_constant_low(base["eta"], 0.0), eta_regime=Regime.PART2,
-        diagonalizable=Verdict.YES, assumptions_met={assumption: True})
+class RateCurve:
+    """The closed forms of one CouplingSpectrum at every step size in `etas`.
+
+    The arrays and lists align with `etas`; C is NaN where a report has no
+    constant. Element i is the SpectralReport at etas[i]. A new curve is
+    Inapplicable at every step, for the spectrum's `violated` reason.
+    """
+
+    def __init__(self, spectrum: CouplingSpectrum, etas: np.ndarray):
+        m = etas.size
+        self.spectrum, self.etas = spectrum, etas
+        self.lambda_star, self.lambda_dstar = np.zeros(m), np.zeros(m)
+        self.lambda_max, self.C = np.full(m, math.nan), np.full(m, math.nan)
+        self.eta_regime: list[Regime] = [Regime.INAPPLICABLE] * m
+        self.diagonalizable: list[Verdict] = [Verdict.BORDERLINE] * m
+        self.violated: list[str | None] = [spectrum.violated] * m
+
+    @property
+    def applicable(self) -> np.ndarray:
+        return np.array([r in _APPLICABLE for r in self.eta_regime], dtype=bool)
+
+    def __len__(self) -> int:
+        return self.etas.size
+
+    def __getitem__(self, i: int) -> SpectralReport:
+        spec = self.spectrum
+        regime, violated = self.eta_regime[i], self.violated[i]
+        # the assumptions are checked in order, up to the first that fails
+        names = spec.assumptions
+        if violated in names:
+            names = names[:names.index(violated) + 1]
+        c_const = float(self.C[i])
+        return SpectralReport(
+            algo=spec.algo, eta=float(self.etas[i]), mu_set=list(spec.mu_set),
+            mu_imag_max=spec.mu_imag_max,
+            mu_min=None if regime is Regime.INAPPLICABLE else spec.mu_min,
+            mu_max=spec.mu_max, lambda_star=float(self.lambda_star[i]),
+            lambda_dstar=float(self.lambda_dstar[i]),
+            lambda_max=float(self.lambda_max[i]),
+            C=None if math.isnan(c_const) else c_const, eta_regime=regime,
+            diagonalizable=self.diagonalizable[i],
+            assumptions_met={name: name != violated for name in names},
+            violated=violated)
+
+    def _settle(self, where: np.ndarray, lam, c_const=math.nan) -> None:
+        """Part2 with ratio `lam` (and lambda_dstar 0) at the steps `where`."""
+        self.lambda_star[where] = lam
+        self.lambda_max[where] = lam
+        self.C[where] = c_const
+        for i in np.flatnonzero(where):
+            self.eta_regime[i] = Regime.PART2
+            self.diagonalizable[i] = Verdict.YES
+            self.violated[i] = None
 
 
-def _inapplicable(base: dict, assumptions: dict[str, bool], violated: str,
-                  diag: Verdict = Verdict.BORDERLINE) -> SpectralReport:
-    return SpectralReport(
-        **base, mu_min=None, lambda_star=0.0, lambda_dstar=0.0,
-        lambda_max=float("nan"), C=None, eta_regime=Regime.INAPPLICABLE,
-        diagonalizable=diag, assumptions_met=assumptions, violated=violated)
+def _zero_sum_constant(eta: np.ndarray, positives: np.ndarray) -> np.ndarray:
+    """The bound constant: the larger of the low-step angle constant at the
+    largest mu with eta sqrt(mu) < 1/2 and the high-step one at the smallest
+    mu with eta sqrt(mu) > 1/2 (0 for a side with no mu). Both sides are runs
+    of the ascending positives, so each is found by counting."""
+    roots = eta[:, None] * np.sqrt(positives)
+    below = (roots < 0.5).sum(axis=1)
+    above = (roots > 0.5).sum(axis=1)
+    low, high = below > 0, above > 0
+    c_const = np.zeros(eta.size)
+    c_const[low] = _angle_constant_low(eta[low], positives[below[low] - 1])
+    c_const[high] = np.maximum(c_const[high],
+                               _angle_constant_high(eta[high], positives[-above[high]]))
+    return c_const
 
 
-def _zero_sum_report(game: BilinearGame, eta: float) -> SpectralReport:
-    base, positives = _gram_fields(Algo.OGDA, eta, game,
-                                   (game.A.T @ game.A, game.A @ game.A.T))
-    if positives.size == 0:
-        return _zero_coupling(base, "eta_below_divergence_threshold")
-
-    mu_max = base["mu_max"]
-    mu_min = float(positives.min())
+def _zero_sum_curve(curve: RateCurve) -> None:
+    spec, eta = curve.spectrum, curve.etas
+    mu_min, mu_max = spec.mu_min, spec.mu_max
     member_tol = MEMBERSHIP_REL_TOL * mu_max
     quarter = 1.0 / (4.0 * eta * eta)
-    lam_star = (rate_lambda_star(eta, mu_min)
-                if mu_min <= quarter + member_tol else 0.0)
-    lam_dstar = (rate_lambda_dstar(eta, mu_max)
-                 if mu_max >= quarter - member_tol else 0.0)
-    lam_max = max(lam_star, lam_dstar)
-    hits_quarter = bool(np.any(np.abs(positives - quarter) <= member_tol))
-
-    if eta * math.sqrt(mu_max) >= 1.0 / math.sqrt(3.0):
-        return SpectralReport(
-            **base, mu_min=mu_min, lambda_star=lam_star, lambda_dstar=lam_dstar,
-            lambda_max=lam_max, C=None, eta_regime=Regime.DIVERGENT,
-            diagonalizable=Verdict.YES if not hits_quarter else Verdict.NO,
-            assumptions_met={"eta_below_divergence_threshold": False},
-            violated="eta_below_divergence_threshold")
-
-    assumptions = {"eta_below_divergence_threshold": True}
-    if hits_quarter:
-        # Knife-edge: the companion matrix is defective, only near-rate bounds hold.
-        return SpectralReport(
-            **base, mu_min=mu_min, lambda_star=lam_star, lambda_dstar=lam_dstar,
-            lambda_max=lam_max, C=None, eta_regime=Regime.PART3B,
-            diagonalizable=Verdict.NO, assumptions_met=assumptions)
-
-    below = positives[eta * np.sqrt(positives) < 0.5]
-    above = positives[eta * np.sqrt(positives) > 0.5]
-    c_low = _angle_constant_low(eta, float(below.max())) if below.size else 0.0
-    c_high = _angle_constant_high(eta, float(above.min())) if above.size else 0.0
-    c_const = max(c_low, c_high)
-    regime = (Regime.PART2 if eta < 0.5 / math.sqrt(mu_max) else Regime.PART3A)
-    return SpectralReport(
-        **base, mu_min=mu_min, lambda_star=lam_star, lambda_dstar=lam_dstar,
-        lambda_max=lam_max, C=c_const, eta_regime=regime,
-        diagonalizable=Verdict.YES, assumptions_met=assumptions)
+    curve.lambda_star = np.where(mu_min <= quarter + member_tol,
+                                 rate_lambda_star(eta, mu_min), 0.0)
+    curve.lambda_dstar = np.where(mu_max >= quarter - member_tol,
+                                  rate_lambda_dstar(eta, mu_max), 0.0)
+    curve.lambda_max = np.maximum(curve.lambda_star, curve.lambda_dstar)
+    # Knife-edge: the companion matrix is defective, only near-rate bounds hold.
+    hits_quarter = (np.abs(spec.positives - quarter[:, None]) <= member_tol).any(axis=1)
+    divergent = eta * math.sqrt(mu_max) >= 1.0 / math.sqrt(3.0)
+    small = eta < 0.5 / math.sqrt(mu_max)
+    bounded = ~(divergent | hits_quarter)
+    curve.C[bounded] = _zero_sum_constant(eta[bounded], spec.positives)
+    # labels by index: the first condition that holds picks the regime
+    regimes = (Regime.PART3A, Regime.PART2, Regime.PART3B, Regime.DIVERGENT)
+    codes = np.where(divergent, 3, np.where(hits_quarter, 2, small.astype(int))).tolist()
+    curve.eta_regime = [regimes[c] for c in codes]
+    verdicts = (Verdict.YES, Verdict.NO)
+    curve.diagonalizable = [verdicts[h] for h in hits_quarter.tolist()]
+    reasons = (None, "eta_below_divergence_threshold")
+    curve.violated = [reasons[d] for d in divergent.tolist()]
 
 
-def _general_sum_report(game: BilinearGame, eta: float) -> SpectralReport:
-    spec = coupling_spectrum(game)
-    mus = spec.values
-    mu_imag_max = float(np.max(np.abs(mus.imag), initial=0.0))
-    abs_scale = float(np.max(np.abs(mus), initial=0.0))
-    real_ok = bool(np.all(np.abs(mus.imag) <= REALITY_REL_TOL * (1.0 + np.abs(mus))))
-    nonpos_ok = bool(np.all(mus.real <= MEMBERSHIP_REL_TOL * (1.0 + abs_scale)))
-    mu_reals = np.minimum(mus.real, 0.0)
-    mu_mags = -mu_reals
-    mu_max = float(mu_mags.max(initial=0.0))
-    positives = _positive_mus(mu_mags, mu_max, (game.n, game.p))
-    mu_set = sorted((float(v) for v in mu_reals), reverse=True)
-    base = dict(algo=Algo.OGDA, eta=float(eta), mu_set=mu_set,
-                mu_imag_max=mu_imag_max, mu_max=mu_max)
-    assumptions = {"spectrum_real_nonpositive": real_ok and nonpos_ok}
-    if not (real_ok and nonpos_ok):
-        return _inapplicable(base, assumptions, "spectrum_real_nonpositive")
-
-    if mu_max > 0 and not eta < 0.5 / math.sqrt(mu_max):
-        assumptions["eta_below_half_threshold"] = False
-        return _inapplicable(base, assumptions, "eta_below_half_threshold")
-    assumptions["eta_below_half_threshold"] = True
-
-    square = game.n == game.p
-    invertible = (square and linalg.matrix_rank(game.A) == game.n
-                  and linalg.matrix_rank(game.B) == game.n)
-    if invertible:
-        diag_verdict = Verdict.YES
-    else:
-        diag_verdict = is_diagonalizable(companion_matrix(game, eta))
-    assumptions["companion_diagonalizable"] = diag_verdict == Verdict.YES
-    if diag_verdict != Verdict.YES:
-        return _inapplicable(base, assumptions, "companion_diagonalizable", diag_verdict)
-
-    mu_min = float(positives.min()) if positives.size else None
-    lam_max = rate_lambda_star(eta, mu_min) if mu_min is not None else 0.0
-    return SpectralReport(
-        **base, mu_min=mu_min, lambda_star=lam_max, lambda_dstar=0.0,
-        lambda_max=lam_max, C=None, eta_regime=Regime.PART2,
-        diagonalizable=diag_verdict, assumptions_met=assumptions)
+def _below_half_threshold(curve: RateCurve) -> np.ndarray:
+    """The steps with eta < 1/(2 sqrt(mu_max)); the others are marked violated."""
+    mu_max = curve.spectrum.mu_max
+    ok = (curve.etas < 0.5 / math.sqrt(mu_max) if mu_max > 0
+          else np.ones(len(curve), dtype=bool))
+    for i in np.flatnonzero(~ok):
+        curve.violated[i] = "eta_below_half_threshold"
+    return ok
 
 
-def _dogda_report(game: BilinearGame, eta: float) -> SpectralReport:
-    base, positives = _gram_fields(Algo.DOGDA, eta, game,
-                                   (game.A.T @ game.A, game.B.T @ game.B))
-    mu_max = base["mu_max"]
-    if positives.size == 0:
-        return _zero_coupling(base, "eta_below_half_threshold")
-    if not eta < 0.5 / math.sqrt(mu_max):
-        return _inapplicable(base, {"eta_below_half_threshold": False},
-                             "eta_below_half_threshold")
-    mu_prime_min = float(positives.min())
-    lam_max = rate_lambda_star(eta, mu_prime_min)
-    return SpectralReport(
-        **base, mu_min=mu_prime_min, lambda_star=lam_max, lambda_dstar=0.0,
-        lambda_max=lam_max, C=_angle_constant_low(eta, mu_max),
-        eta_regime=Regime.PART2, diagonalizable=Verdict.YES,
-        assumptions_met={"eta_below_half_threshold": True})
+def _general_sum_curve(curve: RateCurve) -> None:
+    spec, eta = curve.spectrum, curve.etas
+    ok = _below_half_threshold(curve)
+    if not spec.invertible:
+        for i in np.flatnonzero(ok):
+            verdict = is_diagonalizable(companion_matrix(spec.game, float(eta[i])))
+            if verdict is not Verdict.YES:
+                ok[i] = False
+                curve.violated[i] = "companion_diagonalizable"
+                curve.diagonalizable[i] = verdict
+    curve._settle(ok, 0.0 if spec.mu_min is None else rate_lambda_star(eta[ok], spec.mu_min))
+
+
+def rate_curve(spec: CouplingSpectrum, etas) -> RateCurve:
+    """Regime, exact geometric ratio and (where it exists) the bound constant
+    of one spectrum at every step size in `etas`.
+
+    Each closed form is a numpy expression in eta. Only the general-sum test
+    of a diagonalizable companion matrix runs once per step size, and only
+    where A and B are not square and invertible.
+    """
+    etas = np.asarray(etas, dtype=float).reshape(-1)
+    if (etas <= 0).any():
+        raise ValueError("eta must be positive")
+    curve = RateCurve(spec, etas)
+    if spec.violated is not None:
+        return curve
+    # Overflow goes to inf silently, as in Python float arithmetic. An angle
+    # constant whose ratio rounds to 1 (a step just below 1/(2 sqrt(mu))) is inf.
+    with np.errstate(over="ignore", divide="ignore"):
+        if spec.general_sum:
+            _general_sum_curve(curve)
+        elif spec.positives.size == 0:
+            # No coupling: the dynamics freeze at once; ratio 0 by convention.
+            curve._settle(np.ones(etas.size, dtype=bool), 0.0,
+                          _angle_constant_low(etas, 0.0))
+        elif spec.algo is Algo.DOGDA:
+            ok = _below_half_threshold(curve)
+            curve._settle(ok, rate_lambda_star(etas[ok], spec.mu_min),
+                          _angle_constant_low(etas[ok], spec.mu_max))
+        else:
+            _zero_sum_curve(curve)
+    return curve
 
 
 def rate_report(game: BilinearGame, eta: float, algo: Algo = Algo.OGDA) -> SpectralReport:
@@ -348,18 +440,10 @@ def rate_report(game: BilinearGame, eta: float, algo: Algo = Algo.OGDA) -> Spect
     Divergent); general-sum games require a real non-positive coupling
     spectrum, a small enough step and a diagonalizable companion matrix, and
     otherwise come back Inapplicable with the violated assumption named.
+    This is rate_curve at the one step size; for many step sizes of one
+    game, build the CouplingSpectrum once and call rate_curve.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    algo = Algo(algo)
-    if algo is Algo.DOGDA:
-        return _dogda_report(game, eta)
-    if algo is Algo.GDA:
-        base = dict(algo=algo, eta=float(eta), mu_set=[], mu_imag_max=0.0, mu_max=0.0)
-        return _inapplicable(base, {}, "no_convergence_theory_for_gda")
-    if game.zero_sum:
-        return _zero_sum_report(game, eta)
-    return _general_sum_report(game, eta)
+    return rate_curve(CouplingSpectrum(game, algo), [eta])[0]
 
 
 def optimal_eta(mu_min: float, mu_max: float) -> tuple[float, float]:

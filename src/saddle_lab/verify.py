@@ -550,15 +550,15 @@ def suite_optimal_eta_argmin(rng: np.random.Generator) -> CheckResult:
     every grid point (the curve has a square-root kink at the optimum, so the
     grid can only approach from above)."""
     worst = 0.0
+    grid = np.linspace(0.02, 1.0 / math.sqrt(3.0) - 1e-6, 400)
     for alpha in np.arange(0.05, 1.0001, 0.05):
         mu_min, mu_max = float(alpha), 1.0
         eta_star, lam_star = spectral.optimal_eta(mu_min, mu_max)
         game = BilinearGame.zero_sum_game(np.diag([math.sqrt(mu_min), 1.0]))
-        lam_at_star = spectral.rate_report(game, eta_star).lambda_max
-        worst = max(worst, abs(lam_at_star - lam_star))
-        for e in np.linspace(0.02, 1.0 / math.sqrt(3.0) - 1e-6, 400):
-            undercut = lam_star - spectral.rate_report(game, float(e)).lambda_max
-            worst = max(worst, undercut)
+        lams = spectral.rate_curve(spectral.CouplingSpectrum(game),
+                                   np.concatenate([[eta_star], grid])).lambda_max
+        worst = max(worst, abs(float(lams[0]) - lam_star),
+                    float(np.max(lam_star - lams[1:])))
     return CheckResult("spectral.optimal_eta_is_argmin", worst < 1e-9, worst, 1e-9)
 
 

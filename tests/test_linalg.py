@@ -210,6 +210,19 @@ class TestProject:
         for v in vectors:
             assert np.linalg.norm(linalg.project(v, basis) - v) < 1e-12 * np.linalg.norm(v)
 
+    def test_span_of_dependent_vectors(self):
+        # an unpivoted QR keeps e1 and e3 here, which miss (0, 1, 1)
+        vectors = [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 1.0]]
+        basis = linalg.span(vectors)
+        assert basis.dim == 2
+        assert np.linalg.norm(basis.vectors.T @ basis.vectors - np.eye(2)) < 1e-12
+        for v in vectors:
+            assert np.linalg.norm(linalg.project(v, basis) - v) < 1e-12 * np.linalg.norm(v)
+        # the reference: the residual against numpy's least squares fit
+        v = np.array([0.0, 1.0, 1.0])
+        coeffs = np.linalg.lstsq(basis.vectors, v, rcond=None)[0]
+        assert np.linalg.norm(basis.vectors @ coeffs - v) < 1e-12
+
     def test_orthogonal_axis(self):
         onto = linalg.span([[1.0, 0.0]])
         assert np.allclose(linalg.project([3.0, 4.0], onto), [3.0, 0.0])

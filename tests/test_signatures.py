@@ -28,6 +28,9 @@ PARAMETERS = {
     games.accelerate: ["game"],
     spectral.coupling_spectrum: ["game"],
     spectral.lambda_spectrum: ["game", "eta"],
+    spectral.rate_report: ["game", "eta", "algo"],
+    spectral.CouplingSpectrum: ["game", "algo"],
+    spectral.rate_curve: ["spec", "etas"],
     spectral.is_diagonalizable: ["m"],
     verify.estimate_rate: ["traj", "limit"],
     verify.check_bound: ["traj", "report", "D", "limit"],

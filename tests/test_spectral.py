@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saddle_lab import dynamics, games, spectral, verify
+from saddle_lab import dynamics, games, linalg, spectral, verify
 from saddle_lab.dynamics import Algo
 from saddle_lab.games import BilinearGame
 from saddle_lab.spectral import Regime, Verdict
@@ -160,6 +161,19 @@ class TestRateReport:
             math.sqrt(0.5 * (1 + math.sqrt(0.92))))
         assert rep.mu_min == pytest.approx(2.0)
 
+    def test_step_above_half_threshold_is_inapplicable(self):
+        a = np.array([[1.0, 0.0], [2.0, 0.0]])
+        b = np.array([[-2.0, -1.0], [0.0, 0.0]])
+        obj = spectral.rate_report(BilinearGame.from_matrices(a, b), 2.0).to_json()
+        assert math.isnan(obj.pop("lambda_max"))
+        assert obj == {
+            "algo": "OGDA", "eta": 2.0, "mu_set": [0.0, -2.0], "mu_imag_max": 0.0,
+            "mu_min": None, "mu_max": 2.0, "lambda_star": 0.0, "lambda_dstar": 0.0,
+            "C": None, "eta_regime": "Inapplicable", "diagonalizable": "Borderline",
+            "assumptions_met": {"spectrum_real_nonpositive": True,
+                                "eta_below_half_threshold": False},
+            "violated": "eta_below_half_threshold"}
+
     def test_divergent_regime(self):
         rep = spectral.rate_report(PENNIES, 0.6)
         assert rep.eta_regime is Regime.DIVERGENT
@@ -199,6 +213,14 @@ class TestRateReport:
             math.sqrt(0.5 * (1 + math.sqrt(1 - 4 * 0.2 ** 2))))
         assert rep.C is not None
 
+    def test_dogda_constant_at_the_half_threshold(self):
+        # eta sqrt(mu) just below 1/2 rounds the angle ratio to 1, so the
+        # bound constant is infinite; that is a value, not an exception
+        a = 0.5247914532927936
+        g = BilinearGame.from_matrices([[a]], [[a]])
+        rep = spectral.rate_report(g, 0.952759418741978, Algo.DOGDA)
+        assert rep.eta_regime is Regime.PART2 and rep.C == math.inf
+
     def test_zero_matrix_convention(self):
         g = BilinearGame.zero_sum_game(np.zeros((2, 2)))
         rep = spectral.rate_report(g, 0.4)
@@ -211,6 +233,146 @@ class TestRateReport:
         assert obj["eta_regime"] == "Part2"
         assert obj["mu_set"] == [4.0, 1.0]
         assert obj["violated"] is None
+
+
+# (game, algo, step sizes, the regimes or violated assumptions the steps reach)
+CURVE_CASES = {
+    "zero-sum": (DIAG12, Algo.OGDA, [0.05, 0.1, 0.25, 0.26, 0.28, 0.2804, 0.3, 0.5, 0.9],
+                 {"Part2", "Part3a", "Part3b", "Divergent"}),
+    "zero-sum-knife-edge": (PENNIES, Algo.OGDA, [0.3, 0.5, 0.55, 0.6],
+                            {"Part2", "Part3b", "Part3a", "Divergent"}),
+    "general-sum": (BilinearGame.from_matrices([[1.0, 0.0], [2.0, 0.0]],
+                                               [[-2.0, -1.0], [0.0, 0.0]]),
+                    Algo.OGDA, [0.1, 0.3, 0.35, 2.0], {"Part2", "eta_below_half_threshold"}),
+    "general-sum-invertible": (spd_coupled_game(5, 3), Algo.OGDA, [0.05, 0.2, 0.4, 0.8],
+                               {"Part2", "eta_below_half_threshold"}),
+    "general-sum-positive": (BilinearGame.from_matrices([[1.0]], [[1.0]]), Algo.OGDA,
+                             [0.1, 0.6], {"spectrum_real_nonpositive"}),
+    "general-sum-defective": (BilinearGame.from_matrices(np.ones((2, 2)),
+                                                         [[1.0, 1.0], [-1.0, -1.0]]),
+                              Algo.OGDA, [0.1, 0.3], {"companion_diagonalizable"}),
+    "dogda": (BilinearGame.from_matrices([[1.0, 0.5], [0.0, 2.0]], [[1.0, 0.0], [1.0, 1.0]]),
+              Algo.DOGDA, [0.05, 0.2, 0.3, 0.9], {"Part2", "eta_below_half_threshold"}),
+    "gda": (PENNIES, Algo.GDA, [0.1, 0.9], {"no_convergence_theory_for_gda"}),
+    "zero-coupling": (BilinearGame.zero_sum_game(np.zeros((2, 3))), Algo.OGDA, [0.1, 5.0],
+                      {"Part2"}),
+    "zero-coupling-dogda": (BilinearGame.zero_sum_game(np.zeros((2, 2))), Algo.DOGDA,
+                            [0.1, 5.0], {"Part2"}),
+}
+
+
+def _outcome(rep):
+    return rep.violated if rep.eta_regime is Regime.INAPPLICABLE else rep.eta_regime.value
+
+
+class TestRateCurve:
+    @pytest.mark.parametrize("case", list(CURVE_CASES))
+    def test_elements_are_the_reports(self, case):
+        game, algo, etas, outcomes = CURVE_CASES[case]
+        curve = spectral.rate_curve(spectral.CouplingSpectrum(game, algo), etas)
+        assert len(curve) == len(etas)
+        for i, eta in enumerate(etas):
+            rep = spectral.rate_report(game, eta, algo)
+            assert json.dumps(curve[i].to_json()) == json.dumps(rep.to_json())
+            assert curve.applicable[i] == rep.applicable
+        assert {_outcome(curve[i]) for i in range(len(etas))} == outcomes
+
+    @pytest.mark.parametrize("case", list(CURVE_CASES))
+    def test_lambda_max_is_the_companion_radius(self, case):
+        game, algo, etas, _ = CURVE_CASES[case]
+        self._check_radius(game, algo, etas)
+
+    def test_lambda_max_is_the_companion_radius_on_random_games(self):
+        rng = np.random.default_rng(77)
+        grid = np.linspace(0.02, 0.6, 60)
+        for i in range(12):
+            kind = i % 4
+            if kind == 0:
+                game, algo = verify.random_zero_sum_game(rng), Algo.OGDA
+            elif kind == 1:
+                game, algo = verify.random_negative_spectrum_game(rng), Algo.OGDA
+            elif kind == 2:
+                game, algo = games.accelerate(verify.random_zero_sum_game(rng)), Algo.OGDA
+            else:
+                n, p = (int(v) for v in rng.integers(1, 4, size=2))
+                game = BilinearGame.from_matrices(rng.normal(size=(n, p)),
+                                                  rng.normal(size=(n, p)))
+                algo = Algo.DOGDA
+            assert self._check_radius(game, algo, grid) > 0
+
+    @staticmethod
+    def _check_radius(game, algo, etas):
+        """The largest eigenvalue modulus of the companion matrix, apart from
+        its unit roots, at every applicable step; DOGDA runs OGDA on the
+        doubled game. Part3b is left out: its matrix is defective, and numpy
+        finds its eigenvalues only to about sqrt(eps)."""
+        curve = spectral.rate_curve(spectral.CouplingSpectrum(game, algo), etas)
+        played = games.doubled(game) if algo is Algo.DOGDA else game
+        checked = 0
+        for i, eta in enumerate(etas):
+            if not curve.applicable[i] or curve.eta_regime[i] is Regime.PART3B:
+                continue
+            vals = np.linalg.eigvals(dynamics.companion_matrix(played, float(eta)))
+            rho = float(np.abs(vals[np.abs(vals - 1.0) > 1e-9]).max(initial=0.0))
+            assert abs(curve.lambda_max[i] - rho) <= 1e-9 * max(1.0, rho), (eta, rho)
+            checked += 1
+        return checked
+
+    def test_bound_constant_from_singular_values(self):
+        # C from its definition, on mu = squared singular values of A:
+        # the low-step constant at the largest mu with eta sqrt(mu) < 1/2,
+        # the high-step one at the smallest mu with eta sqrt(mu) > 1/2
+        def angle(ratio):
+            return math.sqrt(2.0 / (1.0 - math.sqrt(ratio)))
+
+        rng = np.random.default_rng(91)
+        checked = 0
+        for _ in range(8):
+            game = BilinearGame.zero_sum_game(verify.random_matrix(rng, 4, 3))
+            mus = np.linalg.svd(game.A, compute_uv=False) ** 2
+            etas = np.linspace(0.05, 1.0 / math.sqrt(3.0 * mus.max()), 50, endpoint=False)
+            curve = spectral.rate_curve(spectral.CouplingSpectrum(game), etas)
+            for i, eta in enumerate(etas):
+                if curve.eta_regime[i] not in (Regime.PART2, Regime.PART3A):
+                    continue
+                below = [mu * eta * eta for mu in mus if eta * math.sqrt(mu) < 0.5]
+                above = [mu * eta * eta for mu in mus if eta * math.sqrt(mu) > 0.5]
+                low = angle((1 + 5 * max(below)) / (2 + max(below))) if below else 0.0
+                high = angle((2 + min(above)) / (1 + 5 * min(above))) if above else 0.0
+                assert curve.C[i] == pytest.approx(max(low, high), rel=1e-9)
+                checked += 1
+        assert checked > 300
+
+    @pytest.mark.parametrize("game, algo, calls", [
+        (DIAG12, Algo.OGDA, {"sym_eig": 2, "eig_complex": 0}),
+        (DIAG12, Algo.DOGDA, {"sym_eig": 2, "eig_complex": 0}),
+        (spd_coupled_game(5, 3), Algo.OGDA, {"sym_eig": 0, "eig_complex": 1})])
+    def test_decomposes_once_for_many_steps(self, monkeypatch, game, algo, calls):
+        counts = {"sym_eig": 0, "eig_complex": 0}
+
+        def counting(name):
+            real = getattr(linalg, name)
+
+            def wrapped(m):
+                counts[name] += 1
+                return real(m)
+            return wrapped
+
+        for name in counts:
+            monkeypatch.setattr(linalg, name, counting(name))
+        etas = np.linspace(0.01, 1.0, 400)
+        curve = spectral.rate_curve(spectral.CouplingSpectrum(game, algo), etas)
+        assert len(curve) == 400 and curve.applicable.any()
+        assert counts == calls
+        spectral.rate_report(game, 0.1, algo)
+        assert counts == {name: 2 * k for name, k in calls.items()}
+
+    def test_rejects_non_positive_step(self):
+        spec = spectral.CouplingSpectrum(PENNIES)
+        with pytest.raises(ValueError):
+            spectral.rate_curve(spec, [0.1, 0.0])
+        with pytest.raises(ValueError):
+            spectral.rate_report(PENNIES, -0.1)
 
 
 class TestOptimalEta:
