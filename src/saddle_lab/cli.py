@@ -29,6 +29,7 @@ EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
 EXIT_INAPPLICABLE = 2
 EXIT_VERIFY_FAILED = 3
+MAX_SWEEP_POINTS = 1000  # each step size of a sweep is a full run
 
 
 class ConfigError(ValueError):
@@ -41,7 +42,7 @@ class ExperimentConfig:
     game: BilinearGame
     algo: Algo
     eta: float | None                  # scalar run
-    eta_range: tuple[float, float, float] | None  # (start, stop, step) sweep
+    eta_range: tuple[float, float, int] | None  # (start, step, count) sweep
     init: IterateState
     max_steps: int = 5000
     stop_tol: float = DEFAULT_STOP_TOL
@@ -52,8 +53,7 @@ class ExperimentConfig:
     def etas(self) -> list[float]:
         if self.eta is not None:
             return [self.eta]
-        start, stop, step = self.eta_range
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        start, step, count = self.eta_range
         return [start + i * step for i in range(count)]
 
 
@@ -137,7 +137,10 @@ def parse_config(obj: dict, seed: int | None = None) -> ExperimentConfig:
         start, stop, step = (_threshold(eta_obj, key) for key in ("start", "stop", "step"))
         if stop < start:
             raise ConfigError("eta range needs stop >= start")
-        eta_range = (start, stop, step)
+        last = (stop - start) / step + 1e-9  # inf for a step tiny against the span
+        if not last < MAX_SWEEP_POINTS:
+            raise ConfigError(f"eta range has more than {MAX_SWEEP_POINTS} points (step {step!r})")
+        eta_range = (start, step, int(math.floor(last)) + 1)
     else:
         eta = _threshold(obj, "eta")
     return ExperimentConfig(
@@ -292,11 +295,8 @@ def _run_one(cfg: ExperimentConfig, eta: float) -> dict:
         "bound": None,
     }
     if pred.valid and traj.stop_reason is not StopReason.DIVERGED and report.applicable:
-        try:
-            dist = predict.distance_to_nash(cfg.game, cfg.init)
-            result["bound"] = verify.check_bound(traj, report, dist, pred)
-        except predict.EmptyNashSetError:
-            pass
+        dist = predict.distance_to_nash(cfg.game, cfg.init)
+        result["bound"] = verify.check_bound(traj, report, dist, pred)
     return result
 
 

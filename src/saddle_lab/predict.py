@@ -19,7 +19,8 @@ from . import games as games_mod
 from . import linalg
 from .dynamics import Algo, IterateState, companion_matrix
 from .games import BilinearGame
-from .spectral import Regime, rate_report
+from .spectral import (DIVERGENCE_THRESHOLD, CouplingSpectrum, Regime, rate_curve,
+                       rate_report, rate_root)
 
 
 class EmptyNashSetError(ValueError):
@@ -67,12 +68,6 @@ def _invalid(geometry: Geometry, reason: str) -> LimitPrediction:
     return LimitPrediction(None, None, geometry, False, reason)
 
 
-def _orthogonal_affine(point: np.ndarray, kernel: linalg.SubspaceBasis,
-                       v0: np.ndarray) -> np.ndarray:
-    # point is the least-norm solution, hence orthogonal to the kernel
-    return point + linalg.project(v0, kernel)
-
-
 def predict_limit(game: BilinearGame, algo: Algo, eta: float,
                   init: IterateState) -> LimitPrediction:
     """Predict the limit of (x_t, y_t); invalidity is a value, not an error."""
@@ -80,23 +75,31 @@ def predict_limit(game: BilinearGame, algo: Algo, eta: float,
     if algo is Algo.GDA:
         return _invalid(Geometry.ORTHOGONAL_ONTO_KERNELS,
                         "GDA has no characterized limit (it cycles or diverges)")
-    if algo is Algo.DOGDA:
-        return _predict_dogda(game, eta, init)
-    if game.zero_sum:
-        return _predict_zero_sum(game, eta, init)
-    return _predict_general_sum(game, eta, init)
+    if algo is Algo.OGDA and not game.zero_sum:
+        return _predict_general_sum(game, eta, init)
+    return _predict_orthogonal(game, algo, eta, init)
 
 
-def _predict_zero_sum(game: BilinearGame, eta: float, init: IterateState) -> LimitPrediction:
-    geo = Geometry.ORTHOGONAL_ONTO_KERNELS
+def _predict_orthogonal(game: BilinearGame, algo: Algo, eta: float,
+                        init: IterateState) -> LimitPrediction:
+    """Zero-sum OGDA, and DOGDA, each of whose halves is a plain zero-sum
+    system: the played pair converges to the orthogonal projections onto
+    the two Nash constraints."""
+    dogda = algo is Algo.DOGDA
+    geo = Geometry.DOGDA_ORTHOGONAL if dogda else Geometry.ORTHOGONAL_ONTO_KERNELS
     ns = games_mod.nash_set(game)
     if not ns.nonempty:
         return _invalid(geo, "nash_set_empty")
-    report = rate_report(game, eta)
-    if report.eta_regime is Regime.DIVERGENT:
+    # The aux constraints must be solvable too, else one half never settles.
+    if dogda and not games_mod.solve_affine(game.B, game.e).feasible:
+        return _invalid(geo, "aux_constraint_infeasible_for_player2_payoff")
+    if dogda and not games_mod.solve_affine(game.A.T, game.c).feasible:
+        return _invalid(geo, "aux_constraint_infeasible_for_player1_payoff")
+    if CouplingSpectrum(game, algo).divergent(eta):
         return _invalid(geo, "eta_in_divergent_regime")
-    x_inf = _orthogonal_affine(ns.x_star, ns.x_part.directions, init.x)
-    y_inf = _orthogonal_affine(ns.y_star, ns.y_part.directions, init.y)
+    # the Nash points are least-norm solutions, hence orthogonal to the kernels
+    x_inf = ns.x_star + linalg.project(init.x, ns.x_part.directions)
+    y_inf = ns.y_star + linalg.project(init.y, ns.y_part.directions)
     return LimitPrediction(x_inf, y_inf, geo, True)
 
 
@@ -118,28 +121,6 @@ def _predict_general_sum(game: BilinearGame, eta: float,
                                            ns.y_part.directions, along=im_bt)
     except linalg.NotComplementaryError as exc:
         return _invalid(geo, f"subspaces_not_complementary: {exc}")
-    return LimitPrediction(x_inf, y_inf, geo, True)
-
-
-def _predict_dogda(game: BilinearGame, eta: float, init: IterateState) -> LimitPrediction:
-    """Each half of the doubled scheme is a plain zero-sum system; the played
-    pair converges to orthogonal projections onto the two Nash constraints."""
-    geo = Geometry.DOGDA_ORTHOGONAL
-    x_set = games_mod.solve_affine(game.B.T, game.f)
-    y_set = games_mod.solve_affine(game.A, game.b)
-    if not (x_set.feasible and y_set.feasible):
-        return _invalid(geo, "nash_set_empty")
-    # The aux constraints must be solvable too, else one half never settles.
-    if not games_mod.solve_affine(game.B, game.e).feasible:
-        return _invalid(geo, "aux_constraint_infeasible_for_player2_payoff")
-    if not games_mod.solve_affine(game.A.T, game.c).feasible:
-        return _invalid(geo, "aux_constraint_infeasible_for_player1_payoff")
-    for m in (game.A, game.B):
-        top = float(np.linalg.norm(m, 2)) ** 2
-        if top > 0 and eta >= 1.0 / math.sqrt(3.0 * top):
-            return _invalid(geo, "eta_in_divergent_regime")
-    x_inf = _orthogonal_affine(x_set.point, x_set.directions, init.x)
-    y_inf = _orthogonal_affine(y_set.point, y_set.directions, init.y)
     return LimitPrediction(x_inf, y_inf, geo, True)
 
 
@@ -165,20 +146,19 @@ def distance_to_nash(game: BilinearGame, init: IterateState) -> DistanceD:
     return DistanceD(float(np.linalg.norm(diff)))
 
 
-def _eigen_witness(game: BilinearGame, eta: float, mu: float,
-                   lam: complex) -> IterateState:
-    """Real initialization carried by the companion eigenvector for lam.
+def _eigen_witness(spec: CouplingSpectrum, eta: float, mu: float) -> IterateState:
+    """Real initialization carried by the companion eigenvector for the
+    dominant root lam of mu.
 
-    The eigenvector is assembled from the eigenspace characterization: pick a
-    (deterministic) eigenvector y of A^T A for mu, then the stacked vector
+    The eigenvector is assembled from the eigenspace characterization: take
+    the eigenvector y of A^T A for mu, then the stacked vector
     (lam*x, lam*y, x, y) with x = (1-2 lam) eta / (lam (1-lam)) A y is an
     eigenvector of the companion matrix.
     """
-    vals, vecs = linalg.sym_eig(game.A.T @ game.A)
-    idx = int(np.argmin(np.abs(vals - mu)))
-    if abs(vals[idx] - mu) > 1e-6 * max(1.0, abs(mu)):
-        raise ValueError(f"mu={mu} is not an eigenvalue of A^T A")
-    y_dir = vecs[:, idx]
+    game = spec.game
+    lam = rate_root(eta, mu)
+    vals, vecs = spec.ata_eig
+    y_dir = vecs[:, int(np.argmin(np.abs(vals - mu)))]
     coeff = (1.0 - 2.0 * lam) * eta / (lam * (1.0 - lam))
     x_dir = coeff * (game.A @ y_dir)
     z = np.concatenate([lam * x_dir, lam * y_dir, x_dir, y_dir])
@@ -190,39 +170,32 @@ def _eigen_witness(game: BilinearGame, eta: float, mu: float,
     return IterateState.of(z_real / np.linalg.norm(z_real), game.n)
 
 
+def _witness_spectrum(game: BilinearGame, witness: str) -> CouplingSpectrum:
+    """The spectrum a witness is built from: zero-sum, with some coupling."""
+    if not game.zero_sum:
+        raise ValueError(f"{witness} expects a zero-sum game")
+    spec = CouplingSpectrum(game)
+    if spec.mu_min is None:
+        raise ZeroMatrixError("witness undefined for the zero coupling matrix")
+    return spec
+
+
 def tight_witness(game: BilinearGame, eta: float) -> IterateState:
     """Initialization whose distance to the limit decays at exactly the
     closed-form ratio (the slowest achievable decay)."""
-    if not game.zero_sum:
-        raise ValueError("tight_witness expects a zero-sum game")
-    report = rate_report(game, eta)
-    if report.mu_min is None:
-        raise ZeroMatrixError("witness undefined for the zero coupling matrix")
+    spec = _witness_spectrum(game, "tight_witness")
+    report = rate_curve(spec, [eta])[0]
     if report.eta_regime is Regime.DIVERGENT:
         raise DivergentRegimeError(
             f"eta={eta} is beyond the convergence threshold")
-    if report.lambda_star >= report.lambda_dstar:
-        mu = report.mu_min
-        lam = complex(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - 4 * eta * eta * mu))),
-                      eta * math.sqrt(mu))
-    else:
-        mu = report.mu_max
-        lam = complex(0.5, 0.5 * (math.sqrt(max(0.0, 4 * eta * eta * mu - 1.0))
-                                  + 2.0 * eta * math.sqrt(mu)))
-    return _eigen_witness(game, eta, mu, lam)
+    slow = report.lambda_star >= report.lambda_dstar
+    return _eigen_witness(spec, eta, spec.mu_min if slow else spec.mu_max)
 
 
 def divergence_witness(game: BilinearGame, eta: float) -> IterateState:
     """Initialization aligned with an expanding eigendirection (|lambda| > 1);
-    only exists beyond the step-size threshold."""
-    if not game.zero_sum:
-        raise ValueError("divergence_witness expects a zero-sum game")
-    report = rate_report(game, eta)
-    if report.mu_min is None:
-        raise ZeroMatrixError("witness undefined for the zero coupling matrix")
-    mu = report.mu_max
-    x = eta * math.sqrt(mu)
-    if x <= 1.0 / math.sqrt(3.0):
+    only exists beyond the step-size threshold (at it the root has modulus 1)."""
+    spec = _witness_spectrum(game, "divergence_witness")
+    if eta * math.sqrt(spec.mu_max) <= DIVERGENCE_THRESHOLD:
         raise ValueError(f"eta={eta} is inside the convergence range")
-    lam = complex(0.5, 0.5 * (math.sqrt(4.0 * x * x - 1.0) + 2.0 * x))
-    return _eigen_witness(game, eta, mu, lam)
+    return _eigen_witness(spec, eta, spec.mu_max)

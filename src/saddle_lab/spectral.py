@@ -30,6 +30,7 @@ MEMBERSHIP_REL_TOL = 1e-9       # for "1/(4 eta^2) in S(A)" and the rate indicat
 REALITY_REL_TOL = 1e-8          # for accepting Sp(B^T A) as real non-positive
 GRAM_CLUSTER_REL_TOL = 1e-12    # merges Gram eigenvalues, times max(1, largest)
 DIAGONALIZABLE_REL_TOL = 1e-8   # singular values counted as null, times max(1, ||m||_F)
+DIVERGENCE_THRESHOLD = 1.0 / math.sqrt(3.0)  # eta sqrt(mu_max) from which the Gram cases diverge
 
 
 class InvalidRatioError(ValueError):
@@ -152,6 +153,16 @@ def rate_lambda_dstar(eta, mu):
     return np.sqrt(2.0 * x2 + eta * np.sqrt(mu) * np.sqrt(np.maximum(0.0, 4.0 * x2 - 1.0)))
 
 
+def rate_root(eta: float, mu: float) -> complex:
+    """The dominant root of S*(-mu) for mu >= 0, in the upper half-plane: its
+    modulus is rate_lambda_star(eta, mu) for mu up to 1/(4 eta^2) and
+    rate_lambda_dstar(eta, mu) above."""
+    x2 = eta * eta * mu
+    if 4.0 * x2 <= 1.0:
+        return complex(0.5 * (1.0 + math.sqrt(1.0 - 4.0 * x2)), eta * math.sqrt(mu))
+    return complex(0.5, 0.5 * (math.sqrt(4.0 * x2 - 1.0) + 2.0 * eta * math.sqrt(mu)))
+
+
 def _angle_constant_low(eta, mu):
     # valid when eta*sqrt(mu) < 1/2
     ratio = (1.0 + 5.0 * eta * eta * mu) / (2.0 + eta * eta * mu)
@@ -222,7 +233,9 @@ class CouplingSpectrum:
     that the spectrum is real and non-positive. `positives` are the
     numerically positive values, ascending. `assumptions` are the conditions
     a report checks, in order, and `violated` names the one that fails at
-    every step size (None when the step size decides).
+    every step size (None when the step size decides). The Gram spectra keep
+    the eigenpairs of A^T A in `ata_eig` (values descending, vectors as
+    columns); the other spectra have None there.
     """
 
     def __init__(self, game: BilinearGame, algo: Algo = Algo.OGDA):
@@ -231,6 +244,7 @@ class CouplingSpectrum:
         self.mu_imag_max = 0.0
         self.violated: str | None = None
         self.general_sum = False
+        self.ata_eig: tuple[np.ndarray, np.ndarray] | None = None
         if self.algo is Algo.GDA:
             self.assumptions: tuple[str, ...] = ()
             self.violated = "no_convergence_theory_for_gda"
@@ -248,8 +262,9 @@ class CouplingSpectrum:
             self._coupling()
         self.mu_min = float(self.positives[0]) if self.positives.size else None
 
-    def _gram(self, *grams: np.ndarray) -> None:
-        mus = np.maximum(np.concatenate([linalg.sym_eig(m)[0] for m in grams]), 0.0)
+    def _gram(self, ata: np.ndarray, other: np.ndarray) -> None:
+        self.ata_eig = linalg.sym_eig(ata)
+        mus = np.maximum(np.concatenate([self.ata_eig[0], linalg.sym_eig(other)[0]]), 0.0)
         scale = max(1.0, mus.max(initial=0.0))
         distinct = cluster_scalars(mus, GRAM_CLUSTER_REL_TOL * scale).values.real
         self.mu_max = float(distinct.max(initial=0.0))
@@ -271,6 +286,11 @@ class CouplingSpectrum:
                                                (self.game.n, self.game.p)))
         if not (real_ok and nonpos_ok):
             self.violated = "spectrum_real_nonpositive"
+
+    def divergent(self, eta):
+        """eta sqrt(mu_max) at or above DIVERGENCE_THRESHOLD, where zero-sum
+        OGDA and DOGDA diverge (eta may be an array)."""
+        return eta * math.sqrt(self.mu_max) >= DIVERGENCE_THRESHOLD
 
     @functools.cached_property
     def invertible(self) -> bool:
@@ -364,7 +384,7 @@ def _zero_sum_curve(curve: RateCurve) -> None:
     curve.lambda_max = np.maximum(curve.lambda_star, curve.lambda_dstar)
     # Knife-edge: the companion matrix is defective, only near-rate bounds hold.
     hits_quarter = (np.abs(spec.positives - quarter[:, None]) <= member_tol).any(axis=1)
-    divergent = eta * math.sqrt(mu_max) >= 1.0 / math.sqrt(3.0)
+    divergent = spec.divergent(eta)
     small = eta < 0.5 / math.sqrt(mu_max)
     bounded = ~(divergent | hits_quarter)
     curve.C[bounded] = _zero_sum_constant(eta[bounded], spec.positives)

@@ -550,7 +550,7 @@ def suite_optimal_eta_argmin(rng: np.random.Generator) -> CheckResult:
     every grid point (the curve has a square-root kink at the optimum, so the
     grid can only approach from above)."""
     worst = 0.0
-    grid = np.linspace(0.02, 1.0 / math.sqrt(3.0) - 1e-6, 400)
+    grid = np.linspace(0.02, spectral.DIVERGENCE_THRESHOLD - 1e-6, 400)
     for alpha in np.arange(0.05, 1.0001, 0.05):
         mu_min, mu_max = float(alpha), 1.0
         eta_star, lam_star = spectral.optimal_eta(mu_min, mu_max)

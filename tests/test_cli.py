@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -360,6 +361,33 @@ class TestSweep:
         assert cli.main(["sweep", "--config", cfg,
                          "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("eta", [
+        {"start": 0.1, "stop": 0.2, "step": 1e-300},      # about 1e299 points
+        {"start": 1e-300, "stop": 1e300, "step": 1e-300},  # a count of inf
+        {"start": 0.1, "stop": 0.2, "step": 1e-7}])
+    def test_too_many_points_exit_one(self, tmp_path, capsys, eta):
+        cfg = write_config(tmp_path, zero_sum_config(eta))
+        start = time.perf_counter()
+        assert cli.main(["sweep", "--config", cfg,
+                         "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG_ERROR
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error:")
+        assert f"more than {cli.MAX_SWEEP_POINTS} points" in err
+
+    def test_point_cap(self):
+        def count(stop):
+            eta = {"start": 1.0, "stop": stop, "step": 1.0}
+            return len(cli.parse_config(zero_sum_config(eta)).etas())
+
+        assert cli.MAX_SWEEP_POINTS == 1000
+        assert count(1000.0) == 1000
+        # (stop - start) / step + 1e-9 is 999.9999999999999, then exactly 1000.0
+        assert count(math.nextafter(1000.999999999, 0.0)) == 1000
+        for stop in (1000.999999999, 1001.0):
+            with pytest.raises(cli.ConfigError, match="more than 1000 points"):
+                count(stop)
+
 
 class TestVerifyCommand:
     def test_full_suite_passes(self, verify_command):
@@ -389,12 +417,31 @@ MUTABLE = [cfg for name in ("matching-pennies-ogda", "matching-pennies-gda",
                             "wgan-dagger") for cfg in cli.PRESETS[name]()]
 
 
+def sweep_base(cfg):
+    """The preset as a five-point sweep up to its step size, short runs."""
+    eta = cfg["eta"]
+    return dict(cfg, eta={"start": eta / 2, "stop": eta, "step": eta / 8}, max_steps=200)
+
+
+SWEEPABLE = [sweep_base(cfg) for cfg in MUTABLE]
+# start > stop, and zero, tiny, huge and too fine steps
+RANGE_MUTATIONS = st.sampled_from([
+    {"start": 0.5, "stop": 0.1}, {"step": 0.0}, {"step": 1e-300}, {"step": 1e300},
+    {"step": 1e-7}, {"start": 1e-300, "stop": 1e300, "step": 1e-300}])
+EXIT_CODES = {"run": (cli.EXIT_OK, cli.EXIT_CONFIG_ERROR),
+              "analyze": (cli.EXIT_OK, cli.EXIT_CONFIG_ERROR, cli.EXIT_INAPPLICABLE),
+              "sweep": (cli.EXIT_OK, cli.EXIT_CONFIG_ERROR)}
+MUTATION_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None,
+                             suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
 class TestMutatedConfigs:
-    @settings(max_examples=60, derandomize=True, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.data())
-    def test_runs_or_exits_one(self, tmp_path, capsys, data):
-        obj = json.loads(json.dumps(data.draw(st.sampled_from(MUTABLE))))
+    def run_mutated(self, tmp_path, capsys, data, command, base):
+        """Mutate a draw from `base` one to three times, run `command` on it,
+        and check the exit code and the stderr of an exit 1."""
+        obj = json.loads(json.dumps(data.draw(st.sampled_from(base))))
+        if command == "sweep" and data.draw(st.booleans()):
+            obj["eta"].update(data.draw(RANGE_MUTATIONS))
         for _ in range(data.draw(st.integers(1, 3))):
             path = data.draw(st.sampled_from(list(json_paths(obj))))
             parent = obj
@@ -410,11 +457,28 @@ class TestMutatedConfigs:
         cfg.write_text(json.dumps(obj))
         out = tmp_path / "out"
         capsys.readouterr()
-        code = cli.main(["run", "--config", str(cfg), "--out-dir", str(out)])
+        code = cli.main([command, "--config", str(cfg), "--out-dir", str(out)])
         err = capsys.readouterr().err
-        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG_ERROR)
+        assert code in EXIT_CODES[command]
         if code == cli.EXIT_CONFIG_ERROR:
-            assert err.count("\n") == 1 and err.startswith("config error:")
+            assert err.count("\n") == 1
+            assert err.startswith("config error:") or (
+                command == "sweep" and err == "no eta in the requested range is applicable\n")
         else:
             for path in out.glob("*.json"):
                 json.loads(path.read_text(), parse_constant=reject_constant)
+
+    @MUTATION_SETTINGS
+    @given(st.data())
+    def test_runs_or_exits_one(self, tmp_path, capsys, data):
+        self.run_mutated(tmp_path, capsys, data, "run", MUTABLE)
+
+    @MUTATION_SETTINGS
+    @given(st.data())
+    def test_analyze_exits_zero_one_or_two(self, tmp_path, capsys, data):
+        self.run_mutated(tmp_path, capsys, data, "analyze", MUTABLE)
+
+    @MUTATION_SETTINGS
+    @given(st.data())
+    def test_sweep_runs_or_exits_one(self, tmp_path, capsys, data):
+        self.run_mutated(tmp_path, capsys, data, "sweep", SWEEPABLE)

@@ -65,6 +65,69 @@ class TestPredictLimit:
         assert pred.valid and pred.geometry is Geometry.DOGDA_ORTHOGONAL
         assert np.allclose(pred.x_inf, 0.0) and np.allclose(pred.y_inf, 0.0)
 
+    def test_dogda_aux_constraints_infeasible(self):
+        # B z + e = 0 has no solution, while the Nash constraints do
+        g = BilinearGame(A=np.eye(2), B=np.diag([1.0, 0.0]), b=np.zeros(2), c=np.zeros(2),
+                         e=np.array([0.0, 1.0]), f=np.zeros(2), d=0.0, g=0.0)
+        init = IterateState.at([1.0, 1.0], [1.0, 1.0])
+        pred = predict.predict_limit(g, Algo.DOGDA, 0.1, init)
+        assert not pred.valid and pred.geometry is Geometry.DOGDA_ORTHOGONAL
+        assert pred.reason == "aux_constraint_infeasible_for_player2_payoff"
+        # A^T w + c = 0 has no solution
+        g = BilinearGame(A=np.diag([1.0, 0.0]), B=np.eye(2), b=np.zeros(2),
+                         c=np.array([0.0, 1.0]), e=np.zeros(2), f=np.zeros(2), d=0.0, g=0.0)
+        pred = predict.predict_limit(g, Algo.DOGDA, 0.1, init)
+        assert pred.reason == "aux_constraint_infeasible_for_player1_payoff"
+
+    def test_dogda_divergence_matches_per_matrix_rule(self):
+        def per_matrix_rule(game, eta):
+            for m in (game.A, game.B):
+                top = float(np.linalg.norm(m, 2)) ** 2
+                if top > 0 and eta >= 1.0 / math.sqrt(3.0 * top):
+                    return True
+            return False
+
+        # only B crosses the threshold: |A|^2 = 1/4, |B|^2 = 4
+        g = BilinearGame.from_matrices([[0.5]], [[2.0]])
+        init = IterateState.at([1.0], [1.0])
+        pred = predict.predict_limit(g, Algo.DOGDA, 0.3, init)
+        assert pred.reason == "eta_in_divergent_regime"
+        assert per_matrix_rule(g, 0.3) and 0.3 * 0.5 < 1.0 / math.sqrt(3.0)
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            g = BilinearGame.from_matrices(rng.normal(size=(3, 3)),
+                                           3.0 * rng.normal(size=(3, 3)))
+            top = max(np.linalg.norm(g.A, 2), np.linalg.norm(g.B, 2))
+            for k in (0.2, 0.5, 0.57, 0.58, 0.9, 2.0):
+                eta = k / top
+                pred = predict.predict_limit(g, Algo.DOGDA, eta, IterateState.at(
+                    rng.normal(size=3), rng.normal(size=3)))
+                assert (pred.reason == "eta_in_divergent_regime") == per_matrix_rule(g, eta)
+                assert pred.valid != per_matrix_rule(g, eta)
+
+    def test_dogda_zero_coupling_valid_at_any_step(self):
+        g = BilinearGame.from_matrices(np.zeros((2, 3)), np.zeros((2, 3)))
+        init = IterateState.at([1.0, -2.0], [0.5, 3.0, -1.0])
+        for eta in (0.1, 10.0, 1e6):
+            pred = predict.predict_limit(g, Algo.DOGDA, eta, init)
+            assert pred.valid
+            assert np.array_equal(pred.x_inf, init.x) and np.array_equal(pred.y_inf, init.y)
+
+    def test_orthogonal_path_evaluates_no_rate_curve(self, monkeypatch):
+        curves = []
+        init_curve = spectral.RateCurve.__init__
+
+        def counted(self, *args):
+            curves.append(args)
+            init_curve(self, *args)
+
+        monkeypatch.setattr(spectral.RateCurve, "__init__", counted)
+        init = IterateState.at([1.0, 1.0], [1.0, 1.0])
+        for algo in (Algo.OGDA, Algo.DOGDA):
+            for eta in (0.3, 0.7):
+                predict.predict_limit(wgan_game(), algo, eta, init)
+        assert curves == []
+
     def test_gda_invalid(self):
         pred = predict.predict_limit(PENNIES, Algo.GDA, 0.1,
                                      IterateState.at([1.0], [1.0]))
@@ -181,6 +244,32 @@ class TestWitnesses:
         traj = dynamics.run(PENNIES, Algo.OGDA, 0.6, w, max_steps=10000,
                             blow_cap=1e6)
         assert traj.stop_reason is StopReason.DIVERGED
+
+    def test_tight_witness_decomposes_once(self, monkeypatch):
+        calls = []
+        sym_eig = linalg.sym_eig
+
+        def counted(m):
+            calls.append(m.shape)
+            return sym_eig(m)
+
+        monkeypatch.setattr(linalg, "sym_eig", counted)
+        g = BilinearGame.zero_sum_game(np.diag([1.0, 2.0]))
+        predict.tight_witness(g, 0.2)
+        assert calls == [(2, 2), (2, 2)]  # A^T A and A A^T, once each
+
+    def test_divergence_witness_at_the_threshold(self):
+        # eta sqrt(mu_max) = 1/sqrt(3) is divergent, but its dominant root
+        # has modulus 1: there is no expanding direction to align with
+        eta = 1.0 / math.sqrt(3.0)
+        assert predict.predict_limit(PENNIES, Algo.OGDA, eta,
+                                     IterateState.at([1.0], [1.0])).reason == (
+            "eta_in_divergent_regime")
+        assert abs(spectral.rate_root(eta, 1.0)) == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(ValueError, match="inside the convergence range"):
+            predict.divergence_witness(PENNIES, eta)
+        w = predict.divergence_witness(PENNIES, math.nextafter(eta, 1.0))
+        assert np.linalg.norm(w.stacked()) == pytest.approx(1.0)
 
     def test_divergence_witness_needs_large_eta(self):
         with pytest.raises(ValueError):

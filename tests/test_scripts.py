@@ -1,0 +1,37 @@
+"""The end-to-end scripts, run in process into a temporary directory."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from saddle_lab import cli, spectral
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, out, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [name, str(out)])
+    return module.main()
+
+
+def test_reproduce_experiments(tmp_path, monkeypatch):
+    assert run_script("reproduce_experiments", tmp_path, monkeypatch) == 0
+    for preset in cli.PRESETS.values():
+        for cfg in preset():
+            assert (tmp_path / f"{cfg['name']}.csv").stat().st_size > 0
+            json.loads((tmp_path / f"{cfg['name']}.verify.json").read_text())
+
+
+def test_step_size_sweep_finds_the_optimum(tmp_path, monkeypatch):
+    assert run_script("step_size_sweep", tmp_path, monkeypatch) == 0
+    text = (tmp_path / "diag12-sweep.sweep.csv").read_text()
+    prefix = "# empirical_argmin_eta="
+    [argmin] = [line[len(prefix):] for line in text.splitlines() if line.startswith(prefix)]
+    # within one grid step of the closed form
+    assert float(argmin) == pytest.approx(spectral.optimal_eta(1.0, 4.0)[0], abs=0.005)

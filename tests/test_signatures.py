@@ -11,7 +11,7 @@ import inspect
 
 import pytest
 
-from saddle_lab import dynamics, games, linalg, spectral, verify
+from saddle_lab import dynamics, games, linalg, predict, spectral, verify
 
 PARAMETERS = {
     linalg.span: ["vectors"],
@@ -32,6 +32,12 @@ PARAMETERS = {
     spectral.CouplingSpectrum: ["game", "algo"],
     spectral.rate_curve: ["spec", "etas"],
     spectral.is_diagonalizable: ["m"],
+    spectral.rate_root: ["eta", "mu"],
+    # the benchmark workloads call these four positionally
+    predict.predict_limit: ["game", "algo", "eta", "init"],
+    predict.tight_witness: ["game", "eta"],
+    predict.divergence_witness: ["game", "eta"],
+    predict.distance_to_nash: ["game", "init"],
     verify.estimate_rate: ["traj", "limit"],
     verify.check_bound: ["traj", "report", "D", "limit"],
     verify.classify: ["traj", "game"],
@@ -59,6 +65,8 @@ def test_removed_methods_stay_removed():
     assert not hasattr(linalg.ComplexScalarSet, "max_modulus")
     assert not hasattr(linalg.SubspaceBasis, "orthonormalized")
     assert not hasattr(dynamics.IterateState, "block_norms")
+    assert not hasattr(predict, "_predict_dogda")
+    assert not hasattr(predict, "_predict_zero_sum")
 
 
 def test_one_stored_form_of_a_state():
