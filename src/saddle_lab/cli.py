@@ -244,16 +244,12 @@ def _json_dump(obj, path: Path | None) -> str:
     return text
 
 
-def _analysis_payload(cfg: ExperimentConfig, eta: float) -> dict:
-    report = spectral.rate_report(cfg.game, eta, cfg.algo)
-    pred = predict.predict_limit(cfg.game, cfg.algo, eta, cfg.init)
-    return {"report": report.to_json(), "limit": pred.to_json()}
-
-
 def cmd_analyze(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     if cfg.eta is None:
         raise ConfigError("analyze needs a scalar eta")
-    payload = _analysis_payload(cfg, cfg.eta)
+    report = spectral.rate_report(cfg.game, cfg.eta, cfg.algo)
+    pred = predict.predict_limit(cfg.game, cfg.algo, cfg.eta, cfg.init)
+    payload = {"report": report.to_json(), "limit": pred.to_json()}
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / f"{cfg.name}.analysis.json" if out_dir else None
@@ -262,8 +258,7 @@ def cmd_analyze(cfg: ExperimentConfig, out_dir: Path | None) -> int:
         sys.stdout.write(text)
     else:
         print(f"wrote {target}")
-    regime = payload["report"]["eta_regime"]
-    return EXIT_OK if regime in ("Part2", "Part3a", "Part3b") else EXIT_INAPPLICABLE
+    return EXIT_OK if report.applicable else EXIT_INAPPLICABLE
 
 
 def _fit_one(cfg: ExperimentConfig, eta: float) -> tuple[Trajectory, LimitPrediction,

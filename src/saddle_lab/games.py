@@ -112,20 +112,24 @@ def payoffs(game: BilinearGame, x, y):
 
 @dataclass
 class AffineSet:
-    """Solution set {z : M z + r = 0} as particular point + kernel directions."""
+    """Solution set {z : M z + r = 0} as particular point + kernel directions,
+    with the image Im(M) of the same SVD."""
 
     point: np.ndarray
     directions: SubspaceBasis
     feasible: bool
     residual: float
+    image: SubspaceBasis
 
 
 def solve_affine(M: np.ndarray, rhs: np.ndarray) -> AffineSet:
-    """Least-squares particular solution of M z = -rhs, plus Ker(M)."""
-    point = -linalg.pinv(M) @ rhs
+    """Least-squares particular solution of M z = -rhs, plus Ker(M) and Im(M),
+    all from one SVD of M."""
+    svd = linalg.svd_rank(M)
+    point = -svd.pinv() @ rhs
     residual = float(np.linalg.norm(M @ point + rhs))
     feasible = residual <= FEASIBILITY_REL_TOL * (1.0 + float(np.linalg.norm(rhs)))
-    return AffineSet(point, linalg.kernel_basis(M), feasible, residual)
+    return AffineSet(point, svd.kernel(), feasible, residual, svd.image())
 
 
 @dataclass

@@ -7,6 +7,7 @@ JSON as {"rows": n, "cols": p, "data": [row-major reals]}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,8 +18,6 @@ MAX_ORACLE_DIM = 64
 SYMMETRY_REL_TOL = 1e-10
 # eig_complex clusters eigenvalues within this times max(1, largest modulus)
 EIG_CLUSTER_REL_TOL = 1e-8
-# subspaces_equal accepts a largest principal angle below this (radians)
-SUBSPACE_ANGLE_TOL = 1e-8
 # an oblique projection needs sigma_min of [onto | along] (orthonormal) above this
 COMPLEMENT_SIGMA_MIN = 1e-8
 
@@ -110,26 +109,8 @@ class SubspaceBasis:
 
 
 def span(vectors) -> SubspaceBasis:
-    """Orthonormal basis of the span of the row-listed vectors.
-
-    Independent vectors keep their QR basis. When the R diagonal shows a
-    rank below the number of vectors, the unpivoted QR may have kept the
-    wrong columns, so the basis is the leading left singular vectors.
-    """
-    cols = np.atleast_2d(np.asarray(vectors, dtype=float)).T
-    tol = default_rank_tol(cols)
-    q, r = np.linalg.qr(cols)
-    diag = np.abs(np.diag(r))
-    keep = diag > tol * max(1.0, diag.max(initial=0.0))
-    if np.count_nonzero(keep) == cols.shape[1]:
-        return SubspaceBasis(cols.shape[0], q[:, keep])
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    rank = int(np.count_nonzero(s > tol * max(1.0, s.max(initial=0.0))))
-    return SubspaceBasis(cols.shape[0], u[:, :rank])
-
-
-def full_space(n: int) -> SubspaceBasis:
-    return SubspaceBasis(n, np.eye(n))
+    """Orthonormal basis of the span of the row-listed vectors."""
+    return svd_rank(np.atleast_2d(np.asarray(vectors, dtype=float)).T).image()
 
 
 @dataclass
@@ -224,45 +205,51 @@ def eig_complex(m) -> ComplexScalarSet:
     return ComplexScalarSet(values[order], mults[order])
 
 
-def pinv(a) -> np.ndarray:
-    """Moore-Penrose inverse via SVD; singular values below default_rank_tol*s_max drop to 0."""
+class RankedSVD(NamedTuple):
+    """Full SVD a = u diag(s) vh, of which the leading `rank` singular values
+    count as nonzero."""
+
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+    rank: int
+
+    def pinv(self) -> np.ndarray:
+        """Moore-Penrose inverse: the singular values past the rank drop to 0."""
+        r = self.rank
+        return (self.vh[:r].T * (1.0 / self.s[:r])) @ self.u[:, :r].T
+
+    def kernel(self) -> SubspaceBasis:
+        """Orthonormal basis of the null space (may be empty)."""
+        return SubspaceBasis(self.vh.shape[1], self.vh[self.rank:].T.copy())
+
+    def image(self) -> SubspaceBasis:
+        """Orthonormal basis of the column space."""
+        return SubspaceBasis(self.u.shape[0], self.u[:, :self.rank].copy())
+
+
+def svd_rank(a) -> RankedSVD:
+    """Full SVD of `a` and its numerical rank, the count of singular values
+    above default_rank_tol(a) times the largest. Every rank decision on a
+    matrix (pseudoinverse, kernel, image, span, Gram spectra) reads it."""
     m = as_matrix(a)
-    if m.size == 0:
-        return m.T.copy()
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    cutoff = default_rank_tol(m) * (s[0] if s.size else 0.0)
-    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
-    return (vh.T * inv_s) @ u.T
+    u, s, vh = np.linalg.svd(m)
+    rank = int(np.count_nonzero(s > default_rank_tol(m) * s.max(initial=0.0)))
+    return RankedSVD(u, s, vh, rank)
+
+
+def pinv(a) -> np.ndarray:
+    """Moore-Penrose inverse of `a` (see RankedSVD.pinv)."""
+    return svd_rank(a).pinv()
 
 
 def matrix_rank(a) -> int:
-    m = as_matrix(a)
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(s > default_rank_tol(m) * s[0]))
+    return svd_rank(a).rank
 
 
 def kernel_basis(a) -> SubspaceBasis:
     """Orthonormal basis of the numerical null space of `a` (may be empty)."""
-    m = as_matrix(a)
-    cols = m.shape[1]
-    if m.size == 0:
-        return SubspaceBasis(cols, np.eye(cols))
-    _, s, vh = np.linalg.svd(m)
-    rank = int(np.sum(s > default_rank_tol(m) * s[0])) if s.size else 0
-    return SubspaceBasis(cols, vh[rank:].T.copy())
-
-
-def image_basis(a) -> SubspaceBasis:
-    """Orthonormal basis of the column space of `a`."""
-    m = as_matrix(a)
-    rows = m.shape[0]
-    if m.size == 0:
-        return SubspaceBasis(rows, np.zeros((rows, 0)))
-    u, s, _ = np.linalg.svd(m)
-    rank = int(np.sum(s > default_rank_tol(m) * s[0])) if s.size else 0
-    return SubspaceBasis(rows, u[:, :rank].copy())
+    return svd_rank(a).kernel()
 
 
 def project(v, onto: SubspaceBasis, along: SubspaceBasis | None = None) -> np.ndarray:
@@ -306,10 +293,3 @@ def principal_angles(b1: SubspaceBasis, b2: SubspaceBasis) -> np.ndarray:
     sines = np.sort(np.clip(np.linalg.svd(resid, compute_uv=False), 0.0, 1.0))[::-1]
     k = min(len(sines), len(cosines))
     return np.sort(np.arctan2(sines[:k], cosines[:k]))
-
-
-def subspaces_equal(b1: SubspaceBasis, b2: SubspaceBasis) -> bool:
-    if b1.dim != b2.dim:
-        return False
-    ang = principal_angles(b1, b2)
-    return bool(ang.size == 0 or ang.max() < SUBSPACE_ANGLE_TOL)

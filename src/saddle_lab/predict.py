@@ -112,13 +112,12 @@ def _predict_general_sum(game: BilinearGame, eta: float,
     ns = games_mod.nash_set(game)
     if not ns.nonempty:
         return _invalid(geo, "nash_set_empty")
-    im_a = linalg.image_basis(game.A)
-    im_bt = linalg.image_basis(game.B.T)
+    # x projects along Im(A) (the y solve's image), y along Im(B^T) (the x solve's)
     try:
         x_inf = ns.x_star + linalg.project(init.x - ns.x_star,
-                                           ns.x_part.directions, along=im_a)
+                                           ns.x_part.directions, along=ns.y_part.image)
         y_inf = ns.y_star + linalg.project(init.y - ns.y_star,
-                                           ns.y_part.directions, along=im_bt)
+                                           ns.y_part.directions, along=ns.x_part.image)
     except linalg.NotComplementaryError as exc:
         return _invalid(geo, f"subspaces_not_complementary: {exc}")
     return LimitPrediction(x_inf, y_inf, geo, True)

@@ -218,19 +218,13 @@ class SpectralReport:
         }
 
 
-def _positive_mus(mus: np.ndarray, mu_max: float, dims: tuple[int, int]) -> np.ndarray:
-    """Drop eigenvalues that are numerically zero (kernel directions)."""
-    cutoff = max(dims) * np.finfo(float).eps * max(mu_max, 1e-300)
-    return mus[mus > cutoff]
-
-
 class CouplingSpectrum:
     """The part of the rate analysis of one (game, algo) that no step size changes.
 
     Zero-sum OGDA pools the spectra of A^T A and A A^T, DOGDA those of A^T A
-    and B^T B, each clipped at 0 and clustered. General-sum OGDA takes the
-    magnitudes of the non-positive real parts of Sp(B^T A), with the checks
-    that the spectrum is real and non-positive. `positives` are the
+    and B^T B, both read from the SVDs of A (and B). General-sum OGDA takes
+    the magnitudes of the non-positive real parts of Sp(B^T A), with the
+    checks that the spectrum is real and non-positive. `positives` are the
     numerically positive values, ascending. `assumptions` are the conditions
     a report checks, in order, and `violated` names the one that fails at
     every step size (None when the step size decides). The Gram spectra keep
@@ -251,10 +245,11 @@ class CouplingSpectrum:
             self.mu_set, self.mu_max, self.positives = [], 0.0, np.zeros(0)
         elif self.algo is Algo.DOGDA:
             self.assumptions = ("eta_below_half_threshold",)
-            self._gram(game.A.T @ game.A, game.B.T @ game.B)
+            self._gram((game.A, game.B), game.p)
         elif game.zero_sum:
             self.assumptions = ("eta_below_divergence_threshold",)
-            self._gram(game.A.T @ game.A, game.A @ game.A.T)
+            # A^T A is p x p and A A^T is n x n
+            self._gram((game.A,), max(game.n, game.p))
         else:
             self.general_sum = True
             self.assumptions = ("spectrum_real_nonpositive", "eta_below_half_threshold",
@@ -262,15 +257,22 @@ class CouplingSpectrum:
             self._coupling()
         self.mu_min = float(self.positives[0]) if self.positives.size else None
 
-    def _gram(self, ata: np.ndarray, other: np.ndarray) -> None:
-        self.ata_eig = linalg.sym_eig(ata)
-        mus = np.maximum(np.concatenate([self.ata_eig[0], linalg.sym_eig(other)[0]]), 0.0)
-        scale = max(1.0, mus.max(initial=0.0))
-        distinct = cluster_scalars(mus, GRAM_CLUSTER_REL_TOL * scale).values.real
-        self.mu_max = float(distinct.max(initial=0.0))
-        self.mu_set = sorted((float(v) for v in distinct), reverse=True)
-        self.positives = np.sort(_positive_mus(distinct, self.mu_max,
-                                               (self.game.n, self.game.p)))
+    def _gram(self, factors: tuple[np.ndarray, ...], size: int) -> None:
+        """Pool the Gram spectra of `factors` from their SVDs. The positives
+        are the squared singular values inside each factor's rank; `mu_set`
+        clusters them and holds 0 when a Gram product has a null direction,
+        that is, a factor's rank is below `size` or a square underflows."""
+        svds = [linalg.svd_rank(m) for m in factors]
+        first = svds[0]
+        self.ata_eig = (np.pad(first.s ** 2, (0, self.game.p - first.s.size)), first.vh.T)
+        squares = np.concatenate([svd.s[:svd.rank] ** 2 for svd in svds])
+        self.positives = np.sort(squares[squares > 0.0])
+        self.mu_max = float(self.positives.max(initial=0.0))
+        null = self.positives.size < squares.size or any(svd.rank < size for svd in svds)
+        scale = max(1.0, self.mu_max)
+        distinct = cluster_scalars(self.positives, GRAM_CLUSTER_REL_TOL * scale).values.real
+        self.mu_set = sorted([float(v) for v in distinct] + ([0.0] if null else []),
+                             reverse=True)
 
     def _coupling(self) -> None:
         mus = coupling_spectrum(self.game).values
@@ -282,8 +284,9 @@ class CouplingSpectrum:
         mu_mags = -mu_reals
         self.mu_max = float(mu_mags.max(initial=0.0))
         self.mu_set = sorted((float(v) for v in mu_reals), reverse=True)
-        self.positives = np.sort(_positive_mus(mu_mags, self.mu_max,
-                                               (self.game.n, self.game.p)))
+        # magnitudes within max(n, p) eps of mu_max are kernel directions
+        cutoff = max(self.game.n, self.game.p) * np.finfo(float).eps * max(self.mu_max, 1e-300)
+        self.positives = np.sort(mu_mags[mu_mags > cutoff])
         if not (real_ok and nonpos_ok):
             self.violated = "spectrum_real_nonpositive"
 

@@ -22,6 +22,7 @@ TRANSIENT_FRACTION = 0.2   # early eigen-mixture pollutes the slope
 ENVELOPE_SLACK = 1e-9      # absolute excess over the bound envelope that still passes
 COOP_CAP = 1e6             # both final payoffs above this for Cooperating
 COOP_TREND_POINTS = 50
+GROWTH_MU_MIN = 1e-12      # real coupling eigenvalues above this drive payoff growth
 
 
 class InsufficientDataError(ValueError):
@@ -106,12 +107,10 @@ def _expected_payoff_growth(game: BilinearGame, eta: float) -> float | None:
     spec = spectral.coupling_spectrum(game)
     reals = [mu.real for mu in spec.values
              if abs(mu.imag) <= spectral.REALITY_REL_TOL * (1.0 + abs(mu))
-             and mu.real > 1e-12]
+             and mu.real > GROWTH_MU_MIN]
     if not reals:
         return None
-    nu = math.sqrt(max(reals))
-    top_root = 0.5 * (1.0 + 2.0 * eta * nu + math.sqrt(1.0 + 4.0 * eta * eta * nu * nu))
-    return top_root ** 2
+    return float(np.abs(spectral.s_star_roots(max(reals), eta).roots).max()) ** 2
 
 
 def classify(traj: Trajectory, game: BilinearGame) -> OutcomeClass:

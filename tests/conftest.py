@@ -1,3 +1,7 @@
+"""Shared fixtures. pytest puts `src` on sys.path (`pythonpath` in
+pyproject.toml), so a bare `pytest` in a checkout imports saddle_lab without
+an install."""
+
 import pytest
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from saddle_lab import cli
+from saddle_lab import cli, games, spectral
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -83,6 +83,26 @@ class TestAnalyze:
         payload = json.loads((out / "pennies.analysis.json").read_text())
         assert payload["report"]["eta_regime"] == "Part2"
 
+    @pytest.mark.parametrize("data, b_data, algo, eta, regime", [
+        ([1.0], None, "OGDA", 0.3, "Part2"),
+        ([1.0, 0.0, 0.0, 2.0], None, "OGDA", 0.27, "Part3a"),
+        ([1.0], None, "OGDA", 0.5, "Part3b"),
+        ([1.0], None, "OGDA", 0.6, "Divergent"),
+        ([1.0], [1.0], "OGDA", 0.1, "Inapplicable"),
+        ([1.0], None, "GDA", 0.1, "Inapplicable")])
+    def test_exit_code_follows_applicable(self, tmp_path, capsys, data, b_data, algo,
+                                          eta, regime):
+        n = int(math.isqrt(len(data)))
+        shape = {"rows": n, "cols": n}
+        obj = zero_sum_config(eta, algo=algo, init={"x0": [1.0] * n, "y0": [1.0] * n})
+        obj["game"] = {"A": {**shape, "data": data},
+                       "B": None if b_data is None else {**shape, "data": b_data},
+                       "b": [0.0] * n, "c": [0.0] * n, "zero_sum": b_data is None}
+        code = cli.main(["analyze", "--config", write_config(tmp_path, obj)])
+        assert json.loads(capsys.readouterr().out)["report"]["eta_regime"] == regime
+        report = spectral.rate_report(games.game_from_json(obj["game"]), eta, algo)
+        assert code == (cli.EXIT_OK if report.applicable else cli.EXIT_INAPPLICABLE)
+
 
 class TestRun:
     def test_matching_pennies_preset(self, tmp_path):
@@ -95,6 +115,18 @@ class TestRun:
                              .read_text())
         assert verdict["stop_reason"] == "Converged"
         assert verdict["classification"]["kind"] == "Converged"
+        assert verdict["bound"]["ok"]
+
+    def test_tiny_singular_value_sets_the_ratio(self, tmp_path):
+        # 1e-9 is inside the rank of A, so Ker(A) = {0} and mu_min = 1e-18
+        obj = zero_sum_config(0.3, init={"x0": [1.0, 1.0], "y0": [1.0, 1.0]})
+        obj["game"] = {"A": {"rows": 2, "cols": 2, "data": [1.0, 0.0, 0.0, 1e-9]},
+                       "B": None, "b": [0.0, 0.0], "c": [0.0, 0.0], "zero_sum": True}
+        cli.main(["run", "--config", write_config(tmp_path, obj),
+                  "--out-dir", str(tmp_path)])
+        verdict = json.loads((tmp_path / "pennies.verify.json").read_text())
+        assert verdict["report"]["mu_min"] == pytest.approx(1e-18, rel=1e-12)
+        assert verdict["report"]["lambda_max"] == 1.0
         assert verdict["bound"]["ok"]
 
     def test_gda_preset_diverges_at_fixed_ratio(self, tmp_path):

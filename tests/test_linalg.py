@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +169,27 @@ class TestPinv:
         assert np.linalg.norm((ap @ a).T - ap @ a) < 1e-10
 
 
+class TestSvdRank:
+    def test_one_rank_feeds_every_subspace(self):
+        svd = linalg.svd_rank(np.diag([1.0, 1e-9, 0.0]))
+        assert svd.rank == 2
+        assert svd.kernel().dim == 1 and svd.image().dim == 2
+        assert np.allclose(svd.pinv(), np.diag([1.0, 1e9, 0.0]))
+        assert linalg.matrix_rank(np.diag([1.0, 1e-9, 0.0])) == 2
+
+    def test_rank_cutoff_is_applied_in_one_function(self):
+        package = Path(linalg.__file__).parent
+        callers = set()
+        for path in sorted(package.glob("*.py")):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if isinstance(fn, ast.FunctionDef) and any(
+                        isinstance(node, ast.Name) and node.id == "default_rank_tol"
+                        or isinstance(node, ast.Attribute) and node.attr == "default_rank_tol"
+                        for node in ast.walk(fn)):
+                    callers.add(f"{path.stem}.{fn.name}")
+        assert callers == {"linalg.svd_rank"}
+
+
 class TestKernels:
     def test_kernel_of_column_deficient(self):
         ker = linalg.kernel_basis(np.array([[1.0, 0.0], [2.0, 0.0]]))
@@ -232,10 +255,6 @@ class TestProject:
         along = linalg.span([[2.0, 1.0]])
         assert np.allclose(linalg.project([1.0, 1.0], onto, along=along),
                            [0.0, 0.5])
-
-    def test_full_space_is_identity(self):
-        v = rand_matrix(5, 1, 4)[0]
-        assert np.allclose(linalg.project(v, linalg.full_space(4)), v)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 6), st.integers(0, 2 ** 32 - 1))

@@ -247,16 +247,44 @@ class TestWitnesses:
 
     def test_tight_witness_decomposes_once(self, monkeypatch):
         calls = []
-        sym_eig = linalg.sym_eig
+        svd_rank = linalg.svd_rank
 
-        def counted(m):
-            calls.append(m.shape)
-            return sym_eig(m)
+        def counted(a):
+            calls.append(np.shape(a))
+            return svd_rank(a)
 
-        monkeypatch.setattr(linalg, "sym_eig", counted)
+        monkeypatch.setattr(linalg, "svd_rank", counted)
         g = BilinearGame.zero_sum_game(np.diag([1.0, 2.0]))
         predict.tight_witness(g, 0.2)
-        assert calls == [(2, 2), (2, 2)]  # A^T A and A A^T, once each
+        assert calls == [(2, 2)]  # one SVD of A gives A^T A and A A^T
+
+    @pytest.mark.parametrize("algo, decompositions", [(Algo.OGDA, 7), (Algo.DOGDA, 10)])
+    def test_analysis_op_decompositions(self, monkeypatch, algo, decompositions):
+        # one SVD per matrix and use: the spectrum (A, and B for DOGDA), each
+        # Nash solve of predict_limit and distance_to_nash, the DOGDA aux solves
+        rng = np.random.default_rng(5)
+        a = verify.random_matrix(rng, 4, 4)
+        game = (BilinearGame.zero_sum_game(a) if algo is Algo.OGDA
+                else BilinearGame.from_matrices(a, -verify.random_matrix(rng, 4, 4)))
+        init = IterateState.at(np.ones(4), np.ones(4))
+        calls = []
+
+        def counting(name):
+            real = getattr(np.linalg, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapped
+
+        for name in ("svd", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        spectral.rate_report(game, 0.1, algo)
+        assert predict.predict_limit(game, algo, 0.1, init).valid
+        predict.distance_to_nash(game, init)
+        if algo is Algo.OGDA:
+            predict.tight_witness(game, 0.1)
+        assert calls == ["svd"] * decompositions
 
     def test_divergence_witness_at_the_threshold(self):
         # eta sqrt(mu_max) = 1/sqrt(3) is divergent, but its dominant root

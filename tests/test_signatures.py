@@ -20,8 +20,7 @@ PARAMETERS = {
     linalg.pinv: ["a"],
     linalg.matrix_rank: ["a"],
     linalg.kernel_basis: ["a"],
-    linalg.image_basis: ["a"],
-    linalg.subspaces_equal: ["b1", "b2"],
+    linalg.svd_rank: ["a"],
     games.payoffs: ["game", "x", "y"],
     games.solve_affine: ["M", "rhs"],
     games.nash_set: ["game"],
@@ -67,6 +66,8 @@ def test_removed_methods_stay_removed():
     assert not hasattr(dynamics.IterateState, "block_norms")
     assert not hasattr(predict, "_predict_dogda")
     assert not hasattr(predict, "_predict_zero_sum")
+    for name in ("image_basis", "full_space", "subspaces_equal", "SUBSPACE_ANGLE_TOL"):
+        assert not hasattr(linalg, name), name
 
 
 def test_one_stored_form_of_a_state():

@@ -109,6 +109,48 @@ class TestCouplingSpectrum:
         assert len(spec) == min(n, p) + (n != p)
 
 
+class TestOneRankDecision:
+    def test_mu_min_is_the_smallest_singular_value_in_the_rank(self):
+        rng = np.random.default_rng(9)
+        deficient = 0
+        for _ in range(20):
+            n, p = (int(k) for k in rng.integers(2, 6, size=2))
+            k = min(n, p)
+            sig = 10.0 ** rng.uniform(-12.0, 0.0, size=k)
+            sig[0] = 1.0
+            sig[1:][rng.random(k - 1) < 0.3] = 0.0
+            u = np.linalg.qr(rng.normal(size=(n, k)))[0]
+            v = np.linalg.qr(rng.normal(size=(p, k)))[0]
+            game = BilinearGame.zero_sum_game((u * sig) @ v.T)
+            ns = games.nash_set(game)
+            rank = game.p - ns.y_part.directions.dim
+            assert game.n - ns.x_part.directions.dim == rank
+            spec = spectral.CouplingSpectrum(game)
+            assert spec.positives.size == rank
+            assert spec.mu_min == np.linalg.svd(game.A)[1][rank - 1] ** 2
+            deficient += rank < k
+        assert 0 < deficient < 20
+
+    @pytest.mark.parametrize("algo", [Algo.OGDA, Algo.DOGDA])
+    def test_mu_set_holds_zero_where_a_gram_product_is_singular(self, algo):
+        rng = np.random.default_rng(12)
+        seen = set()
+        for _ in range(30):
+            n, p = (int(k) for k in rng.integers(1, 5, size=2))
+            ranks = rng.integers(0, min(n, p) + 1, size=2)
+            a = verify.random_matrix(rng, n, p, int(ranks[0]))
+            if algo is Algo.OGDA:
+                game, grams = BilinearGame.zero_sum_game(a), [a.T @ a, a @ a.T]
+            else:
+                b = verify.random_matrix(rng, n, p, int(ranks[1]))
+                game, grams = BilinearGame.from_matrices(a, b), [a.T @ a, b.T @ b]
+            # nonzero singular values of random_matrix are at least 0.5
+            singular = any(np.linalg.eigh(g)[0].min() < 1e-8 for g in grams)
+            assert (0.0 in spectral.CouplingSpectrum(game, algo).mu_set) == singular
+            seen.add((singular, n == p))
+        assert {(True, True), (True, False), (False, True)} <= seen
+
+
 def spd_coupled_game(seed, n):
     """General-sum B = -A P with P symmetric positive definite, so
     Sp(B^T A) = -Sp(P A^T A) is real and negative."""
@@ -344,11 +386,13 @@ class TestRateCurve:
         assert checked > 300
 
     @pytest.mark.parametrize("game, algo, calls", [
-        (DIAG12, Algo.OGDA, {"sym_eig": 2, "eig_complex": 0}),
-        (DIAG12, Algo.DOGDA, {"sym_eig": 2, "eig_complex": 0}),
-        (spd_coupled_game(5, 3), Algo.OGDA, {"sym_eig": 0, "eig_complex": 1})])
+        (DIAG12, Algo.OGDA, {"svd_rank": 1, "eig_complex": 0}),
+        (DIAG12, Algo.DOGDA, {"svd_rank": 2, "eig_complex": 0}),
+        (spd_coupled_game(5, 3), Algo.OGDA, {"svd_rank": 2, "eig_complex": 1})])
     def test_decomposes_once_for_many_steps(self, monkeypatch, game, algo, calls):
-        counts = {"sym_eig": 0, "eig_complex": 0}
+        # one SVD of A (and of B for DOGDA); general-sum: one eigendecomposition
+        # of B^T A, and the ranks of A and B for the invertibility test
+        counts = {"svd_rank": 0, "eig_complex": 0}
 
         def counting(name):
             real = getattr(linalg, name)

@@ -63,6 +63,9 @@ class TestClassify:
         out = verify.classify(traj, g)
         assert out.kind is OutcomeKind.COOPERATING
         assert out.growth_ratio >= (1 + eta) ** 2 - 0.01
+        # the expected growth is the squared spectral radius of the dynamics
+        radius = np.abs(np.linalg.eigvals(dynamics.companion_matrix(g, eta))).max()
+        assert out.evidence["expected_growth_ratio"] == pytest.approx(radius ** 2, abs=1e-9)
 
     def test_zero_sum_convergence(self):
         traj = dynamics.run(PENNIES, Algo.OGDA, 0.3,
