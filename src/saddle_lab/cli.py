@@ -8,6 +8,7 @@ failure. Identical config + seed gives byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -19,7 +20,8 @@ import numpy as np
 from . import games as games_mod
 from . import predict, spectral, verify
 from .dynamics import (DEFAULT_BLOW_CAP, DEFAULT_STOP_TOL, Algo, IterateState,
-                       StopReason, Trajectory, run, trajectory_to_csv)
+                       StopReason, Trajectory, run, run_batch,
+                       trajectory_to_csv)
 from .games import BilinearGame
 from .linalg import as_vector
 from .predict import LimitPrediction
@@ -55,6 +57,11 @@ class ExperimentConfig:
             return [self.eta]
         start, step, count = self.eta_range
         return [start + i * step for i in range(count)]
+
+    def step_settings(self) -> dict:
+        """The keyword arguments of `dynamics.run` and `dynamics.run_batch`."""
+        return {"max_steps": self.max_steps, "stop_tol": self.stop_tol,
+                "blow_cap": self.blow_cap, "record_stride": self.record_stride}
 
 
 def _build_init(game: BilinearGame, spec: dict | None,
@@ -261,25 +268,22 @@ def cmd_analyze(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     return EXIT_OK if report.applicable else EXIT_INAPPLICABLE
 
 
-def _fit_one(cfg: ExperimentConfig, eta: float) -> tuple[Trajectory, LimitPrediction,
-                                                        RateFit | None]:
-    """Simulate at one step size, predict the limit and fit the rate (None
-    without a valid prediction, after divergence or on too few points)."""
-    traj = run(cfg.game, cfg.algo, eta, cfg.init, max_steps=cfg.max_steps,
-               stop_tol=cfg.stop_tol, blow_cap=cfg.blow_cap,
-               record_stride=cfg.record_stride)
-    pred = predict.predict_limit(cfg.game, cfg.algo, eta, cfg.init)
+def _fit(cfg: ExperimentConfig, traj: Trajectory) -> tuple[LimitPrediction, RateFit | None]:
+    """Predict the limit of a run of `cfg` and fit its rate (None without a
+    valid prediction, after divergence or on too few points)."""
+    pred = predict.predict_limit(cfg.game, cfg.algo, traj.eta, cfg.init)
     fit = None
     if pred.valid and traj.stop_reason is not StopReason.DIVERGED:
         try:
             fit = verify.estimate_rate(traj, pred)
         except InsufficientDataError:
             pass
-    return traj, pred, fit
+    return pred, fit
 
 
 def _run_one(cfg: ExperimentConfig, eta: float) -> dict:
-    traj, pred, fit = _fit_one(cfg, eta)
+    traj = run(cfg.game, cfg.algo, eta, cfg.init, **cfg.step_settings())
+    pred, fit = _fit(cfg, traj)
     report = spectral.rate_report(cfg.game, eta, cfg.algo)
     result = {
         "trajectory": traj,
@@ -359,11 +363,15 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         raise ConfigError("sweep needs an eta range {start, stop, step}")
     etas = cfg.etas()
     curve = spectral.rate_curve(spectral.CouplingSpectrum(cfg.game, cfg.algo), etas)
+    points = [(eta, lam) for eta, lam, applicable
+              in zip(etas, curve.lambda_max.tolist(), curve.applicable) if applicable]
+    trajs = run_batch(cfg.game, cfg.algo, [eta for eta, _ in points], cfg.init,
+                      **cfg.step_settings())
+    # map drops each trajectory once it is fitted, so one block of the batch
+    # is alive at a time
+    fits = map(functools.partial(_fit, cfg), trajs)
     usable = []
-    for eta, lam, applicable in zip(etas, curve.lambda_max.tolist(), curve.applicable):
-        if not applicable:
-            continue
-        fit = _fit_one(cfg, eta)[2]
+    for (eta, lam), (_, fit) in zip(points, fits):
         if fit is not None and np.isfinite(fit.fitted_ratio):
             usable.append({"eta": eta, "fitted_ratio": fit.fitted_ratio, "lambda_max": lam})
     if not usable:

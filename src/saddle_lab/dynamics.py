@@ -2,7 +2,8 @@
 
 GDA and OGDA advance the flat stacked state (x_t, y_t, x_{t-1}, y_{t-1});
 DOGDA is OGDA on the doubled game (`games.doubled`). `run` iterates until a
-step budget, a convergence floor, or a divergence cap is hit.
+step budget, a convergence floor, or a divergence cap is hit; `run_batch`
+does the same for many step sizes at once, as the rows of one state block.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +122,57 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+@dataclass
+class _Plan:
+    """What `run` and `run_batch` share once the settings are checked: the
+    game the loop iterates (doubled for DOGDA), the initial state in it (never
+    written), the indices of the recorded pair, its width 2(n+p), and the rows
+    a record starts with."""
+
+    game: BilinearGame
+    n: int
+    optimistic: bool
+    z0: np.ndarray
+    played: slice | np.ndarray
+    max_steps: int
+    stop_tol: float
+    blow_cap: float
+    record_stride: int
+    width: int
+    record_rows: int
+
+
+def _plan(game: BilinearGame, algo: Algo, init: IterateState, max_steps: int,
+          stop_tol: float, blow_cap: float, record_stride: int | None) -> _Plan:
+    algo = Algo(algo)
+    _check_count("max_steps", max_steps)
+    if record_stride is None:
+        record_stride = default_record_stride(game.n, game.p, max_steps)
+    _check_count("record_stride", record_stride)
+    if not (math.isfinite(blow_cap) and blow_cap > 0):
+        raise ValueError(f"blow_cap must be finite and > 0, got {blow_cap}")
+    if not (math.isfinite(stop_tol) and stop_tol >= 0):
+        raise ValueError(f"stop_tol must be finite and >= 0, got {stop_tol}")
+    n, p = game.n, game.p
+    if init.n != n or init.z.size != 2 * (n + p):
+        raise DimensionMismatchError(
+            f"state is ({init.x.size}, {init.y.size}), game is ({n}, {p})")
+    z0, played = init.z, slice(None)
+    if algo is Algo.DOGDA:
+        game = doubled(game)
+        z0 = np.concatenate([np.tile(v, 2) for v in (init.x, init.y, init.x_prev, init.y_prev)])
+        m = 2 * (n + p)
+        played = np.r_[0:n, 2 * n + p:m, m:m + n, m + 2 * n + p:2 * m]
+    return _Plan(game, n, algo is not Algo.GDA, z0, played, max_steps, stop_tol, blow_cap,
+                 record_stride, 2 * (n + p),
+                 min(max_steps // record_stride + 2, RECORD_ROWS_CAP))
+
+
+def _check_eta(eta) -> None:
+    if not eta > 0:
+        raise ValueError(f"eta must be positive, got {eta}")
+
+
 def run(game: BilinearGame, algo: Algo, eta: float, init: IterateState,
         max_steps: int = 10000, stop_tol: float = DEFAULT_STOP_TOL,
         blow_cap: float = DEFAULT_BLOW_CAP, record_stride: int | None = None) -> Trajectory:
@@ -132,45 +186,67 @@ def run(game: BilinearGame, algo: Algo, eta: float, init: IterateState,
     played one (previous pairs alike); both stop rules see the doubled state,
     and only the played pair is recorded.
     """
-    algo = Algo(algo)
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    _check_count("max_steps", max_steps)
-    if record_stride is None:
-        record_stride = default_record_stride(game.n, game.p, max_steps)
-    _check_count("record_stride", record_stride)
-    if not (math.isfinite(blow_cap) and blow_cap > 0):
-        raise ValueError(f"blow_cap must be finite and > 0, got {blow_cap}")
-    if not (math.isfinite(stop_tol) and stop_tol >= 0):
-        raise ValueError(f"stop_tol must be finite and >= 0, got {stop_tol}")
-    n, p = game.n, game.p
-    if init.n != n or init.z.size != 2 * (n + p):
-        raise DimensionMismatchError(
-            f"state is ({init.x.size}, {init.y.size}), game is ({n}, {p})")
+    _check_eta(eta)
+    plan = _plan(game, algo, init, max_steps, stop_tol, blow_cap, record_stride)
+    return _run_block(plan, [eta])[0]
 
-    z = init.z.copy()  # the step loop writes into z
-    played = slice(None)
-    if algo is Algo.DOGDA:
-        game = doubled(game)
-        z = np.concatenate([np.tile(v, 2) for v in (init.x, init.y, init.x_prev, init.y_prev)])
-        m = 2 * (n + p)
-        played = np.r_[0:n, 2 * n + p:m, m:m + n, m + 2 * n + p:2 * m]
-    states = np.empty((min(max_steps // record_stride + 2, RECORD_ROWS_CAP), 2 * (n + p)))
-    # a step may overflow; the divergence test stops the run on that state
+
+# A batch advances in blocks of rows whose record (rows x recorded steps x
+# 2(n+p)) holds at most this many float64 cells, 2 MB, or of one row when a
+# row's record alone is larger. The record is the memory a batch adds: on the
+# sweep benchmark workload (2-vCPU x86-64, numpy 2.4.6) the peak resident size
+# rose over the serial loop by about 2% at 2**17 cells, 4.6% at 2**18 (median
+# of ten runs) and 9% at 2**19, against a 10% bound, while a pass took about
+# 0.33x, 0.2x and 0.16x as long. 2**18 keeps the memory well inside the bound.
+BATCH_RECORD_CELLS = 1 << 18
+
+
+def run_batch(game: BilinearGame, algo: Algo, etas, init: IterateState,
+              max_steps: int = 10000, stop_tol: float = DEFAULT_STOP_TOL,
+              blow_cap: float = DEFAULT_BLOW_CAP,
+              record_stride: int | None = None) -> Iterator[Trajectory]:
+    """`run` at every step size in `etas`: an iterator of one trajectory per
+    step size, in order, each equal to the one `run` returns.
+
+    The step sizes advance together as the rows of one (k, 2(n+p)) state
+    block, in blocks of at most BATCH_RECORD_CELLS recorded cells. A row that
+    converges or diverges records its final state and leaves the block; the
+    others go on. A block's trajectories are views of its record, so a caller
+    that drops each trajectory before taking the next holds one block at a time.
+    """
+    etas = list(etas)
+    for eta in etas:
+        _check_eta(eta)
+    plan = _plan(game, algo, init, max_steps, stop_tol, blow_cap, record_stride)
+    rows = max(1, BATCH_RECORD_CELLS // (plan.record_rows * plan.width))
+    return _blocks(plan, etas, rows)
+
+
+def _blocks(plan: _Plan, etas: list, rows: int) -> Iterator[Trajectory]:
+    for start in range(0, len(etas), rows):
+        # no name holds the block, so it is freed before the next one starts
+        yield from _run_block(plan, etas[start:start + rows])
+
+
+def _run_block(plan: _Plan, etas: list) -> list[Trajectory]:
+    """One step size runs the single-row loop, several the batched loop."""
+    # a step may overflow; the divergence test stops the row on that state
     with np.errstate(over="ignore", invalid="ignore"):
-        states, times, stop = _simulate(game, algo is not Algo.GDA, eta, z, played, states,
-                                        max_steps, stop_tol, blow_cap, record_stride)
-    return Trajectory(float(eta), n, states[:len(times)], times, stop)
+        if len(etas) == 1:
+            return [_simulate(plan, etas[0])]
+        return _simulate_batch(plan, etas)
 
 
-def _simulate(game: BilinearGame, optimistic: bool, eta: float, z: np.ndarray,
-              played, states: np.ndarray, max_steps: int, stop_tol: float,
-              blow_cap: float, record_stride: int) -> tuple[np.ndarray, list[int], StopReason]:
-    """The step loop of `run`. z alternates with one scratch buffer, and
+def _simulate(plan: _Plan, eta: float) -> Trajectory:
+    """The step loop of one row. z alternates with one scratch buffer, and
     z[played] is written into the next row of states at each recorded time;
     a full states array is replaced by one twice as long."""
+    game, played, optimistic = plan.game, plan.played, plan.optimistic
+    max_steps, stop_tol, blow_cap = plan.max_steps, plan.stop_tol, plan.blow_cap
+    record_stride = plan.record_stride
     n, p = game.n, game.p
     A, BT, b, f = game.A, game.B.T, game.b, game.f
+    z = plan.z0.copy()  # the step loop writes into z
     x, y = z[:n], z[n:n + p]
     if optimistic:
         gx_old = A @ z[2 * n + p:] + b
@@ -178,6 +254,7 @@ def _simulate(game: BilinearGame, optimistic: bool, eta: float, z: np.ndarray,
     # x_{t-1}, y_{t-1} passed the divergence test one step before x_t, y_t;
     # only x_0, y_0 are tested here.
     prev_ok = _norm(x) <= blow_cap and _norm(y) <= blow_cap
+    states = np.empty((plan.record_rows, plan.width))
     states[0] = z[played]
     times = [0]
     stop = StopReason.MAX_STEPS
@@ -201,14 +278,129 @@ def _simulate(game: BilinearGame, optimistic: bool, eta: float, z: np.ndarray,
             stop = StopReason.CONVERGED
         if stop is not StopReason.MAX_STEPS or t % record_stride == 0 or t == max_steps:
             if len(times) == len(states):
-                grown = np.empty((2 * len(states), states.shape[1]))
-                grown[:len(states)] = states
-                states = grown
+                states = _grown(states)
             states[len(times)] = z[played]
             times.append(t)
             if stop is not StopReason.MAX_STEPS:
                 break
-    return states, times, stop
+    return Trajectory(float(eta), plan.n, states[:len(times)], times, stop)
+
+
+def _grown(record: np.ndarray) -> np.ndarray:
+    """The record with its second-to-last axis (recorded steps) twice as long."""
+    shape = list(record.shape)
+    shape[-2] *= 2
+    grown = np.empty(shape)
+    grown[..., :record.shape[-2], :] = record
+    return grown
+
+
+def _squared_limits(blow_cap: float, stop_tol: float) -> tuple[float, float]:
+    """(c2, t2) with sqrt(d) <= blow_cap exactly when d <= c2, and
+    sqrt(d) < stop_tol exactly when d < t2, for every double d >= 0: the
+    rounded square root is monotone, so each rule on a norm is one comparison
+    of its square."""
+    c2 = min(blow_cap * blow_cap, sys.float_info.max)
+    while math.sqrt(c2) > blow_cap:
+        c2 = math.nextafter(c2, 0.0)
+    while math.sqrt(math.nextafter(c2, math.inf)) <= blow_cap:
+        c2 = math.nextafter(c2, math.inf)
+    t2 = stop_tol * stop_tol
+    while math.sqrt(t2) < stop_tol:
+        t2 = math.nextafter(t2, math.inf)
+    while t2 > 0.0 and math.sqrt(math.nextafter(t2, 0.0)) >= stop_tol:
+        t2 = math.nextafter(t2, 0.0)
+    return c2, t2
+
+
+def _simulate_batch(plan: _Plan, etas: list) -> list[Trajectory]:
+    """The step loop of k rows, with `_simulate`'s arithmetic row by row.
+
+    np.matvec and np.vecdot run one gemv and one dot per row, which give the
+    same bits as `A @ y` and `v.dot(v)`; a gemm over the block would sum in
+    another order. x and y advance together: g holds (A y + b, B^T x + f)
+    row by row. The rows of `norms` are the squares of |x_t|, |y_t| and,
+    negated, |Z_t - Z_{t-1}|, so one comparison with `limits` tells which
+    rows go on. The record is (k, rows, width), and `live` holds the record
+    row of each row of the state block; a row that stops is recorded, then
+    dropped from the block.
+    """
+    game, played, optimistic = plan.game, plan.played, plan.optimistic
+    max_steps, record_stride = plan.max_steps, plan.record_stride
+    n, p = game.n, game.p
+    m = n + p
+    A, BT = game.A, game.B.T
+    z0 = plan.z0
+    k = len(etas)
+    c2, t2 = _squared_limits(plan.blow_cap, plan.stop_tol)
+    if not (_norm(z0[:n]) <= plan.blow_cap and _norm(z0[n:m]) <= plan.blow_cap):
+        c2 = -math.inf  # x_0 or y_0 past the cap: every row diverges at step 1
+    # the per-row operands at full size, so that no step broadcasts
+    z = np.tile(z0, (k, 1))
+    eta = np.repeat(np.array(etas, dtype=float)[:, None], m, axis=1)
+    bias = np.tile(np.concatenate([game.b, game.f]), (k, 1))
+    limits = np.repeat([[c2], [c2], [-t2]], k, axis=1)
+    g_old = np.tile(np.concatenate([A @ z0[m + n:] + game.b, BT @ z0[m:m + n] + game.f]),
+                    (k, 1))  # unused by GDA
+    record = np.empty((k, plan.record_rows, plan.width))
+    record[:, 0] = z0[played]
+    times = [0]  # the recorded times that every live row shares
+    live, rows = np.arange(k), slice(0, k)  # rows: live, or a slice while it is one range
+    ends: list = [None] * k  # (record length, times, stop reason) of each row
+    nxt, step, g, update = (np.empty_like(z), np.empty_like(z), np.empty_like(bias),
+                            np.empty_like(bias))
+    norms, within = np.empty_like(limits), np.empty(limits.shape, dtype=bool)
+    for t in range(1, max_steps + 1):
+        np.matvec(A, z[:, n:m], out=g[:, :n])
+        np.matvec(BT, z[:, :n], out=g[:, n:])
+        g += bias
+        if optimistic:
+            np.multiply(g, 2.0, out=update)
+            update -= g_old
+            update *= eta
+            g, g_old = g_old, g
+        else:
+            np.multiply(eta, g, out=update)
+        np.add(z[:, :m], update, out=nxt[:, :m])
+        nxt[:, m:] = z[:, :m]
+        z, nxt = nxt, z
+        np.subtract(z, nxt, out=step)
+        np.vecdot(z[:, :n], z[:, :n], out=norms[0])
+        np.vecdot(z[:, n:m], z[:, n:m], out=norms[1])
+        np.vecdot(step, step, out=norms[2])
+        np.negative(norms[2], out=norms[2])
+        np.less_equal(norms, limits, out=within)
+        common = t % record_stride == 0 or t == max_steps
+        if common:
+            if len(times) == record.shape[1]:
+                record = _grown(record)
+            record[rows, len(times)] = z[:, played]
+            times.append(t)
+        if np.count_nonzero(within) == within.size:
+            continue
+        going = within.all(axis=0)
+        stopped = ~going
+        if not common:
+            if len(times) == record.shape[1]:
+                record = _grown(record)
+            record[live[stopped], len(times)] = z[stopped][:, played]
+        ended = times if common else times + [t]
+        diverged = ~within[:2].all(axis=0)
+        for row, div in zip(live[stopped].tolist(), diverged[stopped].tolist()):
+            ends[row] = (len(ended), list(ended),
+                         StopReason.DIVERGED if div else StopReason.CONVERGED)
+        live, z, eta, bias, g_old = live[going], z[going], eta[going], bias[going], g_old[going]
+        if not live.size:
+            break
+        limits = limits[:, going]
+        rows = slice(live[0], live[-1] + 1) if live[-1] - live[0] + 1 == live.size else live
+        nxt, step, g, update = (np.empty_like(z), np.empty_like(z), np.empty_like(bias),
+                                np.empty_like(bias))
+        norms, within = np.empty_like(limits), np.empty(limits.shape, dtype=bool)
+    for row in live.tolist():
+        ends[row] = (len(times), times, StopReason.MAX_STEPS)
+    return [Trajectory(float(eta_i), plan.n, record[i, :length], list(t_i), stop)
+            for i, (eta_i, (length, t_i, stop)) in enumerate(zip(etas, ends))]
 
 
 def recorded_payoffs(traj: Trajectory, game: BilinearGame) -> tuple[np.ndarray, np.ndarray]:

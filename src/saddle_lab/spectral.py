@@ -284,8 +284,11 @@ class CouplingSpectrum:
         mu_mags = -mu_reals
         self.mu_max = float(mu_mags.max(initial=0.0))
         self.mu_set = sorted((float(v) for v in mu_reals), reverse=True)
-        # magnitudes within max(n, p) eps of mu_max are kernel directions
+        # magnitudes within max(n, p) eps of mu_max are kernel directions,
+        # unless A and B are square and of full rank: B^T A is then invertible
         cutoff = max(self.game.n, self.game.p) * np.finfo(float).eps * max(self.mu_max, 1e-300)
+        if (mu_mags <= cutoff).any() and self.invertible:
+            cutoff = 0.0
         self.positives = np.sort(mu_mags[mu_mags > cutoff])
         if not (real_ok and nonpos_ok):
             self.violated = "spectrum_real_nonpositive"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from saddle_lab import cli, games, spectral
+from saddle_lab import cli, dynamics, games, predict, spectral, verify
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -126,6 +126,21 @@ class TestRun:
                   "--out-dir", str(tmp_path)])
         verdict = json.loads((tmp_path / "pennies.verify.json").read_text())
         assert verdict["report"]["mu_min"] == pytest.approx(1e-18, rel=1e-12)
+        assert verdict["report"]["lambda_max"] == 1.0
+        assert verdict["bound"]["ok"]
+
+    def test_tiny_coupling_eigenvalue_sets_the_general_sum_ratio(self, tmp_path):
+        # A and B are square and of full rank, so B^T A = diag(-2, -2e-18) is
+        # invertible and no magnitude of its spectrum is a kernel direction
+        obj = zero_sum_config(0.3, init={"x0": [1.0, 1.0], "y0": [1.0, 1.0]})
+        obj["game"] = {"A": {"rows": 2, "cols": 2, "data": [1.0, 0.0, 0.0, 1e-9]},
+                       "B": {"rows": 2, "cols": 2, "data": [-2.0, 0.0, 0.0, -2e-9]},
+                       "b": [0.0, 0.0], "c": [0.0, 0.0], "e": [0.0, 0.0], "f": [0.0, 0.0],
+                       "zero_sum": False}
+        cli.main(["run", "--config", write_config(tmp_path, obj),
+                  "--out-dir", str(tmp_path)])
+        verdict = json.loads((tmp_path / "pennies.verify.json").read_text())
+        assert verdict["report"]["mu_min"] == pytest.approx(2e-18, rel=1e-12)
         assert verdict["report"]["lambda_max"] == 1.0
         assert verdict["bound"]["ok"]
 
@@ -386,6 +401,41 @@ class TestSweep:
         # monotone decreasing fitted ratio on the small-step branch
         fitted = [float(r[1]) for r in data if float(r[0]) < 0.25]
         assert all(b < a for a, b in zip(fitted, fitted[1:]))
+
+    def test_csv_matches_serial_reference(self, tmp_path, monkeypatch):
+        # blocks of two rows; the range ends past the divergence threshold
+        monkeypatch.setattr(dynamics, "BATCH_RECORD_CELLS", 2 * 1502 * 12)
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(2, 4))
+        obj = {"name": "dense", "description": "2x4 zero-sum",
+               "game": {"A": {"rows": 2, "cols": 4, "data": a.ravel().tolist()},
+                        "B": None, "b": [0.5, -1.0], "c": [0.0] * 4,
+                        "zero_sum": True},
+               "algo": "OGDA", "eta": {"start": 0.02, "stop": 0.4, "step": 0.02},
+               "init": {"random": True, "seed": 9}, "max_steps": 1500}
+        assert cli.main(["sweep", "--config", write_config(tmp_path, obj),
+                         "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        cfg = cli.parse_config(obj)
+        rows = []
+        for eta in cfg.etas():
+            if not spectral.rate_report(cfg.game, eta, cfg.algo).applicable:
+                continue
+            traj = dynamics.run(cfg.game, cfg.algo, eta, cfg.init, max_steps=1500)
+            pred = predict.predict_limit(cfg.game, cfg.algo, eta, cfg.init)
+            if not pred.valid or traj.stop_reason is dynamics.StopReason.DIVERGED:
+                continue
+            try:
+                ratio = verify.estimate_rate(traj, pred).fitted_ratio
+            except verify.InsufficientDataError:
+                continue
+            lam = spectral.rate_report(cfg.game, eta, cfg.algo).lambda_max
+            rows.append((eta, ratio, lam))
+        assert 5 < len(rows) < len(cfg.etas())
+        best = min(rows, key=lambda r: r[1])[0]
+        expected = ["# 2x4 zero-sum", f"# empirical_argmin_eta={best!r}",
+                    "eta,fitted_ratio,lambda_max_closed_form"]
+        expected += [",".join(format(v, ".17g") for v in r) for r in rows]
+        assert (tmp_path / "dense.sweep.csv").read_text() == "\n".join(expected) + "\n"
 
     def test_empty_applicable_range_exit_one(self, tmp_path):
         cfg = write_config(tmp_path, zero_sum_config(

@@ -296,6 +296,127 @@ class TestRun:
         assert np.array_equal(traj.states[0], [1.0, 1.0, -1.0, 0.0, 0.0, 0.0])
 
 
+def dense_game(zero_sum, seed=11):
+    rng = np.random.default_rng(seed)
+    n, p = 3, 5
+    a = rng.normal(size=(n, p))
+    if zero_sum:
+        return BilinearGame.zero_sum_game(a, b=rng.normal(size=n), c=rng.normal(size=p))
+    return BilinearGame(a, rng.normal(size=(n, p)), rng.normal(size=n), rng.normal(size=p),
+                        rng.normal(size=n), rng.normal(size=p))
+
+
+def dense_init(seed=12):
+    rng = np.random.default_rng(seed)
+    return IterateState(rng.normal(size=3), rng.normal(size=5),
+                        rng.normal(size=3), rng.normal(size=5))
+
+
+def batch_matches_run(game, algo, etas, init, **settings):
+    """Run the batch, check every trajectory against `run` bit for bit, and
+    return the trajectories."""
+    trajs = list(dynamics.run_batch(game, algo, etas, init, **settings))
+    assert len(trajs) == len(etas)
+    for eta, traj in zip(etas, trajs):
+        ref = dynamics.run(game, algo, eta, init, **settings)
+        assert traj.eta == ref.eta and traj.n == ref.n
+        assert traj.times == ref.times and traj.stop_reason is ref.stop_reason
+        assert traj.states.shape == ref.states.shape
+        assert traj.states.tobytes() == ref.states.tobytes()  # NaN and -0.0 alike
+    return trajs
+
+
+class TestRunBatch:
+    ETAS = [0.02, 0.05, 0.08, 0.11, 0.14, 0.2]
+
+    @pytest.mark.parametrize("zero_sum, algo", [
+        (True, Algo.OGDA), (False, Algo.OGDA), (True, Algo.GDA), (False, Algo.GDA),
+        (False, Algo.DOGDA)])
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_rows_equal_run(self, zero_sum, algo, stride):
+        batch_matches_run(dense_game(zero_sum), algo, self.ETAS, dense_init(),
+                          max_steps=400, record_stride=stride)
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_mixed_stop_reasons(self, stride):
+        # 0.28 and 0.25 converge, 0.01 and 0.02 run out of steps, 0.3 passes the
+        # cap, the squared norm at 1e300 and the state at 1e308 overflow to inf
+        # in one step, without a numpy warning
+        g = BilinearGame.zero_sum_game([[1.0, 0.0], [0.0, 2.0]])
+        init = IterateState([1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
+        etas = [0.01, 1e300, 0.28, 0.3, 1e308, 0.25, 0.02]
+        trajs = batch_matches_run(g, Algo.OGDA, etas, init, max_steps=1000,
+                                  record_stride=stride)
+        assert [t.stop_reason for t in trajs] == [
+            StopReason.MAX_STEPS, StopReason.DIVERGED, StopReason.CONVERGED,
+            StopReason.DIVERGED, StopReason.DIVERGED, StopReason.CONVERGED,
+            StopReason.MAX_STEPS]
+        assert trajs[1].times == trajs[4].times == [0, 1]
+        assert np.isinf(trajs[4].final.x).any()
+
+    def test_start_past_the_cap_diverges_every_row(self):
+        # x_0 = 25 is past the cap of 20, and both steps land inside it
+        init = IterateState([25.0], [-10.0], [50.0], [0.0])
+        trajs = batch_matches_run(PENNIES, Algo.OGDA, [1.0, 1.25], init, blow_cap=20.0)
+        assert [abs(t.final.x[0]) for t in trajs] == [5.0, 0.0]
+        assert all(t.stop_reason is StopReason.DIVERGED and t.times == [0, 1]
+                   for t in trajs)
+
+    def test_blocks_follow_the_record_budget(self, monkeypatch):
+        # 401 recorded rows of 16 cells: a budget of two rows and a half makes
+        # blocks of 2, 2, 2 and 1 rows, the last one run by `run`'s loop
+        monkeypatch.setattr(dynamics, "BATCH_RECORD_CELLS", 401 * 16 * 5 // 2)
+        etas = self.ETAS + [0.17]
+        trajs = batch_matches_run(dense_game(True), Algo.OGDA, etas, dense_init(),
+                                  max_steps=399)
+        shared = [[a.states.base is b.states.base for b in trajs] for a in trajs]
+        blocks = [0, 0, 1, 1, 2, 2, 3]
+        assert shared == [[i == j for j in blocks] for i in blocks]
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_record_grows(self, monkeypatch, stride):
+        monkeypatch.setattr(dynamics, "RECORD_ROWS_CAP", 4)
+        g = BilinearGame.zero_sum_game([[1.0, 0.0], [0.0, 2.0]])
+        init = IterateState([1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
+        trajs = batch_matches_run(g, Algo.OGDA, [0.3, 0.28, 0.01], init, max_steps=700,
+                                  record_stride=stride)
+        assert all(len(t.times) > 4 for t in trajs)
+
+    def test_checks_before_the_first_step(self):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            dynamics.run_batch(PENNIES, Algo.OGDA, [0.3, 0.0], IterateState.at([1.0], [1.0]))
+        with pytest.raises(ValueError, match="max_steps"):
+            dynamics.run_batch(PENNIES, Algo.OGDA, [0.3], IterateState.at([1.0], [1.0]),
+                               max_steps=0)
+        assert list(dynamics.run_batch(PENNIES, Algo.OGDA, [],
+                                       IterateState.at([1.0], [1.0]))) == []
+
+    @pytest.mark.parametrize("cap, tol", [
+        (1e12, 1e-13), (1.0, 0.0), (3.7, 1.0), (1e300, 1e-200), (1e-300, 5e-324),
+        (2.0 ** 0.5, 0.3)])
+    def test_squared_limits_decide_as_the_norms(self, cap, tol):
+        c2, t2 = dynamics._squared_limits(cap, tol)
+        near = [c2, t2, cap * cap, tol * tol]
+        for v in list(near):
+            for direction in (0.0, math.inf):
+                w = v
+                for _ in range(3):
+                    w = math.nextafter(w, direction)
+                    near.append(w)
+        u = np.random.default_rng(3).uniform(0.0, 1.0, 50)
+        ds = near + [0.0, 5e-324, math.inf] + list(u * c2) + list(u * 4.0 * t2)
+        for d in ds:
+            assert (math.sqrt(d) <= cap) == (d <= c2), d
+            assert (math.sqrt(d) < tol) == (d < t2), d
+
+    @pytest.mark.parametrize("algo", list(Algo))
+    def test_leaves_init_unchanged(self, algo):
+        init = dense_init()
+        before = init.z.copy()
+        list(dynamics.run_batch(dense_game(False), algo, self.ETAS, init, max_steps=9))
+        assert np.array_equal(init.z, before)
+
+
 class TestCsv:
     def test_header_and_precision(self):
         traj = dynamics.run(PENNIES, Algo.OGDA, 0.3,

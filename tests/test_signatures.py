@@ -43,6 +43,10 @@ PARAMETERS = {
     verify.random_matrix: ["rng", "n", "p", "rank"],
     verify._applicable_prediction_cases: ["rng", "count"],
     dynamics.IterateState.at: ["x", "y"],
+    dynamics.run: ["game", "algo", "eta", "init", "max_steps", "stop_tol", "blow_cap",
+                   "record_stride"],
+    dynamics.run_batch: ["game", "algo", "etas", "init", "max_steps", "stop_tol",
+                         "blow_cap", "record_stride"],
 }
 
 
