@@ -1,0 +1,58 @@
+#!/usr/bin/env python3
+"""Time the step kernel and print one JSON line.
+
+`run`: microseconds per step of OGDA at n+p in {4, 32, 128, 256}, the median
+of five runs of 4000 steps, each step recorded. `run_batch`: row-steps per
+second at k = 8 step sizes, n+p in {4, 32}, the median of five batches. The
+games are seeded zero-sum games with A scaled by 1/sqrt(n), and eta is small
+enough that no run stops early.
+
+    PYTHONPATH=src python3 scripts/kernel_timing.py
+"""
+
+import json
+import time
+
+import numpy as np
+
+from saddle_lab import dynamics
+from saddle_lab.games import BilinearGame
+
+STEPS = 4000
+REPEATS = 5
+
+
+def game(size: int):
+    rng = np.random.default_rng(0)
+    n = size // 2
+    a = rng.normal(size=(n, n)) / np.sqrt(n)
+    return (BilinearGame.zero_sum_game(a),
+            dynamics.IterateState.at(rng.normal(size=n), rng.normal(size=n)))
+
+
+def median_time(call) -> float:
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return sorted(times)[REPEATS // 2]
+
+
+def main() -> None:
+    settings = {"max_steps": STEPS, "stop_tol": 0.0, "record_stride": 1}
+    out = {}
+    for size in (4, 32, 128, 256):
+        g, init = game(size)
+        seconds = median_time(lambda: dynamics.run(g, "OGDA", 0.01, init, **settings))
+        out[f"run_us_per_step_np{size}"] = seconds / STEPS * 1e6
+    etas = [0.01 + 0.001 * i for i in range(8)]
+    for size in (4, 32):
+        g, init = game(size)
+        seconds = median_time(lambda: list(dynamics.run_batch(g, "OGDA", etas, init, **settings)))
+        out[f"run_batch_row_steps_per_s_k8_np{size}"] = len(etas) * STEPS / seconds
+    print(json.dumps(out))
+
+
+if __name__ == "__main__":
+    main()

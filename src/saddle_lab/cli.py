@@ -76,10 +76,10 @@ def _build_init(game: BilinearGame, spec: dict | None,
         seed = spec.get("seed", seed)
         if seed is None:
             raise ConfigError("random init requires a seed")
-        try:
-            rng = np.random.default_rng(int(seed))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad init seed {seed!r}: {exc}") from exc
+        if (isinstance(seed, bool) or not isinstance(seed, (int, float))
+                or (isinstance(seed, float) and not seed.is_integer()) or seed < 0):
+            raise ConfigError(f"init seed must be an integer >= 0, got {seed!r}")
+        rng = np.random.default_rng(int(seed))
         return IterateState.of(rng.uniform(-1.0, 1.0, 2 * (n + p)), n)
     try:
         x0 = as_vector(spec["x0"], n)
@@ -466,6 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.seed is not None and args.seed < 0:  # numpy seeds are >= 0
+            raise ConfigError(f"argument --seed: must be >= 0, got {args.seed}")
         out_dir = Path(args.out_dir) if args.out_dir else None
         if args.command == "verify":  # no outside input: a numpy warning is a defect
             return cmd_verify(args.seed, out_dir)

@@ -4,6 +4,8 @@ GDA and OGDA advance the flat stacked state (x_t, y_t, x_{t-1}, y_{t-1});
 DOGDA is OGDA on the doubled game (`games.doubled`). `run` iterates until a
 step budget, a convergence floor, or a divergence cap is hit; `run_batch`
 does the same for many step sizes at once, as the rows of one state block.
+Both run one step body, `_simulate`, on 1-d operands for one step size and
+on a (k, 2(n+p)) block for k of them.
 """
 
 from __future__ import annotations
@@ -117,11 +119,6 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _norm(v: np.ndarray) -> float:
-    # the arithmetic of np.linalg.norm on a 1-d float vector, without its overhead
-    return math.sqrt(v.dot(v))
-
-
 @dataclass
 class _Plan:
     """What `run` and `run_batch` share once the settings are checked: the
@@ -198,6 +195,9 @@ def run(game: BilinearGame, algo: Algo, eta: float, init: IterateState,
 # rose over the serial loop by about 2% at 2**17 cells, 4.6% at 2**18 (median
 # of ten runs) and 9% at 2**19, against a 10% bound, while a pass took about
 # 0.33x, 0.2x and 0.16x as long. 2**18 keeps the memory well inside the bound.
+# Per step on the same machine (scripts/kernel_timing.py, Python 3.11.7, median
+# of ten runs): one row costs 15.6, 14.6, 17.5 and 22.2 us at n+p = 4, 32, 128
+# and 256, and a block of 8 rows 3.1 us per row at n+p = 4.
 BATCH_RECORD_CELLS = 1 << 18
 
 
@@ -229,61 +229,9 @@ def _blocks(plan: _Plan, etas: list, rows: int) -> Iterator[Trajectory]:
 
 
 def _run_block(plan: _Plan, etas: list) -> list[Trajectory]:
-    """One step size runs the single-row loop, several the batched loop."""
     # a step may overflow; the divergence test stops the row on that state
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(etas) == 1:
-            return [_simulate(plan, etas[0])]
-        return _simulate_batch(plan, etas)
-
-
-def _simulate(plan: _Plan, eta: float) -> Trajectory:
-    """The step loop of one row. z alternates with one scratch buffer, and
-    z[played] is written into the next row of states at each recorded time;
-    a full states array is replaced by one twice as long."""
-    game, played, optimistic = plan.game, plan.played, plan.optimistic
-    max_steps, stop_tol, blow_cap = plan.max_steps, plan.stop_tol, plan.blow_cap
-    record_stride = plan.record_stride
-    n, p = game.n, game.p
-    A, BT, b, f = game.A, game.B.T, game.b, game.f
-    z = plan.z0.copy()  # the step loop writes into z
-    x, y = z[:n], z[n:n + p]
-    if optimistic:
-        gx_old = A @ z[2 * n + p:] + b
-        gy_old = BT @ z[n + p:2 * n + p] + f
-    # x_{t-1}, y_{t-1} passed the divergence test one step before x_t, y_t;
-    # only x_0, y_0 are tested here.
-    prev_ok = _norm(x) <= blow_cap and _norm(y) <= blow_cap
-    states = np.empty((plan.record_rows, plan.width))
-    states[0] = z[played]
-    times = [0]
-    stop = StopReason.MAX_STEPS
-    nxt = np.empty_like(z)
-    for t in range(1, max_steps + 1):
-        gx = A @ y + b
-        gy = BT @ x + f
-        if optimistic:
-            np.add(x, eta * (2.0 * gx - gx_old), out=nxt[:n])
-            np.add(y, eta * (2.0 * gy - gy_old), out=nxt[n:n + p])
-            gx_old, gy_old = gx, gy
-        else:
-            np.add(x, eta * gx, out=nxt[:n])
-            np.add(y, eta * gy, out=nxt[n:n + p])
-        nxt[n + p:] = z[:n + p]
-        z, nxt = nxt, z
-        x, y = z[:n], z[n:n + p]
-        if not (prev_ok and _norm(x) <= blow_cap and _norm(y) <= blow_cap):
-            stop = StopReason.DIVERGED
-        elif _norm(z - nxt) < stop_tol:
-            stop = StopReason.CONVERGED
-        if stop is not StopReason.MAX_STEPS or t % record_stride == 0 or t == max_steps:
-            if len(times) == len(states):
-                states = _grown(states)
-            states[len(times)] = z[played]
-            times.append(t)
-            if stop is not StopReason.MAX_STEPS:
-                break
-    return Trajectory(float(eta), plan.n, states[:len(times)], times, stop)
+        return _simulate(plan, etas)
 
 
 def _grown(record: np.ndarray) -> np.ndarray:
@@ -313,92 +261,121 @@ def _squared_limits(blow_cap: float, stop_tol: float) -> tuple[float, float]:
     return c2, t2
 
 
-def _simulate_batch(plan: _Plan, etas: list) -> list[Trajectory]:
-    """The step loop of k rows, with `_simulate`'s arithmetic row by row.
+def _views(z: np.ndarray, n: int, m: int) -> tuple:
+    """z with the views of it that a step reads or writes: x, y, (x, y) and the
+    previous pair, along the last axis."""
+    return z, z[..., :n], z[..., n:m], z[..., :m], z[..., m:]
 
-    np.matvec and np.vecdot run one gemv and one dot per row, which give the
-    same bits as `A @ y` and `v.dot(v)`; a gemm over the block would sum in
-    another order. x and y advance together: g holds (A y + b, B^T x + f)
-    row by row. The rows of `norms` are the squares of |x_t|, |y_t| and,
-    negated, |Z_t - Z_{t-1}|, so one comparison with `limits` tells which
-    rows go on. The record is (k, rows, width), and `live` holds the record
-    row of each row of the state block; a row that stops is recorded, then
-    dropped from the block.
+
+def _simulate(plan: _Plan, etas: list) -> list[Trajectory]:
+    """The step loop of one row per step size. OGDA adds (2 g_t - g_{t-1}) eta
+    to (x_t, y_t), GDA adds g_t eta, with g_t = (A y_t + b, B^T x_t + f).
+
+    The step body is written once for two forms of the state. One row keeps
+    1-d operands; k > 1 rows form a (k, 2(n+p)) block, on which np.matvec
+    and np.vecdot run one gemv and one dot per row, the same bits as `A @ y`
+    and `v.dot(v)` on that row (a gemm over the block would sum in another
+    order). The state and the gradient each alternate between two buffers
+    whose views are taken once per shape of the block. Each stop rule
+    compares a squared norm, of x_t, of y_t or of Z_t - Z_{t-1}, with
+    `_squared_limits`. The record is (k, rows, width). The forms differ only
+    in how a stopped row leaves: one row ends the loop; in a block, `live`
+    holds the record row of each state row, and a row that stops is
+    recorded, then dropped.
     """
     game, played, optimistic = plan.game, plan.played, plan.optimistic
     max_steps, record_stride = plan.max_steps, plan.record_stride
-    n, p = game.n, game.p
-    m = n + p
-    A, BT = game.A, game.B.T
-    z0 = plan.z0
+    n, m = game.n, game.n + game.p
+    A, BT, z0 = game.A, game.B.T, plan.z0
     k = len(etas)
     c2, t2 = _squared_limits(plan.blow_cap, plan.stop_tol)
-    if not (_norm(z0[:n]) <= plan.blow_cap and _norm(z0[n:m]) <= plan.blow_cap):
+    x0, y0 = z0[:n], z0[n:m]
+    if not (x0.dot(x0) <= c2 and y0.dot(y0) <= c2):
         c2 = -math.inf  # x_0 or y_0 past the cap: every row diverges at step 1
-    # the per-row operands at full size, so that no step broadcasts
-    z = np.tile(z0, (k, 1))
-    eta = np.repeat(np.array(etas, dtype=float)[:, None], m, axis=1)
-    bias = np.tile(np.concatenate([game.b, game.f]), (k, 1))
+    bias = np.concatenate([game.b, game.f])
+    g_old = np.concatenate([A @ z0[m + n:] + game.b, BT @ z0[m:m + n] + game.f])  # unused by GDA
+    if k == 1:
+        z, eta = z0.copy(), float(etas[0])  # the step loop writes into z
+    else:  # the per-row operands at full size, so that no step broadcasts
+        z, bias, g_old = np.tile(z0, (k, 1)), np.tile(bias, (k, 1)), np.tile(g_old, (k, 1))
+        eta = np.repeat(np.array(etas, dtype=float)[:, None], m, axis=1)
     limits = np.repeat([[c2], [c2], [-t2]], k, axis=1)
-    g_old = np.tile(np.concatenate([A @ z0[m + n:] + game.b, BT @ z0[m:m + n] + game.f]),
-                    (k, 1))  # unused by GDA
     record = np.empty((k, plan.record_rows, plan.width))
     record[:, 0] = z0[played]
     times = [0]  # the recorded times that every live row shares
-    live, rows = np.arange(k), slice(0, k)  # rows: live, or a slice while it is one range
-    ends: list = [None] * k  # (record length, times, stop reason) of each row
-    nxt, step, g, update = (np.empty_like(z), np.empty_like(z), np.empty_like(bias),
-                            np.empty_like(bias))
-    norms, within = np.empty_like(limits), np.empty(limits.shape, dtype=bool)
-    for t in range(1, max_steps + 1):
-        np.matvec(A, z[:, n:m], out=g[:, :n])
-        np.matvec(BT, z[:, :n], out=g[:, n:])
-        g += bias
-        if optimistic:
-            np.multiply(g, 2.0, out=update)
-            update -= g_old
-            update *= eta
-            g, g_old = g_old, g
-        else:
-            np.multiply(eta, g, out=update)
-        np.add(z[:, :m], update, out=nxt[:, :m])
-        nxt[:, m:] = z[:, :m]
-        z, nxt = nxt, z
-        np.subtract(z, nxt, out=step)
-        np.vecdot(z[:, :n], z[:, :n], out=norms[0])
-        np.vecdot(z[:, n:m], z[:, n:m], out=norms[1])
-        np.vecdot(step, step, out=norms[2])
-        np.negative(norms[2], out=norms[2])
-        np.less_equal(norms, limits, out=within)
-        common = t % record_stride == 0 or t == max_steps
-        if common:
-            if len(times) == record.shape[1]:
-                record = _grown(record)
-            record[rows, len(times)] = z[:, played]
-            times.append(t)
-        if np.count_nonzero(within) == within.size:
-            continue
-        going = within.all(axis=0)
-        stopped = ~going
-        if not common:
-            if len(times) == record.shape[1]:
-                record = _grown(record)
-            record[live[stopped], len(times)] = z[stopped][:, played]
-        ended = times if common else times + [t]
-        diverged = ~within[:2].all(axis=0)
-        for row, div in zip(live[stopped].tolist(), diverged[stopped].tolist()):
-            ends[row] = (len(ended), list(ended),
-                         StopReason.DIVERGED if div else StopReason.CONVERGED)
-        live, z, eta, bias, g_old = live[going], z[going], eta[going], bias[going], g_old[going]
-        if not live.size:
-            break
-        limits = limits[:, going]
-        rows = slice(live[0], live[-1] + 1) if live[-1] - live[0] + 1 == live.size else live
-        nxt, step, g, update = (np.empty_like(z), np.empty_like(z), np.empty_like(bias),
-                                np.empty_like(bias))
+    live = np.arange(k)
+    ends: list = [None] * k  # (record length, times, stop reason) of each row that stops
+    t = 0
+    while live.size and t < max_steps:  # once per shape of the block
+        # the record rows of the block: live, or a slice while it is one range
+        rows = 0 if k == 1 else slice(live[0], live[-1] + 1) if (
+            live[-1] - live[0] + 1 == live.size) else live
+        zv, nv = _views(z, n, m), _views(np.empty_like(z), n, m)
+        gv, ov = _views(np.empty_like(bias), n, m), _views(g_old, n, m)
+        step, update = np.empty_like(z), np.empty_like(bias)
         norms, within = np.empty_like(limits), np.empty(limits.shape, dtype=bool)
-    for row in live.tolist():
-        ends[row] = (len(times), times, StopReason.MAX_STEPS)
+        for t in range(t + 1, max_steps + 1):
+            _, x, y, xy, _ = zv
+            g, gx, gy, _, _ = gv
+            np.matvec(A, y, out=gx)
+            np.matvec(BT, x, out=gy)
+            g += bias
+            if optimistic:
+                np.multiply(g, 2.0, out=update)
+                update -= ov[0]
+                update *= eta
+                gv, ov = ov, gv
+            else:
+                np.multiply(g, eta, out=update)
+            zv, nv = nv, zv
+            z, x, y, new_xy, prev = zv
+            np.add(xy, update, out=new_xy)
+            prev[...] = xy
+            np.subtract(z, nv[0], out=step)
+            common = t % record_stride == 0 or t == max_steps
+            if common:
+                if len(times) == record.shape[1]:
+                    record = _grown(record)
+                record[rows, len(times)] = z[..., played]
+                times.append(t)
+            if k == 1:
+                if not (x.dot(x) <= c2 and y.dot(y) <= c2):
+                    stop = StopReason.DIVERGED
+                elif step.dot(step) < t2:
+                    stop = StopReason.CONVERGED
+                else:
+                    continue
+                if not common:
+                    if len(times) == record.shape[1]:
+                        record = _grown(record)
+                    record[0, len(times)] = z[played]
+                    times.append(t)
+                ends[0] = (len(times), times, stop)
+                live = live[:0]
+                break
+            # norms: |x_t|^2, |y_t|^2 and -|Z_t - Z_{t-1}|^2, one column per row
+            np.vecdot(x, x, out=norms[0])
+            np.vecdot(y, y, out=norms[1])
+            np.vecdot(step, step, out=norms[2])
+            np.negative(norms[2], out=norms[2])
+            np.less_equal(norms, limits, out=within)
+            if np.count_nonzero(within) == within.size:
+                continue
+            going = within.all(axis=0)
+            stopped = ~going
+            if not common:
+                if len(times) == record.shape[1]:
+                    record = _grown(record)
+                record[live[stopped], len(times)] = z[stopped][:, played]
+            ended = times if common else times + [t]
+            diverged = ~within[:2].all(axis=0)
+            for row, div in zip(live[stopped].tolist(), diverged[stopped].tolist()):
+                ends[row] = (len(ended), list(ended),
+                             StopReason.DIVERGED if div else StopReason.CONVERGED)
+            live, z, eta, bias = live[going], z[going], eta[going], bias[going]
+            g_old, limits = ov[0][going], limits[:, going]
+            break
+    ends = [end or (len(times), times, StopReason.MAX_STEPS) for end in ends]
     return [Trajectory(float(eta_i), plan.n, record[i, :length], list(t_i), stop)
             for i, (eta_i, (length, t_i, stop)) in enumerate(zip(etas, ends))]
 

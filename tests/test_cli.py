@@ -38,7 +38,10 @@ def zero_sum_config(eta, **extra):
     (["run", "--nope"], "unrecognized arguments: --nope"),
     (["analyze", "--format", "json"], "unrecognized arguments: --format json"),
     (["sweep", "--format", "csv"], "unrecognized arguments: --format csv"),
-    ([], "required: command"), (["run", "--seed", "x"], "--seed: invalid int value")])
+    ([], "required: command"), (["run", "--seed", "x"], "--seed: invalid int value"),
+    (["verify", "--seed", "-5"], "--seed: must be >= 0"),
+    (["run", "--config", "absent.json", "--seed", "-1"], "--seed: must be >= 0"),
+    (["sweep", "--seed", "-2"], "--seed: must be >= 0")])
 def test_usage_error_exit_one(capsys, argv, message):
     assert cli.main(argv) == cli.EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
@@ -209,6 +212,14 @@ class TestRun:
                      id="init-seed-string"),
         pytest.param(lambda c: c.update(init={"random": True, "seed": math.inf}),
                      id="init-seed-infinite"),
+        pytest.param(lambda c: c.update(init={"random": True, "seed": 1.5}),
+                     id="init-seed-fraction"),
+        pytest.param(lambda c: c.update(init={"random": True, "seed": True}),
+                     id="init-seed-bool"),
+        pytest.param(lambda c: c.update(init={"random": True, "seed": "7"}),
+                     id="init-seed-numeric-string"),
+        pytest.param(lambda c: c.update(init={"random": True, "seed": -3}),
+                     id="init-seed-negative"),
         pytest.param(lambda c: c.update(name="a\0b"), id="name-nul"),
         pytest.param(lambda c: c.update(game=None), id="game-null"),
         pytest.param(lambda c: c["game"]["A"].update(rows=None), id="rows-null")])
@@ -387,6 +398,12 @@ class TestRun:
         cfg = write_config(tmp_path, zero_sum_config(0.3, init={"random": True}))
         assert cli.main(["run", "--config", cfg,
                          "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG_ERROR
+
+    def test_integral_float_seed_is_that_integer(self):
+        game = cli.parse_config(zero_sum_config(0.3)).game
+        inits = [cli._build_init(game, {"random": True, "seed": seed}, None).z
+                 for seed in (7, 7.0)]
+        assert inits[0].tolist() == inits[1].tolist()
 
 
 class TestSweep:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -128,28 +129,79 @@ def reference_states(game, eta, s, steps, optimistic):
     return np.array(rows)
 
 
+def reference_stop(rows, n, max_steps, stop_tol=dynamics.DEFAULT_STOP_TOL,
+                   blow_cap=DEFAULT_BLOW_CAP):
+    """The step at which a run of the reference rows stops, and why, decided
+    with np.linalg.norm: x_t or y_t past the cap or not finite (x_0 and y_0
+    are tested with step 1), else a whole-state move under stop_tol."""
+    m = rows.shape[1] // 2
+    for t in range(1, max_steps + 1):
+        blocks = (rows[t, :n], rows[t, n:m]) + ((rows[0, :n], rows[0, n:m]) if t == 1 else ())
+        if not all(np.linalg.norm(v) <= blow_cap for v in blocks):
+            return t, StopReason.DIVERGED
+        if np.linalg.norm(rows[t] - rows[t - 1]) < stop_tol:
+            return t, StopReason.CONVERGED
+    return max_steps, StopReason.MAX_STEPS
+
+
+def assert_run_matches_reference(game, algo, eta, init, max_steps, stride, **settings):
+    """`run`'s rows, times and stop reason against the reference, bit for bit;
+    returns the stop reason."""
+    with np.errstate(over="ignore", invalid="ignore"):  # rows past a divergence
+        rows = reference_states(game, eta, init, max_steps, algo is Algo.OGDA)
+    stop, reason = reference_stop(rows, game.n, max_steps, **settings)
+    times = list(range(0, stop + 1, stride))
+    times += [] if times[-1] == stop else [stop]
+    traj = dynamics.run(game, algo, eta, init, max_steps=max_steps, record_stride=stride,
+                        **settings)
+    assert traj.times == times and traj.stop_reason is reason
+    assert traj.states.tobytes() == rows[times].tobytes()
+    return reason
+
+
 def test_engine_matches_reference_arithmetic():
     rng = np.random.default_rng(7)
+    for n, p in [(1, 1), (2, 2), (3, 5), (5, 3), (4, 4)]:
+        g = BilinearGame(rng.normal(size=(n, p)), rng.normal(size=(n, p)),
+                         rng.normal(size=n), rng.normal(size=p),
+                         rng.normal(size=n), rng.normal(size=p))
+        init = IterateState(rng.normal(size=n), rng.normal(size=p),
+                            rng.normal(size=n), rng.normal(size=p))
+        for algo, eta, stride in itertools.product([Algo.GDA, Algo.OGDA], [0.05, 0.9], [1, 3]):
+            assert_run_matches_reference(g, algo, eta, init, 200, stride)
+    # DOGDA: x follows the zero-sum half on player 2's payoff, y the half on
+    # player 1's, each started from the initial state.
     n, p = 3, 5
     g = BilinearGame(rng.normal(size=(n, p)), rng.normal(size=(n, p)),
                      rng.normal(size=n), rng.normal(size=p),
                      rng.normal(size=n), rng.normal(size=p))
     init = IterateState(rng.normal(size=n), rng.normal(size=p),
                         rng.normal(size=n), rng.normal(size=p))
-    eta = 0.05
-    for algo in (Algo.OGDA, Algo.GDA):
-        expected = reference_states(g, eta, init, 200, algo is Algo.OGDA)
-        assert np.array_equal(exact_steps(g, algo, eta, init, 200), expected)
-    # DOGDA: x follows the zero-sum half on player 2's payoff, y the half on
-    # player 1's, each started from the initial state.
     half1 = BilinearGame.zero_sum_game(-g.B, b=-g.e, c=-g.f)
     half2 = BilinearGame.zero_sum_game(g.A, b=g.b, c=g.c)
-    ref1 = reference_states(half1, eta, init, 200, True)
-    ref2 = reference_states(half2, eta, init, 200, True)
-    played = exact_steps(g, Algo.DOGDA, eta, init, 200)
+    ref1 = reference_states(half1, 0.05, init, 200, True)
+    ref2 = reference_states(half2, 0.05, init, 200, True)
+    played = exact_steps(g, Algo.DOGDA, 0.05, init, 200)
     np.testing.assert_allclose(played[:, :n], ref1[:, :n], rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(played[:, n:n + p], ref2[:, n:n + p],
                                rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("game, algo, eta, init, settings, reason", [
+    (PENNIES, Algo.OGDA, 0.3, IterateState.at([1.0], [1.0]), {}, StopReason.CONVERGED),
+    (BilinearGame.zero_sum_game([[1.0, 0.5], [0.0, 2.0]], b=[1.0, -1.0], c=[0.5, 0.0]),
+     Algo.OGDA, 0.2, IterateState([1.0, -1.0], [0.5, 2.0], [0.0, 0.0], [1.0, 1.0]),
+     {"stop_tol": 1e-9}, StopReason.CONVERGED),
+    (BilinearGame.zero_sum_game([[1.0, 0.5], [0.0, 2.0]]), Algo.GDA, 0.9,
+     IterateState.at([1.0, -1.0], [0.5, 2.0]), {}, StopReason.DIVERGED),
+    (PENNIES, Algo.OGDA, 0.7, IterateState.at([1.0], [1.0]), {"blow_cap": 1e3},
+     StopReason.DIVERGED),
+    (PENNIES, Algo.OGDA, 1.0, IterateState([25.0], [-10.0], [50.0], [0.0]),
+     {"blow_cap": 20.0}, StopReason.DIVERGED)])
+def test_stop_step_matches_reference_norms(game, algo, eta, init, settings, reason, stride):
+    assert assert_run_matches_reference(game, algo, eta, init, 3000, stride,
+                                        **settings) is reason
 
 
 class TestIterateState:
@@ -364,7 +416,7 @@ class TestRunBatch:
 
     def test_blocks_follow_the_record_budget(self, monkeypatch):
         # 401 recorded rows of 16 cells: a budget of two rows and a half makes
-        # blocks of 2, 2, 2 and 1 rows, the last one run by `run`'s loop
+        # blocks of 2, 2, 2 and 1 rows, the last one on 1-d operands
         monkeypatch.setattr(dynamics, "BATCH_RECORD_CELLS", 401 * 16 * 5 // 2)
         etas = self.ETAS + [0.17]
         trajs = batch_matches_run(dense_game(True), Algo.OGDA, etas, dense_init(),
