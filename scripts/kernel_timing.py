@@ -3,9 +3,11 @@
 
 `run`: microseconds per step of OGDA at n+p in {4, 32, 128, 256}, the median
 of five runs of 4000 steps, each step recorded. `run_batch`: row-steps per
-second at k = 8 step sizes, n+p in {4, 32}, the median of five batches. The
-games are seeded zero-sum games with A scaled by 1/sqrt(n), and eta is small
-enough that no run stops early.
+second at k = 8 step sizes, n+p in {4, 32}, the median of five batches.
+`trajectory_to_csv`: microseconds per row of the CSV of a 4000-step OGDA
+record at n+p in {4, 32, 256}, with its distance column, the median of five
+renderings. The games are seeded zero-sum games with A scaled by 1/sqrt(n),
+and eta is small enough that no run stops early.
 
     PYTHONPATH=src python3 scripts/kernel_timing.py
 """
@@ -51,6 +53,12 @@ def main() -> None:
         g, init = game(size)
         seconds = median_time(lambda: list(dynamics.run_batch(g, "OGDA", etas, init, **settings)))
         out[f"run_batch_row_steps_per_s_k8_np{size}"] = len(etas) * STEPS / seconds
+    for size in (4, 32, 256):
+        g, init = game(size)
+        traj = dynamics.run(g, "OGDA", 0.01, init, **settings)
+        origin = (np.zeros(g.n), np.zeros(g.p))  # the Nash point of these games
+        seconds = median_time(lambda: dynamics.trajectory_to_csv(traj, g, limit=origin))
+        out[f"csv_us_per_row_np{size}"] = seconds / len(traj.times) * 1e6
     print(json.dumps(out))
 
 

@@ -139,6 +139,11 @@ def parse_config(obj: dict, seed: int | None = None) -> ExperimentConfig:
     name = str(obj.get("name", "experiment"))
     if "/" in name or "\0" in name:
         raise ConfigError(f"name must be a file name, got {name!r}")
+    description = str(obj.get("description", ""))
+    # both go into "#" comment lines of the CSV header, one line each
+    for key, text in (("name", name), ("description", description)):
+        if "\n" in text or "\r" in text:
+            raise ConfigError(f"{key} must be one line, got {text!r}")
     eta, eta_range = None, None
     if isinstance(eta_obj, dict):
         start, stop, step = (_threshold(eta_obj, key) for key in ("start", "stop", "step"))
@@ -158,7 +163,7 @@ def parse_config(obj: dict, seed: int | None = None) -> ExperimentConfig:
         stop_tol=_threshold(obj, "stop_tol", DEFAULT_STOP_TOL, zero_ok=True),
         blow_cap=_threshold(obj, "blow_cap", DEFAULT_BLOW_CAP),
         record_stride=_count(obj, "record_stride", None),
-        description=str(obj.get("description", "")))
+        description=description)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ on a (k, 2(n+p)) block for k of them.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 import sys
@@ -390,9 +391,17 @@ def recorded_payoffs(traj: Trajectory, game: BilinearGame) -> tuple[np.ndarray, 
     return g1, g2
 
 
-# Cells formatted per block of rows. This bounds the Python floats alive at
-# once: at n+p=256 and 1501 rows, one tolist() of the whole table added about
-# 17 MB to peak memory, and blocks of 256 rows about 5 MB.
+# Cells rendered per block of rows. The kernel (`_format_cells`) writes a
+# block's cells as "%.17g" would, with no Python call per cell: the 17 digits
+# of each value come from an exact product with a double-double power of ten
+# and go through a 4-digit lookup table into fixed byte slots, which one
+# bytes.translate compacts. Non-finite values, ±0, |v| outside [1e-240,
+# 1e240] and values within 1e-9 of a rounding tie go through "%.17g" itself.
+# A block holds its slots (50 bytes a cell, 400 kB) and about 2 MB of
+# temporaries, beside the text returned. On a 4000-step OGDA record
+# (scripts/kernel_timing.py, 2-vCPU x86-64, numpy 2.4.6, median of ten runs)
+# a row costs 2.4, 10.5 and 77 us at n+p = 4, 32 and 256 (one "%.17g" per
+# cell: 8.4, 38 and 279 us).
 CSV_BLOCK_CELLS = 8192
 
 
@@ -401,8 +410,8 @@ def trajectory_to_csv(traj: Trajectory, game: BilinearGame,
                       comments: tuple[str, ...] = ()) -> str:
     """Render the recorded states as CSV.
 
-    Header: t,x_0..x_{n-1},y_0..y_{p-1},dist_limit,g1,g2, with 17 significant
-    digits per value. The dist_limit column is left empty when no limit
+    Header: t,x_0..x_{n-1},y_0..y_{p-1},dist_limit,g1,g2, each value written
+    as "%.17g" writes it. The dist_limit column is left empty when no limit
     prediction is supplied.
     """
     n, p = game.n, game.p
@@ -413,16 +422,183 @@ def trajectory_to_csv(traj: Trajectory, game: BilinearGame,
     cols = (["t"] + [f"x_{i}" for i in range(n)] + [f"y_{j}" for j in range(p)]
             + ["dist_limit", "g1", "g2"])
     lines.append(",".join(cols))
-    # "%.17g" % v is format(v, ".17g") for a Python float
-    row_format = ("%d" + ",%.17g" * (n + p) + ("," if target is None else ",%.17g")
-                  + ",%.17g,%.17g")
-    block_rows = max(1, CSV_BLOCK_CELLS // (n + p + 3))
+    parts = ["\n".join(lines) + "\n"]
+    width = n + p + 3
+    block_rows = max(1, CSV_BLOCK_CELLS // width)
+    # one grid for every block: each block writes every byte of its rows
+    grid = np.empty(min(block_rows, len(traj.times)), [
+        ("t", f"S{len(str(max(traj.times)))}"), ("cells", _CELL, (width,)), ("end", "S1")])
+    grid["end"] = b"\n"
     for start in range(0, len(traj.times), block_rows):
         block = slice(start, start + block_rows)
-        columns = [xy[block]]
-        if target is not None:
-            columns.append(row_norms(xy[block] - target)[:, None])
-        columns += [g1[block, None], g2[block, None]]
-        table = np.hstack(columns).tolist()
-        lines.extend(row_format % (t, *row) for t, row in zip(traj.times[block], table))
-    return "\n".join(lines) + "\n"
+        rows = grid[:len(traj.times[block])]
+        dist = (np.ones((len(rows), 1)) if target is None  # a placeholder, blanked below
+                else row_norms(xy[block] - target)[:, None])
+        rows["t"] = traj.times[block]
+        _format_cells(np.hstack([xy[block], dist, g1[block, None], g2[block, None]]),
+                      rows["cells"])
+        if target is None:
+            rows["cells"].view(f"S{_CELL.itemsize}")[:, n + p] = b","
+        parts.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(parts)
+
+
+# A CSV cell as fixed slots, each unused one NUL: "head" holds the separator,
+# the sign and the "0.000" of a fixed-point value below 1; "lead" the first
+# digit and the slot for a point after it; "body" the other 16 digits, each
+# followed by a point slot, in four words of four; "exp" the "e+dd" or
+# "e-ddd" of a value written with an exponent.
+_CELL = np.dtype([("head", "<u8"), ("lead", "<u2"), ("body", "<u8", (4,)), ("exp", "<u8")])
+# The kernel renders |v| in this range; ±0, non-finite values and the rest
+# go through "%.17g". Inside it every partial product of the digit stage is
+# a normal double.
+_KERNEL_MIN, _KERNEL_MAX = 1e-240, 1e240
+# A cell whose scaled value is within this of a rounding tie goes through
+# "%.17g" too. The scaled value (below 1e17) is accurate to about 1e-14.
+_TIE_MARGIN = 1e-9
+_POW_MIN, _POW_MAX = -230, 260  # 10**k for k = 16 - e, e an exponent in the kernel's range
+_EXP_MIN = -250
+_E16, _E17 = 10 ** 16, 10 ** 17
+_QUAD = 10 ** 4
+_BODY = np.arange(4)[:, None]  # the index of each body word, down a (4, cells) block
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: a = hi + lo exactly, each with at most 26 significant bits."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _packed(texts: list[bytes]) -> np.ndarray:
+    """Each text, at most 8 bytes, NUL-padded into one little-endian word."""
+    return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), "<u8").copy()
+
+
+class _CsvTables:
+    """The kernel's lookup tables, each indexed by a small integer. Built on
+    the first CSV rendered (`_csv_tables`), so that no other command pays."""
+
+    def __init__(self):
+        hi, lo = [], []
+        for k in range(_POW_MIN, _POW_MAX + 1):  # 10**k = num / den exactly
+            num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+            hi.append(num / den)  # int / int rounds correctly
+            n, d = hi[-1].as_integer_ratio()
+            lo.append((num * d - n * den) / (den * d))
+        # by k - _POW_MIN: 10**k rounded to a double, that double split into
+        # two 26-bit halves, and 10**k minus it, rounded
+        self.pow_hi = np.array(hi)
+        self.pow_hi_h, self.pow_hi_l = _split(self.pow_hi)
+        self.pow_lo = np.array(lo)
+        q = np.arange(_QUAD)
+        digits = q[:, None] // np.array([1000, 100, 10, 1]) % 10
+        pairs = (digits + ord("0")).astype(np.uint64) << np.arange(0, 64, 16, dtype=np.uint64)
+        masks = np.array([(1 << 16 * k) - 1 for k in range(5)], dtype=np.uint64)
+        # by keep * 10**4 + q: the first `keep` of the four digits of q, each
+        # as a (digit, NUL) pair
+        self.words = (pairs.sum(axis=1, dtype=np.uint64) & masks[:, None]).ravel()
+        # by word * 10**4 + q: 4 word + the digits of q up to its last nonzero
+        # one, 0 for q = 0
+        last = np.where(digits != 0, np.arange(1, 5), 0).max(axis=1)
+        self.sig = np.concatenate([np.where(q > 0, 4 * i + last, 0)
+                                   for i in range(4)]).astype(np.int8)
+        # by 4 digits-kept + word: 10**4 times the digits kept in that body word
+        self.keep = np.array([_QUAD * min(max(kept - 1 - 4 * i, 0), 4)
+                              for kept in range(18) for i in range(4)])
+        # by exponent - _EXP_MIN: the "e+dd" word, if any, and the digits
+        # before the point in the digit slots; by twice that + negative, the
+        # head: "," and the sign, then "0." and zeros below 1
+        exps = range(_EXP_MIN, -_EXP_MIN + 1)
+        fixed = [-4 <= x < 17 for x in exps]
+        self.exp = _packed([b"" if f else b"e%+03d" % x for x, f in zip(exps, fixed)])
+        self.whole = np.array([max(x + 1, 0) if f else 1 for x, f in zip(exps, fixed)])
+        self.head = _packed([b"," + sign + (b"0." + b"0" * (-x - 1) if f and x < 0 else b"")
+                             for x, f in zip(exps, fixed) for sign in (b"\0", b"-")])
+        # by digits before the point, w: the point after digit w sits in pair
+        # w - 1, in the lead (word 0) or in body word (w + 2) // 4
+        self.point_word = np.array([(w + 2) // 4 if w > 1 else 0 for w in range(18)])
+        self.point = np.array([ord(".") << 8 + 16 * ((w - 2) % 4 if w > 1 else 0)
+                               for w in range(18)], dtype=np.uint64)
+        for table in vars(self).values():
+            table.flags.writeable = False
+
+
+_csv_tables = functools.cache(_CsvTables)
+
+
+def _scaled(mag: np.ndarray, e: np.ndarray, tables: _CsvTables) -> tuple[np.ndarray, np.ndarray]:
+    """floor(mag * 10**(16 - e)) as int64, and the fraction above it, from the
+    exact (Dekker) product of mag and the double-double 10**(16 - e). Below
+    2**53 the floor is approximate, but still below 10**16."""
+    k = (16 - _POW_MIN) - e
+    p_hi = tables.pow_hi.take(k)
+    prod = mag * p_hi
+    m_hi, m_lo = _split(mag)
+    p_hi_h, p_hi_l = tables.pow_hi_h.take(k), tables.pow_hi_l.take(k)
+    rest = ((m_hi * p_hi_h - prod) + m_hi * p_hi_l + m_lo * p_hi_h) + m_lo * p_hi_l
+    rest += mag * tables.pow_lo.take(k)
+    # a fraction within the margin of 1 counts as the next integer. It rounds
+    # up either way, and an exact power of ten such as 1e20, times the
+    # inexact 10**-4, does not read as just below 10**16. No double of the
+    # kernel's range lies that close below a power of ten: scaled to 10**16,
+    # the nearest (below 1e153) is 0.0027 below.
+    floor = np.floor(rest + _TIE_MARGIN)
+    return prod.astype(np.int64) + floor.astype(np.int64), rest - floor
+
+
+def _format_cells(values: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Write "," and "%.17g" % v for each value v into the _CELL slots of the
+    same shape: 17 correctly rounded digits, their exponent, then the bytes.
+    Returns the flat indices of the values it declined and formatted with
+    "%.17g" itself."""
+    tables = _csv_tables()
+    v = values.ravel()
+    mag = np.abs(v)
+    ok = (mag >= _KERNEL_MIN) & (mag <= _KERNEL_MAX)  # false for nan
+    mag[~ok] = 1.0
+    e = np.floor(np.log10(mag)).astype(np.int64)
+    digits, frac = _scaled(mag, e, tables)
+    # log10 may miss by one next to a power of ten: move e so that the
+    # 17-digit floor lies in [10**16, 10**17)
+    off = np.flatnonzero((digits < _E16) | (digits >= _E17))
+    if off.size:
+        e[off] += np.where(digits[off] < _E16, -1, 1)
+        digits[off], frac[off] = _scaled(mag[off], e[off], tables)
+        ok[off] &= (digits[off] >= _E16) & (digits[off] < _E17)
+    ok &= np.abs(frac - 0.5) >= _TIE_MARGIN
+    digits += frac > 0.5
+    carry = digits == _E17
+    digits[carry] = _E16
+    e += carry  # the exponent of the rounded value
+    # the digits: the lead, then four words of four (floor division by a
+    # constant is the fast integer division in numpy)
+    lead = digits // _E16
+    quads = np.empty((4, v.size), np.int64)
+    rest = digits - lead * _E16
+    top = rest // 10 ** 8
+    for i, part in ((0, top), (2, rest - top * 10 ** 8)):
+        np.floor_divide(part, _QUAD, out=quads[i])
+        np.subtract(part, quads[i] * _QUAD, out=quads[i + 1])
+    sig = 1 + tables.sig.take(quads + _BODY * _QUAD).max(axis=0)
+    at = e - _EXP_MIN
+    whole = tables.whole.take(at)  # digits before the point in the digit slots
+    words = np.empty((5, v.size), np.uint64)  # the lead, then the body words
+    words[0] = lead + ord("0")
+    kept = 4 * np.maximum(sig, whole) + _BODY
+    tables.words.take(tables.keep.take(kept) + quads, out=words[1:])
+    # a point after the whole digits where a fraction follows them; below 1
+    # (no whole digits) the head holds it
+    pointed = np.flatnonzero((whole < sig) & (whole > 0))
+    w = whole[pointed]
+    words.reshape(-1)[tables.point_word.take(w) * v.size + pointed] |= tables.point.take(w)
+    shape = cells.shape
+    cells["head"] = tables.head.take(2 * at + (v < 0)).reshape(shape)
+    cells["lead"] = words[0].reshape(shape)
+    cells["body"] = words[1:].T.reshape(*shape, 4)
+    cells["exp"] = tables.exp.take(at).reshape(shape)
+    declined = np.flatnonzero(~ok)
+    if declined.size:
+        texts = cells.view(f"S{_CELL.itemsize}")
+        texts[np.unravel_index(declined, shape)] = [b",%.17g" % x for x in v[declined].tolist()]
+    return declined

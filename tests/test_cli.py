@@ -221,6 +221,11 @@ class TestRun:
         pytest.param(lambda c: c.update(init={"random": True, "seed": -3}),
                      id="init-seed-negative"),
         pytest.param(lambda c: c.update(name="a\0b"), id="name-nul"),
+        pytest.param(lambda c: c.update(name="a\nb"), id="name-newline"),
+        pytest.param(lambda c: c.update(description="line one\nline two"),
+                     id="description-newline"),
+        pytest.param(lambda c: c.update(description="line one\rline two"),
+                     id="description-return"),
         pytest.param(lambda c: c.update(game=None), id="game-null"),
         pytest.param(lambda c: c["game"]["A"].update(rows=None), id="rows-null")])
     def test_malformed_fields_exit_one(self, tmp_path, capsys, mutate):
@@ -418,6 +423,15 @@ class TestSweep:
         # monotone decreasing fitted ratio on the small-step branch
         fitted = [float(r[1]) for r in data if float(r[0]) < 0.25]
         assert all(b < a for a, b in zip(fitted, fitted[1:]))
+
+    def test_multiline_description_exit_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, zero_sum_config(
+            {"start": 0.1, "stop": 0.45, "step": 0.05}, description="line one\nline two"))
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", cfg, "--out-dir", str(out)]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error:")
+        assert not out.exists()
 
     def test_csv_matches_serial_reference(self, tmp_path, monkeypatch):
         # blocks of two rows; the range ends past the divergence threshold

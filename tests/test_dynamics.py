@@ -1,8 +1,12 @@
 import itertools
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddle_lab import dynamics, games
 from saddle_lab.dynamics import DEFAULT_BLOW_CAP, Algo, IterateState, StopReason
@@ -526,3 +530,67 @@ class TestCsv:
                 else:
                     dist = math.hypot(*(xy - np.concatenate(limit)))
                     assert abs(float(cells[-3]) - dist) <= 1e-14 * max(1.0, dist)
+
+
+def kernel_cells(values):
+    """The CSV cells that the kernel of trajectory_to_csv writes for `values`,
+    and the values it declined (and left to "%.17g")."""
+    values = np.asarray(values, dtype=float).reshape(1, -1)
+    cells = np.empty(values.shape, dynamics._CELL)  # the kernel writes every byte
+    declined = dynamics._format_cells(values, cells)
+    text = cells.tobytes().translate(None, b"\0").decode("ascii")
+    return text.split(",")[1:], values.ravel()[declined].tolist()
+
+
+def near_tie(x):
+    """Whether |x| 10**(16 - e), e the decimal exponent of x, lies within the
+    kernel's margin of a rounding tie, in exact rationals."""
+    exact = abs(Fraction(x))
+    e = math.floor(math.log10(abs(x)))
+    while Fraction(10) ** e > exact:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= exact:
+        e += 1
+    scaled = exact * Fraction(10) ** (16 - e)
+    return abs(scaled - math.floor(scaled) - Fraction(1, 2)) < dynamics._TIE_MARGIN + 1e-12
+
+
+class TestCellKernel:
+    """The vectorized "%.17g" of trajectory_to_csv against Python's, byte for
+    byte. A cell is declined only when it is non-finite, ±0, outside
+    [1e-240, 1e240] or near a rounding tie."""
+
+    def check(self, values):
+        cells, declined = kernel_cells(values)
+        assert cells == ["%.17g" % x for x in np.asarray(values, dtype=float).tolist()]
+        for x in declined:
+            assert (not math.isfinite(x) or x == 0.0
+                    or not dynamics._KERNEL_MIN <= abs(x) <= dynamics._KERNEL_MAX
+                    or near_tie(x)), x
+        return declined
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=16))
+    def test_any_float(self, values):
+        self.check(values)
+
+    def test_edges(self):
+        def around(x):
+            return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+        tens = [v for k in range(-30, 31) for v in around(10.0 ** k)]
+        twos = [2.0 ** k for k in range(-80, 81)]  # 2**-25 and others end in an exact tie
+        guards = around(dynamics._KERNEL_MIN) + around(dynamics._KERNEL_MAX)
+        special = [0.0, math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+                   sys.float_info.max, 2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2,
+                   *around(1e16), *around(1e17), 99999999999999999.0, 0.1, 1e-5, 123.0]
+        values = [s * v for v in tens + twos + guards + special for s in (1.0, -1.0)]
+        declined = self.check(values)
+        assert 2.0 ** -25 in declined and 2.0 ** -24 not in declined
+        assert not {10.0 ** k for k in range(-30, 31)} & set(declined)
+        assert guards[0] in declined and guards[-1] in declined
+        assert not set(guards[1:-1]) & set(declined)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(12).integers(0, 2 ** 64, 2 ** 20, dtype=np.uint64)
+        for chunk in np.split(bits.view(np.float64), 16):
+            self.check(chunk)

@@ -12,10 +12,15 @@ from saddle_lab import cli, spectral
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name, out, monkeypatch):
+def load_script(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def run_script(name, out, monkeypatch):
+    module = load_script(name)
     monkeypatch.setattr(sys, "argv", [name, str(out)])
     return module.main()
 
@@ -35,3 +40,16 @@ def test_step_size_sweep_finds_the_optimum(tmp_path, monkeypatch):
     [argmin] = [line[len(prefix):] for line in text.splitlines() if line.startswith(prefix)]
     # within one grid step of the closed form
     assert float(argmin) == pytest.approx(spectral.optimal_eta(1.0, 4.0)[0], abs=0.005)
+
+
+def test_kernel_timing_prints_every_layer(monkeypatch, capsys):
+    module = load_script("kernel_timing")
+    monkeypatch.setattr(module, "STEPS", 20)
+    monkeypatch.setattr(module, "REPEATS", 1)
+    module.main()
+    out = json.loads(capsys.readouterr().out)
+    keys = ([f"run_us_per_step_np{size}" for size in (4, 32, 128, 256)]
+            + [f"run_batch_row_steps_per_s_k8_np{size}" for size in (4, 32)]
+            + [f"csv_us_per_row_np{size}" for size in (4, 32, 256)])
+    assert sorted(out) == sorted(keys)
+    assert all(out[key] > 0 for key in keys)
