@@ -6,8 +6,10 @@ of five runs of 4000 steps, each step recorded. `run_batch`: row-steps per
 second at k = 8 step sizes, n+p in {4, 32}, the median of five batches.
 `trajectory_to_csv`: microseconds per row of the CSV of a 4000-step OGDA
 record at n+p in {4, 32, 256}, with its distance column, the median of five
-renderings. The games are seeded zero-sum games with A scaled by 1/sqrt(n),
-and eta is small enough that no run stops early.
+renderings. `rate_report` and `predict_limit`: microseconds per call of the
+public function at one step size, n+p in {4, 128}, the median of five
+batches of 50 calls. The games are seeded zero-sum games with A scaled by
+1/sqrt(n), and eta is small enough that no run stops early.
 
     PYTHONPATH=src python3 scripts/kernel_timing.py
 """
@@ -17,11 +19,12 @@ import time
 
 import numpy as np
 
-from saddle_lab import dynamics
+from saddle_lab import dynamics, predict, spectral
 from saddle_lab.games import BilinearGame
 
 STEPS = 4000
 REPEATS = 5
+CALLS = 50  # calls per timed batch of an analysis function
 
 
 def game(size: int):
@@ -59,6 +62,13 @@ def main() -> None:
         origin = (np.zeros(g.n), np.zeros(g.p))  # the Nash point of these games
         seconds = median_time(lambda: dynamics.trajectory_to_csv(traj, g, limit=origin))
         out[f"csv_us_per_row_np{size}"] = seconds / len(traj.times) * 1e6
+    for size in (4, 128):
+        g, init = game(size)
+        seconds = median_time(lambda: [spectral.rate_report(g, 0.01) for _ in range(CALLS)])
+        out[f"rate_report_us_np{size}"] = seconds / CALLS * 1e6
+        seconds = median_time(
+            lambda: [predict.predict_limit(g, "OGDA", 0.01, init) for _ in range(CALLS)])
+        out[f"predict_limit_us_np{size}"] = seconds / CALLS * 1e6
     print(json.dumps(out))
 
 

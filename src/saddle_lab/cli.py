@@ -104,11 +104,13 @@ def _count(obj: dict, key: str, default: int | None) -> int | None:
 
 def _threshold(obj: dict, key: str, default: float | None = None,
                zero_ok: bool = False) -> float:
-    """A finite real setting, > 0 (or >= 0 where zero_ok); absent means default."""
+    """A finite real setting, > 0 (or >= 0 where zero_ok); absent means default.
+    Only a JSON number is one: a bool or a numeric string is not."""
     value = obj.get(key, default)
     try:
-        number = float(value)
-    except (TypeError, ValueError):
+        number = (float(value) if isinstance(value, (int, float))
+                  and not isinstance(value, bool) else math.nan)
+    except OverflowError:  # an integer beyond the float range
         number = math.nan
     if not (math.isfinite(number) and (number >= 0 if zero_ok else number > 0)):
         raise ConfigError(f"{key} must be a finite number {'>=' if zero_ok else '>'} 0, "
@@ -259,8 +261,9 @@ def _json_dump(obj, path: Path | None) -> str:
 def cmd_analyze(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     if cfg.eta is None:
         raise ConfigError("analyze needs a scalar eta")
-    report = spectral.rate_report(cfg.game, cfg.eta, cfg.algo)
-    pred = predict.predict_limit(cfg.game, cfg.algo, cfg.eta, cfg.init)
+    spec = spectral.CouplingSpectrum(cfg.game, cfg.algo)
+    report = spectral.rate_curve(spec, [cfg.eta])[0]
+    pred = predict.limit(spec, report, cfg.init)
     payload = {"report": report.to_json(), "limit": pred.to_json()}
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -273,10 +276,11 @@ def cmd_analyze(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     return EXIT_OK if report.applicable else EXIT_INAPPLICABLE
 
 
-def _fit(cfg: ExperimentConfig, traj: Trajectory) -> tuple[LimitPrediction, RateFit | None]:
+def _fit(cfg: ExperimentConfig, spec: spectral.CouplingSpectrum, report: spectral.SpectralReport,
+         traj: Trajectory) -> tuple[LimitPrediction, RateFit | None]:
     """Predict the limit of a run of `cfg` and fit its rate (None without a
     valid prediction, after divergence or on too few points)."""
-    pred = predict.predict_limit(cfg.game, cfg.algo, traj.eta, cfg.init)
+    pred = predict.limit(spec, report, cfg.init)
     fit = None
     if pred.valid and traj.stop_reason is not StopReason.DIVERGED:
         try:
@@ -287,9 +291,10 @@ def _fit(cfg: ExperimentConfig, traj: Trajectory) -> tuple[LimitPrediction, Rate
 
 
 def _run_one(cfg: ExperimentConfig, eta: float) -> dict:
+    spec = spectral.CouplingSpectrum(cfg.game, cfg.algo)
+    report = spectral.rate_curve(spec, [eta])[0]
     traj = run(cfg.game, cfg.algo, eta, cfg.init, **cfg.step_settings())
-    pred, fit = _fit(cfg, traj)
-    report = spectral.rate_report(cfg.game, eta, cfg.algo)
+    pred, fit = _fit(cfg, spec, report, traj)
     result = {
         "trajectory": traj,
         "report": report,
@@ -299,7 +304,7 @@ def _run_one(cfg: ExperimentConfig, eta: float) -> dict:
         "bound": None,
     }
     if pred.valid and traj.stop_reason is not StopReason.DIVERGED and report.applicable:
-        dist = predict.distance_to_nash(cfg.game, cfg.init)
+        dist = predict.distance(spec.nash, cfg.init)
         result["bound"] = verify.check_bound(traj, report, dist, pred)
     return result
 
@@ -366,19 +371,19 @@ def cmd_run(configs: list[ExperimentConfig], out_dir: Path, fmt: str) -> int:
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.eta_range is None:
         raise ConfigError("sweep needs an eta range {start, stop, step}")
-    etas = cfg.etas()
-    curve = spectral.rate_curve(spectral.CouplingSpectrum(cfg.game, cfg.algo), etas)
-    points = [(eta, lam) for eta, lam, applicable
-              in zip(etas, curve.lambda_max.tolist(), curve.applicable) if applicable]
-    trajs = run_batch(cfg.game, cfg.algo, [eta for eta, _ in points], cfg.init,
+    spec = spectral.CouplingSpectrum(cfg.game, cfg.algo)
+    curve = spectral.rate_curve(spec, cfg.etas())
+    reports = [curve[i] for i in np.flatnonzero(curve.applicable)]
+    trajs = run_batch(cfg.game, cfg.algo, [r.eta for r in reports], cfg.init,
                       **cfg.step_settings())
     # map drops each trajectory once it is fitted, so one block of the batch
     # is alive at a time
-    fits = map(functools.partial(_fit, cfg), trajs)
+    fits = map(functools.partial(_fit, cfg, spec), reports, trajs)
     usable = []
-    for (eta, lam), (_, fit) in zip(points, fits):
+    for report, (_, fit) in zip(reports, fits):
         if fit is not None and np.isfinite(fit.fitted_ratio):
-            usable.append({"eta": eta, "fitted_ratio": fit.fitted_ratio, "lambda_max": lam})
+            usable.append({"eta": report.eta, "fitted_ratio": fit.fitted_ratio,
+                           "lambda_max": report.lambda_max})
     if not usable:
         print("no eta in the requested range is applicable", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -221,13 +221,23 @@ def game_to_json(game: BilinearGame) -> dict:
     }
 
 
+def _number(obj: dict, key: str, default: float) -> float:
+    """A real constant; a bool or a str is not one."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def game_from_json(obj: dict) -> BilinearGame:
     A = linalg.matrix_from_json(obj["A"])
     n, p = A.shape
-    zero_sum = bool(obj.get("zero_sum", False))
+    zero_sum = obj.get("zero_sum", False)
+    if not isinstance(zero_sum, bool):
+        raise ValueError(f"zero_sum must be true or false, got {zero_sum!r}")
     b = as_vector(obj.get("b", np.zeros(n)), n)
     c = as_vector(obj.get("c", np.zeros(p)), p)
-    d = float(obj.get("d", 0.0))
+    d = _number(obj, "d", 0.0)
     if obj.get("B") is None:
         if not zero_sum:
             raise ValueError("B may be omitted only for zero_sum games")
@@ -235,7 +245,7 @@ def game_from_json(obj: dict) -> BilinearGame:
     B = linalg.matrix_from_json(obj["B"])
     e = as_vector(obj.get("e", -b if zero_sum else np.zeros(n)), n)
     f = as_vector(obj.get("f", -c if zero_sum else np.zeros(p)), p)
-    g = float(obj.get("g", -d if zero_sum else 0.0))
+    g = _number(obj, "g", -d if zero_sum else 0.0)
     game = BilinearGame(A, B, b, c, e, f, d, g)
     if zero_sum and not game.zero_sum:
         raise ValueError("zero_sum flag set but (B, e, f, g) do not match")

@@ -14,16 +14,10 @@ import numpy as np
 # verify.oracle_reconcile runs the brute-force eigensolver on the 2(n+p)
 # companion matrix only up to this dimension; the analysis has no cap.
 MAX_ORACLE_DIM = 64
-# sym_eig rejects m when ||m - m^T||_F exceeds this times max(1, ||m||_F)
-SYMMETRY_REL_TOL = 1e-10
 # eig_complex clusters eigenvalues within this times max(1, largest modulus)
 EIG_CLUSTER_REL_TOL = 1e-8
 # an oblique projection needs sigma_min of [onto | along] (orthonormal) above this
 COMPLEMENT_SIGMA_MIN = 1e-8
-
-
-class NotSymmetricError(ValueError):
-    pass
 
 
 class NoConvergenceError(RuntimeError):
@@ -78,8 +72,17 @@ def matrix_to_json(a: np.ndarray) -> dict:
             "data": [float(x) for x in m.reshape(-1)]}
 
 
+def _dimension(obj: dict, key: str) -> int:
+    """A matrix dimension: an integer >= 1 (an integral float counts), not a bool."""
+    value = obj[key]
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer()) or value < 1):
+        raise ValueError(f"matrix {key} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = _dimension(obj, "rows"), _dimension(obj, "cols")
     data = np.asarray(obj["data"], dtype=float)
     if data.size != rows * cols:
         raise ValueError(f"matrix data length {data.size} != {rows}x{cols}")
@@ -160,25 +163,6 @@ def cluster_scalars(values, tol: float) -> ComplexScalarSet:
     mults = np.asarray(mults, dtype=int)
     order = np.lexsort((centers.imag, centers.real))
     return ComplexScalarSet(centers[order], mults[order])
-
-
-def sym_eig(m):
-    """Full eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending and
-    eigenvectors as matching orthonormal columns.
-    """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise NotSymmetricError("matrix is not square")
-    scale = max(1.0, float(np.linalg.norm(a)))
-    if np.linalg.norm(a - a.T) > SYMMETRY_REL_TOL * scale:
-        raise NotSymmetricError("matrix is not symmetric within tolerance")
-    try:
-        w, v = np.linalg.eigh(0.5 * (a + a.T))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergenceError(str(exc)) from exc
-    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def eig_complex(m) -> ComplexScalarSet:

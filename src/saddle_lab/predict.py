@@ -18,9 +18,9 @@ import numpy as np
 from . import games as games_mod
 from . import linalg
 from .dynamics import Algo, IterateState, companion_matrix
-from .games import BilinearGame
-from .spectral import (DIVERGENCE_THRESHOLD, CouplingSpectrum, Regime, rate_curve,
-                       rate_report, rate_root)
+from .games import BilinearGame, NashSet
+from .spectral import (DIVERGENCE_THRESHOLD, CouplingSpectrum, Regime, SpectralReport,
+                       rate_curve, rate_root)
 
 
 class EmptyNashSetError(ValueError):
@@ -68,26 +68,40 @@ def _invalid(geometry: Geometry, reason: str) -> LimitPrediction:
     return LimitPrediction(None, None, geometry, False, reason)
 
 
+def limit(spec: CouplingSpectrum, report: SpectralReport,
+          init: IterateState) -> LimitPrediction:
+    """Predict the limit of (x_t, y_t) from the analysis of (game, algo) and
+    its report at the run's step size; invalidity is a value, not an error.
+
+    GDA has no limit. General-sum OGDA has one where the report is
+    applicable. Zero-sum OGDA and DOGDA have one below the divergence
+    threshold, so DOGDA's limit holds at steps past its rate curve's.
+    """
+    if spec.general_sum:
+        return _oblique_limit(spec, report, init)
+    return _orthogonal_limit(spec, report.eta, init)
+
+
 def predict_limit(game: BilinearGame, algo: Algo, eta: float,
                   init: IterateState) -> LimitPrediction:
-    """Predict the limit of (x_t, y_t); invalidity is a value, not an error."""
-    algo = Algo(algo)
-    if algo is Algo.GDA:
-        return _invalid(Geometry.ORTHOGONAL_ONTO_KERNELS,
-                        "GDA has no characterized limit (it cycles or diverges)")
-    if algo is Algo.OGDA and not game.zero_sum:
-        return _predict_general_sum(game, eta, init)
-    return _predict_orthogonal(game, algo, eta, init)
+    """`limit` at one step size; the orthogonal paths need no report."""
+    spec = CouplingSpectrum(game, algo)
+    if spec.general_sum:
+        return _oblique_limit(spec, rate_curve(spec, [eta])[0], init)
+    return _orthogonal_limit(spec, eta, init)
 
 
-def _predict_orthogonal(game: BilinearGame, algo: Algo, eta: float,
-                        init: IterateState) -> LimitPrediction:
+def _orthogonal_limit(spec: CouplingSpectrum, eta: float,
+                      init: IterateState) -> LimitPrediction:
     """Zero-sum OGDA, and DOGDA, each of whose halves is a plain zero-sum
     system: the played pair converges to the orthogonal projections onto
     the two Nash constraints."""
-    dogda = algo is Algo.DOGDA
+    if spec.algo is Algo.GDA:
+        return _invalid(Geometry.ORTHOGONAL_ONTO_KERNELS,
+                        "GDA has no characterized limit (it cycles or diverges)")
+    game, dogda = spec.game, spec.algo is Algo.DOGDA
     geo = Geometry.DOGDA_ORTHOGONAL if dogda else Geometry.ORTHOGONAL_ONTO_KERNELS
-    ns = games_mod.nash_set(game)
+    ns = spec.nash
     if not ns.nonempty:
         return _invalid(geo, "nash_set_empty")
     # The aux constraints must be solvable too, else one half never settles.
@@ -95,7 +109,7 @@ def _predict_orthogonal(game: BilinearGame, algo: Algo, eta: float,
         return _invalid(geo, "aux_constraint_infeasible_for_player2_payoff")
     if dogda and not games_mod.solve_affine(game.A.T, game.c).feasible:
         return _invalid(geo, "aux_constraint_infeasible_for_player1_payoff")
-    if CouplingSpectrum(game, algo).divergent(eta):
+    if spec.divergent(eta):
         return _invalid(geo, "eta_in_divergent_regime")
     # the Nash points are least-norm solutions, hence orthogonal to the kernels
     x_inf = ns.x_star + linalg.project(init.x, ns.x_part.directions)
@@ -103,13 +117,12 @@ def _predict_orthogonal(game: BilinearGame, algo: Algo, eta: float,
     return LimitPrediction(x_inf, y_inf, geo, True)
 
 
-def _predict_general_sum(game: BilinearGame, eta: float,
-                         init: IterateState) -> LimitPrediction:
+def _oblique_limit(spec: CouplingSpectrum, report: SpectralReport,
+                   init: IterateState) -> LimitPrediction:
     geo = Geometry.OBLIQUE_ALONG_IMAGES
-    report = rate_report(game, eta)
     if not report.applicable:
         return _invalid(geo, report.violated or "rate_theory_inapplicable")
-    ns = games_mod.nash_set(game)
+    ns = spec.nash
     if not ns.nonempty:
         return _invalid(geo, "nash_set_empty")
     # x projects along Im(A) (the y solve's image), y along Im(B^T) (the x solve's)
@@ -130,19 +143,23 @@ class DistanceD:
     value: float
 
 
-def distance_to_nash(game: BilinearGame, init: IterateState) -> DistanceD:
+def distance(ns: NashSet, init: IterateState) -> DistanceD:
     """Euclidean distance from (x0, y0, x_-1, y_-1) to {(x, y, x, y) : Nash}."""
-    ns = games_mod.nash_set(game)
     if not ns.nonempty:
         raise EmptyNashSetError("game has no Nash equilibrium")
     # a Nash direction u of x (or v of y) embeds as the resting state (u, 0, u, 0) / sqrt 2
-    cols = [IterateState.at(u, np.zeros(game.p)).z for u in ns.x_part.directions.vectors.T]
-    cols += [IterateState.at(np.zeros(game.n), v).z for v in ns.y_part.directions.vectors.T]
+    zero_x, zero_y = np.zeros_like(ns.x_star), np.zeros_like(ns.y_star)
+    cols = [IterateState.at(u, zero_y).z for u in ns.x_part.directions.vectors.T]
+    cols += [IterateState.at(zero_x, v).z for v in ns.y_part.directions.vectors.T]
     diff = init.z - IterateState.at(ns.x_star, ns.y_star).z
     if cols:
         q = np.column_stack(cols) / math.sqrt(2.0)
         diff = diff - q @ (q.T @ diff)
     return DistanceD(float(np.linalg.norm(diff)))
+
+
+def distance_to_nash(game: BilinearGame, init: IterateState) -> DistanceD:
+    return distance(games_mod.nash_set(game), init)
 
 
 def _eigen_witness(spec: CouplingSpectrum, eta: float, mu: float) -> IterateState:
@@ -169,32 +186,35 @@ def _eigen_witness(spec: CouplingSpectrum, eta: float, mu: float) -> IterateStat
     return IterateState.of(z_real / np.linalg.norm(z_real), game.n)
 
 
-def _witness_spectrum(game: BilinearGame, witness: str) -> CouplingSpectrum:
-    """The spectrum a witness is built from: zero-sum, with some coupling."""
-    if not game.zero_sum:
-        raise ValueError(f"{witness} expects a zero-sum game")
-    spec = CouplingSpectrum(game)
+def _witness_spectrum(spec: CouplingSpectrum) -> CouplingSpectrum:
+    """A witness is built from a zero-sum OGDA spectrum with some coupling."""
+    if spec.algo is not Algo.OGDA or not spec.game.zero_sum:
+        raise ValueError("a witness needs a zero-sum game under OGDA")
     if spec.mu_min is None:
         raise ZeroMatrixError("witness undefined for the zero coupling matrix")
     return spec
 
 
-def tight_witness(game: BilinearGame, eta: float) -> IterateState:
+def witness(spec: CouplingSpectrum, report: SpectralReport) -> IterateState:
     """Initialization whose distance to the limit decays at exactly the
-    closed-form ratio (the slowest achievable decay)."""
-    spec = _witness_spectrum(game, "tight_witness")
-    report = rate_curve(spec, [eta])[0]
+    closed-form ratio of `report` (the slowest achievable decay)."""
+    _witness_spectrum(spec)
     if report.eta_regime is Regime.DIVERGENT:
         raise DivergentRegimeError(
-            f"eta={eta} is beyond the convergence threshold")
+            f"eta={report.eta} is beyond the convergence threshold")
     slow = report.lambda_star >= report.lambda_dstar
-    return _eigen_witness(spec, eta, spec.mu_min if slow else spec.mu_max)
+    return _eigen_witness(spec, report.eta, spec.mu_min if slow else spec.mu_max)
+
+
+def tight_witness(game: BilinearGame, eta: float) -> IterateState:
+    spec = CouplingSpectrum(game)
+    return witness(spec, rate_curve(spec, [eta])[0])
 
 
 def divergence_witness(game: BilinearGame, eta: float) -> IterateState:
     """Initialization aligned with an expanding eigendirection (|lambda| > 1);
     only exists beyond the step-size threshold (at it the root has modulus 1)."""
-    spec = _witness_spectrum(game, "divergence_witness")
+    spec = _witness_spectrum(CouplingSpectrum(game))
     if eta * math.sqrt(spec.mu_max) <= DIVERGENCE_THRESHOLD:
         raise ValueError(f"eta={eta} is inside the convergence range")
     return _eigen_witness(spec, eta, spec.mu_max)

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import games as games_mod
 from . import linalg
 from .dynamics import Algo, companion_matrix
-from .games import BilinearGame
+from .games import BilinearGame, NashSet
 from .linalg import ComplexScalarSet, as_matrix, cluster_scalars
 
 MEMBERSHIP_REL_TOL = 1e-9       # for "1/(4 eta^2) in S(A)" and the rate indicators
@@ -229,7 +230,8 @@ class CouplingSpectrum:
     a report checks, in order, and `violated` names the one that fails at
     every step size (None when the step size decides). The Gram spectra keep
     the eigenpairs of A^T A in `ata_eig` (values descending, vectors as
-    columns); the other spectra have None there.
+    columns); the other spectra have None there. `nash` is the game's Nash
+    set, solved on first use.
     """
 
     def __init__(self, game: BilinearGame, algo: Algo = Algo.OGDA):
@@ -297,6 +299,10 @@ class CouplingSpectrum:
         """eta sqrt(mu_max) at or above DIVERGENCE_THRESHOLD, where zero-sum
         OGDA and DOGDA diverge (eta may be an array)."""
         return eta * math.sqrt(self.mu_max) >= DIVERGENCE_THRESHOLD
+
+    @functools.cached_property
+    def nash(self) -> NashSet:
+        return games_mod.nash_set(self.game)
 
     @functools.cached_property
     def invertible(self) -> bool:

@@ -388,18 +388,6 @@ def suite_eig_determinant(rng: np.random.Generator) -> CheckResult:
     return CheckResult("linalg.eig_det_and_conjugacy", worst < 1e-8, worst, 1e-8)
 
 
-def suite_sym_eig_reconstruction(rng: np.random.Generator) -> CheckResult:
-    worst = 0.0
-    for _ in range(40):
-        dim = int(rng.integers(1, 8))
-        m = rng.normal(size=(dim, dim))
-        m = m + m.T
-        w, v = linalg.sym_eig(m)
-        rel = np.linalg.norm(v @ np.diag(w) @ v.T - m) / max(1.0, np.linalg.norm(m))
-        worst = max(worst, float(rel))
-    return CheckResult("linalg.sym_eig_reconstruction", worst < 1e-10, worst, 1e-10)
-
-
 def suite_nash_scale_invariance(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for _ in range(20):
@@ -590,10 +578,11 @@ def _applicable_prediction_cases(rng: np.random.Generator, count: int):
             algo = Algo.DOGDA
         eta = _safe_eta(game, rng, lo=0.4, hi=0.8)
         init = _random_iterate(rng, game.n, game.p)
-        pred = predict.predict_limit(game, algo, eta, init)
+        spec = spectral.CouplingSpectrum(game, algo)
+        report = spectral.rate_curve(spec, [eta])[0]
+        pred = predict.limit(spec, report, init)
         if not pred.valid:
             continue
-        report = spectral.rate_report(game, eta, algo)
         # keep the step budget finite: skip near-unit ratios
         if not report.applicable or report.lambda_max > 0.995:
             continue
@@ -624,8 +613,10 @@ def suite_init_independence(rng: np.random.Generator) -> CheckResult:
         init_a = _random_iterate(rng, game.n, game.p)
         init_b = IterateState(init_a.x, init_a.y, rng.uniform(-1, 1, game.n),
                               rng.uniform(-1, 1, game.p))
-        pred_a = predict.predict_limit(game, Algo.OGDA, eta, init_a)
-        pred_b = predict.predict_limit(game, Algo.OGDA, eta, init_b)
+        spec = spectral.CouplingSpectrum(game)
+        report = spectral.rate_curve(spec, [eta])[0]
+        pred_a = predict.limit(spec, report, init_a)
+        pred_b = predict.limit(spec, report, init_b)
         gap = np.linalg.norm(np.concatenate([pred_a.x_inf - pred_b.x_inf,
                                              pred_a.y_inf - pred_b.y_inf]))
         ta = run(game, Algo.OGDA, eta, init_a, max_steps=60000, stop_tol=1e-14)
@@ -654,12 +645,13 @@ def suite_witness_rates(rng: np.random.Generator) -> CheckResult:
         game = random_zero_sum_game(rng, affine=False)
         mu_max = float(np.linalg.norm(game.A, 2)) ** 2
         eta = float(rng.uniform(0.3, 0.9)) / math.sqrt(3.0 * mu_max)
-        report = spectral.rate_report(game, eta)
+        spec = spectral.CouplingSpectrum(game)
+        report = spectral.rate_curve(spec, [eta])[0]
         if not report.applicable or report.eta_regime is Regime.PART3B:
             continue
-        witness = predict.tight_witness(game, eta)
+        witness = predict.witness(spec, report)
         traj = run(game, Algo.OGDA, eta, witness, max_steps=2500)
-        pred = predict.predict_limit(game, Algo.OGDA, eta, witness)
+        pred = predict.limit(spec, report, witness)
         fit = estimate_rate(traj, pred)
         worst_low = max(worst_low, report.lambda_max - fit.fitted_ratio)
         worst_high = max(worst_high, fit.fitted_ratio - report.lambda_max)
@@ -694,13 +686,14 @@ def suite_part2_bounds(rng: np.random.Generator) -> CheckResult:
         game = random_zero_sum_game(rng)
         mu_max = float(np.linalg.norm(game.A, 2)) ** 2
         eta = float(rng.uniform(0.3, 0.9)) * 0.5 / math.sqrt(mu_max)
-        report = spectral.rate_report(game, eta)
+        spec = spectral.CouplingSpectrum(game)
+        report = spectral.rate_curve(spec, [eta])[0]
         if report.eta_regime is not Regime.PART2:
             continue
         init = _random_iterate(rng, game.n, game.p)
-        pred = predict.predict_limit(game, Algo.OGDA, eta, init)
+        pred = predict.limit(spec, report, init)
         traj = run(game, Algo.OGDA, eta, init, max_steps=30000)
-        check = check_bound(traj, report, predict.distance_to_nash(game, init), pred)
+        check = check_bound(traj, report, predict.distance(spec.nash, init), pred)
         if not check.ok:
             return CheckResult("verify.part2_bound_envelope", False,
                                check.max_violation, ENVELOPE_SLACK, "envelope violated")
@@ -717,13 +710,14 @@ def suite_part3a_bounds(rng: np.random.Generator) -> CheckResult:
         game = random_zero_sum_game(rng)
         mu_max = float(np.linalg.norm(game.A, 2)) ** 2
         eta = float(rng.uniform(0.51, 0.98)) / math.sqrt(3.0 * mu_max)
-        report = spectral.rate_report(game, eta)
+        spec = spectral.CouplingSpectrum(game)
+        report = spectral.rate_curve(spec, [eta])[0]
         if report.eta_regime is not Regime.PART3A or report.lambda_max > 0.995:
             continue
         init = _random_iterate(rng, game.n, game.p)
         traj = run(game, Algo.OGDA, eta, init, max_steps=40000)
-        pred = predict.predict_limit(game, Algo.OGDA, eta, init)
-        check = check_bound(traj, report, predict.distance_to_nash(game, init), pred)
+        pred = predict.limit(spec, report, init)
+        check = check_bound(traj, report, predict.distance(spec.nash, init), pred)
         if not check.ok:
             return CheckResult("verify.part3a_bound_envelope", False,
                                check.max_violation, ENVELOPE_SLACK, "envelope violated")
@@ -733,10 +727,11 @@ def suite_part3a_bounds(rng: np.random.Generator) -> CheckResult:
 
 
 def run_all_suites(seed: int = 20240) -> list[CheckResult]:
-    """Every module's invariants, as named pass/fail checks (deterministic)."""
+    """Every module's invariants, as named pass/fail checks (deterministic).
+    Suite i draws from seed + i; the None slot keeps the later suites' seeds."""
     suites = [
         suite_penrose, suite_pinv_kernel, suite_projection_idempotent,
-        suite_eig_determinant, suite_sym_eig_reconstruction,
+        suite_eig_determinant, None,
         suite_nash_scale_invariance, suite_accelerate_spectrum,
         suite_fixed_points, suite_linear_system_equivalence,
         suite_affine_shift_equivalence, suite_dogda_decoupling,
@@ -747,7 +742,5 @@ def run_all_suites(seed: int = 20240) -> list[CheckResult]:
         suite_witness_rates, suite_cooperation_never_diverges,
         suite_part2_bounds, suite_part3a_bounds,
     ]
-    results = []
-    for idx, suite in enumerate(suites):
-        results.append(suite(np.random.default_rng(seed + idx)))
-    return results
+    return [suite(np.random.default_rng(seed + idx))
+            for idx, suite in enumerate(suites) if suite is not None]

@@ -20,6 +20,28 @@ def reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
 
+def count_analyses(monkeypatch) -> dict:
+    """Count the CouplingSpectrum objects built and the games.nash_set calls."""
+    counts = {"spectra": 0, "nash_sets": 0}
+    init_spectrum, nash_set = spectral.CouplingSpectrum.__init__, games.nash_set
+
+    def counted_init(self, *args):
+        counts["spectra"] += 1
+        init_spectrum(self, *args)
+
+    def counted_nash_set(game):
+        counts["nash_sets"] += 1
+        return nash_set(game)
+
+    monkeypatch.setattr(spectral.CouplingSpectrum, "__init__", counted_init)
+    monkeypatch.setattr(games, "nash_set", counted_nash_set)
+    return counts
+
+
+# a zero-sum game on R^0 x R^0
+EMPTY_GAME = {"A": {"rows": 0, "cols": 0, "data": []}, "B": None, "zero_sum": True}
+
+
 def zero_sum_config(eta, **extra):
     cfg = {
         "name": "pennies",
@@ -227,7 +249,29 @@ class TestRun:
         pytest.param(lambda c: c.update(description="line one\rline two"),
                      id="description-return"),
         pytest.param(lambda c: c.update(game=None), id="game-null"),
-        pytest.param(lambda c: c["game"]["A"].update(rows=None), id="rows-null")])
+        pytest.param(lambda c: c["game"]["A"].update(rows=None), id="rows-null"),
+        pytest.param(lambda c: c.update(game=EMPTY_GAME, init={"x0": [], "y0": []}),
+                     id="rows-cols-zero"),
+        pytest.param(lambda c: c.update(game=dict(c["game"], A={"rows": 1, "cols": 0, "data": []},
+                                                  c=[]), init={"x0": [1.0], "y0": []}),
+                     id="cols-zero"),
+        pytest.param(lambda c: c["game"]["A"].update(rows=1.7), id="rows-fraction"),
+        pytest.param(lambda c: c["game"]["A"].update(rows=True), id="rows-bool"),
+        pytest.param(lambda c: c["game"]["A"].update(cols=True), id="cols-bool"),
+        pytest.param(lambda c: c["game"]["A"].update(rows="1"), id="rows-string"),
+        pytest.param(lambda c: c["game"].update(zero_sum="false"), id="zero_sum-string"),
+        pytest.param(lambda c: c["game"].update(zero_sum=1), id="zero_sum-number"),
+        pytest.param(lambda c: c["game"].update(
+            B={"rows": 1, "cols": 1, "data": [-1.0]}, zero_sum=None), id="zero_sum-null"),
+        pytest.param(lambda c: c["game"].update(d=True), id="d-bool"),
+        pytest.param(lambda c: c["game"].update(d="1.5"), id="d-string"),
+        pytest.param(lambda c: c["game"].update(
+            B={"rows": 1, "cols": 1, "data": [-1.0]}, g="0"), id="g-string"),
+        pytest.param(lambda c: c.update(eta=True), id="eta-bool"),
+        pytest.param(lambda c: c.update(eta="0.3"), id="eta-numeric-string"),
+        pytest.param(lambda c: c.update(eta=int("1" + "0" * 400)), id="eta-int-overflow"),
+        pytest.param(lambda c: c.update(stop_tol=True), id="stop_tol-bool"),
+        pytest.param(lambda c: c.update(blow_cap="1e6"), id="blow_cap-string")])
     def test_malformed_fields_exit_one(self, tmp_path, capsys, mutate):
         obj = zero_sum_config(0.3)
         mutate(obj)
@@ -236,6 +280,13 @@ class TestRun:
                          str(tmp_path / "out")]) == cli.EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error:")
+
+    def test_integral_float_dimensions(self, tmp_path):
+        obj = zero_sum_config(0.3)
+        obj["game"]["A"].update(rows=1.0, cols=1.0)
+        cfg = write_config(tmp_path, obj)
+        assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        assert cli.parse_config(obj).game.A.shape == (1, 1)
 
     def test_list_of_non_objects_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, [zero_sum_config(0.3), 1, "x"])
@@ -404,6 +455,15 @@ class TestRun:
         assert cli.main(["run", "--config", cfg,
                          "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG_ERROR
 
+    def test_one_spectrum_and_nash_set_per_config(self, tmp_path, monkeypatch):
+        # the zero-sum and the general-sum run of wgan-dagger, each with a bound
+        counts = count_analyses(monkeypatch)
+        assert cli.main(["run", "--preset", "wgan-dagger", "--out-dir", str(tmp_path)]) == 0
+        for name in ("wgan-dagger-zerosum", "wgan-dagger-accelerated"):
+            verdict = json.loads((tmp_path / f"{name}.verify.json").read_text())
+            assert verdict["bound"]["ok"]
+        assert counts == {"spectra": 2, "nash_sets": 2}
+
     def test_integral_float_seed_is_that_integer(self):
         game = cli.parse_config(zero_sum_config(0.3)).game
         inits = [cli._build_init(game, {"random": True, "seed": seed}, None).z
@@ -423,6 +483,16 @@ class TestSweep:
         # monotone decreasing fitted ratio on the small-step branch
         fitted = [float(r[1]) for r in data if float(r[0]) < 0.25]
         assert all(b < a for a, b in zip(fitted, fitted[1:]))
+
+    @pytest.mark.parametrize("algo", ["OGDA", "DOGDA"])
+    def test_one_spectrum_and_nash_set(self, tmp_path, monkeypatch, algo):
+        cfg = write_config(tmp_path, zero_sum_config(
+            {"start": 0.1, "stop": 0.45, "step": 0.05}, algo=algo, max_steps=1500))
+        counts = count_analyses(monkeypatch)
+        assert cli.main(["sweep", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        rows = (tmp_path / "pennies.sweep.csv").read_text().splitlines()[2:]
+        assert len(rows) == 8  # every step size is applicable and fitted
+        assert counts == {"spectra": 1, "nash_sets": 1}
 
     def test_multiline_description_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, zero_sum_config(
@@ -467,6 +537,20 @@ class TestSweep:
                     "eta,fitted_ratio,lambda_max_closed_form"]
         expected += [",".join(format(v, ".17g") for v in r) for r in rows]
         assert (tmp_path / "dense.sweep.csv").read_text() == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("game, eta", [
+        (EMPTY_GAME, {}), (None, {"start": True, "stop": 1.2}), (None, {"stop": "0.45"}),
+        (None, {"step": True})], ids=["empty-matrix", "start-bool", "stop-string", "step-bool"])
+    def test_malformed_sweep_exit_one(self, tmp_path, capsys, game, eta):
+        obj = zero_sum_config(dict({"start": 0.1, "stop": 0.45, "step": 0.05}, **eta))
+        if game is not None:
+            obj.update(game=game, init={"x0": [], "y0": []})
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", write_config(tmp_path, obj),
+                         "--out-dir", str(out)]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error:")
+        assert not out.exists()
 
     def test_empty_applicable_range_exit_one(self, tmp_path):
         cfg = write_config(tmp_path, zero_sum_config(
@@ -523,8 +607,8 @@ def json_paths(obj, prefix=()):
 
 BAD_VALUES = st.one_of(
     st.none(), st.text(max_size=4), st.integers(-10**6, -1),
-    st.floats(-1e300, 1e300), st.just(math.nan), st.just(math.inf),
-    st.lists(st.floats(-2.0, 2.0), max_size=3))
+    st.floats(-1e300, 1e300), st.just(math.nan), st.just(math.inf), st.just(0),
+    st.booleans(), st.lists(st.floats(-2.0, 2.0), max_size=3))
 # fast presets: matching pennies (OGDA and GDA) and the two 2x2 dagger runs
 MUTABLE = [cfg for name in ("matching-pennies-ogda", "matching-pennies-gda",
                             "wgan-dagger") for cfg in cli.PRESETS[name]()]

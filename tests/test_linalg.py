@@ -26,31 +26,6 @@ class TestRowNorms:
             assert abs(norm - math.hypot(*row)) <= 1e-15 * math.hypot(*row)
 
 
-class TestSymEig:
-    def test_diagonal(self):
-        w, v = linalg.sym_eig(np.diag([1.0, 4.0]))
-        assert np.allclose(w, [4.0, 1.0])
-        assert np.allclose(np.abs(v), [[0, 1], [1, 0]])
-
-    def test_gram_of_diag12(self):
-        a = np.diag([1.0, 2.0])
-        w, _ = linalg.sym_eig(a.T @ a)
-        assert np.allclose(w, [4.0, 1.0])
-
-    def test_random_residuals(self):
-        m = rand_matrix(3, 5, 5)
-        m = m + m.T
-        w, v = linalg.sym_eig(m)
-        for lam, vec in zip(w, v.T):
-            assert np.linalg.norm(m @ vec - lam * vec) < 1e-10 * np.linalg.norm(m)
-        assert np.all(np.diff(w) <= 0)
-        assert np.allclose(v @ np.diag(w) @ v.T, m, atol=1e-10)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(linalg.NotSymmetricError):
-            linalg.sym_eig([[0.0, 1.0], [0.0, 0.0]])
-
-
 class TestEigComplex:
     def test_identity(self):
         s = linalg.eig_complex(np.eye(3))

@@ -258,15 +258,14 @@ class TestWitnesses:
         predict.tight_witness(g, 0.2)
         assert calls == [(2, 2)]  # one SVD of A gives A^T A and A A^T
 
-    @pytest.mark.parametrize("algo, decompositions", [(Algo.OGDA, 7), (Algo.DOGDA, 10)])
-    def test_analysis_op_decompositions(self, monkeypatch, algo, decompositions):
-        # one SVD per matrix and use: the spectrum (A, and B for DOGDA), each
-        # Nash solve of predict_limit and distance_to_nash, the DOGDA aux solves
+    @staticmethod
+    def count_decompositions(monkeypatch, algo):
+        """A 4x4 game for `algo`, a start, and the list every np.linalg.svd
+        and eigh call appends its name to."""
         rng = np.random.default_rng(5)
         a = verify.random_matrix(rng, 4, 4)
         game = (BilinearGame.zero_sum_game(a) if algo is Algo.OGDA
                 else BilinearGame.from_matrices(a, -verify.random_matrix(rng, 4, 4)))
-        init = IterateState.at(np.ones(4), np.ones(4))
         calls = []
 
         def counting(name):
@@ -279,12 +278,39 @@ class TestWitnesses:
 
         for name in ("svd", "eigh"):
             monkeypatch.setattr(np.linalg, name, counting(name))
+        return game, IterateState.at(np.ones(4), np.ones(4)), calls
+
+    @pytest.mark.parametrize("algo, decompositions", [(Algo.OGDA, 7), (Algo.DOGDA, 10)])
+    def test_analysis_op_decompositions(self, monkeypatch, algo, decompositions):
+        # one SVD per matrix and use: the spectrum (A, and B for DOGDA), each
+        # Nash solve of predict_limit and distance_to_nash, the DOGDA aux solves
+        game, init, calls = self.count_decompositions(monkeypatch, algo)
         spectral.rate_report(game, 0.1, algo)
         assert predict.predict_limit(game, algo, 0.1, init).valid
         predict.distance_to_nash(game, init)
         if algo is Algo.OGDA:
             predict.tight_witness(game, 0.1)
         assert calls == ["svd"] * decompositions
+
+    @pytest.mark.parametrize("algo, decompositions", [(Algo.OGDA, 3), (Algo.DOGDA, 6)])
+    def test_shared_analysis_decompositions(self, monkeypatch, algo, decompositions):
+        # the spectrum's SVDs (A, and B for DOGDA), its Nash set's two solves,
+        # and the DOGDA aux solves: the report, limit, distance and witness
+        # add none
+        game, init, calls = self.count_decompositions(monkeypatch, algo)
+        spec = spectral.CouplingSpectrum(game, algo)
+        report = spectral.rate_curve(spec, [0.1])[0]
+        pred = predict.limit(spec, report, init)
+        dist = predict.distance(spec.nash, init)
+        w = predict.witness(spec, report) if algo is Algo.OGDA else None
+        assert pred.valid and calls == ["svd"] * decompositions
+        # the same results as the public functions
+        public = predict.predict_limit(game, algo, 0.1, init)
+        assert np.array_equal(pred.x_inf, public.x_inf)
+        assert np.array_equal(pred.y_inf, public.y_inf)
+        assert dist == predict.distance_to_nash(game, init)
+        if w is not None:
+            assert np.array_equal(w.z, predict.tight_witness(game, 0.1).z)
 
     def test_divergence_witness_at_the_threshold(self):
         # eta sqrt(mu_max) = 1/sqrt(3) is divergent, but its dominant root

@@ -46,10 +46,13 @@ def test_kernel_timing_prints_every_layer(monkeypatch, capsys):
     module = load_script("kernel_timing")
     monkeypatch.setattr(module, "STEPS", 20)
     monkeypatch.setattr(module, "REPEATS", 1)
+    monkeypatch.setattr(module, "CALLS", 1)
     module.main()
     out = json.loads(capsys.readouterr().out)
     keys = ([f"run_us_per_step_np{size}" for size in (4, 32, 128, 256)]
             + [f"run_batch_row_steps_per_s_k8_np{size}" for size in (4, 32)]
-            + [f"csv_us_per_row_np{size}" for size in (4, 32, 256)])
+            + [f"csv_us_per_row_np{size}" for size in (4, 32, 256)]
+            + [f"{name}_us_np{size}" for name in ("rate_report", "predict_limit")
+               for size in (4, 128)])
     assert sorted(out) == sorted(keys)
     assert all(out[key] > 0 for key in keys)

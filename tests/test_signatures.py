@@ -15,7 +15,6 @@ from saddle_lab import dynamics, games, linalg, predict, spectral, verify
 
 PARAMETERS = {
     linalg.span: ["vectors"],
-    linalg.sym_eig: ["m"],
     linalg.eig_complex: ["m"],
     linalg.pinv: ["a"],
     linalg.matrix_rank: ["a"],
@@ -37,6 +36,10 @@ PARAMETERS = {
     predict.tight_witness: ["game", "eta"],
     predict.divergence_witness: ["game", "eta"],
     predict.distance_to_nash: ["game", "init"],
+    # the same analyses from the caller's spectrum (or its Nash set) and report
+    predict.limit: ["spec", "report", "init"],
+    predict.witness: ["spec", "report"],
+    predict.distance: ["ns", "init"],
     verify.estimate_rate: ["traj", "limit"],
     verify.check_bound: ["traj", "report", "D", "limit"],
     verify.classify: ["traj", "game"],
@@ -58,7 +61,7 @@ def test_parameter_list(fn, params):
 
 def test_suites_take_only_the_generator():
     suites = [getattr(verify, name) for name in dir(verify) if name.startswith("suite_")]
-    assert len(suites) == 23
+    assert len(suites) == 22
     for suite in suites:
         assert list(inspect.signature(suite).parameters) == ["rng"], suite.__name__
 
@@ -70,7 +73,8 @@ def test_removed_methods_stay_removed():
     assert not hasattr(dynamics.IterateState, "block_norms")
     assert not hasattr(predict, "_predict_dogda")
     assert not hasattr(predict, "_predict_zero_sum")
-    for name in ("image_basis", "full_space", "subspaces_equal", "SUBSPACE_ANGLE_TOL"):
+    for name in ("image_basis", "full_space", "subspaces_equal", "SUBSPACE_ANGLE_TOL",
+                 "sym_eig", "NotSymmetricError", "SYMMETRY_REL_TOL"):
         assert not hasattr(linalg, name), name
 
 
