@@ -8,8 +8,10 @@ second at k = 8 step sizes, n+p in {4, 32}, the median of five batches.
 record at n+p in {4, 32, 256}, with its distance column, the median of five
 renderings. `rate_report` and `predict_limit`: microseconds per call of the
 public function at one step size, n+p in {4, 128}, the median of five
-batches of 50 calls. The games are seeded zero-sum games with A scaled by
-1/sqrt(n), and eta is small enough that no run stops early.
+batches of 50 calls. `parse_config`: microseconds per call of
+`cli.parse_config` on the config of the n+p = 256 game, read back from its
+JSON text, timed the same way. The games are seeded zero-sum games with A
+scaled by 1/sqrt(n), and eta is small enough that no run stops early.
 
     PYTHONPATH=src python3 scripts/kernel_timing.py
 """
@@ -19,8 +21,8 @@ import time
 
 import numpy as np
 
-from saddle_lab import dynamics, predict, spectral
-from saddle_lab.games import BilinearGame
+from saddle_lab import cli, dynamics, predict, spectral
+from saddle_lab.games import BilinearGame, game_to_json
 
 STEPS = 4000
 REPEATS = 5
@@ -69,6 +71,12 @@ def main() -> None:
         seconds = median_time(
             lambda: [predict.predict_limit(g, "OGDA", 0.01, init) for _ in range(CALLS)])
         out[f"predict_limit_us_np{size}"] = seconds / CALLS * 1e6
+    g, init = game(256)
+    config = json.loads(json.dumps({
+        "game": game_to_json(g), "algo": "OGDA", "eta": 0.01, "max_steps": STEPS,
+        "init": {"x0": init.x.tolist(), "y0": init.y.tolist()}}))
+    seconds = median_time(lambda: [cli.parse_config(config) for _ in range(CALLS)])
+    out["parse_config_us_np256"] = seconds / CALLS * 1e6
     print(json.dumps(out))
 
 

@@ -11,8 +11,9 @@ import argparse
 import functools
 import json
 import math
+import reprlib
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from .dynamics import (DEFAULT_BLOW_CAP, DEFAULT_STOP_TOL, Algo, IterateState,
                        StopReason, Trajectory, run, run_batch,
                        trajectory_to_csv)
 from .games import BilinearGame
-from .linalg import as_vector
+from .linalg import json_number, json_vector
 from .predict import LimitPrediction
 from .verify import InsufficientDataError, RateFit
 
@@ -72,50 +73,19 @@ def _build_init(game: BilinearGame, spec: dict | None,
         return IterateState(np.ones(n), np.ones(p), np.zeros(n), np.zeros(p))
     if not isinstance(spec, dict):
         raise ConfigError(f"init must be an object, got {spec!r}")
-    if spec.get("random"):
+    random = spec.get("random", False)
+    if not isinstance(random, bool):
+        raise ConfigError(f"init.random must be true or false, got {reprlib.repr(random)}")
+    if random:
         seed = spec.get("seed", seed)
         if seed is None:
             raise ConfigError("random init requires a seed")
-        if (isinstance(seed, bool) or not isinstance(seed, (int, float))
-                or (isinstance(seed, float) and not seed.is_integer()) or seed < 0):
-            raise ConfigError(f"init seed must be an integer >= 0, got {seed!r}")
-        rng = np.random.default_rng(int(seed))
+        rng = np.random.default_rng(json_number(seed, "init.seed", 0, integer=True))
         return IterateState.of(rng.uniform(-1.0, 1.0, 2 * (n + p)), n)
-    try:
-        x0 = as_vector(spec["x0"], n)
-        y0 = as_vector(spec["y0"], p)
-        return IterateState(x0, y0, spec.get("x_prev", x0), spec.get("y_prev", y0))
-    except KeyError as exc:
-        raise ConfigError(f"init is missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad init: {exc}") from exc
-
-
-def _count(obj: dict, key: str, default: int | None) -> int | None:
-    """A positive integer setting; absent means default."""
-    value = obj.get(key, default)
-    if value is None and default is None:
-        return None
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (isinstance(value, float) and not value.is_integer()) or value < 1):
-        raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
-def _threshold(obj: dict, key: str, default: float | None = None,
-               zero_ok: bool = False) -> float:
-    """A finite real setting, > 0 (or >= 0 where zero_ok); absent means default.
-    Only a JSON number is one: a bool or a numeric string is not."""
-    value = obj.get(key, default)
-    try:
-        number = (float(value) if isinstance(value, (int, float))
-                  and not isinstance(value, bool) else math.nan)
-    except OverflowError:  # an integer beyond the float range
-        number = math.nan
-    if not (math.isfinite(number) and (number >= 0 if zero_ok else number > 0)):
-        raise ConfigError(f"{key} must be a finite number {'>=' if zero_ok else '>'} 0, "
-                          f"got {value!r}")
-    return number
+    x0, y0 = json_vector(spec.get("x0"), "init.x0", n), json_vector(spec.get("y0"), "init.y0", p)
+    x_prev = json_vector(spec["x_prev"], "init.x_prev", n) if "x_prev" in spec else x0
+    y_prev = json_vector(spec["y_prev"], "init.y_prev", p) if "y_prev" in spec else y0
+    return IterateState(x0, y0, x_prev, y_prev)
 
 
 def _check_magnitudes(game: BilinearGame) -> None:
@@ -135,37 +105,43 @@ def parse_config(obj: dict, seed: int | None = None) -> ExperimentConfig:
         game = games_mod.game_from_json(obj["game"])
         algo = Algo(obj.get("algo", "OGDA"))
         eta_obj = obj["eta"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        if isinstance(eta_obj, dict):  # a sweep range
+            eta, span = None, [json_number(eta_obj.get(key), f"eta.{key}", 0, strict=True)
+                               for key in ("start", "stop", "step")]
+        else:
+            eta, span = json_number(eta_obj, "eta", 0, strict=True), None
+        init = _build_init(game, obj.get("init"), obj.get("seed", seed))
+        record_stride = obj.get("record_stride")
+        settings = {
+            "max_steps": json_number(obj.get("max_steps", 5000), "max_steps", 1, integer=True),
+            "stop_tol": json_number(obj.get("stop_tol", DEFAULT_STOP_TOL), "stop_tol", 0),
+            "blow_cap": json_number(obj.get("blow_cap", DEFAULT_BLOW_CAP), "blow_cap", 0,
+                                    strict=True),
+            "record_stride": None if record_stride is None else json_number(
+                record_stride, "record_stride", 1, integer=True)}
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
     _check_magnitudes(game)
-    name = str(obj.get("name", "experiment"))
-    if "/" in name or "\0" in name:
-        raise ConfigError(f"name must be a file name, got {name!r}")
-    description = str(obj.get("description", ""))
+    name, description = obj.get("name", "experiment"), obj.get("description", "")
     # both go into "#" comment lines of the CSV header, one line each
     for key, text in (("name", name), ("description", description)):
+        if not isinstance(text, str):
+            raise ConfigError(f"{key} must be a string, got {reprlib.repr(text)}")
         if "\n" in text or "\r" in text:
             raise ConfigError(f"{key} must be one line, got {text!r}")
-    eta, eta_range = None, None
-    if isinstance(eta_obj, dict):
-        start, stop, step = (_threshold(eta_obj, key) for key in ("start", "stop", "step"))
+    if "/" in name or "\0" in name:
+        raise ConfigError(f"name must be a file name, got {name!r}")
+    eta_range = None
+    if span is not None:
+        start, stop, step = span
         if stop < start:
             raise ConfigError("eta range needs stop >= start")
         last = (stop - start) / step + 1e-9  # inf for a step tiny against the span
         if not last < MAX_SWEEP_POINTS:
             raise ConfigError(f"eta range has more than {MAX_SWEEP_POINTS} points (step {step!r})")
         eta_range = (start, step, int(math.floor(last)) + 1)
-    else:
-        eta = _threshold(obj, "eta")
-    return ExperimentConfig(
-        name=name,
-        game=game, algo=algo, eta=eta, eta_range=eta_range,
-        init=_build_init(game, obj.get("init"), obj.get("seed", seed)),
-        max_steps=_count(obj, "max_steps", 5000),
-        stop_tol=_threshold(obj, "stop_tol", DEFAULT_STOP_TOL, zero_ok=True),
-        blow_cap=_threshold(obj, "blow_cap", DEFAULT_BLOW_CAP),
-        record_stride=_count(obj, "record_stride", None),
-        description=description)
+    return ExperimentConfig(name=name, game=game, algo=algo, eta=eta, eta_range=eta_range,
+                            init=init, description=description, **settings)
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +299,8 @@ def _verification_json(result: dict) -> dict:
             "growth_ratio": outcome.growth_ratio,
             "evidence": outcome.evidence,
         },
-        "rate_fit": None if fit is None else {
-            "fitted_ratio": fit.fitted_ratio, "window": list(fit.window),
-            "r_squared": fit.r_squared, "floor_hit": fit.floor_hit},
-        "bound": None if bound is None else {
-            "ok": bound.ok, "worst_ratio": bound.worst_ratio,
-            "max_violation": bound.max_violation,
-            "lambda_used": bound.lambda_used,
-            "constant_used": bound.constant_used,
-            "fitted_constant": bound.fitted_constant},
+        "rate_fit": None if fit is None else asdict(fit),
+        "bound": None if bound is None else asdict(bound),
     }
 
 

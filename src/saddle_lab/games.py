@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import SubspaceBasis, as_matrix, as_vector
+from .linalg import SubspaceBasis, as_matrix, as_vector, json_number, json_vector
 
 # solve_affine calls M z + r = 0 feasible when the least-squares residual is
 # at most this times 1 + ||r||
@@ -221,31 +221,23 @@ def game_to_json(game: BilinearGame) -> dict:
     }
 
 
-def _number(obj: dict, key: str, default: float) -> float:
-    """A real constant; a bool or a str is not one."""
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
 def game_from_json(obj: dict) -> BilinearGame:
-    A = linalg.matrix_from_json(obj["A"])
+    A = linalg.matrix_from_json(obj["A"], "A")
     n, p = A.shape
     zero_sum = obj.get("zero_sum", False)
     if not isinstance(zero_sum, bool):
         raise ValueError(f"zero_sum must be true or false, got {zero_sum!r}")
-    b = as_vector(obj.get("b", np.zeros(n)), n)
-    c = as_vector(obj.get("c", np.zeros(p)), p)
-    d = _number(obj, "d", 0.0)
+    b = json_vector(obj["b"], "b", n) if "b" in obj else np.zeros(n)
+    c = json_vector(obj["c"], "c", p) if "c" in obj else np.zeros(p)
+    d = json_number(obj.get("d", 0.0), "d")
     if obj.get("B") is None:
         if not zero_sum:
             raise ValueError("B may be omitted only for zero_sum games")
         return BilinearGame.zero_sum_game(A, b, c, d)
-    B = linalg.matrix_from_json(obj["B"])
-    e = as_vector(obj.get("e", -b if zero_sum else np.zeros(n)), n)
-    f = as_vector(obj.get("f", -c if zero_sum else np.zeros(p)), p)
-    g = _number(obj, "g", -d if zero_sum else 0.0)
+    B = linalg.matrix_from_json(obj["B"], "B")
+    e = json_vector(obj["e"], "e", n) if "e" in obj else (-b if zero_sum else np.zeros(n))
+    f = json_vector(obj["f"], "f", p) if "f" in obj else (-c if zero_sum else np.zeros(p))
+    g = json_number(obj.get("g", -d if zero_sum else 0.0), "g")
     game = BilinearGame(A, B, b, c, e, f, d, g)
     if zero_sum and not game.zero_sum:
         raise ValueError("zero_sum flag set but (B, e, f, g) do not match")

@@ -2,10 +2,19 @@
 
 Everything operates on plain float64 numpy arrays. Matrices serialize to/from
 JSON as {"rows": n, "cols": p, "data": [row-major reals]}.
+
+Every number a config supplies passes one rule, `json_number`: a finite
+JSON number (an int or a float as `json.load` returns it, never a bool or a
+str), at or above a lower bound, and integral where the field is an integer
+(2.0 counts). `json_vector` applies the same rule to each entry of a JSON
+list of a given length, with one type scan of the list;
+`matrix_from_json` reads a matrix through both.
 """
 
 from __future__ import annotations
 
+import math
+import reprlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,21 +81,43 @@ def matrix_to_json(a: np.ndarray) -> dict:
             "data": [float(x) for x in m.reshape(-1)]}
 
 
-def _dimension(obj: dict, key: str) -> int:
-    """A matrix dimension: an integer >= 1 (an integral float counts), not a bool."""
-    value = obj[key]
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (isinstance(value, float) and not value.is_integer()) or value < 1):
-        raise ValueError(f"matrix {key} must be an integer >= 1, got {value!r}")
-    return int(value)
+def json_number(value, name: str, low: float | None = None, strict: bool = False,
+                integer: bool = False):
+    """A config number: an int or a float that is finite as a float, at
+    least `low` (above it where `strict`). Where `integer`, it must be
+    integral and comes back as an int; otherwise as a float. Anything else
+    raises a ValueError that names the field and the value."""
+    try:
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        number = math.nan
+    if not (math.isfinite(number) and (not integer or number.is_integer())
+            and (low is None or (number > low if strict else number >= low))):
+        kind = "an integer" if integer else "a finite number"
+        bound = "" if low is None else f" {'>' if strict else '>='} {low}"
+        raise ValueError(f"{name} must be {kind}{bound}, got {reprlib.repr(value)}")
+    return int(value) if integer else number
 
 
-def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = _dimension(obj, "rows"), _dimension(obj, "cols")
-    data = np.asarray(obj["data"], dtype=float)
-    if data.size != rows * cols:
-        raise ValueError(f"matrix data length {data.size} != {rows}x{cols}")
-    return as_matrix(data.reshape(rows, cols))
+def json_vector(value, name: str, length: int) -> np.ndarray:
+    """A config vector: a JSON list of `length` finite JSON numbers. The
+    entries' types are checked by one scan of the list, not one call each."""
+    if type(value) is list and len(value) == length and set(map(type, value)) <= {int, float}:
+        try:
+            out = np.array(value, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            pass
+        else:
+            if np.isfinite(out).all():
+                return out
+    raise ValueError(f"{name} must be a list of {length} finite numbers, "
+                     f"got {reprlib.repr(value)}")
+
+
+def matrix_from_json(obj: dict, name: str) -> np.ndarray:
+    rows = json_number(obj["rows"], f"{name}.rows", 1, integer=True)
+    cols = json_number(obj["cols"], f"{name}.cols", 1, integer=True)
+    return json_vector(obj["data"], f"{name}.data", rows * cols).reshape(rows, cols)
 
 
 def default_rank_tol(a: np.ndarray) -> float:

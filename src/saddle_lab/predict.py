@@ -99,16 +99,14 @@ def _orthogonal_limit(spec: CouplingSpectrum, eta: float,
     if spec.algo is Algo.GDA:
         return _invalid(Geometry.ORTHOGONAL_ONTO_KERNELS,
                         "GDA has no characterized limit (it cycles or diverges)")
-    game, dogda = spec.game, spec.algo is Algo.DOGDA
+    dogda = spec.algo is Algo.DOGDA
     geo = Geometry.DOGDA_ORTHOGONAL if dogda else Geometry.ORTHOGONAL_ONTO_KERNELS
     ns = spec.nash
     if not ns.nonempty:
         return _invalid(geo, "nash_set_empty")
     # The aux constraints must be solvable too, else one half never settles.
-    if dogda and not games_mod.solve_affine(game.B, game.e).feasible:
-        return _invalid(geo, "aux_constraint_infeasible_for_player2_payoff")
-    if dogda and not games_mod.solve_affine(game.A.T, game.c).feasible:
-        return _invalid(geo, "aux_constraint_infeasible_for_player1_payoff")
+    if dogda and spec.aux_infeasible:
+        return _invalid(geo, spec.aux_infeasible)
     if spec.divergent(eta):
         return _invalid(geo, "eta_in_divergent_regime")
     # the Nash points are least-norm solutions, hence orthogonal to the kernels

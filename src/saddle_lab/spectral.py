@@ -231,7 +231,8 @@ class CouplingSpectrum:
     every step size (None when the step size decides). The Gram spectra keep
     the eigenpairs of A^T A in `ata_eig` (values descending, vectors as
     columns); the other spectra have None there. `nash` is the game's Nash
-    set, solved on first use.
+    set and `aux_infeasible` the check of DOGDA's aux constraints, each
+    solved on first use.
     """
 
     def __init__(self, game: BilinearGame, algo: Algo = Algo.OGDA):
@@ -303,6 +304,18 @@ class CouplingSpectrum:
     @functools.cached_property
     def nash(self) -> NashSet:
         return games_mod.nash_set(self.game)
+
+    @functools.cached_property
+    def aux_infeasible(self) -> str | None:
+        """The first of DOGDA's aux constraints, B z + e = 0 and A^T z + c = 0,
+        that has no solution, as the reason a limit prediction gives; None
+        when both are solvable."""
+        game = self.game
+        if not games_mod.solve_affine(game.B, game.e).feasible:
+            return "aux_constraint_infeasible_for_player2_payoff"
+        if not games_mod.solve_affine(game.A.T, game.c).feasible:
+            return "aux_constraint_infeasible_for_player1_payoff"
+        return None
 
     @functools.cached_property
     def invertible(self) -> bool:

@@ -271,7 +271,24 @@ class TestRun:
         pytest.param(lambda c: c.update(eta="0.3"), id="eta-numeric-string"),
         pytest.param(lambda c: c.update(eta=int("1" + "0" * 400)), id="eta-int-overflow"),
         pytest.param(lambda c: c.update(stop_tol=True), id="stop_tol-bool"),
-        pytest.param(lambda c: c.update(blow_cap="1e6"), id="blow_cap-string")])
+        pytest.param(lambda c: c.update(blow_cap="1e6"), id="blow_cap-string"),
+        pytest.param(lambda c: c["game"]["A"].update(data=["2"]), id="data-numeric-string"),
+        pytest.param(lambda c: c["game"].update(b=[True]), id="b-bool"),
+        pytest.param(lambda c: c["init"].update(x0=["1"]), id="x0-numeric-string"),
+        pytest.param(lambda c: c["init"].update(y0=[True]), id="y0-bool"),
+        pytest.param(lambda c: c["init"].update(x0=[[1.0]]), id="x0-nested"),
+        pytest.param(lambda c: c["init"].update(y0=1.0), id="y0-scalar"),
+        pytest.param(lambda c: c["init"].update(y_prev=[2 ** 1024]), id="y_prev-int-overflow"),
+        # with NaN, B = -A and g = -d would not make the game zero-sum
+        pytest.param(lambda c: c["game"].update(d=math.nan), id="d-nan"),
+        pytest.param(lambda c: c["game"].update(
+            B={"rows": 1, "cols": 1, "data": [-1.0]}, zero_sum=False, g=math.inf),
+            id="g-infinite"),
+        pytest.param(lambda c: c.update(init={"random": "no", "seed": 1}),
+                     id="init-random-string"),
+        pytest.param(lambda c: c.update(name=7), id="name-number"),
+        pytest.param(lambda c: c.update(description=["a"]), id="description-list"),
+        pytest.param(lambda c: c.update(max_steps=10 ** 400), id="max_steps-int-overflow")])
     def test_malformed_fields_exit_one(self, tmp_path, capsys, mutate):
         obj = zero_sum_config(0.3)
         mutate(obj)
@@ -494,6 +511,23 @@ class TestSweep:
         assert len(rows) == 8  # every step size is applicable and fitted
         assert counts == {"spectra": 1, "nash_sets": 1}
 
+    def test_dogda_solves_aux_constraints_once(self, tmp_path, monkeypatch):
+        # two solves for the Nash set and two for the aux constraints, at any
+        # number of step sizes
+        calls = []
+        solve_affine = games.solve_affine
+
+        def counted(M, rhs):
+            calls.append(M.shape)
+            return solve_affine(M, rhs)
+
+        monkeypatch.setattr(games, "solve_affine", counted)
+        cfg = write_config(tmp_path, zero_sum_config(
+            {"start": 0.1, "stop": 0.45, "step": 0.05}, algo="DOGDA", max_steps=1500))
+        assert cli.main(["sweep", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        assert len((tmp_path / "pennies.sweep.csv").read_text().splitlines()[2:]) == 8
+        assert len(calls) == 4
+
     def test_multiline_description_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, zero_sum_config(
             {"start": 0.1, "stop": 0.45, "step": 0.05}, description="line one\nline two"))
@@ -605,6 +639,27 @@ def json_paths(obj, prefix=()):
         yield from json_paths(value, prefix + (key,))
 
 
+MISSING = object()
+
+
+def lookup(obj, path):
+    """The value at `path` in a JSON tree, or MISSING where the path is gone."""
+    for key in path:
+        if not isinstance(obj, (dict, list)):
+            return MISSING
+        try:
+            obj = obj[key]
+        except (KeyError, IndexError, TypeError):
+            return MISSING
+    return obj
+
+
+def is_json_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+# read only with a B matrix; with "B": null they are ignored
+IGNORED_WITHOUT_B = {("game", "e"), ("game", "f"), ("game", "g")}
 BAD_VALUES = st.one_of(
     st.none(), st.text(max_size=4), st.integers(-10**6, -1),
     st.floats(-1e300, 1e300), st.just(math.nan), st.just(math.inf), st.just(0),
@@ -635,10 +690,12 @@ MUTATION_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None,
 class TestMutatedConfigs:
     def run_mutated(self, tmp_path, capsys, data, command, base):
         """Mutate a draw from `base` one to three times, run `command` on it,
-        and check the exit code and the stderr of an exit 1."""
+        and check the exit code and the stderr of an exit 1. A number of the
+        draw that a mutation turns into anything else must exit 1."""
         obj = json.loads(json.dumps(data.draw(st.sampled_from(base))))
         if command == "sweep" and data.draw(st.booleans()):
             obj["eta"].update(data.draw(RANGE_MUTATIONS))
+        numbers = [path for path in json_paths(obj) if is_json_number(lookup(obj, path))]
         for _ in range(data.draw(st.integers(1, 3))):
             path = data.draw(st.sampled_from(list(json_paths(obj))))
             parent = obj
@@ -657,6 +714,12 @@ class TestMutatedConfigs:
         code = cli.main([command, "--config", str(cfg), "--out-dir", str(out)])
         err = capsys.readouterr().err
         assert code in EXIT_CODES[command]
+        # a number the config reads that is now a bool, a str, null, a list,
+        # NaN or an infinity is never coerced
+        values = [lookup(obj, path) for path in numbers if not (
+            path[:2] in IGNORED_WITHOUT_B and lookup(obj, ("game", "B")) in (None, MISSING))]
+        if any(value is not MISSING and not is_json_number(value) for value in values):
+            assert code == cli.EXIT_CONFIG_ERROR
         if code == cli.EXIT_CONFIG_ERROR:
             assert err.count("\n") == 1
             assert err.startswith("config error:") or (

@@ -264,11 +264,11 @@ class TestJson:
         a = rand_matrix(13, 3, 2)
         obj = linalg.matrix_to_json(a)
         assert obj["rows"] == 3 and obj["cols"] == 2
-        assert np.array_equal(linalg.matrix_from_json(obj), a)
+        assert np.array_equal(linalg.matrix_from_json(obj, "A"), a)
 
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
-            linalg.matrix_from_json({"rows": 2, "cols": 2, "data": [1.0]})
+            linalg.matrix_from_json({"rows": 2, "cols": 2, "data": [1.0]}, "A")
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

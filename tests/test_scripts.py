@@ -53,6 +53,7 @@ def test_kernel_timing_prints_every_layer(monkeypatch, capsys):
             + [f"run_batch_row_steps_per_s_k8_np{size}" for size in (4, 32)]
             + [f"csv_us_per_row_np{size}" for size in (4, 32, 256)]
             + [f"{name}_us_np{size}" for name in ("rate_report", "predict_limit")
-               for size in (4, 128)])
+               for size in (4, 128)]
+            + ["parse_config_us_np256"])
     assert sorted(out) == sorted(keys)
     assert all(out[key] > 0 for key in keys)
