@@ -8,7 +8,10 @@ second at k = 8 step sizes, n+p in {4, 32}, the median of five batches.
 record at n+p in {4, 32, 256}, with its distance column, the median of five
 renderings. `rate_report` and `predict_limit`: microseconds per call of the
 public function at one step size, n+p in {4, 128}, the median of five
-batches of 50 calls. `parse_config`: microseconds per call of
+batches of 50 calls. `analysis`: microseconds per shared analysis of one
+game, at n+p in {4, 128}, timed the same way: a `CouplingSpectrum`, then
+`rate_curve` at one step size, `predict.limit`, `predict.distance` and
+`predict.witness` from that spectrum and report. `parse_config`: microseconds per call of
 `cli.parse_config` on the config of the n+p = 256 game, read back from its
 JSON text, timed the same way. The games are seeded zero-sum games with A
 scaled by 1/sqrt(n), and eta is small enough that no run stops early.
@@ -35,6 +38,15 @@ def game(size: int):
     a = rng.normal(size=(n, n)) / np.sqrt(n)
     return (BilinearGame.zero_sum_game(a),
             dynamics.IterateState.at(rng.normal(size=n), rng.normal(size=n)))
+
+
+def analysis(g, init):
+    """One shared analysis at eta = 0.01: the spectrum, its report, the
+    limit, the distance to the Nash set and the rate witness."""
+    spec = spectral.CouplingSpectrum(g)
+    report = spectral.rate_curve(spec, [0.01])[0]
+    return (predict.limit(spec, report, init), predict.distance(spec.nash, init),
+            predict.witness(spec, report))
 
 
 def median_time(call) -> float:
@@ -71,6 +83,8 @@ def main() -> None:
         seconds = median_time(
             lambda: [predict.predict_limit(g, "OGDA", 0.01, init) for _ in range(CALLS)])
         out[f"predict_limit_us_np{size}"] = seconds / CALLS * 1e6
+        seconds = median_time(lambda: [analysis(g, init) for _ in range(CALLS)])
+        out[f"analysis_us_np{size}"] = seconds / CALLS * 1e6
     g, init = game(256)
     config = json.loads(json.dumps({
         "game": game_to_json(g), "algo": "OGDA", "eta": 0.01, "max_steps": STEPS,

@@ -275,7 +275,7 @@ def _run_one(cfg: ExperimentConfig, eta: float) -> dict:
         "trajectory": traj,
         "report": report,
         "prediction": pred,
-        "outcome": verify.classify(traj, cfg.game),
+        "outcome": verify.classify(traj, spec),
         "rate_fit": fit,
         "bound": None,
     }

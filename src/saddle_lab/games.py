@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import SubspaceBasis, as_matrix, as_vector, json_number, json_vector
+from .linalg import (RankedSVD, SubspaceBasis, as_matrix, as_vector, json_number,
+                     json_object, json_vector)
 
-# solve_affine calls M z + r = 0 feasible when the least-squares residual is
-# at most this times 1 + ||r||
+# solve_affine calls M z + r = 0 feasible when the part of r outside Im(M) has
+# at most this norm times 1 + ||r||
 FEASIBILITY_REL_TOL = 1e-10
 
 
@@ -122,12 +123,12 @@ class AffineSet:
     image: SubspaceBasis
 
 
-def solve_affine(M: np.ndarray, rhs: np.ndarray) -> AffineSet:
+def solve_affine(svd: RankedSVD, rhs: np.ndarray) -> AffineSet:
     """Least-squares particular solution of M z = -rhs, plus Ker(M) and Im(M),
-    all from one SVD of M."""
-    svd = linalg.svd_rank(M)
+    all from the ranked SVD of M. The residual is the part of rhs outside
+    Im(M), read from the same left singular vectors."""
     point = -svd.pinv() @ rhs
-    residual = float(np.linalg.norm(M @ point + rhs))
+    residual = float(np.linalg.norm(svd.u[:, svd.rank:].T @ rhs))
     feasible = residual <= FEASIBILITY_REL_TOL * (1.0 + float(np.linalg.norm(rhs)))
     return AffineSet(point, svd.kernel(), feasible, residual, svd.image())
 
@@ -157,10 +158,23 @@ class NashSet:
         return rx, ry
 
 
+def coupling_svds(game: BilinearGame) -> tuple[RankedSVD, RankedSVD]:
+    """The ranked SVDs of A and B, one decomposition each. A zero-sum
+    B = -A reuses the factors of A with u negated, so A and B share a rank."""
+    svd_a = linalg.svd_rank(game.A)
+    if np.array_equal(game.B, -game.A):
+        return svd_a, svd_a._replace(u=-svd_a.u)
+    return svd_a, linalg.svd_rank(game.B)
+
+
+def nash_from_svds(game: BilinearGame, svd_a: RankedSVD, svd_b: RankedSVD) -> NashSet:
+    """The Nash set from the ranked SVDs of A and B (see coupling_svds)."""
+    return NashSet(x_part=solve_affine(svd_b.T, game.f), y_part=solve_affine(svd_a, game.b))
+
+
 def nash_set(game: BilinearGame) -> NashSet:
     """Compute the Nash set; emptiness is reported, never raised."""
-    return NashSet(x_part=solve_affine(game.B.T, game.f),
-                   y_part=solve_affine(game.A, game.b))
+    return nash_from_svds(game, *coupling_svds(game))
 
 
 def accelerate(game: BilinearGame) -> BilinearGame:
@@ -172,8 +186,9 @@ def accelerate(game: BilinearGame) -> BilinearGame:
     zero-sum x-equilibrium x* (A^T x* + c = 0) exists, which keeps the
     x-limit of the original zero-sum game; otherwise f = 0.
     """
-    a_pinv = linalg.pinv(game.A)
-    x_zs = solve_affine(game.A.T, game.c)
+    svd = linalg.svd_rank(game.A)
+    a_pinv = svd.pinv()
+    x_zs = solve_affine(svd.T, game.c)
     f_new = a_pinv @ x_zs.point if x_zs.feasible else np.zeros(game.p)
     return BilinearGame(A=game.A, B=-a_pinv.T, b=game.b, c=game.c,
                         e=np.zeros(game.n), f=f_new, d=game.d, g=0.0)
@@ -222,6 +237,7 @@ def game_to_json(game: BilinearGame) -> dict:
 
 
 def game_from_json(obj: dict) -> BilinearGame:
+    obj = json_object(obj, "game")
     A = linalg.matrix_from_json(obj["A"], "A")
     n, p = A.shape
     zero_sum = obj.get("zero_sum", False)

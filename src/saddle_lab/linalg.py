@@ -7,8 +7,9 @@ Every number a config supplies passes one rule, `json_number`: a finite
 JSON number (an int or a float as `json.load` returns it, never a bool or a
 str), at or above a lower bound, and integral where the field is an integer
 (2.0 counts). `json_vector` applies the same rule to each entry of a JSON
-list of a given length, with one type scan of the list;
-`matrix_from_json` reads a matrix through both.
+list of a given length, with one type scan of the list, and `json_object`
+names a field that must be an object; `matrix_from_json` reads a matrix
+through all three.
 """
 
 from __future__ import annotations
@@ -114,7 +115,15 @@ def json_vector(value, name: str, length: int) -> np.ndarray:
                      f"got {reprlib.repr(value)}")
 
 
+def json_object(value, name: str) -> dict:
+    """A config object: a JSON object, else a ValueError that names the field."""
+    if type(value) is not dict:
+        raise ValueError(f"{name} must be an object, got {reprlib.repr(value)}")
+    return value
+
+
 def matrix_from_json(obj: dict, name: str) -> np.ndarray:
+    obj = json_object(obj, name)
     rows = json_number(obj["rows"], f"{name}.rows", 1, integer=True)
     cols = json_number(obj["cols"], f"{name}.cols", 1, integer=True)
     return json_vector(obj["data"], f"{name}.data", rows * cols).reshape(rows, cols)
@@ -242,11 +251,17 @@ class RankedSVD(NamedTuple):
         """Orthonormal basis of the column space."""
         return SubspaceBasis(self.u.shape[0], self.u[:, :self.rank].copy())
 
+    @property
+    def T(self) -> "RankedSVD":
+        """The same decomposition read as one of the transpose, at the same rank."""
+        return RankedSVD(self.vh.T, self.s, self.u.T, self.rank)
+
 
 def svd_rank(a) -> RankedSVD:
     """Full SVD of `a` and its numerical rank, the count of singular values
     above default_rank_tol(a) times the largest. Every rank decision on a
-    matrix (pseudoinverse, kernel, image, span, Gram spectra) reads it."""
+    matrix (pseudoinverse, kernel, image, span, Gram spectra, Nash set)
+    reads it."""
     m = as_matrix(a)
     u, s, vh = np.linalg.svd(m)
     rank = int(np.count_nonzero(s > default_rank_tol(m) * s.max(initial=0.0)))
@@ -256,10 +271,6 @@ def svd_rank(a) -> RankedSVD:
 def pinv(a) -> np.ndarray:
     """Moore-Penrose inverse of `a` (see RankedSVD.pinv)."""
     return svd_rank(a).pinv()
-
-
-def matrix_rank(a) -> int:
-    return svd_rank(a).rank
 
 
 def kernel_basis(a) -> SubspaceBasis:

@@ -25,9 +25,9 @@ from . import games as games_mod
 from . import linalg
 from .dynamics import Algo, companion_matrix
 from .games import BilinearGame, NashSet
-from .linalg import ComplexScalarSet, as_matrix, cluster_scalars
+from .linalg import ComplexScalarSet, RankedSVD, as_matrix, cluster_scalars
 
-MEMBERSHIP_REL_TOL = 1e-9       # for "1/(4 eta^2) in S(A)" and the rate indicators
+MEMBERSHIP_REL_TOL = 1e-9       # for "1/(4 eta^2) in S(A)", the rate indicators and a positive mu
 REALITY_REL_TOL = 1e-8          # for accepting Sp(B^T A) as real non-positive
 GRAM_CLUSTER_REL_TOL = 1e-12    # merges Gram eigenvalues, times max(1, largest)
 DIAGONALIZABLE_REL_TOL = 1e-8   # singular values counted as null, times max(1, ||m||_F)
@@ -222,17 +222,21 @@ class SpectralReport:
 class CouplingSpectrum:
     """The part of the rate analysis of one (game, algo) that no step size changes.
 
+    `svds` holds the ranked SVDs of A and B (games.coupling_svds), taken
+    once on first use: every rank decision of the analysis reads them.
     Zero-sum OGDA pools the spectra of A^T A and A A^T, DOGDA those of A^T A
-    and B^T B, both read from the SVDs of A (and B). General-sum OGDA takes
-    the magnitudes of the non-positive real parts of Sp(B^T A), with the
-    checks that the spectrum is real and non-positive. `positives` are the
-    numerically positive values, ascending. `assumptions` are the conditions
-    a report checks, in order, and `violated` names the one that fails at
-    every step size (None when the step size decides). The Gram spectra keep
-    the eigenpairs of A^T A in `ata_eig` (values descending, vectors as
+    and B^T B. General-sum OGDA takes the magnitudes of the non-positive
+    real parts of Sp(B^T A), with the checks that the spectrum is real and
+    non-positive; `growth_mu` is its largest real value that fails the
+    second check, the one that drives payoff growth (None when there is
+    none, and for the other spectra). `positives` are the numerically
+    positive values, ascending. `assumptions` are the conditions a report
+    checks, in order, and `violated` names the one that fails at every step
+    size (None when the step size decides). The Gram spectra keep the
+    eigenpairs of A^T A in `ata_eig` (values descending, vectors as
     columns); the other spectra have None there. `nash` is the game's Nash
-    set and `aux_infeasible` the check of DOGDA's aux constraints, each
-    solved on first use.
+    set, `aux_infeasible` the check of DOGDA's aux constraints and
+    `invertible` the test of A and B, each read from `svds` on first use.
     """
 
     def __init__(self, game: BilinearGame, algo: Algo = Algo.OGDA):
@@ -241,6 +245,7 @@ class CouplingSpectrum:
         self.mu_imag_max = 0.0
         self.violated: str | None = None
         self.general_sum = False
+        self.growth_mu: float | None = None
         self.ata_eig: tuple[np.ndarray, np.ndarray] | None = None
         if self.algo is Algo.GDA:
             self.assumptions: tuple[str, ...] = ()
@@ -248,11 +253,11 @@ class CouplingSpectrum:
             self.mu_set, self.mu_max, self.positives = [], 0.0, np.zeros(0)
         elif self.algo is Algo.DOGDA:
             self.assumptions = ("eta_below_half_threshold",)
-            self._gram((game.A, game.B), game.p)
+            self._gram(self.svds, game.p)
         elif game.zero_sum:
             self.assumptions = ("eta_below_divergence_threshold",)
             # A^T A is p x p and A A^T is n x n
-            self._gram((game.A,), max(game.n, game.p))
+            self._gram(self.svds[:1], max(game.n, game.p))
         else:
             self.general_sum = True
             self.assumptions = ("spectrum_real_nonpositive", "eta_below_half_threshold",
@@ -260,12 +265,12 @@ class CouplingSpectrum:
             self._coupling()
         self.mu_min = float(self.positives[0]) if self.positives.size else None
 
-    def _gram(self, factors: tuple[np.ndarray, ...], size: int) -> None:
-        """Pool the Gram spectra of `factors` from their SVDs. The positives
-        are the squared singular values inside each factor's rank; `mu_set`
-        clusters them and holds 0 when a Gram product has a null direction,
-        that is, a factor's rank is below `size` or a square underflows."""
-        svds = [linalg.svd_rank(m) for m in factors]
+    def _gram(self, svds: tuple[RankedSVD, ...], size: int) -> None:
+        """Pool the Gram spectra of the factors whose SVDs are `svds`. The
+        positives are the squared singular values inside each factor's rank;
+        `mu_set` clusters them and holds 0 when a Gram product has a null
+        direction, that is, a factor's rank is below `size` or a square
+        underflows."""
         first = svds[0]
         self.ata_eig = (np.pad(first.s ** 2, (0, self.game.p - first.s.size)), first.vh.T)
         squares = np.concatenate([svd.s[:svd.rank] ** 2 for svd in svds])
@@ -281,8 +286,11 @@ class CouplingSpectrum:
         mus = coupling_spectrum(self.game).values
         self.mu_imag_max = float(np.max(np.abs(mus.imag), initial=0.0))
         abs_scale = float(np.max(np.abs(mus), initial=0.0))
-        real_ok = bool(np.all(np.abs(mus.imag) <= REALITY_REL_TOL * (1.0 + np.abs(mus))))
-        nonpos_ok = bool(np.all(mus.real <= MEMBERSHIP_REL_TOL * (1.0 + abs_scale)))
+        real = np.abs(mus.imag) <= REALITY_REL_TOL * (1.0 + np.abs(mus))
+        positive = mus.real > MEMBERSHIP_REL_TOL * (1.0 + abs_scale)
+        growth = mus.real[real & positive]
+        if growth.size:
+            self.growth_mu = float(growth.max())
         mu_reals = np.minimum(mus.real, 0.0)
         mu_mags = -mu_reals
         self.mu_max = float(mu_mags.max(initial=0.0))
@@ -293,7 +301,7 @@ class CouplingSpectrum:
         if (mu_mags <= cutoff).any() and self.invertible:
             cutoff = 0.0
         self.positives = np.sort(mu_mags[mu_mags > cutoff])
-        if not (real_ok and nonpos_ok):
+        if not real.all() or positive.any():
             self.violated = "spectrum_real_nonpositive"
 
     def divergent(self, eta):
@@ -302,18 +310,22 @@ class CouplingSpectrum:
         return eta * math.sqrt(self.mu_max) >= DIVERGENCE_THRESHOLD
 
     @functools.cached_property
+    def svds(self) -> tuple[RankedSVD, RankedSVD]:
+        return games_mod.coupling_svds(self.game)
+
+    @functools.cached_property
     def nash(self) -> NashSet:
-        return games_mod.nash_set(self.game)
+        return games_mod.nash_from_svds(self.game, *self.svds)
 
     @functools.cached_property
     def aux_infeasible(self) -> str | None:
         """The first of DOGDA's aux constraints, B z + e = 0 and A^T z + c = 0,
         that has no solution, as the reason a limit prediction gives; None
         when both are solvable."""
-        game = self.game
-        if not games_mod.solve_affine(game.B, game.e).feasible:
+        svd_a, svd_b = self.svds
+        if not games_mod.solve_affine(svd_b, self.game.e).feasible:
             return "aux_constraint_infeasible_for_player2_payoff"
-        if not games_mod.solve_affine(game.A.T, game.c).feasible:
+        if not games_mod.solve_affine(svd_a.T, self.game.c).feasible:
             return "aux_constraint_infeasible_for_player1_payoff"
         return None
 
@@ -322,8 +334,7 @@ class CouplingSpectrum:
         """A and B are square and of full rank: then the general-sum companion
         matrix is diagonalizable below the half threshold."""
         n = self.game.n
-        return (n == self.game.p and linalg.matrix_rank(self.game.A) == n
-                and linalg.matrix_rank(self.game.B) == n)
+        return n == self.game.p and all(svd.rank == n for svd in self.svds)
 
 
 class RateCurve:

@@ -22,7 +22,6 @@ TRANSIENT_FRACTION = 0.2   # early eigen-mixture pollutes the slope
 ENVELOPE_SLACK = 1e-9      # absolute excess over the bound envelope that still passes
 COOP_CAP = 1e6             # both final payoffs above this for Cooperating
 COOP_TREND_POINTS = 50
-GROWTH_MU_MIN = 1e-12      # real coupling eigenvalues above this drive payoff growth
 
 
 class InsufficientDataError(ValueError):
@@ -101,24 +100,14 @@ class OutcomeClass:
     evidence: dict = field(default_factory=dict)
 
 
-def _expected_payoff_growth(game: BilinearGame, eta: float) -> float | None:
-    """Square of the dominant expanding root: the asymptotic per-step payoff
-    growth when a positive coupling eigenvalue drives the blow-up."""
-    spec = spectral.coupling_spectrum(game)
-    reals = [mu.real for mu in spec.values
-             if abs(mu.imag) <= spectral.REALITY_REL_TOL * (1.0 + abs(mu))
-             and mu.real > GROWTH_MU_MIN]
-    if not reals:
-        return None
-    return float(np.abs(spectral.s_star_roots(max(reals), eta).roots).max()) ** 2
-
-
-def classify(traj: Trajectory, game: BilinearGame) -> OutcomeClass:
+def classify(traj: Trajectory, spec: spectral.CouplingSpectrum) -> OutcomeClass:
     """Converged / Cooperating (both payoffs blowing up together) / Diverged.
 
     Cooperation needs both final payoffs above COOP_CAP and a fitted per-step
     payoff growth ratio above 1 over the trailing window, which separates
-    joint payoff explosion from a one-sided norm blow-up.
+    joint payoff explosion from a one-sided norm blow-up. The run's spectrum
+    `spec` supplies the game and, where its `growth_mu` drives a blow-up,
+    the expected growth ratio: the square of the dominant root of S*(mu).
     """
     s = traj.final
     # np.max, unlike max, keeps the NaN block norm of an overflowed last state
@@ -127,14 +116,14 @@ def classify(traj: Trajectory, game: BilinearGame) -> OutcomeClass:
     if traj.stop_reason is StopReason.CONVERGED:
         return OutcomeClass(OutcomeKind.CONVERGED, limit=(s.x.copy(), s.y.copy()),
                             evidence=evidence)
-    g1, g2 = recorded_payoffs(traj, game)
+    g1, g2 = recorded_payoffs(traj, spec.game)
     times = np.asarray(traj.times)
     tail = slice(max(0, len(times) - COOP_TREND_POINTS), len(times))
     g1_tail, g2_tail = g1[tail], g2[tail]
     evidence.update({"final_g1": float(g1[-1]), "final_g2": float(g2[-1])})
-    expected = _expected_payoff_growth(game, traj.eta)
-    if expected is not None:
-        evidence["expected_growth_ratio"] = expected
+    if spec.growth_mu is not None:
+        roots = spectral.s_star_roots(spec.growth_mu, traj.eta).roots
+        evidence["expected_growth_ratio"] = float(np.abs(roots).max()) ** 2
     if min(g1[-1], g2[-1]) > COOP_CAP and (g1_tail > 0).all() and (g2_tail > 0).all():
         s1, _, _ = _log_linear_fit(times[tail], g1_tail)
         s2, _, _ = _log_linear_fit(times[tail], g2_tail)
@@ -673,7 +662,7 @@ def suite_cooperation_never_diverges(rng: np.random.Generator) -> CheckResult:
         eta = float(rng.uniform(0.4, 0.9)) * 0.5 / math.sqrt(mu_max)
         traj = run(game, Algo.OGDA, eta, _random_iterate(rng, n, p),
                    max_steps=40000)
-        outcome = classify(traj, game)
+        outcome = classify(traj, spectral.CouplingSpectrum(game))
         if outcome.kind is OutcomeKind.DIVERGED:
             return CheckResult("verify.cooperation_never_diverges", False, 1.0, 0.0,
                                f"diverged with alpha={alpha}")

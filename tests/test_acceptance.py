@@ -120,7 +120,7 @@ def test_criterion_07_dogda():
     eta = 0.2
     init = IterateState([1.0], [1.0], [0.0], [0.0])
     coop_traj = dynamics.run(g, Algo.OGDA, eta, init, max_steps=100000)
-    outcome = verify.classify(coop_traj, g)
+    outcome = verify.classify(coop_traj, spectral.CouplingSpectrum(g))
     ok_coop = (outcome.kind is OutcomeKind.COOPERATING
                and outcome.growth_ratio >= (1 + eta) ** 2 - 0.01)
 

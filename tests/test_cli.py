@@ -21,20 +21,20 @@ def reject_constant(name):
 
 
 def count_analyses(monkeypatch) -> dict:
-    """Count the CouplingSpectrum objects built and the games.nash_set calls."""
+    """Count the CouplingSpectrum objects and the games.NashSet objects built."""
     counts = {"spectra": 0, "nash_sets": 0}
-    init_spectrum, nash_set = spectral.CouplingSpectrum.__init__, games.nash_set
+    init_spectrum, init_nash = spectral.CouplingSpectrum.__init__, games.NashSet.__post_init__
 
     def counted_init(self, *args):
         counts["spectra"] += 1
         init_spectrum(self, *args)
 
-    def counted_nash_set(game):
+    def counted_nash(self):
         counts["nash_sets"] += 1
-        return nash_set(game)
+        init_nash(self)
 
     monkeypatch.setattr(spectral.CouplingSpectrum, "__init__", counted_init)
-    monkeypatch.setattr(games, "nash_set", counted_nash_set)
+    monkeypatch.setattr(games.NashSet, "__post_init__", counted_nash)
     return counts
 
 
@@ -298,6 +298,21 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error:")
 
+    @pytest.mark.parametrize("mutate, field", [
+        pytest.param(lambda c: c.update(game=None), "game", id="game-null"),
+        pytest.param(lambda c: c.update(game=[1]), "game", id="game-list"),
+        pytest.param(lambda c: c["game"].update(A=None), "A", id="A-null"),
+        pytest.param(lambda c: c["game"].update(B=5), "B", id="B-number")])
+    def test_non_object_names_its_field(self, tmp_path, capsys, mutate, field):
+        obj = zero_sum_config(0.3)
+        mutate(obj)
+        cfg = write_config(tmp_path, obj)
+        assert cli.main(["run", "--config", cfg, "--out-dir",
+                         str(tmp_path / "out")]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"config error: bad config: {field} must be an object, got ")
+
     def test_integral_float_dimensions(self, tmp_path):
         obj = zero_sum_config(0.3)
         obj["game"]["A"].update(rows=1.0, cols=1.0)
@@ -481,6 +496,18 @@ class TestRun:
             assert verdict["bound"]["ok"]
         assert counts == {"spectra": 2, "nash_sets": 2}
 
+    def test_zero_sum_run_writes_no_growth_ratio(self, tmp_path):
+        # Sp(B^T A) = -Sp(A^T A) of a zero-sum game is non-positive: rounding
+        # noise above zero in a rank-deficient A drives no payoff growth
+        a = verify.random_matrix(np.random.default_rng(1), 3, 3, rank=2) * 1e3
+        cfg = write_config(tmp_path, {
+            "name": "noise", "game": games.game_to_json(games.BilinearGame.zero_sum_game(a)),
+            "eta": 1e-4, "max_steps": 50, "init": {"x0": [1.0] * 3, "y0": [1.0] * 3}})
+        assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        verdict = json.loads((tmp_path / "noise.verify.json").read_text())
+        assert verdict["classification"]["kind"] == "Diverged"
+        assert "expected_growth_ratio" not in verdict["classification"]["evidence"]
+
     def test_integral_float_seed_is_that_integer(self):
         game = cli.parse_config(zero_sum_config(0.3)).game
         inits = [cli._build_init(game, {"random": True, "seed": seed}, None).z
@@ -513,20 +540,27 @@ class TestSweep:
 
     def test_dogda_solves_aux_constraints_once(self, tmp_path, monkeypatch):
         # two solves for the Nash set and two for the aux constraints, at any
-        # number of step sizes
-        calls = []
-        solve_affine = games.solve_affine
+        # number of step sizes, all from one SVD: the zero-sum B = -A of
+        # matching pennies reuses the factors of A
+        calls, svds = [], []
+        solve_affine, svd = games.solve_affine, np.linalg.svd
 
-        def counted(M, rhs):
-            calls.append(M.shape)
-            return solve_affine(M, rhs)
+        def counted(ranked, rhs):
+            calls.append(ranked.u.shape)
+            return solve_affine(ranked, rhs)
+
+        def counted_svd(*args, **kwargs):
+            svds.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
 
         monkeypatch.setattr(games, "solve_affine", counted)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
         cfg = write_config(tmp_path, zero_sum_config(
             {"start": 0.1, "stop": 0.45, "step": 0.05}, algo="DOGDA", max_steps=1500))
         assert cli.main(["sweep", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
         assert len((tmp_path / "pennies.sweep.csv").read_text().splitlines()[2:]) == 8
         assert len(calls) == 4
+        assert svds == [(1, 1)]
 
     def test_multiline_description_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, zero_sum_config(

@@ -133,7 +133,7 @@ class TestAccelerate:
         zs = BilinearGame.zero_sum_game(a, c=-a.T @ x_star)
         acc = games.accelerate(zs)
         # B^T x + f = 0 must be solved by the zero-sum equilibria
-        sols = games.solve_affine(acc.B.T, acc.f)
+        sols = games.solve_affine(linalg.svd_rank(acc.B.T), acc.f)
         assert sols.feasible
         assert np.linalg.norm(a.T @ sols.point + zs.c) < 1e-8
 

@@ -150,7 +150,7 @@ class TestSvdRank:
         assert svd.rank == 2
         assert svd.kernel().dim == 1 and svd.image().dim == 2
         assert np.allclose(svd.pinv(), np.diag([1.0, 1e9, 0.0]))
-        assert linalg.matrix_rank(np.diag([1.0, 1e-9, 0.0])) == 2
+        assert linalg.svd_rank(np.diag([1.0, 1e-9, 0.0])).rank == 2
 
     def test_rank_cutoff_is_applied_in_one_function(self):
         package = Path(linalg.__file__).parent

@@ -260,8 +260,9 @@ class TestWitnesses:
 
     @staticmethod
     def count_decompositions(monkeypatch, algo):
-        """A 4x4 game for `algo`, a start, and the list every np.linalg.svd
-        and eigh call appends its name to."""
+        """A 4x4 game for `algo` (zero-sum for OGDA, general-sum for DOGDA),
+        a start, and the list every np.linalg.svd and eigh call appends its
+        name to."""
         rng = np.random.default_rng(5)
         a = verify.random_matrix(rng, 4, 4)
         game = (BilinearGame.zero_sum_game(a) if algo is Algo.OGDA
@@ -280,10 +281,12 @@ class TestWitnesses:
             monkeypatch.setattr(np.linalg, name, counting(name))
         return game, IterateState.at(np.ones(4), np.ones(4)), calls
 
-    @pytest.mark.parametrize("algo, decompositions", [(Algo.OGDA, 7), (Algo.DOGDA, 10)])
+    @pytest.mark.parametrize("algo, decompositions", [(Algo.OGDA, 4), (Algo.DOGDA, 6)])
     def test_analysis_op_decompositions(self, monkeypatch, algo, decompositions):
-        # one SVD per matrix and use: the spectrum (A, and B for DOGDA), each
-        # Nash solve of predict_limit and distance_to_nash, the DOGDA aux solves
+        # one SVD per matrix and public function: rate_report, predict_limit
+        # (whose Nash set and aux solves read its spectrum's SVDs),
+        # distance_to_nash and tight_witness; a zero-sum B = -A reuses the
+        # SVD of A
         game, init, calls = self.count_decompositions(monkeypatch, algo)
         spectral.rate_report(game, 0.1, algo)
         assert predict.predict_limit(game, algo, 0.1, init).valid
@@ -292,11 +295,10 @@ class TestWitnesses:
             predict.tight_witness(game, 0.1)
         assert calls == ["svd"] * decompositions
 
-    @pytest.mark.parametrize("algo, decompositions", [(Algo.OGDA, 3), (Algo.DOGDA, 6)])
+    @pytest.mark.parametrize("algo, decompositions", [(Algo.OGDA, 1), (Algo.DOGDA, 2)])
     def test_shared_analysis_decompositions(self, monkeypatch, algo, decompositions):
-        # the spectrum's SVDs (A, and B for DOGDA), its Nash set's two solves,
-        # and the DOGDA aux solves: the report, limit, distance and witness
-        # add none
+        # the spectrum's SVDs of A and of the general-sum B: its Nash set, the
+        # DOGDA aux solves, the report, limit, distance and witness add none
         game, init, calls = self.count_decompositions(monkeypatch, algo)
         spec = spectral.CouplingSpectrum(game, algo)
         report = spectral.rate_curve(spec, [0.1])[0]
@@ -311,6 +313,15 @@ class TestWitnesses:
         assert dist == predict.distance_to_nash(game, init)
         if w is not None:
             assert np.array_equal(w.z, predict.tight_witness(game, 0.1).z)
+
+    def test_general_sum_spectrum_decomposes_each_matrix_once(self, monkeypatch):
+        # the invertibility test and the Nash set of a square general-sum
+        # game read one SVD of A and one of B
+        game, _, calls = self.count_decompositions(monkeypatch, Algo.DOGDA)
+        spec = spectral.CouplingSpectrum(game)
+        assert spec.general_sum and spec.invertible
+        assert spec.nash.nonempty and spec.aux_infeasible is None
+        assert calls == ["svd"] * 2
 
     def test_divergence_witness_at_the_threshold(self):
         # eta sqrt(mu_max) = 1/sqrt(3) is divergent, but its dominant root

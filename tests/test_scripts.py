@@ -52,7 +52,7 @@ def test_kernel_timing_prints_every_layer(monkeypatch, capsys):
     keys = ([f"run_us_per_step_np{size}" for size in (4, 32, 128, 256)]
             + [f"run_batch_row_steps_per_s_k8_np{size}" for size in (4, 32)]
             + [f"csv_us_per_row_np{size}" for size in (4, 32, 256)]
-            + [f"{name}_us_np{size}" for name in ("rate_report", "predict_limit")
+            + [f"{name}_us_np{size}" for name in ("rate_report", "predict_limit", "analysis")
                for size in (4, 128)]
             + ["parse_config_us_np256"])
     assert sorted(out) == sorted(keys)

@@ -17,11 +17,12 @@ PARAMETERS = {
     linalg.span: ["vectors"],
     linalg.eig_complex: ["m"],
     linalg.pinv: ["a"],
-    linalg.matrix_rank: ["a"],
     linalg.kernel_basis: ["a"],
     linalg.svd_rank: ["a"],
     games.payoffs: ["game", "x", "y"],
-    games.solve_affine: ["M", "rhs"],
+    games.solve_affine: ["svd", "rhs"],
+    games.coupling_svds: ["game"],
+    games.nash_from_svds: ["game", "svd_a", "svd_b"],
     games.nash_set: ["game"],
     games.accelerate: ["game"],
     spectral.coupling_spectrum: ["game"],
@@ -42,7 +43,7 @@ PARAMETERS = {
     predict.distance: ["ns", "init"],
     verify.estimate_rate: ["traj", "limit"],
     verify.check_bound: ["traj", "report", "D", "limit"],
-    verify.classify: ["traj", "game"],
+    verify.classify: ["traj", "spec"],
     verify.random_matrix: ["rng", "n", "p", "rank"],
     verify._applicable_prediction_cases: ["rng", "count"],
     dynamics.IterateState.at: ["x", "y"],
@@ -74,8 +75,10 @@ def test_removed_methods_stay_removed():
     assert not hasattr(predict, "_predict_dogda")
     assert not hasattr(predict, "_predict_zero_sum")
     for name in ("image_basis", "full_space", "subspaces_equal", "SUBSPACE_ANGLE_TOL",
-                 "sym_eig", "NotSymmetricError", "SYMMETRY_REL_TOL"):
+                 "sym_eig", "NotSymmetricError", "SYMMETRY_REL_TOL", "matrix_rank"):
         assert not hasattr(linalg, name), name
+    for name in ("_expected_payoff_growth", "GROWTH_MU_MIN"):
+        assert not hasattr(verify, name), name
 
 
 def test_one_stored_form_of_a_state():

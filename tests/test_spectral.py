@@ -132,6 +132,21 @@ class TestOneRankDecision:
         assert 0 < deficient < 20
 
     @pytest.mark.parametrize("algo", [Algo.OGDA, Algo.DOGDA])
+    def test_one_rank_at_the_cutoff(self, algo):
+        # sigma_min of A sits at the rank cutoff, where separate SVDs of A
+        # and -A^T can disagree on the rank; the analysis decomposes A once
+        a = np.array([[0.12436870126844929, -0.4571711343746457],
+                      [0.2311678746303803, -0.8497578441993178]])
+        game = BilinearGame.zero_sum_game(a)
+        spec = spectral.CouplingSpectrum(game, algo)
+        ns = spec.nash
+        n = game.n
+        kernel = n - (spec.positives.size if algo is Algo.OGDA else spec.positives.size // 2)
+        assert ns.x_part.directions.dim == ns.y_part.directions.dim == kernel
+        public = games.nash_set(game)
+        assert public.x_part.directions.dim == public.y_part.directions.dim == kernel
+
+    @pytest.mark.parametrize("algo", [Algo.OGDA, Algo.DOGDA])
     def test_mu_set_holds_zero_where_a_gram_product_is_singular(self, algo):
         rng = np.random.default_rng(12)
         seen = set()
@@ -242,6 +257,17 @@ class TestRateReport:
         rep = spectral.rate_report(g, 0.1)
         assert rep.eta_regime is Regime.INAPPLICABLE
         assert rep.violated == "spectrum_real_nonpositive"
+
+    def test_growth_mu_is_the_largest_positive_coupling_value(self):
+        g = BilinearGame.from_matrices(np.diag([1.0, 3.0]), np.diag([2.0, -1.0]))
+        assert spectral.CouplingSpectrum(g).growth_mu == 2.0
+        # zero-sum, DOGDA and GDA spectra carry none, nor does a tiny positive
+        # value within MEMBERSHIP_REL_TOL of zero
+        tiny = BilinearGame.from_matrices([[1.0]], [[1e-10]])
+        for spec in (spectral.CouplingSpectrum(PENNIES), spectral.CouplingSpectrum(tiny),
+                     spectral.CouplingSpectrum(g, Algo.DOGDA),
+                     spectral.CouplingSpectrum(g, Algo.GDA)):
+            assert spec.growth_mu is None
 
     def test_gda_has_no_theory(self):
         rep = spectral.rate_report(PENNIES, 0.1, Algo.GDA)
@@ -387,11 +413,12 @@ class TestRateCurve:
 
     @pytest.mark.parametrize("game, algo, calls", [
         (DIAG12, Algo.OGDA, {"svd_rank": 1, "eig_complex": 0}),
-        (DIAG12, Algo.DOGDA, {"svd_rank": 2, "eig_complex": 0}),
+        (DIAG12, Algo.DOGDA, {"svd_rank": 1, "eig_complex": 0}),
         (spd_coupled_game(5, 3), Algo.OGDA, {"svd_rank": 2, "eig_complex": 1})])
     def test_decomposes_once_for_many_steps(self, monkeypatch, game, algo, calls):
-        # one SVD of A (and of B for DOGDA); general-sum: one eigendecomposition
-        # of B^T A, and the ranks of A and B for the invertibility test
+        # one SVD of A, which a zero-sum B = -A reuses; general-sum: one
+        # eigendecomposition of B^T A, and the SVDs of A and B for the
+        # invertibility test
         counts = {"svd_rank": 0, "eig_complex": 0}
 
         def counting(name):

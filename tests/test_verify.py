@@ -60,24 +60,38 @@ class TestClassify:
         traj = dynamics.run(g, Algo.OGDA, eta,
                             IterateState([1.0], [1.0], [0.0], [0.0]),
                             max_steps=100000)
-        out = verify.classify(traj, g)
+        out = verify.classify(traj, spectral.CouplingSpectrum(g))
         assert out.kind is OutcomeKind.COOPERATING
         assert out.growth_ratio >= (1 + eta) ** 2 - 0.01
         # the expected growth is the squared spectral radius of the dynamics
         radius = np.abs(np.linalg.eigvals(dynamics.companion_matrix(g, eta))).max()
         assert out.evidence["expected_growth_ratio"] == pytest.approx(radius ** 2, abs=1e-9)
 
+    def test_reads_the_spectrum_without_decomposing(self, monkeypatch):
+        g = BilinearGame.from_matrices([[1.0]], [[1.0]])
+        traj = dynamics.run(g, Algo.OGDA, 0.1, IterateState([1.0], [1.0], [0.0], [0.0]),
+                            max_steps=2000)
+        spec = spectral.CouplingSpectrum(g)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("classify decomposed a matrix")
+
+        for name in ("svd", "eig", "eigvals", "eigh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        out = verify.classify(traj, spec)
+        assert out.evidence["expected_growth_ratio"] > 1.0
+
     def test_zero_sum_convergence(self):
         traj = dynamics.run(PENNIES, Algo.OGDA, 0.3,
                             IterateState.at([1.0], [1.0]), max_steps=2000)
-        out = verify.classify(traj, PENNIES)
+        out = verify.classify(traj, spectral.CouplingSpectrum(PENNIES))
         assert out.kind is OutcomeKind.CONVERGED
         assert np.allclose(out.limit[0], 0.0, atol=1e-9)
 
     def test_zero_sum_blowup_is_divergence_not_cooperation(self):
         w = predict.divergence_witness(PENNIES, 0.6)
         traj = dynamics.run(PENNIES, Algo.OGDA, 0.6, w, max_steps=10000)
-        out = verify.classify(traj, PENNIES)
+        out = verify.classify(traj, spectral.CouplingSpectrum(PENNIES))
         assert out.kind is OutcomeKind.DIVERGED
 
 
