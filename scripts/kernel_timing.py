@@ -15,6 +15,10 @@ game, at n+p in {4, 128}, timed the same way: a `CouplingSpectrum`, then
 `cli.parse_config` on the config of the n+p = 256 game, read back from its
 JSON text, timed the same way. The games are seeded zero-sum games with A
 scaled by 1/sqrt(n), and eta is small enough that no run stops early.
+`general_sum_curve`: microseconds per general-sum analysis over a sweep, a
+`CouplingSpectrum` and its `rate_curve` at 50 steps up to
+0.99 / (2 sqrt(mu_max)), timed together on the 40x24 game B = -A S of
+`verify.random_spd_coupled_game` (rng seed 3), the median of five.
 
     PYTHONPATH=src python3 scripts/kernel_timing.py
 """
@@ -24,7 +28,7 @@ import time
 
 import numpy as np
 
-from saddle_lab import cli, dynamics, predict, spectral
+from saddle_lab import cli, dynamics, predict, spectral, verify
 from saddle_lab.games import BilinearGame, game_to_json
 
 STEPS = 4000
@@ -47,6 +51,14 @@ def analysis(g, init):
     report = spectral.rate_curve(spec, [0.01])[0]
     return (predict.limit(spec, report, init), predict.distance(spec.nash, init),
             predict.witness(spec, report))
+
+
+def general_sum_curve(g):
+    """One general-sum spectrum and its curve at 50 steps below the half
+    threshold."""
+    spec = spectral.CouplingSpectrum(g)
+    half = 0.5 / np.sqrt(spec.mu_max)
+    return spectral.rate_curve(spec, half * np.linspace(0.02, 0.99, 50))
 
 
 def median_time(call) -> float:
@@ -91,6 +103,8 @@ def main() -> None:
         "init": {"x0": init.x.tolist(), "y0": init.y.tolist()}}))
     seconds = median_time(lambda: [cli.parse_config(config) for _ in range(CALLS)])
     out["parse_config_us_np256"] = seconds / CALLS * 1e6
+    g = verify.random_spd_coupled_game(np.random.default_rng(3), 40, 24)
+    out["general_sum_curve_us_np64"] = median_time(lambda: general_sum_curve(g)) * 1e6
     print(json.dumps(out))
 
 

@@ -23,14 +23,15 @@ import numpy as np
 
 from . import games as games_mod
 from . import linalg
-from .dynamics import Algo, companion_matrix
+from .dynamics import Algo
 from .games import BilinearGame, NashSet
 from .linalg import ComplexScalarSet, RankedSVD, as_matrix, cluster_scalars
 
 MEMBERSHIP_REL_TOL = 1e-9       # for "1/(4 eta^2) in S(A)", the rate indicators and a positive mu
 REALITY_REL_TOL = 1e-8          # for accepting Sp(B^T A) as real non-positive
 GRAM_CLUSTER_REL_TOL = 1e-12    # merges Gram eigenvalues, times max(1, largest)
-DIAGONALIZABLE_REL_TOL = 1e-8   # singular values counted as null, times max(1, ||m||_F)
+DIAGONALIZABLE_REL_TOL = 1e-8   # singular values counted as null, times max(1, ||m||_F),
+                                # and cosines of principal angles counted as right angles
 DIVERGENCE_THRESHOLD = 1.0 / math.sqrt(3.0)  # eta sqrt(mu_max) from which the Gram cases diverge
 
 
@@ -235,8 +236,9 @@ class CouplingSpectrum:
     size (None when the step size decides). The Gram spectra keep the
     eigenpairs of A^T A in `ata_eig` (values descending, vectors as
     columns); the other spectra have None there. `nash` is the game's Nash
-    set, `aux_infeasible` the check of DOGDA's aux constraints and
-    `invertible` the test of A and B, each read from `svds` on first use.
+    set, `aux_infeasible` the check of DOGDA's aux constraints, `invertible`
+    the test of A and B and `diagonalizable` the general-sum verdict on the
+    companion matrix, each read from `svds` on first use.
     """
 
     def __init__(self, game: BilinearGame, algo: Algo = Algo.OGDA):
@@ -331,10 +333,43 @@ class CouplingSpectrum:
 
     @functools.cached_property
     def invertible(self) -> bool:
-        """A and B are square and of full rank: then the general-sum companion
-        matrix is diagonalizable below the half threshold."""
+        """A and B are square and of full rank, read from `svds`: then
+        `diagonalizable` is Yes with no further test."""
         n = self.game.n
         return n == self.game.p and all(svd.rank == n for svd in self.svds)
+
+    @functools.cached_property
+    def diagonalizable(self) -> Verdict:
+        """The general-sum verdict on the companion matrix at every step
+        below the half threshold, where it does not depend on eta.
+
+        With M = [[0, A], [B^T, 0]] the companion is
+        [[I + 2 eta M, -eta M], [I, 0]]. Each eigenvalue nu of M gives the
+        roots of lambda (lambda - 1) = eta nu (2 lambda - 1), two distinct
+        ones unless nu^2 = -1/(4 eta^2), which no such step reaches. So the
+        companion is diagonalizable iff M is, that is, iff
+        rank(B^T A) = rank A, rank(A B^T) = rank B and the smaller of the
+        two products is diagonalizable. The rank conditions hold iff A and
+        B have one rank r and the r x r products of their image bases, and
+        of their row-space bases, are nonsingular (read from `svds`). Yes
+        at once when `invertible`.
+        """
+        if self.invertible:
+            return Verdict.YES
+        svd_a, svd_b = self.svds
+        r = svd_a.rank
+        if not (svd_b.rank == r and _meets(svd_a.u[:, :r], svd_b.u[:, :r])
+                and _meets(svd_a.vh[:r].T, svd_b.vh[:r].T)):
+            return Verdict.NO
+        return is_diagonalizable(_coupling_product(self.game))
+
+
+def _meets(u: np.ndarray, v: np.ndarray) -> bool:
+    """No direction of span(u) is orthogonal to span(v), for orthonormal
+    columns as many in each: every singular value of u^T v, a cosine of a
+    principal angle, is above DIAGONALIZABLE_REL_TOL."""
+    cosines = np.linalg.svd(u.T @ v, compute_uv=False)
+    return bool(cosines.min(initial=1.0) > DIAGONALIZABLE_REL_TOL)
 
 
 class RateCurve:
@@ -447,13 +482,11 @@ def _below_half_threshold(curve: RateCurve) -> np.ndarray:
 def _general_sum_curve(curve: RateCurve) -> None:
     spec, eta = curve.spectrum, curve.etas
     ok = _below_half_threshold(curve)
-    if not spec.invertible:
+    if ok.any() and spec.diagonalizable is not Verdict.YES:
         for i in np.flatnonzero(ok):
-            verdict = is_diagonalizable(companion_matrix(spec.game, float(eta[i])))
-            if verdict is not Verdict.YES:
-                ok[i] = False
-                curve.violated[i] = "companion_diagonalizable"
-                curve.diagonalizable[i] = verdict
+            curve.violated[i] = "companion_diagonalizable"
+            curve.diagonalizable[i] = spec.diagonalizable
+        ok[:] = False
     curve._settle(ok, 0.0 if spec.mu_min is None else rate_lambda_star(eta[ok], spec.mu_min))
 
 
@@ -461,9 +494,9 @@ def rate_curve(spec: CouplingSpectrum, etas) -> RateCurve:
     """Regime, exact geometric ratio and (where it exists) the bound constant
     of one spectrum at every step size in `etas`.
 
-    Each closed form is a numpy expression in eta. Only the general-sum test
-    of a diagonalizable companion matrix runs once per step size, and only
-    where A and B are not square and invertible.
+    Each closed form is a numpy expression in eta. The general-sum curve
+    also reads the spectrum's `diagonalizable` verdict, which it takes at
+    most once, and only when some step lies below the half threshold.
     """
     etas = np.asarray(etas, dtype=float).reshape(-1)
     if (etas <= 0).any():
@@ -494,8 +527,10 @@ def rate_report(game: BilinearGame, eta: float, algo: Algo = Algo.OGDA) -> Spect
 
     Zero-sum games follow the full regime analysis (Part2 / Part3a / Part3b /
     Divergent); general-sum games require a real non-positive coupling
-    spectrum, a small enough step and a diagonalizable companion matrix, and
-    otherwise come back Inapplicable with the violated assumption named.
+    spectrum, a small enough step and a diagonalizable companion matrix
+    (CouplingSpectrum.diagonalizable, decided from the coupling, not from
+    the companion), and otherwise come back Inapplicable with the violated
+    assumption named.
     This is rate_curve at the one step size; for many step sizes of one
     game, build the CouplingSpectrum once and call rate_curve.
     """
@@ -522,6 +557,10 @@ def optimal_eta(mu_min: float, mu_max: float) -> tuple[float, float]:
 
 def is_diagonalizable(m) -> Verdict:
     """Numerical diagonalizability: do geometric multiplicities fill the dimension?
+
+    The analysis applies it to the coupling product only; on a companion
+    matrix it is the dense oracle that tests and `verify` check
+    CouplingSpectrum.diagonalizable against.
 
     Eigenvalues are clustered (a defective pair splits by roughly the square
     root of machine epsilon, well inside the cluster radius), then each

@@ -292,10 +292,48 @@ def random_negative_spectrum_game(rng: np.random.Generator) -> BilinearGame:
             random_zero_sum_game(rng, n, p), float(rng.uniform(0.5, 2.0)))
     if kind == 1:
         return games_mod.accelerate(random_zero_sum_game(rng, n, p))
+    return random_spd_coupled_game(rng, n, p)
+
+
+def random_spd_coupled_game(rng: np.random.Generator, n: int, p: int) -> BilinearGame:
+    """B = -A S with A = random_matrix(rng, n, p) and S symmetric positive
+    definite (eigenvalues in [0.7, 1.5]). Sp(B^T A) = -Sp(S A^T A) is real
+    non-positive, and the coupling is diagonalizable at any size."""
     a = random_matrix(rng, n, p)
     q, _ = np.linalg.qr(rng.normal(size=(p, p)))
     spd = q @ np.diag(rng.uniform(0.7, 1.5, size=p)) @ q.T
     return BilinearGame.from_matrices(a, -a @ spd)
+
+
+COUPLING_KINDS = ("rank_deficient", "non_square", "accelerated", "kernel_mismatched")
+
+
+def random_coupling_game(rng: np.random.Generator, kind: str) -> BilinearGame:
+    """A general-sum game with n, p in 1..4 of one of COUPLING_KINDS: A and B
+    of random, possibly unequal ranks; full-rank A and B with n != p;
+    B = -pinv(A)^T; or A and B of one rank r whose images share only r - 1
+    directions. The last two kinds are transposed half the time, which moves
+    a mismatch from the images to the row spaces."""
+    if kind == "rank_deficient":
+        n, p = (int(v) for v in rng.integers(2, 5, size=2))
+        rank_a, rank_b = (int(v) for v in rng.integers(1, min(n, p) + 1, size=2))
+        return BilinearGame.from_matrices(random_matrix(rng, n, p, rank_a),
+                                          random_matrix(rng, n, p, rank_b))
+    if kind == "accelerated":
+        return games_mod.accelerate(random_zero_sum_game(rng))
+    if kind == "non_square":
+        n = int(rng.integers(1, 4))
+        p = int(rng.integers(n + 1, 5))
+        a, b = random_matrix(rng, n, p), random_matrix(rng, n, p)
+    else:
+        n, p = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+        r = int(rng.integers(1, min(n - 1, p) + 1))
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        a = q[:, :r] @ rng.normal(size=(r, p))
+        b = q[:, [*range(r - 1), r]] @ rng.normal(size=(r, p))
+    if rng.uniform() < 0.5:
+        a, b = a.T, b.T
+    return BilinearGame.from_matrices(a, b)
 
 
 def _safe_eta(game: BilinearGame, rng: np.random.Generator,
@@ -715,6 +753,23 @@ def suite_part3a_bounds(rng: np.random.Generator) -> CheckResult:
     return CheckResult("verify.part3a_bound_envelope", worst <= 1.0, worst, 1.0)
 
 
+def suite_diagonalizable_oracle(rng: np.random.Generator) -> CheckResult:
+    """CouplingSpectrum.diagonalizable, decided from the coupling, against
+    the dense test of the companion matrix at a step below the half
+    threshold. `measured` counts the games where the dense test decides (Yes
+    or No) and the two disagree."""
+    games_count, borderline, disagree = 20, 0, 0
+    for i in range(games_count):
+        game = random_coupling_game(rng, COUPLING_KINDS[i % len(COUPLING_KINDS)])
+        dense = spectral.is_diagonalizable(companion_matrix(game, _safe_eta(game, rng)))
+        if dense is spectral.Verdict.BORDERLINE:
+            borderline += 1
+        elif dense is not spectral.CouplingSpectrum(game).diagonalizable:
+            disagree += 1
+    return CheckResult("spectral.diagonalizable_oracle", disagree == 0, disagree, 0,
+                       f"dense test Borderline on {borderline} of {games_count} games")
+
+
 def run_all_suites(seed: int = 20240) -> list[CheckResult]:
     """Every module's invariants, as named pass/fail checks (deterministic).
     Suite i draws from seed + i; the None slot keeps the later suites' seeds."""
@@ -729,7 +784,7 @@ def run_all_suites(seed: int = 20240) -> list[CheckResult]:
         suite_part2_monotonicity, suite_limit_predictions,
         suite_init_independence, suite_prediction_is_fixed_point,
         suite_witness_rates, suite_cooperation_never_diverges,
-        suite_part2_bounds, suite_part3a_bounds,
+        suite_part2_bounds, suite_part3a_bounds, suite_diagonalizable_oracle,
     ]
     return [suite(np.random.default_rng(seed + idx))
             for idx, suite in enumerate(suites) if suite is not None]

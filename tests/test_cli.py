@@ -128,6 +128,17 @@ class TestAnalyze:
         report = spectral.rate_report(games.game_from_json(obj["game"]), eta, algo)
         assert code == (cli.EXIT_OK if report.applicable else cli.EXIT_INAPPLICABLE)
 
+    def test_large_general_sum_exit_zero(self, tmp_path, capsys):
+        # an 80x48 game B = -A S, S SPD: above the oracle cap, yet applicable
+        game = verify.random_spd_coupled_game(np.random.default_rng(3), 80, 48)
+        eta = 0.25 / math.sqrt(spectral.CouplingSpectrum(game).mu_max)
+        obj = zero_sum_config(eta, init={"x0": [1.0] * 80, "y0": [1.0] * 48})
+        obj["game"] = games.game_to_json(game)
+        assert cli.main(["analyze", "--config", write_config(tmp_path, obj)]) == cli.EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["report"]["eta_regime"] == "Part2"
+        assert payload["limit"]["valid"]
+
 
 class TestRun:
     def test_matching_pennies_preset(self, tmp_path):

@@ -62,7 +62,7 @@ def test_parameter_list(fn, params):
 
 def test_suites_take_only_the_generator():
     suites = [getattr(verify, name) for name in dir(verify) if name.startswith("suite_")]
-    assert len(suites) == 22
+    assert len(suites) == 23
     for suite in suites:
         assert list(inspect.signature(suite).parameters) == ["rng"], suite.__name__
 
@@ -79,6 +79,8 @@ def test_removed_methods_stay_removed():
         assert not hasattr(linalg, name), name
     for name in ("_expected_payoff_growth", "GROWTH_MU_MIN"):
         assert not hasattr(verify, name), name
+    # the analysis decides diagonalizability from the coupling, not the companion
+    assert not hasattr(spectral, "companion_matrix")
 
 
 def test_one_stored_form_of_a_state():

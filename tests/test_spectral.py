@@ -386,6 +386,47 @@ class TestRateCurve:
             checked += 1
         return checked
 
+    @pytest.mark.parametrize("n, p", [(40, 24), (80, 48)])
+    def test_large_general_sum_curve_is_part2(self, n, p):
+        # B = -A S with S SPD is diagonalizable at any size; the dense test
+        # of the companion called most of these steps Borderline
+        game = verify.random_spd_coupled_game(np.random.default_rng(3), n, p)
+        spec = spectral.CouplingSpectrum(game)
+        etas = 0.5 / math.sqrt(spec.mu_max) * np.linspace(0.02, 0.99, 50)
+        curve = spectral.rate_curve(spec, etas)
+        assert set(curve.eta_regime) == {Regime.PART2}
+        assert set(curve.diagonalizable) == {Verdict.YES}
+        vals = np.linalg.eigvals(dynamics.companion_matrix(game, float(etas[-1])))
+        rho = float(np.abs(vals[np.abs(vals - 1.0) > 1e-9]).max())
+        assert abs(curve.lambda_max[-1] - rho) <= 1e-9
+
+    @pytest.mark.parametrize("game", [CURVE_CASES["general-sum"][0],
+                                      CURVE_CASES["general-sum-defective"][0],
+                                      verify.random_spd_coupled_game(np.random.default_rng(4), 4, 3)])
+    def test_general_sum_curve_builds_no_companion(self, monkeypatch, game):
+        # the verdict is taken once per spectrum, from the coupling product
+        shapes = {"companion_matrix": [], "is_diagonalizable": []}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapped(m, *args):
+                shapes[name].append(np.shape(m))
+                return real(m, *args)
+            monkeypatch.setattr(module, name, wrapped)
+
+        counting(dynamics, "companion_matrix")
+        counting(spectral, "is_diagonalizable")
+        spec = spectral.CouplingSpectrum(game)
+        assert spec.general_sum and not spec.invertible
+        for etas in (np.linspace(0.01, 1.0, 40), [0.01]):
+            curve = spectral.rate_curve(spec, etas)
+            assert (curve.violated[0] == "companion_diagonalizable") == (
+                spec.diagonalizable is not Verdict.YES)
+        assert shapes["companion_matrix"] == []
+        assert len(shapes["is_diagonalizable"]) <= 1
+        assert all(dim < 2 * (game.n + game.p) for dim, _ in shapes["is_diagonalizable"])
+
     def test_bound_constant_from_singular_values(self):
         # C from its definition, on mu = squared singular values of A:
         # the low-step constant at the largest mu with eta sqrt(mu) < 1/2,
@@ -490,4 +531,29 @@ class TestDiagonalizable:
 
     def test_knife_edge_zero_sum(self):
         lam = dynamics.companion_matrix(PENNIES, 0.5)
+        assert spectral.is_diagonalizable(lam) is Verdict.NO
+
+    def test_coupling_rule_matches_dense_oracle(self):
+        # CouplingSpectrum.diagonalizable against the dense test of the
+        # companion, wherever that test decides
+        rng = np.random.default_rng(7)
+        verdicts = set()
+        for i in range(240):
+            game = verify.random_coupling_game(rng, verify.COUPLING_KINDS[i % 4])
+            eta = 0.45 / max(np.linalg.norm(game.A, 2), np.linalg.norm(game.B, 2))
+            dense = spectral.is_diagonalizable(dynamics.companion_matrix(game, eta))
+            if dense is not Verdict.BORDERLINE:
+                assert spectral.CouplingSpectrum(game).diagonalizable is dense, (i, game)
+                verdicts.add(dense)
+        assert verdicts == {Verdict.YES, Verdict.NO}
+
+    def test_kernel_mismatch_is_defective(self):
+        # B^T A = 0, so every mu is 0, yet Ker(A B^T) = R^2 is larger than
+        # Ker(B^T): x_1 grows linearly
+        game = BilinearGame.from_matrices(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        assert not (game.B.T @ game.A).any()
+        report = spectral.rate_report(game, 0.1)
+        assert report.diagonalizable is Verdict.NO
+        assert report.violated == "companion_diagonalizable"
+        lam = dynamics.companion_matrix(game, 0.1)
         assert spectral.is_diagonalizable(lam) is Verdict.NO
