@@ -2,7 +2,10 @@
 """Time the step kernel and print one JSON line.
 
 `run`: microseconds per step of OGDA at n+p in {4, 32, 128, 256}, the median
-of five runs of 4000 steps, each step recorded. `run_batch`: row-steps per
+of five runs of 4000 steps, each step recorded, with the stop rules off.
+`run_converging`: microseconds per run of OGDA at eta 1.0 on the n+p = 4
+game with the default stop rules, which converges in the step count printed
+beside it, the median of five. `run_batch`: row-steps per
 second at k = 8 step sizes, n+p in {4, 32}, the median of five batches.
 `trajectory_to_csv`: microseconds per row of the CSV of a 4000-step OGDA
 record at n+p in {4, 32, 256}, with its distance column, the median of five
@@ -77,6 +80,13 @@ def main() -> None:
         g, init = game(size)
         seconds = median_time(lambda: dynamics.run(g, "OGDA", 0.01, init, **settings))
         out[f"run_us_per_step_np{size}"] = seconds / STEPS * 1e6
+    g, init = game(4)
+
+    def converging():
+        return dynamics.run(g, "OGDA", 1.0, init, max_steps=10 ** 6)
+
+    out["run_converging_us_np4"] = median_time(converging) * 1e6
+    out["run_converging_steps_np4"] = converging().times[-1]
     etas = [0.01 + 0.001 * i for i in range(8)]
     for size in (4, 32):
         g, init = game(size)

@@ -5,7 +5,9 @@ DOGDA is OGDA on the doubled game (`games.doubled`). `run` iterates until a
 step budget, a convergence floor, or a divergence cap is hit; `run_batch`
 does the same for many step sizes at once, as the rows of one state block.
 Both run one step body, `_simulate`, on 1-d operands for one step size and
-on a (k, 2(n+p)) block for k of them.
+on a (k, 2(n+p)) block for k of them. It advances STOP_TEST_STEPS steps at a
+time and tests the stop rules once per chunk, on every step of it, so a run
+stops at the same step, with the same bits, as one tested after every step.
 """
 
 from __future__ import annotations
@@ -41,6 +43,11 @@ DEFAULT_BLOW_CAP = 1e12
 # The record of a run starts with at most this many rows and doubles when full;
 # every run of the verify suites (60000 steps at most) and of perfbench fits.
 RECORD_ROWS_CAP = 1 << 16
+# Steps advanced between two tests of the stop rules. A block holds the states
+# of one chunk, (T+1) x rows x 2(n+p) float64 cells with T this many steps
+# (4(n+p) for DOGDA's doubled state), and their differences, T x rows x 2(n+p)
+# more.
+STOP_TEST_STEPS = 64
 
 
 class IterateState:
@@ -191,14 +198,17 @@ def run(game: BilinearGame, algo: Algo, eta: float, init: IterateState,
 
 # A batch advances in blocks of rows whose record (rows x recorded steps x
 # 2(n+p)) holds at most this many float64 cells, 2 MB, or of one row when a
-# row's record alone is larger. The record is the memory a batch adds: on the
-# sweep benchmark workload (2-vCPU x86-64, numpy 2.4.6) the peak resident size
-# rose over the serial loop by about 2% at 2**17 cells, 4.6% at 2**18 (median
-# of ten runs) and 9% at 2**19, against a 10% bound, while a pass took about
-# 0.33x, 0.2x and 0.16x as long. 2**18 keeps the memory well inside the bound.
+# row's record alone is larger. The chunk of states and differences that
+# `_simulate` keeps is held to the same budget; it is the smaller unless a row
+# records fewer than about 2 STOP_TEST_STEPS states. The record is the memory a
+# batch adds: on the sweep benchmark workload (2-vCPU x86-64, numpy 2.4.6) the
+# peak resident size rose over the serial loop by about 2% at 2**17 cells, 4.6%
+# at 2**18 (median of ten runs) and 9% at 2**19, against a 10% bound, while a
+# pass took about 0.33x, 0.2x and 0.16x as long. 2**18 keeps the memory well
+# inside the bound.
 # Per step on the same machine (scripts/kernel_timing.py, Python 3.11.7, median
-# of ten runs): one row costs 15.6, 14.6, 17.5 and 22.2 us at n+p = 4, 32, 128
-# and 256, and a block of 8 rows 3.1 us per row at n+p = 4.
+# of seven runs): one row costs 8.6, 9.9, 10.3 and 15.3 us at n+p = 4, 32, 128
+# and 256, and a block of 8 rows 1.4 us per row at n+p = 4.
 BATCH_RECORD_CELLS = 1 << 18
 
 
@@ -210,7 +220,8 @@ def run_batch(game: BilinearGame, algo: Algo, etas, init: IterateState,
     step size, in order, each equal to the one `run` returns.
 
     The step sizes advance together as the rows of one (k, 2(n+p)) state
-    block, in blocks of at most BATCH_RECORD_CELLS recorded cells. A row that
+    block, in blocks of at most BATCH_RECORD_CELLS recorded cells (or cells
+    of the chunk `_simulate` keeps, where that is larger). A row that
     converges or diverges records its final state and leaves the block; the
     others go on. A block's trajectories are views of its record, so a caller
     that drops each trajectory before taking the next holds one block at a time.
@@ -219,7 +230,9 @@ def run_batch(game: BilinearGame, algo: Algo, etas, init: IterateState,
     for eta in etas:
         _check_eta(eta)
     plan = _plan(game, algo, init, max_steps, stop_tol, blow_cap, record_stride)
-    rows = max(1, BATCH_RECORD_CELLS // (plan.record_rows * plan.width))
+    chunk = min(STOP_TEST_STEPS, plan.max_steps)
+    cells = max(plan.record_rows * plan.width, (2 * chunk + 1) * plan.z0.size)
+    rows = max(1, BATCH_RECORD_CELLS // cells)
     return _blocks(plan, etas, rows)
 
 
@@ -262,30 +275,31 @@ def _squared_limits(blow_cap: float, stop_tol: float) -> tuple[float, float]:
     return c2, t2
 
 
-def _views(z: np.ndarray, n: int, m: int) -> tuple:
-    """z with the views of it that a step reads or writes: x, y, (x, y) and the
-    previous pair, along the last axis."""
-    return z, z[..., :n], z[..., n:m], z[..., :m], z[..., m:]
-
-
 def _simulate(plan: _Plan, etas: list) -> list[Trajectory]:
     """The step loop of one row per step size. OGDA adds (2 g_t - g_{t-1}) eta
     to (x_t, y_t), GDA adds g_t eta, with g_t = (A y_t + b, B^T x_t + f).
 
-    The step body is written once for two forms of the state. One row keeps
-    1-d operands; k > 1 rows form a (k, 2(n+p)) block, on which np.matvec
-    and np.vecdot run one gemv and one dot per row, the same bits as `A @ y`
-    and `v.dot(v)` on that row (a gemm over the block would sum in another
-    order). The state and the gradient each alternate between two buffers
-    whose views are taken once per shape of the block. Each stop rule
-    compares a squared norm, of x_t, of y_t or of Z_t - Z_{t-1}, with
-    `_squared_limits`. The record is (k, rows, width). The forms differ only
-    in how a stopped row leaves: one row ends the loop; in a block, `live`
-    holds the record row of each state row, and a row that stops is
-    recorded, then dropped.
+    The state advances STOP_TEST_STEPS steps at a time through a history
+    buffer: row j of it is the state j steps into the chunk, and row 0 the
+    last state of the chunk before. The step body is written once for two
+    forms of the state. One row keeps 1-d operands; k > 1 rows form a
+    (k, 2(n+p)) block, on which np.matvec runs one gemv per row, the same
+    bits as `A @ y` on that row (a gemm over the block would sum in another
+    order). A step writes only (x_{t+1}, y_{t+1}); the previous pairs of a
+    chunk are copied in once, after it.
+
+    Then the stop rules are tested on every step of the chunk at once: the
+    squared norms of x_t, of y_t and of Z_t - Z_{t-1}, one np.vecdot each
+    (the same bits as `v.dot(v)` on a row), against `_squared_limits`. A
+    row stops at its first failing step, as divergence if x_t or y_t fails
+    there, else as convergence; the last step of the budget stops every row
+    as MaxSteps. The recorded steps of the chunk go to the record (k, rows,
+    width) in one slice, a stop step that is not one of them in one more
+    row, and a row that stops leaves the block. The steps a chunk computes
+    past a row's stop are dropped; they may overflow.
     """
     game, played, optimistic = plan.game, plan.played, plan.optimistic
-    max_steps, record_stride = plan.max_steps, plan.record_stride
+    max_steps, stride = plan.max_steps, plan.record_stride
     n, m = game.n, game.n + game.p
     A, BT, z0 = game.A, game.B.T, plan.z0
     k = len(etas)
@@ -295,89 +309,92 @@ def _simulate(plan: _Plan, etas: list) -> list[Trajectory]:
         c2 = -math.inf  # x_0 or y_0 past the cap: every row diverges at step 1
     bias = np.concatenate([game.b, game.f])
     g_old = np.concatenate([A @ z0[m + n:] + game.b, BT @ z0[m:m + n] + game.f])  # unused by GDA
-    if k == 1:
-        z, eta = z0.copy(), float(etas[0])  # the step loop writes into z
-    else:  # the per-row operands at full size, so that no step broadcasts
+    z, eta = z0, float(etas[0])  # z is copied into each chunk's history, never written
+    if k > 1:  # the per-row operands at full size, so that no step broadcasts
         z, bias, g_old = np.tile(z0, (k, 1)), np.tile(bias, (k, 1)), np.tile(g_old, (k, 1))
         eta = np.repeat(np.array(etas, dtype=float)[:, None], m, axis=1)
-    limits = np.repeat([[c2], [c2], [-t2]], k, axis=1)
+    chunk = min(STOP_TEST_STEPS, max_steps)
+    # |x_t|^2 <= c2, |y_t|^2 <= c2 and -|Z_t - Z_{t-1}|^2 <= -t2 while a row goes on
+    limits = np.array([c2, c2, -t2]).reshape((3,) + (1,) * z.ndim)
     record = np.empty((k, plan.record_rows, plan.width))
     record[:, 0] = z0[played]
     times = [0]  # the recorded times that every live row shares
     live = np.arange(k)
-    ends: list = [None] * k  # (record length, times, stop reason) of each row that stops
+    ends: list = [None] * k  # (record length, times, stop reason) of each row
     t = 0
-    while live.size and t < max_steps:  # once per shape of the block
-        # the record rows of the block: live, or a slice while it is one range
-        rows = 0 if k == 1 else slice(live[0], live[-1] + 1) if (
-            live[-1] - live[0] + 1 == live.size) else live
-        zv, nv = _views(z, n, m), _views(np.empty_like(z), n, m)
-        gv, ov = _views(np.empty_like(bias), n, m), _views(g_old, n, m)
-        step, update = np.empty_like(z), np.empty_like(bias)
-        norms, within = np.empty_like(limits), np.empty(limits.shape, dtype=bool)
-        for t in range(t + 1, max_steps + 1):
-            _, x, y, xy, _ = zv
-            g, gx, gy, _, _ = gv
-            np.matvec(A, y, out=gx)
-            np.matvec(BT, x, out=gy)
-            g += bias
-            if optimistic:
-                np.multiply(g, 2.0, out=update)
-                update -= ov[0]
-                update *= eta
-                gv, ov = ov, gv
-            else:
-                np.multiply(g, eta, out=update)
-            zv, nv = nv, zv
-            z, x, y, new_xy, prev = zv
-            np.add(xy, update, out=new_xy)
-            prev[...] = xy
-            np.subtract(z, nv[0], out=step)
-            common = t % record_stride == 0 or t == max_steps
-            if common:
-                if len(times) == record.shape[1]:
-                    record = _grown(record)
-                record[rows, len(times)] = z[..., played]
-                times.append(t)
-            if k == 1:
-                if not (x.dot(x) <= c2 and y.dot(y) <= c2):
-                    stop = StopReason.DIVERGED
-                elif step.dot(step) < t2:
-                    stop = StopReason.CONVERGED
+    while live.size:  # once per shape of the block
+        # the record rows of the block: a slice while they are one range
+        rows = slice(live[0], live[-1] + 1) if live[-1] - live[0] + 1 == live.size else live
+        hist = np.empty((chunk + 1,) + z.shape)
+        hist[0] = z
+        flat = hist.reshape(chunk + 1, -1, z.shape[-1])  # (step, row, state), a view
+        diff = np.empty((chunk,) + z.shape)
+        norms = np.empty((3, chunk) + z.shape[:-1])
+        within = np.empty(norms.shape, dtype=bool)
+        pairs = list(hist[..., :m])
+        steps = list(zip(hist[..., :n], hist[..., n:m], pairs, pairs[1:]))
+        g = np.empty_like(bias)
+        gv, ov = (g, g[..., :n], g[..., n:]), (g_old, g_old[..., :n], g_old[..., n:])
+        update = np.empty_like(bias)
+        while True:  # once per chunk
+            size = min(chunk, max_steps - t)
+            for x, y, xy, new_xy in steps[:size]:
+                g, gx, gy = gv
+                np.matvec(A, y, out=gx)
+                np.matvec(BT, x, out=gy)
+                g += bias
+                if optimistic:
+                    np.multiply(g, 2.0, out=update)
+                    update -= ov[0]
+                    update *= eta
+                    gv, ov = ov, gv
                 else:
-                    continue
-                if not common:
-                    if len(times) == record.shape[1]:
-                        record = _grown(record)
-                    record[0, len(times)] = z[played]
-                    times.append(t)
-                ends[0] = (len(times), times, stop)
-                live = live[:0]
-                break
-            # norms: |x_t|^2, |y_t|^2 and -|Z_t - Z_{t-1}|^2, one column per row
-            np.vecdot(x, x, out=norms[0])
-            np.vecdot(y, y, out=norms[1])
-            np.vecdot(step, step, out=norms[2])
-            np.negative(norms[2], out=norms[2])
-            np.less_equal(norms, limits, out=within)
-            if np.count_nonzero(within) == within.size:
+                    np.multiply(g, eta, out=update)
+                np.add(xy, update, out=new_xy)
+            new, old = hist[1:size + 1], hist[:size]
+            new[..., m:] = old[..., :m]
+            np.subtract(new, old, out=diff[:size])
+            np.vecdot(new[..., :n], new[..., :n], out=norms[0, :size])
+            np.vecdot(new[..., n:m], new[..., n:m], out=norms[1, :size])
+            np.vecdot(diff[:size], diff[:size], out=norms[2, :size])
+            np.negative(norms[2, :size], out=norms[2, :size])
+            np.less_equal(norms[:, :size], limits, out=within[:, :size])
+            # the chunk's recorded steps: t + first, t + first + stride, ...
+            first, end = stride - t % stride, t + size
+            recorded = range(t + first, end + 1, stride)
+            while record.shape[1] < len(times) + len(recorded) + 1:
+                record = _grown(record)
+            base = len(times)
+            if recorded:
+                record[rows, base:base + len(recorded)] = (
+                    flat[first:size + 1:stride, :, played].swapaxes(0, 1))
+                times.extend(recorded)
+            if end < max_steps and within[:, :size].all():
+                hist[0], t = hist[size], end
                 continue
-            going = within.all(axis=0)
-            stopped = ~going
-            if not common:
-                if len(times) == record.shape[1]:
-                    record = _grown(record)
-                record[live[stopped], len(times)] = z[stopped][:, played]
-            ended = times if common else times + [t]
-            diverged = ~within[:2].all(axis=0)
-            for row, div in zip(live[stopped].tolist(), diverged[stopped].tolist()):
-                ends[row] = (len(ended), list(ended),
-                             StopReason.DIVERGED if div else StopReason.CONVERGED)
-            live, z, eta, bias = live[going], z[going], eta[going], bias[going]
-            g_old, limits = ov[0][going], limits[:, going]
+            # some row stops in this chunk, or every row at the end of the budget
+            ok = within[:, :size].reshape(3, size, -1)  # (rule, step, row)
+            stop = ~ok.all(axis=0)
+            stop[-1] |= end == max_steps
+            at = stop.argmax(axis=0)  # the hist row of each row's first stop step, less one
+            failed = ~ok[:, at, np.arange(at.size)]
+            going = ~stop.any(axis=0)
+            for i in np.flatnonzero(~going).tolist():
+                step = t + int(at[i]) + 1
+                length = base + step // stride - t // stride
+                ended = times[:length]
+                if step % stride:  # not a recorded step: one more row
+                    record[live[i], length] = flat[at[i] + 1, i, played]
+                    length += 1
+                    ended.append(step)
+                reason = (StopReason.DIVERGED if failed[0, i] or failed[1, i] else
+                          StopReason.CONVERGED if failed[2, i] else StopReason.MAX_STEPS)
+                ends[live[i]] = (length, ended, reason)
+            live, t = live[going], end
+            if live.size:
+                z, eta, bias, g_old = flat[size, going], eta[going], bias[going], ov[0][going]
             break
-    ends = [end or (len(times), times, StopReason.MAX_STEPS) for end in ends]
-    return [Trajectory(float(eta_i), plan.n, record[i, :length], list(t_i), stop)
+    return [Trajectory(float(eta_i), plan.n, record[i, :length], t_i, stop)
             for i, (eta_i, (length, t_i, stop)) in enumerate(zip(etas, ends))]
 
 

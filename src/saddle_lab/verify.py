@@ -90,6 +90,7 @@ class OutcomeKind(str, enum.Enum):
     CONVERGED = "Converged"
     DIVERGED = "Diverged"
     COOPERATING = "Cooperating"
+    UNFINISHED = "Unfinished"
 
 
 @dataclass
@@ -101,13 +102,16 @@ class OutcomeClass:
 
 
 def classify(traj: Trajectory, spec: spectral.CouplingSpectrum) -> OutcomeClass:
-    """Converged / Cooperating (both payoffs blowing up together) / Diverged.
+    """Converged / Cooperating (both payoffs blowing up together) / Diverged
+    / Unfinished.
 
     Cooperation needs both final payoffs above COOP_CAP and a fitted per-step
     payoff growth ratio above 1 over the trailing window, which separates
     joint payoff explosion from a one-sided norm blow-up. The run's spectrum
     `spec` supplies the game and, where its `growth_mu` drives a blow-up,
     the expected growth ratio: the square of the dominant root of S*(mu).
+    A run that is not cooperating is Diverged when it stopped past the cap,
+    and Unfinished when the step budget cut it off.
     """
     s = traj.final
     # np.max, unlike max, keeps the NaN block norm of an overflowed last state
@@ -132,7 +136,9 @@ def classify(traj: Trajectory, spec: spectral.CouplingSpectrum) -> OutcomeClass:
         if growth > 1.0:
             return OutcomeClass(OutcomeKind.COOPERATING, growth_ratio=growth,
                                 evidence=evidence)
-    return OutcomeClass(OutcomeKind.DIVERGED, evidence=evidence)
+    kind = (OutcomeKind.DIVERGED if traj.stop_reason is StopReason.DIVERGED
+            else OutcomeKind.UNFINISHED)
+    return OutcomeClass(kind, evidence=evidence)
 
 
 @dataclass
@@ -701,9 +707,9 @@ def suite_cooperation_never_diverges(rng: np.random.Generator) -> CheckResult:
         traj = run(game, Algo.OGDA, eta, _random_iterate(rng, n, p),
                    max_steps=40000)
         outcome = classify(traj, spectral.CouplingSpectrum(game))
-        if outcome.kind is OutcomeKind.DIVERGED:
+        if outcome.kind in (OutcomeKind.DIVERGED, OutcomeKind.UNFINISHED):
             return CheckResult("verify.cooperation_never_diverges", False, 1.0, 0.0,
-                               f"diverged with alpha={alpha}")
+                               f"{outcome.kind.value} with alpha={alpha}")
     return CheckResult("verify.cooperation_never_diverges", True, 0.0, 0.0)
 
 

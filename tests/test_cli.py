@@ -443,6 +443,17 @@ class TestRun:
             slope = np.polyfit(ts, np.log(ds), 1)[0]
             assert np.exp(slope) == pytest.approx(lam, rel=0.02)
 
+    def test_wgan_basic_budget_cut_is_unfinished(self, tmp_path):
+        # at eta 0.03 the 20000-step budget ends while the run is still
+        # inside its envelope: neither converged nor diverged
+        cli.main(["run", "--preset", "wgan-basic", "--out-dir", str(tmp_path)])
+        kinds = {}
+        for eta in (0.3, 0.03):
+            verdict = json.loads((tmp_path / f"wgan-basic-eta{eta}.verify.json").read_text())
+            kinds[eta] = (verdict["stop_reason"], verdict["classification"]["kind"])
+            assert verdict["bound"]["ok"]
+        assert kinds == {0.3: ("Converged", "Converged"), 0.03: ("MaxSteps", "Unfinished")}
+
     def test_wgan_dagger_preset_accelerates(self, tmp_path):
         cli.main(["run", "--preset", "wgan-dagger", "--out-dir", str(tmp_path)])
         zs = json.loads((tmp_path / "wgan-dagger-zerosum.verify.json").read_text())
@@ -516,7 +527,8 @@ class TestRun:
             "eta": 1e-4, "max_steps": 50, "init": {"x0": [1.0] * 3, "y0": [1.0] * 3}})
         assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
         verdict = json.loads((tmp_path / "noise.verify.json").read_text())
-        assert verdict["classification"]["kind"] == "Diverged"
+        assert verdict["stop_reason"] == "MaxSteps"
+        assert verdict["classification"]["kind"] == "Unfinished"
         assert "expected_growth_ratio" not in verdict["classification"]["evidence"]
 
     def test_integral_float_seed_is_that_integer(self):

@@ -473,6 +473,137 @@ class TestRunBatch:
         assert np.array_equal(init.z, before)
 
 
+def reference_run(game, algo, eta, init, max_steps, stride,
+                  stop_tol=dynamics.DEFAULT_STOP_TOL, blow_cap=DEFAULT_BLOW_CAP):
+    """A run taken one step at a time, with the engine's ufuncs in its order,
+    and the stop rules applied after every step, on np.linalg.norm (x_0 and
+    y_0 are tested with step 1). Returns the recorded rows, times and stop
+    reason."""
+    z, played = init.z, slice(None)
+    if algo is Algo.DOGDA:  # OGDA on the doubled game, player 1 on (x, x_aux), 2 on (y_aux, y)
+        n, p = game.n, game.p
+        game, m = games.doubled(game), 2 * (n + p)
+        z = np.concatenate([np.tile(v, 2) for v in (init.x, init.y, init.x_prev, init.y_prev)])
+        played = np.r_[0:n, 2 * n + p:m, m:m + n, m + 2 * n + p:2 * m]
+    n, m = game.n, z.size // 2
+    g_old = np.concatenate([game.A @ z[m + n:] + game.b, game.B.T @ z[m:m + n] + game.f])
+    rows, times, reason = [z[played]], [0], StopReason.MAX_STEPS
+    for t in range(1, max_steps + 1):
+        g = np.concatenate([game.A @ z[n:m] + game.b, game.B.T @ z[:n] + game.f])
+        update = (2.0 * g - g_old) * eta if algo is not Algo.GDA else g * eta
+        g_old, last, z = g, z, np.concatenate([z[:m] + update, z[:m]])
+        blocks = (z[:n], z[n:m]) + ((last[:n], last[n:m]) if t == 1 else ())
+        if not all(np.linalg.norm(v) <= blow_cap for v in blocks):
+            reason = StopReason.DIVERGED
+        elif np.linalg.norm(z - last) < stop_tol:
+            reason = StopReason.CONVERGED
+        if t % stride == 0 or t == max_steps or reason is not StopReason.MAX_STEPS:
+            rows.append(z[played])
+            times.append(t)
+        if reason is not StopReason.MAX_STEPS:
+            break
+    return np.array(rows), times, reason
+
+
+def assert_engine_matches_reference(game, algo, etas, init, max_steps, stride, **settings):
+    """`run` at each step size and `run_batch` over all of them against
+    `reference_run`, bit for bit; returns the reference stop reasons."""
+    with np.errstate(over="ignore", invalid="ignore"):  # the reference steps into an overflow
+        refs = [reference_run(game, algo, eta, init, max_steps, stride, **settings)
+                for eta in etas]
+    common = {"max_steps": max_steps, "record_stride": stride, **settings}
+    batch = list(dynamics.run_batch(game, algo, etas, init, **common))
+    for eta, traj, (rows, times, reason) in zip(etas, batch, refs):
+        for got in (dynamics.run(game, algo, eta, init, **common), traj):
+            assert got.times == times and got.stop_reason is reason
+            assert got.states.tobytes() == rows.tobytes()  # NaN and -0.0 alike
+    return [reason for _, _, reason in refs]
+
+
+CHUNK = dynamics.STOP_TEST_STEPS
+
+# pennies runs that stop before 3000 steps: OGDA converges at step 564 and GDA
+# diverges at step 634; GDA at eta 1e10 passes a cap of 1e150 at step 15 and
+# overflows to inf some 15 steps on, inside the same chunk
+STOP_CASES = {
+    "converges": (Algo.OGDA, 0.3, {}),
+    "diverges": (Algo.GDA, 0.3, {}),
+    "overflows": (Algo.GDA, 1e10, {"blow_cap": 1e150})}
+
+
+class TestChunks:
+    """The stop rules tested once per chunk of STOP_TEST_STEPS steps give the
+    run that tests them after every step."""
+
+    ETAS = [0.02, 0.11, 0.2]
+
+    @pytest.mark.parametrize("max_steps", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("stride", [1, 3, 7])
+    @pytest.mark.parametrize("algo", list(Algo))
+    def test_budget_at_chunk_edges(self, max_steps, stride, algo):
+        assert_engine_matches_reference(dense_game(False), algo, self.ETAS, dense_init(),
+                                        max_steps, stride)
+
+    @pytest.mark.parametrize("case", list(STOP_CASES))
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 64, "stop", "stop - 1"])
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_stop_at_chunk_edges(self, monkeypatch, case, chunk, stride):
+        # "stop" makes the stop step the last of the first chunk, "stop - 1"
+        # the first of the second
+        algo, eta, settings = STOP_CASES[case]
+        init = IterateState.at([1.0], [1.0])
+        _, times, reason = reference_run(PENNIES, algo, eta, init, 3000, stride, **settings)
+        assert reason is not StopReason.MAX_STEPS
+        chunk = {"stop": times[-1], "stop - 1": times[-1] - 1}.get(chunk, chunk)
+        monkeypatch.setattr(dynamics, "STOP_TEST_STEPS", chunk)
+        assert_engine_matches_reference(PENNIES, algo, [eta, 0.9 * eta], init, 3000, stride,
+                                        **settings)
+
+    def test_overflow_after_a_stop_inside_the_chunk(self):
+        algo, eta, settings = STOP_CASES["overflows"]
+        init = IterateState.at([1.0], [1.0])
+        _, times, _ = reference_run(PENNIES, algo, eta, init, 3000, 1, **settings)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = reference_states(PENNIES, eta, init, CHUNK, False)
+        assert times[-1] < CHUNK // 2 and not np.isfinite(rows[CHUNK]).all()
+        assert assert_engine_matches_reference(PENNIES, algo, [eta], init, 3000, 1,
+                                               **settings) == [StopReason.DIVERGED]
+
+    @pytest.mark.parametrize("chunk", [5, 64])
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_record_grows_across_chunks(self, monkeypatch, chunk, stride):
+        monkeypatch.setattr(dynamics, "RECORD_ROWS_CAP", 4)
+        monkeypatch.setattr(dynamics, "STOP_TEST_STEPS", chunk)
+        assert_engine_matches_reference(dense_game(True), Algo.OGDA, self.ETAS, dense_init(),
+                                        200, stride)
+        assert_engine_matches_reference(PENNIES, Algo.OGDA, [0.3, 0.7],
+                                        IterateState.at([1.0], [1.0]), 3000, stride,
+                                        blow_cap=1e3)
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_mixed_stop_reasons_in_chunks_of_five(self, monkeypatch, stride):
+        # the draw of TestRunBatch.test_mixed_stop_reasons
+        monkeypatch.setattr(dynamics, "STOP_TEST_STEPS", 5)
+        g = BilinearGame.zero_sum_game([[1.0, 0.0], [0.0, 2.0]])
+        init = IterateState([1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
+        etas = [0.01, 1e300, 0.28, 0.3, 1e308, 0.25, 0.02]
+        assert assert_engine_matches_reference(g, Algo.OGDA, etas, init, 1000, stride) == [
+            StopReason.MAX_STEPS, StopReason.DIVERGED, StopReason.CONVERGED,
+            StopReason.DIVERGED, StopReason.DIVERGED, StopReason.CONVERGED,
+            StopReason.MAX_STEPS]
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_rows_stop_at_different_steps_of_one_chunk(self, monkeypatch, stride):
+        # the three large steps pass the cap at steps 2, 3 and 4, all in the
+        # first chunk of five; 0.3 converges at step 564 and 0.01 runs out
+        monkeypatch.setattr(dynamics, "STOP_TEST_STEPS", 5)
+        init = IterateState.at([1.0], [1.0])
+        etas = [0.3, 1e10, 1e5, 3e3, 0.01]
+        trajs = list(dynamics.run_batch(PENNIES, Algo.OGDA, etas, init, max_steps=600))
+        assert [t.times[-1] for t in trajs] == [564, 2, 3, 4, 600]
+        assert_engine_matches_reference(PENNIES, Algo.OGDA, etas, init, 600, stride)
+
+
 class TestCsv:
     def test_header_and_precision(self):
         traj = dynamics.run(PENNIES, Algo.OGDA, 0.3,

@@ -88,6 +88,15 @@ class TestClassify:
         assert out.kind is OutcomeKind.CONVERGED
         assert np.allclose(out.limit[0], 0.0, atol=1e-9)
 
+    def test_budget_cut_is_unfinished_not_divergence(self):
+        # 20 OGDA steps at eta 0.1 end on matching pennies far inside the cap
+        traj = dynamics.run(PENNIES, Algo.OGDA, 0.1, IterateState.at([1.0], [1.0]),
+                            max_steps=20)
+        out = verify.classify(traj, spectral.CouplingSpectrum(PENNIES))
+        assert traj.stop_reason is dynamics.StopReason.MAX_STEPS
+        assert out.kind is OutcomeKind.UNFINISHED
+        assert out.evidence["final_norm"] == pytest.approx(1.2158, abs=1e-4)
+
     def test_zero_sum_blowup_is_divergence_not_cooperation(self):
         w = predict.divergence_witness(PENNIES, 0.6)
         traj = dynamics.run(PENNIES, Algo.OGDA, 0.6, w, max_steps=10000)
