@@ -14,7 +14,10 @@ public function at one step size, n+p in {4, 128}, the median of five
 batches of 50 calls. `analysis`: microseconds per shared analysis of one
 game, at n+p in {4, 128}, timed the same way: a `CouplingSpectrum`, then
 `rate_curve` at one step size, `predict.limit`, `predict.distance` and
-`predict.witness` from that spectrum and report. `parse_config`: microseconds per call of
+`predict.witness` from that spectrum and report. `dogda_analysis`:
+microseconds per DOGDA analysis, the same without the witness, of a seeded
+general-sum game at n+p = 256 with nonzero b, c, e, f, the median of five.
+`parse_config`: microseconds per call of
 `cli.parse_config` on the config of the n+p = 256 game, read back from its
 JSON text, timed the same way. The games are seeded zero-sum games with A
 scaled by 1/sqrt(n), and eta is small enough that no run stops early.
@@ -52,8 +55,24 @@ def analysis(g, init):
     limit, the distance to the Nash set and the rate witness."""
     spec = spectral.CouplingSpectrum(g)
     report = spectral.rate_curve(spec, [0.01])[0]
-    return (predict.limit(spec, report, init), predict.distance(spec.nash, init),
+    return (predict.limit(spec, report, init), predict.distance(spec, init),
             predict.witness(spec, report))
+
+
+def dogda_game(size: int):
+    rng = np.random.default_rng(1)
+    n = size // 2
+    a, b = (rng.normal(size=(n, n)) / np.sqrt(n) for _ in range(2))
+    return (BilinearGame(a, b, *(rng.normal(size=n) for _ in range(4))),
+            dynamics.IterateState.at(rng.normal(size=n), rng.normal(size=n)))
+
+
+def dogda_analysis(g, init):
+    """One DOGDA analysis at eta = 0.01: the spectrum, its report, the limit
+    and the distance of the doubled state to the doubled Nash set."""
+    spec = spectral.CouplingSpectrum(g, "DOGDA")
+    report = spectral.rate_curve(spec, [0.01])[0]
+    return predict.limit(spec, report, init), predict.distance(spec, init)
 
 
 def general_sum_curve(g):
@@ -107,6 +126,8 @@ def main() -> None:
         out[f"predict_limit_us_np{size}"] = seconds / CALLS * 1e6
         seconds = median_time(lambda: [analysis(g, init) for _ in range(CALLS)])
         out[f"analysis_us_np{size}"] = seconds / CALLS * 1e6
+    g, init = dogda_game(256)
+    out["dogda_analysis_us_np256"] = median_time(lambda: dogda_analysis(g, init)) * 1e6
     g, init = game(256)
     config = json.loads(json.dumps({
         "game": game_to_json(g), "algo": "OGDA", "eta": 0.01, "max_steps": STEPS,

@@ -74,8 +74,8 @@ def limit(spec: CouplingSpectrum, report: SpectralReport,
     its report at the run's step size; invalidity is a value, not an error.
 
     GDA has no limit. General-sum OGDA has one where the report is
-    applicable. Zero-sum OGDA and DOGDA have one below the divergence
-    threshold, so DOGDA's limit holds at steps past its rate curve's.
+    applicable. Zero-sum OGDA and DOGDA, zero-sum OGDA on the doubled game,
+    have one below the divergence threshold.
     """
     if spec.general_sum:
         return _oblique_limit(spec, report, init)
@@ -105,8 +105,9 @@ def _orthogonal_limit(spec: CouplingSpectrum, eta: float,
     if not ns.nonempty:
         return _invalid(geo, "nash_set_empty")
     # The aux constraints must be solvable too, else one half never settles.
-    if dogda and spec.aux_infeasible:
-        return _invalid(geo, spec.aux_infeasible)
+    if dogda and not spec.aux.nonempty:
+        player = 2 if not spec.aux.y_part.feasible else 1
+        return _invalid(geo, f"aux_constraint_infeasible_for_player{player}_payoff")
     if spec.divergent(eta):
         return _invalid(geo, "eta_in_divergent_regime")
     # the Nash points are least-norm solutions, hence orthogonal to the kernels
@@ -141,7 +142,17 @@ class DistanceD:
     value: float
 
 
-def distance(ns: NashSet, init: IterateState) -> DistanceD:
+def distance(spec: CouplingSpectrum, init: IterateState) -> DistanceD:
+    """Distance from the state a run of `spec` starts in to its embedded Nash
+    set: for DOGDA the doubled state, whose aux copies start at the played
+    ones, to the doubled game's Nash set (`spec.nash` and `spec.aux`)."""
+    d = _distance(spec.nash, init)
+    if spec.algo is Algo.DOGDA:
+        d = math.hypot(d, _distance(spec.aux, init))
+    return DistanceD(d)
+
+
+def _distance(ns: NashSet, init: IterateState) -> float:
     """Euclidean distance from (x0, y0, x_-1, y_-1) to {(x, y, x, y) : Nash}."""
     if not ns.nonempty:
         raise EmptyNashSetError("game has no Nash equilibrium")
@@ -153,11 +164,11 @@ def distance(ns: NashSet, init: IterateState) -> DistanceD:
     if cols:
         q = np.column_stack(cols) / math.sqrt(2.0)
         diff = diff - q @ (q.T @ diff)
-    return DistanceD(float(np.linalg.norm(diff)))
+    return float(np.linalg.norm(diff))
 
 
 def distance_to_nash(game: BilinearGame, init: IterateState) -> DistanceD:
-    return distance(games_mod.nash_set(game), init)
+    return DistanceD(_distance(games_mod.nash_set(game), init))
 
 
 def _eigen_witness(spec: CouplingSpectrum, eta: float, mu: float) -> IterateState:

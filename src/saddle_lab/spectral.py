@@ -225,20 +225,21 @@ class CouplingSpectrum:
 
     `svds` holds the ranked SVDs of A and B (games.coupling_svds), taken
     once on first use: every rank decision of the analysis reads them.
-    Zero-sum OGDA pools the spectra of A^T A and A A^T, DOGDA those of A^T A
-    and B^T B. General-sum OGDA takes the magnitudes of the non-positive
-    real parts of Sp(B^T A), with the checks that the spectrum is real and
-    non-positive; `growth_mu` is its largest real value that fails the
-    second check, the one that drives payoff growth (None when there is
-    none, and for the other spectra). `positives` are the numerically
+    Zero-sum OGDA pools the spectra of A^T A and A A^T. DOGDA, zero-sum
+    OGDA on games.doubled(game) with coupling blockdiag(-B, A), pools those
+    of A^T A, A A^T, B^T B and B B^T. General-sum OGDA takes the magnitudes
+    of the non-positive real parts of Sp(B^T A), with the checks that the
+    spectrum is real and non-positive; `growth_mu` is its largest real
+    value that fails the second check, the one that drives payoff growth
+    (None when there is none, and for the other spectra). `positives` are the numerically
     positive values, ascending. `assumptions` are the conditions a report
     checks, in order, and `violated` names the one that fails at every step
     size (None when the step size decides). The Gram spectra keep the
     eigenpairs of A^T A in `ata_eig` (values descending, vectors as
     columns); the other spectra have None there. `nash` is the game's Nash
-    set, `aux_infeasible` the check of DOGDA's aux constraints, `invertible`
-    the test of A and B and `diagonalizable` the general-sum verdict on the
-    companion matrix, each read from `svds` on first use.
+    set, `aux` the aux half of the Nash set of DOGDA's doubled game,
+    `invertible` the test of A and B and `diagonalizable` the general-sum
+    verdict on the companion matrix, each read from `svds` on first use.
     """
 
     def __init__(self, game: BilinearGame, algo: Algo = Algo.OGDA):
@@ -253,13 +254,11 @@ class CouplingSpectrum:
             self.assumptions: tuple[str, ...] = ()
             self.violated = "no_convergence_theory_for_gda"
             self.mu_set, self.mu_max, self.positives = [], 0.0, np.zeros(0)
-        elif self.algo is Algo.DOGDA:
-            self.assumptions = ("eta_below_half_threshold",)
-            self._gram(self.svds, game.p)
-        elif game.zero_sum:
+        elif game.zero_sum or self.algo is Algo.DOGDA:
             self.assumptions = ("eta_below_divergence_threshold",)
-            # A^T A is p x p and A A^T is n x n
-            self._gram(self.svds[:1], max(game.n, game.p))
+            # A^T A is p x p and A A^T is n x n, and B's Gram products for DOGDA
+            self._gram(self.svds if self.algo is Algo.DOGDA else self.svds[:1],
+                       max(game.n, game.p))
         else:
             self.general_sum = True
             self.assumptions = ("spectrum_real_nonpositive", "eta_below_half_threshold",
@@ -320,16 +319,12 @@ class CouplingSpectrum:
         return games_mod.nash_from_svds(self.game, *self.svds)
 
     @functools.cached_property
-    def aux_infeasible(self) -> str | None:
-        """The first of DOGDA's aux constraints, B z + e = 0 and A^T z + c = 0,
-        that has no solution, as the reason a limit prediction gives; None
-        when both are solvable."""
+    def aux(self) -> NashSet:
+        """The aux half of the Nash set of DOGDA's doubled game: x_aux solves
+        A^T z + c = 0, y_aux solves B z + e = 0."""
         svd_a, svd_b = self.svds
-        if not games_mod.solve_affine(svd_b, self.game.e).feasible:
-            return "aux_constraint_infeasible_for_player2_payoff"
-        if not games_mod.solve_affine(svd_a.T, self.game.c).feasible:
-            return "aux_constraint_infeasible_for_player1_payoff"
-        return None
+        return NashSet(x_part=games_mod.solve_affine(svd_a.T, self.game.c),
+                       y_part=games_mod.solve_affine(svd_b, self.game.e))
 
     @functools.cached_property
     def invertible(self) -> bool:
@@ -469,19 +464,12 @@ def _zero_sum_curve(curve: RateCurve) -> None:
     curve.violated = [reasons[d] for d in divergent.tolist()]
 
 
-def _below_half_threshold(curve: RateCurve) -> np.ndarray:
-    """The steps with eta < 1/(2 sqrt(mu_max)); the others are marked violated."""
-    mu_max = curve.spectrum.mu_max
-    ok = (curve.etas < 0.5 / math.sqrt(mu_max) if mu_max > 0
-          else np.ones(len(curve), dtype=bool))
-    for i in np.flatnonzero(~ok):
-        curve.violated[i] = "eta_below_half_threshold"
-    return ok
-
-
 def _general_sum_curve(curve: RateCurve) -> None:
     spec, eta = curve.spectrum, curve.etas
-    ok = _below_half_threshold(curve)
+    ok = (eta < 0.5 / math.sqrt(spec.mu_max) if spec.mu_max > 0
+          else np.ones(eta.size, dtype=bool))
+    for i in np.flatnonzero(~ok):
+        curve.violated[i] = "eta_below_half_threshold"
     if ok.any() and spec.diagonalizable is not Verdict.YES:
         for i in np.flatnonzero(ok):
             curve.violated[i] = "companion_diagonalizable"
@@ -513,10 +501,6 @@ def rate_curve(spec: CouplingSpectrum, etas) -> RateCurve:
             # No coupling: the dynamics freeze at once; ratio 0 by convention.
             curve._settle(np.ones(etas.size, dtype=bool), 0.0,
                           _angle_constant_low(etas, 0.0))
-        elif spec.algo is Algo.DOGDA:
-            ok = _below_half_threshold(curve)
-            curve._settle(ok, rate_lambda_star(etas[ok], spec.mu_min),
-                          _angle_constant_low(etas[ok], spec.mu_max))
         else:
             _zero_sum_curve(curve)
     return curve
@@ -525,12 +509,12 @@ def rate_curve(spec: CouplingSpectrum, etas) -> RateCurve:
 def rate_report(game: BilinearGame, eta: float, algo: Algo = Algo.OGDA) -> SpectralReport:
     """Regime, exact geometric ratio and (where it exists) the bound constant.
 
-    Zero-sum games follow the full regime analysis (Part2 / Part3a / Part3b /
-    Divergent); general-sum games require a real non-positive coupling
-    spectrum, a small enough step and a diagonalizable companion matrix
-    (CouplingSpectrum.diagonalizable, decided from the coupling, not from
-    the companion), and otherwise come back Inapplicable with the violated
-    assumption named.
+    Zero-sum games, and DOGDA on any game, follow the full regime analysis
+    (Part2 / Part3a / Part3b / Divergent); general-sum games under OGDA
+    require a real non-positive coupling spectrum, a small enough step and a
+    diagonalizable companion matrix (CouplingSpectrum.diagonalizable, decided
+    from the coupling, not from the companion), and otherwise come back
+    Inapplicable with the violated assumption named.
     This is rate_curve at the one step size; for many step sizes of one
     game, build the CouplingSpectrum once and call rate_curve.
     """
@@ -574,6 +558,8 @@ def is_diagonalizable(m) -> Verdict:
     if dim == 0:
         return Verdict.YES
     scale = max(1.0, float(np.linalg.norm(a, ord="fro")))
+    if math.isinf(scale):  # the squares of the entries overflow: no radius to test with
+        return Verdict.BORDERLINE
     # A defective eigenvalue of Jordan size k scatters by ~eps^(1/k); the
     # cluster radius must swallow at least k <= 3 so the scattered copies are
     # treated as one eigenvalue.

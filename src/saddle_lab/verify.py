@@ -726,7 +726,7 @@ def suite_part2_bounds(rng: np.random.Generator) -> CheckResult:
         init = _random_iterate(rng, game.n, game.p)
         pred = predict.limit(spec, report, init)
         traj = run(game, Algo.OGDA, eta, init, max_steps=30000)
-        check = check_bound(traj, report, predict.distance(spec.nash, init), pred)
+        check = check_bound(traj, report, predict.distance(spec, init), pred)
         if not check.ok:
             return CheckResult("verify.part2_bound_envelope", False,
                                check.max_violation, ENVELOPE_SLACK, "envelope violated")
@@ -750,7 +750,7 @@ def suite_part3a_bounds(rng: np.random.Generator) -> CheckResult:
         init = _random_iterate(rng, game.n, game.p)
         traj = run(game, Algo.OGDA, eta, init, max_steps=40000)
         pred = predict.limit(spec, report, init)
-        check = check_bound(traj, report, predict.distance(spec.nash, init), pred)
+        check = check_bound(traj, report, predict.distance(spec, init), pred)
         if not check.ok:
             return CheckResult("verify.part3a_bound_envelope", False,
                                check.max_violation, ENVELOPE_SLACK, "envelope violated")

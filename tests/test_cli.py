@@ -70,6 +70,15 @@ def test_usage_error_exit_one(capsys, argv, message):
     assert err.count("\n") == 1 and err.startswith("config error:") and message in err
 
 
+def dogda_config(eta):
+    """DOGDA on A = B = [[1]] with e = [5], from the origin: the aux half of
+    the doubled game's Nash set lies away from the start."""
+    return {"name": "doubled",
+            "game": {"A": {"rows": 1, "cols": 1, "data": [1.0]},
+                     "B": {"rows": 1, "cols": 1, "data": [1.0]}, "e": [5.0]},
+            "algo": "DOGDA", "eta": eta, "init": {"x0": [0.0], "y0": [0.0]}}
+
+
 class TestAnalyze:
     def test_applicable_exit_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, zero_sum_config(0.3))
@@ -81,6 +90,16 @@ class TestAnalyze:
     def test_divergent_exit_two(self, tmp_path):
         cfg = write_config(tmp_path, zero_sum_config(0.6))
         assert cli.main(["analyze", "--config", cfg]) == cli.EXIT_INAPPLICABLE
+
+    def test_dogda_part3a_exit_zero(self, tmp_path, capsys):
+        # DOGDA is zero-sum OGDA on the doubled game, so eta sqrt(mu_max) = 0.55,
+        # between 1/2 and 1/sqrt(3), is its Part3a regime
+        cfg = write_config(tmp_path, dogda_config(0.55))
+        assert cli.main(["analyze", "--config", cfg]) == cli.EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["report"]["eta_regime"] == "Part3a"
+        assert payload["report"]["lambda_max"] == pytest.approx(0.9257654, abs=1e-7)
+        assert payload["limit"]["valid"]
 
     def test_zero_matrix_convention(self, tmp_path, capsys):
         obj = zero_sum_config(0.3)
@@ -356,6 +375,7 @@ class TestRun:
     @pytest.mark.parametrize("mutate", [
         pytest.param(lambda c: c["game"]["A"].update(data=[-1e200]), id="A-1e200"),
         pytest.param(lambda c: c["game"]["A"].update(data=[1e160]), id="A-1e160"),
+        pytest.param(lambda c: c["game"]["A"].update(data=[2e154]), id="A-2e154"),
         pytest.param(lambda c: c["game"].update(
             B={"rows": 1, "cols": 1, "data": [-1e300]}, zero_sum=False), id="B-1e300")])
     def test_overflowing_game_exit_one(self, tmp_path, capsys, command, mutate):
@@ -366,6 +386,16 @@ class TestRun:
                          str(tmp_path / "out")]) == cli.EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error:")
+
+    def test_largest_game_is_analyzed(self, tmp_path, capsys):
+        # ||A||_F^2 = 1e300 is finite, and bounds the norm of every product
+        # the analysis reads; any numpy warning fails the test
+        obj = zero_sum_config(1e-151)
+        obj["game"]["A"]["data"] = [1e150]
+        cfg = write_config(tmp_path, obj)
+        assert cli.main(["analyze", "--config", cfg]) == cli.EXIT_OK
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert payload["report"]["mu_max"] == pytest.approx(1e300, rel=1e-15)
 
     @pytest.mark.parametrize("mutate", [
         pytest.param(lambda c: c.update(eta=1e300), id="eta-1e300"),
@@ -504,6 +534,17 @@ class TestRun:
         assert np.allclose(verdict["limit"]["x_inf"], 0.0)
         assert verdict["rate_fit"]["fitted_ratio"] < 1.0
 
+    @pytest.mark.parametrize("eta", [0.3, 0.55])
+    def test_dogda_envelope_bounds_the_doubled_state(self, tmp_path, eta):
+        # C bounds the doubled state, so D is its distance to the doubled
+        # Nash set, whose aux half B z + e = 0 lies at z = -5
+        cfg = write_config(tmp_path, dogda_config(eta))
+        assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        verdict = json.loads((tmp_path / "doubled.verify.json").read_text(),
+                             parse_constant=reject_constant)
+        assert verdict["classification"]["kind"] == "Converged"
+        assert verdict["bound"]["ok"] and 0.0 < verdict["bound"]["worst_ratio"] <= 1.0
+
     def test_random_init_without_seed_fails(self, tmp_path):
         cfg = write_config(tmp_path, zero_sum_config(0.3, init={"random": True}))
         assert cli.main(["run", "--config", cfg,
@@ -559,7 +600,9 @@ class TestSweep:
         assert cli.main(["sweep", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
         rows = (tmp_path / "pennies.sweep.csv").read_text().splitlines()[2:]
         assert len(rows) == 8  # every step size is applicable and fitted
-        assert counts == {"spectra": 1, "nash_sets": 1}
+        # DOGDA's second Nash set is the aux half of its doubled game's, read
+        # from the same spectrum
+        assert counts == {"spectra": 1, "nash_sets": 2 if algo == "DOGDA" else 1}
 
     def test_dogda_solves_aux_constraints_once(self, tmp_path, monkeypatch):
         # two solves for the Nash set and two for the aux constraints, at any

@@ -15,6 +15,13 @@ def wgan_game():
     return BilinearGame.zero_sum_game(-np.eye(2), b=[3.0, 4.0])
 
 
+def doubled_start(init):
+    """The state on games.doubled that a DOGDA run from `init` starts in:
+    each aux copy at the played one, previous pairs alike."""
+    return IterateState.of(np.concatenate([np.tile(v, 2) for v in (
+        init.x, init.y, init.x_prev, init.y_prev)]), 2 * init.n)
+
+
 class TestPredictLimit:
     def test_unit_coupling_limits_at_origin(self):
         pred = predict.predict_limit(PENNIES, Algo.OGDA, 0.3,
@@ -197,6 +204,25 @@ class TestDistance:
         with pytest.raises(predict.EmptyNashSetError):
             predict.distance_to_nash(g, IterateState.at([1.0], [1.0]))
 
+    def test_dogda_distance_is_the_doubled_one(self):
+        # from the spectrum, DOGDA's distance is the doubled state's to the
+        # doubled game's Nash set; every other algo's is the game's own
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            n, p = (int(k) for k in rng.integers(1, 4, size=2))
+            a = verify.random_matrix(rng, n, p, int(rng.integers(0, min(n, p) + 1)))
+            b = verify.random_matrix(rng, n, p, int(rng.integers(0, min(n, p) + 1)))
+            # each right-hand side in its image, so every constraint is solvable
+            g = BilinearGame(a, b, a @ rng.normal(size=p), a.T @ rng.normal(size=n),
+                             b @ rng.normal(size=p), b.T @ rng.normal(size=n))
+            init = IterateState.of(rng.normal(size=2 * (n + p)), n)
+            doubled = predict.distance_to_nash(games.doubled(g), doubled_start(init)).value
+            d = predict.distance(spectral.CouplingSpectrum(g, Algo.DOGDA), init).value
+            assert d == pytest.approx(doubled, rel=1e-12, abs=1e-14)
+            for algo in (Algo.OGDA, Algo.GDA):
+                spec = spectral.CouplingSpectrum(g, algo)
+                assert predict.distance(spec, init) == predict.distance_to_nash(g, init)
+
 
 class TestWitnesses:
     def fit(self, game, eta, witness, steps=2000):
@@ -303,14 +329,18 @@ class TestWitnesses:
         spec = spectral.CouplingSpectrum(game, algo)
         report = spectral.rate_curve(spec, [0.1])[0]
         pred = predict.limit(spec, report, init)
-        dist = predict.distance(spec.nash, init)
+        dist = predict.distance(spec, init)
         w = predict.witness(spec, report) if algo is Algo.OGDA else None
         assert pred.valid and calls == ["svd"] * decompositions
         # the same results as the public functions
         public = predict.predict_limit(game, algo, 0.1, init)
         assert np.array_equal(pred.x_inf, public.x_inf)
         assert np.array_equal(pred.y_inf, public.y_inf)
-        assert dist == predict.distance_to_nash(game, init)
+        if algo is Algo.DOGDA:  # the doubled state's distance
+            assert dist.value == pytest.approx(predict.distance_to_nash(
+                games.doubled(game), doubled_start(init)).value, rel=1e-12)
+        else:
+            assert dist == predict.distance_to_nash(game, init)
         if w is not None:
             assert np.array_equal(w.z, predict.tight_witness(game, 0.1).z)
 
@@ -320,7 +350,7 @@ class TestWitnesses:
         game, _, calls = self.count_decompositions(monkeypatch, Algo.DOGDA)
         spec = spectral.CouplingSpectrum(game)
         assert spec.general_sum and spec.invertible
-        assert spec.nash.nonempty and spec.aux_infeasible is None
+        assert spec.nash.nonempty and spec.aux.nonempty
         assert calls == ["svd"] * 2
 
     def test_divergence_witness_at_the_threshold(self):

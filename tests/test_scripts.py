@@ -55,6 +55,7 @@ def test_kernel_timing_prints_every_layer(monkeypatch, capsys):
             + [f"csv_us_per_row_np{size}" for size in (4, 32, 256)]
             + [f"{name}_us_np{size}" for name in ("rate_report", "predict_limit", "analysis")
                for size in (4, 128)]
-            + ["parse_config_us_np256", "general_sum_curve_us_np64"])
+            + ["dogda_analysis_us_np256", "parse_config_us_np256",
+               "general_sum_curve_us_np64"])
     assert sorted(out) == sorted(keys)
     assert all(out[key] > 0 for key in keys)

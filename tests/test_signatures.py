@@ -37,10 +37,10 @@ PARAMETERS = {
     predict.tight_witness: ["game", "eta"],
     predict.divergence_witness: ["game", "eta"],
     predict.distance_to_nash: ["game", "init"],
-    # the same analyses from the caller's spectrum (or its Nash set) and report
+    # the same analyses from the caller's spectrum and report
     predict.limit: ["spec", "report", "init"],
     predict.witness: ["spec", "report"],
-    predict.distance: ["ns", "init"],
+    predict.distance: ["spec", "init"],
     verify.estimate_rate: ["traj", "limit"],
     verify.check_bound: ["traj", "report", "D", "limit"],
     verify.classify: ["traj", "spec"],
@@ -81,6 +81,9 @@ def test_removed_methods_stay_removed():
         assert not hasattr(verify, name), name
     # the analysis decides diagonalizability from the coupling, not the companion
     assert not hasattr(spectral, "companion_matrix")
+    # DOGDA is analysed as zero-sum OGDA on the doubled game
+    assert not hasattr(spectral, "_below_half_threshold")
+    assert not hasattr(spectral.CouplingSpectrum, "aux_infeasible")
 
 
 def test_one_stored_form_of_a_state():

@@ -157,8 +157,10 @@ class TestOneRankDecision:
             if algo is Algo.OGDA:
                 game, grams = BilinearGame.zero_sum_game(a), [a.T @ a, a @ a.T]
             else:
+                # the Gram products of the doubled game's coupling blockdiag(-B, A)
                 b = verify.random_matrix(rng, n, p, int(ranks[1]))
-                game, grams = BilinearGame.from_matrices(a, b), [a.T @ a, b.T @ b]
+                game, grams = BilinearGame.from_matrices(a, b), [a.T @ a, a @ a.T,
+                                                                 b.T @ b, b @ b.T]
             # nonzero singular values of random_matrix are at least 0.5
             singular = any(np.linalg.eigh(g)[0].min() < 1e-8 for g in grams)
             assert (0.0 in spectral.CouplingSpectrum(game, algo).mu_set) == singular
@@ -282,12 +284,13 @@ class TestRateReport:
         assert rep.C is not None
 
     def test_dogda_constant_at_the_half_threshold(self):
-        # eta sqrt(mu) just below 1/2 rounds the angle ratio to 1, so the
-        # bound constant is infinite; that is a value, not an exception
+        # eta sqrt(mu) just below 1/2, within MEMBERSHIP_REL_TOL of it: the
+        # zero-sum curve of the doubled game marks the knife-edge, Part3b
+        # with no constant
         a = 0.5247914532927936
         g = BilinearGame.from_matrices([[a]], [[a]])
         rep = spectral.rate_report(g, 0.952759418741978, Algo.DOGDA)
-        assert rep.eta_regime is Regime.PART2 and rep.C == math.inf
+        assert rep.eta_regime is Regime.PART3B and rep.C is None
 
     def test_zero_matrix_convention(self):
         g = BilinearGame.zero_sum_game(np.zeros((2, 2)))
@@ -320,7 +323,7 @@ CURVE_CASES = {
                                                          [[1.0, 1.0], [-1.0, -1.0]]),
                               Algo.OGDA, [0.1, 0.3], {"companion_diagonalizable"}),
     "dogda": (BilinearGame.from_matrices([[1.0, 0.5], [0.0, 2.0]], [[1.0, 0.0], [1.0, 1.0]]),
-              Algo.DOGDA, [0.05, 0.2, 0.3, 0.9], {"Part2", "eta_below_half_threshold"}),
+              Algo.DOGDA, [0.05, 0.2, 0.25, 0.27, 0.3, 0.9], {"Part2", "Part3a", "Divergent"}),
     "gda": (PENNIES, Algo.GDA, [0.1, 0.9], {"no_convergence_theory_for_gda"}),
     "zero-coupling": (BilinearGame.zero_sum_game(np.zeros((2, 3))), Algo.OGDA, [0.1, 5.0],
                       {"Part2"}),
@@ -546,6 +549,13 @@ class TestDiagonalizable:
                 assert spectral.CouplingSpectrum(game).diagonalizable is dense, (i, game)
                 verdicts.add(dense)
         assert verdicts == {Verdict.YES, Verdict.NO}
+
+    def test_overflowing_scale_is_borderline(self):
+        # a Jordan block whose Frobenius norm overflows leaves no cluster
+        # radius to test with; an infinite one called it diagonalizable
+        with np.errstate(over="ignore"):
+            verdict = spectral.is_diagonalizable([[1e300, 1e300], [0.0, 1e300]])
+        assert verdict is Verdict.BORDERLINE
 
     def test_kernel_mismatch_is_defective(self):
         # B^T A = 0, so every mu is 0, yet Ker(A B^T) = R^2 is larger than

@@ -169,28 +169,34 @@ class TestCheckBound:
 
 class TestDogdaBound:
     def test_envelope_holds_for_doubled_runs(self):
+        # C bounds the doubled state, so D is its distance to the doubled
+        # Nash set; nonzero c and e put the aux half of that set off the origin
         rng = np.random.default_rng(77)
-        checked = 0
-        while checked < 15:
+        left = {spectral.Regime.PART2: 15, spectral.Regime.PART3A: 10}
+        for draw in range(400):
+            if not any(left.values()):
+                break
             n, p = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-            g = games.BilinearGame.from_matrices(
-                verify.random_matrix(rng, n, p),
-                verify.random_matrix(rng, n, p))
+            a, b = verify.random_matrix(rng, n, p), verify.random_matrix(rng, n, p)
+            # each right-hand side in its image, so every constraint is solvable
+            g = games.BilinearGame(a, b, a @ rng.normal(size=p), a.T @ rng.normal(size=n),
+                                   b @ rng.normal(size=p), b.T @ rng.normal(size=n))
             mu_max = max(np.linalg.norm(g.A, 2) ** 2,
                          np.linalg.norm(g.B, 2) ** 2)
-            eta = float(rng.uniform(0.4, 0.9)) * 0.5 / math.sqrt(mu_max)
+            # Part2 steps, and steps between 0.51 and 0.98 of the divergence threshold
+            eta = (float(rng.uniform(0.4, 0.9)) * 0.5 if draw % 2 == 0
+                   else float(rng.uniform(0.51, 0.98)) / math.sqrt(3.0)) / math.sqrt(mu_max)
             rep = spectral.rate_report(g, eta, Algo.DOGDA)
-            if not rep.applicable or rep.lambda_max > 0.99:
+            if not left.get(rep.eta_regime) or rep.lambda_max > 0.99:
                 continue
             init = verify._random_iterate(rng, n, p)
-            pred = predict.predict_limit(g, Algo.DOGDA, eta, init)
-            if not pred.valid:
-                continue
+            spec = spectral.CouplingSpectrum(g, Algo.DOGDA)
+            pred = predict.limit(spec, rep, init)
             traj = dynamics.run(g, Algo.DOGDA, eta, init, max_steps=20000)
-            bound = verify.check_bound(
-                traj, rep, predict.distance_to_nash(g, init), pred)
+            bound = verify.check_bound(traj, rep, predict.distance(spec, init), pred)
             assert bound.ok
-            checked += 1
+            left[rep.eta_regime] -= 1
+        assert not any(left.values()), left
 
 
 class TestOracleReconcile:
