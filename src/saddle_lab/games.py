@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import (RankedSVD, SubspaceBasis, as_matrix, as_vector, json_number,
-                     json_object, json_vector)
+from .linalg import (RankedSVD, as_matrix, as_vector, json_number, json_object,
+                     json_vector)
 
 # solve_affine calls M z + r = 0 feasible when the part of r outside Im(M) has
 # at most this norm times 1 + ||r||
@@ -114,23 +114,23 @@ def payoffs(game: BilinearGame, x, y):
 @dataclass
 class AffineSet:
     """Solution set {z : M z + r = 0} as particular point + kernel directions,
-    with the image Im(M) of the same SVD."""
+    with the image Im(M) of the same SVD. `directions` and `image` are the
+    orthonormal column arrays RankedSVD.kernel and RankedSVD.image."""
 
     point: np.ndarray
-    directions: SubspaceBasis
+    directions: np.ndarray
     feasible: bool
-    residual: float
-    image: SubspaceBasis
+    image: np.ndarray
 
 
 def solve_affine(svd: RankedSVD, rhs: np.ndarray) -> AffineSet:
     """Least-squares particular solution of M z = -rhs, plus Ker(M) and Im(M),
-    all from the ranked SVD of M. The residual is the part of rhs outside
-    Im(M), read from the same left singular vectors."""
+    all from the ranked SVD of M. Feasibility reads the part of rhs outside
+    Im(M) from the same left singular vectors."""
     point = -svd.pinv() @ rhs
-    residual = float(np.linalg.norm(svd.u[:, svd.rank:].T @ rhs))
-    feasible = residual <= FEASIBILITY_REL_TOL * (1.0 + float(np.linalg.norm(rhs)))
-    return AffineSet(point, svd.kernel(), feasible, residual, svd.image())
+    outside = float(np.linalg.norm(svd.u[:, svd.rank:].T @ rhs))
+    feasible = outside <= FEASIBILITY_REL_TOL * (1.0 + float(np.linalg.norm(rhs)))
+    return AffineSet(point, svd.kernel(), feasible, svd.image())
 
 
 @dataclass
@@ -246,11 +246,9 @@ def game_from_json(obj: dict) -> BilinearGame:
     b = json_vector(obj["b"], "b", n) if "b" in obj else np.zeros(n)
     c = json_vector(obj["c"], "c", p) if "c" in obj else np.zeros(p)
     d = json_number(obj.get("d", 0.0), "d")
-    if obj.get("B") is None:
-        if not zero_sum:
-            raise ValueError("B may be omitted only for zero_sum games")
-        return BilinearGame.zero_sum_game(A, b, c, d)
-    B = linalg.matrix_from_json(obj["B"], "B")
+    if obj.get("B") is None and not zero_sum:
+        raise ValueError("B may be omitted only for zero_sum games")
+    B = -A if obj.get("B") is None else linalg.matrix_from_json(obj["B"], "B")
     e = json_vector(obj["e"], "e", n) if "e" in obj else (-b if zero_sum else np.zeros(n))
     f = json_vector(obj["f"], "f", p) if "f" in obj else (-c if zero_sum else np.zeros(p))
     g = json_number(obj.get("g", -d if zero_sum else 0.0), "g")

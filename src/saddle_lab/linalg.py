@@ -1,7 +1,9 @@
 """Dense linear-algebra kernels: spectra, pseudoinverse, subspace bases, projections.
 
-Everything operates on plain float64 numpy arrays. Matrices serialize to/from
-JSON as {"rows": n, "cols": p, "data": [row-major reals]}.
+Everything operates on plain float64 numpy arrays. A subspace of R^m is an
+(m, k) array whose k columns are an orthonormal basis of it, the columns
+that RankedSVD.kernel and RankedSVD.image slice from one SVD. Matrices
+serialize to/from JSON as {"rows": n, "cols": p, "data": [row-major reals]}.
 
 Every number a config supplies passes one rule, `json_number`: a finite
 JSON number (an int or a float as `json.load` returns it, never a bool or a
@@ -134,25 +136,8 @@ def default_rank_tol(a: np.ndarray) -> float:
     return max(a.shape) * np.finfo(float).eps if a.size else np.finfo(float).eps
 
 
-@dataclass
-class SubspaceBasis:
-    """Orthonormal columns of `vectors` span a subspace of R^ambient_dim."""
-
-    ambient_dim: int
-    vectors: np.ndarray  # shape (ambient_dim, dim)
-
-    def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=float)
-        if self.vectors.ndim != 2 or self.vectors.shape[0] != self.ambient_dim:
-            raise ValueError("basis vectors must be columns of an (ambient_dim, k) array")
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-
-def span(vectors) -> SubspaceBasis:
-    """Orthonormal basis of the span of the row-listed vectors."""
+def span(vectors) -> np.ndarray:
+    """Orthonormal basis, as columns, of the span of the row-listed vectors."""
     return svd_rank(np.atleast_2d(np.asarray(vectors, dtype=float)).T).image()
 
 
@@ -243,13 +228,13 @@ class RankedSVD(NamedTuple):
         r = self.rank
         return (self.vh[:r].T * (1.0 / self.s[:r])) @ self.u[:, :r].T
 
-    def kernel(self) -> SubspaceBasis:
-        """Orthonormal basis of the null space (may be empty)."""
-        return SubspaceBasis(self.vh.shape[1], self.vh[self.rank:].T.copy())
+    def kernel(self) -> np.ndarray:
+        """Orthonormal basis, as columns, of the null space (may have none)."""
+        return self.vh[self.rank:].T.copy()
 
-    def image(self) -> SubspaceBasis:
-        """Orthonormal basis of the column space."""
-        return SubspaceBasis(self.u.shape[0], self.u[:, :self.rank].copy())
+    def image(self) -> np.ndarray:
+        """Orthonormal basis, as columns, of the column space."""
+        return self.u[:, :self.rank].copy()
 
     @property
     def T(self) -> "RankedSVD":
@@ -273,49 +258,49 @@ def pinv(a) -> np.ndarray:
     return svd_rank(a).pinv()
 
 
-def kernel_basis(a) -> SubspaceBasis:
-    """Orthonormal basis of the numerical null space of `a` (may be empty)."""
+def kernel_basis(a) -> np.ndarray:
+    """Orthonormal basis of the numerical null space of `a` (see RankedSVD.kernel)."""
     return svd_rank(a).kernel()
 
 
-def project(v, onto: SubspaceBasis, along: SubspaceBasis | None = None) -> np.ndarray:
+def project(v, onto: np.ndarray, along: np.ndarray | None = None) -> np.ndarray:
     """Project `v` onto a subspace, orthogonally or along a complement.
 
-    With `along` absent this is the orthogonal projection. With `along`
-    present, `onto` and `along` must be complementary subspaces; the result is
-    the component of v in `onto` when v is split as onto-part + along-part.
+    `onto` and `along` are orthonormal bases as the columns of
+    (ambient, k) arrays. With `along` absent this is the orthogonal
+    projection. With `along` present, the two must be complementary
+    subspaces; the result is the component of v in `onto` when v is split as
+    onto-part + along-part.
     """
-    vec = as_vector(v, onto.ambient_dim)
+    vec = as_vector(v, onto.shape[0])
     if along is None:
-        if onto.dim == 0:
-            return np.zeros_like(vec)
-        q = onto.vectors
-        return q @ (q.T @ vec)
-    if along.ambient_dim != onto.ambient_dim:
+        return onto @ (onto.T @ vec)
+    (ambient, k), (along_ambient, along_k) = onto.shape, along.shape
+    if along_ambient != ambient:
         raise ValueError("onto/along live in different ambient spaces")
-    if onto.dim + along.dim != onto.ambient_dim:
-        raise NotComplementaryError(
-            f"dim(onto)={onto.dim} + dim(along)={along.dim} != {onto.ambient_dim}")
-    stacked = np.hstack([onto.vectors, along.vectors])
+    if k + along_k != ambient:
+        raise NotComplementaryError(f"dim(onto)={k} + dim(along)={along_k} != {ambient}")
+    stacked = np.hstack([onto, along])
     smin = np.linalg.svd(stacked, compute_uv=False)[-1] if stacked.size else 0.0
     if smin <= COMPLEMENT_SIGMA_MIN:
         raise NotComplementaryError(
             f"subspaces are numerically degenerate (sigma_min={smin:.3e})")
     coeffs = np.linalg.solve(stacked, vec)
-    return onto.vectors @ coeffs[:onto.dim]
+    return onto @ coeffs[:k]
 
 
-def principal_angles(b1: SubspaceBasis, b2: SubspaceBasis) -> np.ndarray:
-    """Principal angles between two subspaces (radians, ascending).
+def principal_angles(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """Principal angles between the subspaces with orthonormal bases `b1`
+    and `b2` as columns (radians, ascending).
 
     Cosines alone lose accuracy below sqrt(eps); pairing them with the sines
     of the residual keeps tiny angles tiny.
     """
-    if b1.dim == 0 or b2.dim == 0:
+    if b1.shape[1] == 0 or b2.shape[1] == 0:
         return np.zeros(0)
-    gram = b1.vectors.T @ b2.vectors
+    gram = b1.T @ b2
     cosines = np.sort(np.clip(np.linalg.svd(gram, compute_uv=False), 0.0, 1.0))
-    resid = b2.vectors - b1.vectors @ gram
+    resid = b2 - b1 @ gram
     sines = np.sort(np.clip(np.linalg.svd(resid, compute_uv=False), 0.0, 1.0))[::-1]
     k = min(len(sines), len(cosines))
     return np.sort(np.arctan2(sines[:k], cosines[:k]))

@@ -158,8 +158,8 @@ def _distance(ns: NashSet, init: IterateState) -> float:
         raise EmptyNashSetError("game has no Nash equilibrium")
     # a Nash direction u of x (or v of y) embeds as the resting state (u, 0, u, 0) / sqrt 2
     zero_x, zero_y = np.zeros_like(ns.x_star), np.zeros_like(ns.y_star)
-    cols = [IterateState.at(u, zero_y).z for u in ns.x_part.directions.vectors.T]
-    cols += [IterateState.at(zero_x, v).z for v in ns.y_part.directions.vectors.T]
+    cols = [IterateState.at(u, zero_y).z for u in ns.x_part.directions.T]
+    cols += [IterateState.at(zero_x, v).z for v in ns.y_part.directions.T]
     diff = init.z - IterateState.at(ns.x_star, ns.y_star).z
     if cols:
         q = np.column_stack(cols) / math.sqrt(2.0)
@@ -176,14 +176,15 @@ def _eigen_witness(spec: CouplingSpectrum, eta: float, mu: float) -> IterateStat
     dominant root lam of mu.
 
     The eigenvector is assembled from the eigenspace characterization: take
-    the eigenvector y of A^T A for mu, then the stacked vector
+    the eigenvector y of A^T A for mu, a row of vh in A's SVD, then the stacked vector
     (lam*x, lam*y, x, y) with x = (1-2 lam) eta / (lam (1-lam)) A y is an
     eigenvector of the companion matrix.
     """
     game = spec.game
     lam = rate_root(eta, mu)
-    vals, vecs = spec.ata_eig
-    y_dir = vecs[:, int(np.argmin(np.abs(vals - mu)))]
+    svd_a = spec.svds[0]
+    mus = np.pad(svd_a.s ** 2, (0, game.p - svd_a.s.size))
+    y_dir = svd_a.vh[int(np.argmin(np.abs(mus - mu)))]
     coeff = (1.0 - 2.0 * lam) * eta / (lam * (1.0 - lam))
     x_dir = coeff * (game.A @ y_dir)
     z = np.concatenate([lam * x_dir, lam * y_dir, x_dir, y_dir])

@@ -234,9 +234,7 @@ class CouplingSpectrum:
     (None when there is none, and for the other spectra). `positives` are the numerically
     positive values, ascending. `assumptions` are the conditions a report
     checks, in order, and `violated` names the one that fails at every step
-    size (None when the step size decides). The Gram spectra keep the
-    eigenpairs of A^T A in `ata_eig` (values descending, vectors as
-    columns); the other spectra have None there. `nash` is the game's Nash
+    size (None when the step size decides). `nash` is the game's Nash
     set, `aux` the aux half of the Nash set of DOGDA's doubled game,
     `invertible` the test of A and B and `diagonalizable` the general-sum
     verdict on the companion matrix, each read from `svds` on first use.
@@ -249,7 +247,6 @@ class CouplingSpectrum:
         self.violated: str | None = None
         self.general_sum = False
         self.growth_mu: float | None = None
-        self.ata_eig: tuple[np.ndarray, np.ndarray] | None = None
         if self.algo is Algo.GDA:
             self.assumptions: tuple[str, ...] = ()
             self.violated = "no_convergence_theory_for_gda"
@@ -272,8 +269,6 @@ class CouplingSpectrum:
         `mu_set` clusters them and holds 0 when a Gram product has a null
         direction, that is, a factor's rank is below `size` or a square
         underflows."""
-        first = svds[0]
-        self.ata_eig = (np.pad(first.s ** 2, (0, self.game.p - first.s.size)), first.vh.T)
         squares = np.concatenate([svd.s[:svd.rank] ** 2 for svd in svds])
         self.positives = np.sort(squares[squares > 0.0])
         self.mu_max = float(self.positives.max(initial=0.0))

@@ -380,7 +380,7 @@ def suite_pinv_kernel(rng: np.random.Generator) -> CheckResult:
         a = random_matrix(rng, n, p, rank)
         ker_pinv = linalg.kernel_basis(linalg.pinv(a))
         ker_at = linalg.kernel_basis(a.T)
-        if ker_pinv.dim != ker_at.dim:
+        if ker_pinv.shape[1] != ker_at.shape[1]:
             return CheckResult("linalg.pinv_kernel_identity", False, float("inf"), 1e-8,
                                "kernel dimensions differ")
         ang = linalg.principal_angles(ker_pinv, ker_at)

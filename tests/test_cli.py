@@ -343,6 +343,26 @@ class TestRun:
         assert err.count("\n") == 1
         assert err.startswith(f"config error: bad config: {field} must be an object, got ")
 
+    @pytest.mark.parametrize("fields", [
+        pytest.param({"b": [0.5], "e": [7.0]}, id="e"),
+        pytest.param({"d": 1, "g": 9}, id="g")])
+    def test_zero_sum_without_b_rejects_a_contradiction(self, tmp_path, capsys, fields):
+        # an omitted B is -A, so e, f and g must match as they must when B is given
+        obj = zero_sum_config(0.3)
+        obj["game"].update(fields)
+        cfg = write_config(tmp_path, obj)
+        assert cli.main(["run", "--config", cfg, "--out-dir",
+                         str(tmp_path / "out")]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "zero_sum flag set but (B, e, f, g) do not match" in err
+
+    def test_zero_sum_without_b_accepts_matching_fields(self, tmp_path):
+        obj = zero_sum_config(0.3)
+        obj["game"].update(b=[0.5], e=[-0.5], d=1, g=-1)
+        cfg = write_config(tmp_path, obj)
+        assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+
     def test_integral_float_dimensions(self, tmp_path):
         obj = zero_sum_config(0.3)
         obj["game"]["A"].update(rows=1.0, cols=1.0)

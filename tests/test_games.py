@@ -74,7 +74,7 @@ class TestNashSet:
         ns = games.nash_set(BilinearGame.zero_sum_game([[1.0]]))
         assert ns.nonempty
         assert np.allclose(ns.x_star, [0.0]) and np.allclose(ns.y_star, [0.0])
-        assert ns.x_part.directions.dim == 0
+        assert ns.x_part.directions.shape[1] == 0
 
     def test_mean_fitting_equilibrium(self):
         # identity coupling with target shift (3, 4): generator must hit the mean
@@ -173,7 +173,7 @@ class TestScaleOpponent:
         assert ns0.nonempty and ns1.nonempty
         for b0, b1 in ((ns0.x_part.directions, ns1.x_part.directions),
                        (ns0.y_part.directions, ns1.y_part.directions)):
-            assert b0.dim == b1.dim
+            assert b0.shape[1] == b1.shape[1]
             assert linalg.principal_angles(b0, b1).max(initial=0.0) < 1e-8
         assert max(ns1.residuals(g)) < 1e-10
 

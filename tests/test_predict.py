@@ -192,10 +192,10 @@ class TestDistance:
         d = predict.distance_to_nash(g, init)
         ns = games.nash_set(g)
         for _ in range(100):
-            x_n = ns.x_star + ns.x_part.directions.vectors @ rng.normal(
-                size=ns.x_part.directions.dim)
-            y_n = ns.y_star + ns.y_part.directions.vectors @ rng.normal(
-                size=ns.y_part.directions.dim)
+            x_n = ns.x_star + ns.x_part.directions @ rng.normal(
+                size=ns.x_part.directions.shape[1])
+            y_n = ns.y_star + ns.y_part.directions @ rng.normal(
+                size=ns.y_part.directions.shape[1])
             z_n = np.concatenate([x_n, y_n, x_n, y_n])
             assert d.value <= np.linalg.norm(init.stacked() - z_n) + 1e-12
 

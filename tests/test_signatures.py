@@ -70,7 +70,6 @@ def test_suites_take_only_the_generator():
 def test_removed_methods_stay_removed():
     assert not hasattr(games.AffineSet, "contains")
     assert not hasattr(linalg.ComplexScalarSet, "max_modulus")
-    assert not hasattr(linalg.SubspaceBasis, "orthonormalized")
     assert not hasattr(dynamics.IterateState, "block_norms")
     assert not hasattr(predict, "_predict_dogda")
     assert not hasattr(predict, "_predict_zero_sum")
@@ -84,11 +83,16 @@ def test_removed_methods_stay_removed():
     # DOGDA is analysed as zero-sum OGDA on the doubled game
     assert not hasattr(spectral, "_below_half_threshold")
     assert not hasattr(spectral.CouplingSpectrum, "aux_infeasible")
+    # a subspace is the SVD's orthonormal column array, and no copy of it is kept
+    assert not hasattr(linalg, "SubspaceBasis")
+    assert "residual" not in [f.name for f in dataclasses.fields(games.AffineSet)]
+    spec = spectral.CouplingSpectrum(games.BilinearGame.zero_sum_game([[1.0, 2.0]]))
+    assert not hasattr(spec, "ata_eig")
 
 
 def test_one_stored_form_of_a_state():
     assert dynamics.IterateState.__slots__ == ("z", "n")
     assert [f.name for f in dataclasses.fields(dynamics.Trajectory)] == [
         "eta", "n", "states", "times", "stop_reason"]
-    assert [f.name for f in dataclasses.fields(linalg.SubspaceBasis)] == [
-        "ambient_dim", "vectors"]
+    assert [f.name for f in dataclasses.fields(games.AffineSet)] == [
+        "point", "directions", "feasible", "image"]

@@ -123,8 +123,8 @@ class TestOneRankDecision:
             v = np.linalg.qr(rng.normal(size=(p, k)))[0]
             game = BilinearGame.zero_sum_game((u * sig) @ v.T)
             ns = games.nash_set(game)
-            rank = game.p - ns.y_part.directions.dim
-            assert game.n - ns.x_part.directions.dim == rank
+            rank = game.p - ns.y_part.directions.shape[1]
+            assert game.n - ns.x_part.directions.shape[1] == rank
             spec = spectral.CouplingSpectrum(game)
             assert spec.positives.size == rank
             assert spec.mu_min == np.linalg.svd(game.A)[1][rank - 1] ** 2
@@ -142,9 +142,9 @@ class TestOneRankDecision:
         ns = spec.nash
         n = game.n
         kernel = n - (spec.positives.size if algo is Algo.OGDA else spec.positives.size // 2)
-        assert ns.x_part.directions.dim == ns.y_part.directions.dim == kernel
+        assert ns.x_part.directions.shape[1] == ns.y_part.directions.shape[1] == kernel
         public = games.nash_set(game)
-        assert public.x_part.directions.dim == public.y_part.directions.dim == kernel
+        assert public.x_part.directions.shape[1] == public.y_part.directions.shape[1] == kernel
 
     @pytest.mark.parametrize("algo", [Algo.OGDA, Algo.DOGDA])
     def test_mu_set_holds_zero_where_a_gram_product_is_singular(self, algo):
