@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Time the step kernel and print one JSON line.
 
-`run`: microseconds per step of OGDA at n+p in {4, 32, 128, 256}, the median
-of five runs of 4000 steps, each step recorded, with the stop rules off.
+`run`: microseconds per step of OGDA at n+p in {4, 32, 128, 256}, and of
+GDA and DOGDA at n+p = 4, the median of five runs of 4000 steps, each step
+recorded, with the stop rules off.
 `run_converging`: microseconds per run of OGDA at eta 1.0 on the n+p = 4
 game with the default stop rules, which converges in the step count printed
 beside it, the median of five. `run_batch`: row-steps per
@@ -100,6 +101,9 @@ def main() -> None:
         seconds = median_time(lambda: dynamics.run(g, "OGDA", 0.01, init, **settings))
         out[f"run_us_per_step_np{size}"] = seconds / STEPS * 1e6
     g, init = game(4)
+    for algo in ("GDA", "DOGDA"):
+        seconds = median_time(lambda: dynamics.run(g, algo, 0.01, init, **settings))
+        out[f"run_us_per_step_{algo.lower()}_np4"] = seconds / STEPS * 1e6
 
     def converging():
         return dynamics.run(g, "OGDA", 1.0, init, max_steps=10 ** 6)

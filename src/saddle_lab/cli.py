@@ -128,6 +128,8 @@ def parse_config(obj: dict, seed: int | None = None) -> ExperimentConfig:
             raise ConfigError(f"{key} must be a string, got {reprlib.repr(text)}")
         if "\n" in text or "\r" in text:
             raise ConfigError(f"{key} must be one line, got {text!r}")
+    if not name:  # the output files would be hidden ones, ".csv" and ".verify.json"
+        raise ConfigError("name must be a nonempty file name")
     if "/" in name or "\0" in name:
         raise ConfigError(f"name must be a file name, got {name!r}")
     eta_range = None

@@ -207,8 +207,9 @@ def run(game: BilinearGame, algo: Algo, eta: float, init: IterateState,
 # pass took about 0.33x, 0.2x and 0.16x as long. 2**18 keeps the memory well
 # inside the bound.
 # Per step on the same machine (scripts/kernel_timing.py, Python 3.11.7, median
-# of seven runs): one row costs 8.6, 9.9, 10.3 and 15.3 us at n+p = 4, 32, 128
-# and 256, and a block of 8 rows 1.4 us per row at n+p = 4.
+# of twenty runs): one row, ndarray.dot per product, costs 3.0, 3.7, 5.6 and
+# 10.1 us at n+p = 4, 32, 128 and 256, and a block of 8 rows, np.matvec per
+# product, 0.81 us per row at n+p = 4.
 BATCH_RECORD_CELLS = 1 << 18
 
 
@@ -282,11 +283,13 @@ def _simulate(plan: _Plan, etas: list) -> list[Trajectory]:
     The state advances STOP_TEST_STEPS steps at a time through a history
     buffer: row j of it is the state j steps into the chunk, and row 0 the
     last state of the chunk before. The step body is written once for two
-    forms of the state. One row keeps 1-d operands; k > 1 rows form a
-    (k, 2(n+p)) block, on which np.matvec runs one gemv per row, the same
-    bits as `A @ y` on that row (a gemm over the block would sum in another
-    order). A step writes only (x_{t+1}, y_{t+1}); the previous pairs of a
-    chunk are copied in once, after it.
+    forms of the state, picked once per block. One row keeps 1-d operands
+    and runs each product as ndarray.dot into its output; k > 1 rows form a
+    (k, 2(n+p)) block, on which np.matvec runs one gemv per row. Both make
+    the same gemv on a row (a gemm over the block would sum in another
+    order). Every operand is an array, eta too, and 2 g is g + g,
+    so that no step converts a scalar. A step writes only (x_{t+1},
+    y_{t+1}); the previous pairs of a chunk are copied in once, after it.
 
     Then the stop rules are tested on every step of the chunk at once: the
     squared norms of x_t, of y_t and of Z_t - Z_{t-1}, one np.vecdot each
@@ -309,10 +312,17 @@ def _simulate(plan: _Plan, etas: list) -> list[Trajectory]:
         c2 = -math.inf  # x_0 or y_0 past the cap: every row diverges at step 1
     bias = np.concatenate([game.b, game.f])
     g_old = np.concatenate([A @ z0[m + n:] + game.b, BT @ z0[m:m + n] + game.f])  # unused by GDA
-    z, eta = z0, float(etas[0])  # z is copied into each chunk's history, never written
+    z = z0  # copied into each chunk's history, never written
     if k > 1:  # the per-row operands at full size, so that no step broadcasts
         z, bias, g_old = np.tile(z0, (k, 1)), np.tile(bias, (k, 1)), np.tile(g_old, (k, 1))
-        eta = np.repeat(np.array(etas, dtype=float)[:, None], m, axis=1)
+    # the step size of each cell, so that no step converts a scalar
+    eta = np.repeat(np.array(etas, dtype=float), m).reshape(bias.shape)
+    # ndarray.dot makes the gemv that np.matvec makes on one row, at about
+    # half the call cost. A matrix that BLAS cannot read in place stays on
+    # np.matvec: dot would copy it and sum in another order than a block does.
+    contiguous = all(M.flags.c_contiguous or M.flags.f_contiguous for M in (A, BT))
+    product = np.ndarray.dot if k == 1 and contiguous else np.matvec
+    add, subtract, multiply = np.add, np.subtract, np.multiply
     chunk = min(STOP_TEST_STEPS, max_steps)
     # |x_t|^2 <= c2, |y_t|^2 <= c2 and -|Z_t - Z_{t-1}|^2 <= -t2 while a row goes on
     limits = np.array([c2, c2, -t2]).reshape((3,) + (1,) * z.ndim)
@@ -338,19 +348,25 @@ def _simulate(plan: _Plan, etas: list) -> list[Trajectory]:
         update = np.empty_like(bias)
         while True:  # once per chunk
             size = min(chunk, max_steps - t)
-            for x, y, xy, new_xy in steps[:size]:
-                g, gx, gy = gv
-                np.matvec(A, y, out=gx)
-                np.matvec(BT, x, out=gy)
-                g += bias
-                if optimistic:
-                    np.multiply(g, 2.0, out=update)
-                    update -= ov[0]
-                    update *= eta
+            if optimistic:
+                for x, y, xy, new_xy in steps[:size]:
+                    g, gx, gy = gv
+                    product(A, y, gx)
+                    product(BT, x, gy)
+                    add(g, bias, g)
+                    add(g, g, update)  # 2 g, exactly
+                    subtract(update, ov[0], update)
+                    multiply(update, eta, update)
+                    add(xy, update, new_xy)
                     gv, ov = ov, gv
-                else:
-                    np.multiply(g, eta, out=update)
-                np.add(xy, update, out=new_xy)
+            else:
+                g, gx, gy = gv
+                for x, y, xy, new_xy in steps[:size]:
+                    product(A, y, gx)
+                    product(BT, x, gy)
+                    add(g, bias, g)
+                    multiply(g, eta, update)
+                    add(xy, update, new_xy)
             new, old = hist[1:size + 1], hist[:size]
             new[..., m:] = old[..., :m]
             np.subtract(new, old, out=diff[:size])

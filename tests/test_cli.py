@@ -328,6 +328,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error:")
 
+    @pytest.mark.parametrize("command, eta", [
+        ("run", 0.3), ("sweep", {"start": 0.1, "stop": 0.3, "step": 0.1})])
+    def test_empty_name_exits_one(self, tmp_path, capsys, command, eta):
+        cfg = write_config(tmp_path, zero_sum_config(eta, name=""))
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out-dir", str(out)]) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == "config error: name must be a nonempty file name\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("mutate, field", [
         pytest.param(lambda c: c.update(game=None), "game", id="game-null"),
         pytest.param(lambda c: c.update(game=[1]), "game", id="game-list"),

@@ -393,6 +393,18 @@ class TestRunBatch:
         batch_matches_run(dense_game(zero_sum), algo, self.ETAS, dense_init(),
                           max_steps=400, record_stride=stride)
 
+    @pytest.mark.parametrize("zero_sum", [True, False])
+    def test_matrices_without_a_unit_stride(self, zero_sum):
+        # views that BLAS cannot read in place, which ndarray.dot would copy
+        # and np.matvec does not
+        rng = np.random.default_rng(5)
+        a, b = (rng.normal(size=(9, 10))[::3, ::2] for _ in range(2))
+        vectors = [rng.normal(size=k) for k in (3, 5, 3, 5)]
+        game = (BilinearGame.zero_sum_game(a, *vectors[:2]) if zero_sum
+                else BilinearGame(a, b, *vectors))
+        assert not (game.A.flags.c_contiguous or game.A.flags.f_contiguous)
+        batch_matches_run(game, Algo.OGDA, self.ETAS, dense_init(), max_steps=400)
+
     @pytest.mark.parametrize("stride", [1, 3])
     def test_mixed_stop_reasons(self, stride):
         # 0.28 and 0.25 converge, 0.01 and 0.02 run out of steps, 0.3 passes the
@@ -475,10 +487,11 @@ class TestRunBatch:
 
 def reference_run(game, algo, eta, init, max_steps, stride,
                   stop_tol=dynamics.DEFAULT_STOP_TOL, blow_cap=DEFAULT_BLOW_CAP):
-    """A run taken one step at a time, with the engine's ufuncs in its order,
-    and the stop rules applied after every step, on np.linalg.norm (x_0 and
-    y_0 are tested with step 1). Returns the recorded rows, times and stop
-    reason."""
+    """A run taken one step at a time, with the engine's operations in its
+    order but through its own calls (`@`, 2.0 * g - g_old, a scalar eta; the
+    engine's equal forms are pinned by TestStepIdentities), and the stop
+    rules applied after every step, on np.linalg.norm (x_0 and y_0 are
+    tested with step 1). Returns the recorded rows, times and stop reason."""
     z, played = init.z, slice(None)
     if algo is Algo.DOGDA:  # OGDA on the doubled game, player 1 on (x, x_aux), 2 on (y_aux, y)
         n, p = game.n, game.p
@@ -520,6 +533,42 @@ def assert_engine_matches_reference(game, algo, etas, init, max_steps, stride, *
     return [reason for _, _, reason in refs]
 
 
+# every gemv size class of the engine's games: each shape up to 9x9, then
+# squares past the BLAS kernels' unrolled widths
+IDENTITY_SHAPES = ([(n, p) for n in range(1, 10) for p in range(1, 10)]
+                   + [(s, s) for s in (16, 33, 64, 128, 256)])
+
+
+class TestStepIdentities:
+    """The calls of the step body give the bits of the reference's
+    arithmetic: a dot into `out` is the gemv of np.matvec and of `@`, and
+    g + g is 2.0 * g."""
+
+    def test_dot_is_matvec(self):
+        rng = np.random.default_rng(20)
+        for n, p in IDENTITY_SHAPES:
+            # magnitudes over 16 decades, so that another order of the sum shows
+            a, b = (rng.normal(size=(n, p)) * 10.0 ** rng.integers(-8, 8, (n, p))
+                    for _ in range(2))
+            game = BilinearGame(a, b, np.zeros(n), np.zeros(p), np.zeros(n), np.zeros(p))
+            coupling = games.doubled(game).A
+            assert game.A.flags.c_contiguous and game.B.T.flags.f_contiguous
+            for matrix in (game.A, game.B.T, coupling):
+                v = rng.normal(size=matrix.shape[1]) * 10.0 ** rng.integers(-8, 8,
+                                                                            matrix.shape[1])
+                out = np.empty(matrix.shape[0])
+                matrix.dot(v, out)
+                assert out.tobytes() == np.matvec(matrix, v).tobytes(), (n, p)
+                assert out.tobytes() == (matrix @ v).tobytes(), (n, p)
+
+    def test_doubling_is_exact(self):
+        big = sys.float_info.max
+        g = np.array([0.0, -0.0, 5e-324, -5e-324, big, -big, math.inf, -math.inf, math.nan,
+                      0.1, -3.0])
+        with np.errstate(over="ignore"):
+            assert np.add(g, g).tobytes() == (2.0 * g).tobytes()
+
+
 CHUNK = dynamics.STOP_TEST_STEPS
 
 # pennies runs that stop before 3000 steps: OGDA converges at step 564 and GDA
@@ -543,6 +592,18 @@ class TestChunks:
     def test_budget_at_chunk_edges(self, max_steps, stride, algo):
         assert_engine_matches_reference(dense_game(False), algo, self.ETAS, dense_init(),
                                         max_steps, stride)
+
+    @pytest.mark.parametrize("size", [1, 2, 16, 128])
+    @pytest.mark.parametrize("stride", [1, 7])
+    @pytest.mark.parametrize("algo", list(Algo))
+    def test_blas_kernel_sizes(self, size, stride, algo):
+        # DOGDA at 64x64 in place of 128x128: its doubled coupling is 128x128
+        n = size // 2 if algo is Algo.DOGDA and size > 16 else size
+        rng = np.random.default_rng(size)
+        a, b = (rng.normal(size=(n, n)) / np.sqrt(n) for _ in range(2))
+        game = BilinearGame(a, b, *(rng.normal(size=n) for _ in range(4)))
+        init = IterateState(*(rng.normal(size=n) for _ in range(4)))
+        assert_engine_matches_reference(game, algo, self.ETAS, init, 130, stride)
 
     @pytest.mark.parametrize("case", list(STOP_CASES))
     @pytest.mark.parametrize("chunk", [1, 2, 5, 64, "stop", "stop - 1"])

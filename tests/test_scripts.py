@@ -50,6 +50,7 @@ def test_kernel_timing_prints_every_layer(monkeypatch, capsys):
     module.main()
     out = json.loads(capsys.readouterr().out)
     keys = ([f"run_us_per_step_np{size}" for size in (4, 32, 128, 256)]
+            + ["run_us_per_step_gda_np4", "run_us_per_step_dogda_np4"]
             + ["run_converging_us_np4", "run_converging_steps_np4"]
             + [f"run_batch_row_steps_per_s_k8_np{size}" for size in (4, 32)]
             + [f"csv_us_per_row_np{size}" for size in (4, 32, 256)]
