@@ -10,17 +10,23 @@ beside it, the median of five. `run_batch`: row-steps per
 second at k = 8 step sizes, n+p in {4, 32}, the median of five batches.
 `trajectory_to_csv`: microseconds per row of the CSV of a 4000-step OGDA
 record at n+p in {4, 32, 256}, with its distance column, the median of five
-renderings. `rate_report` and `predict_limit`: microseconds per call of the
-public function at one step size, n+p in {4, 128}, the median of five
-batches of 50 calls. `analysis`: microseconds per shared analysis of one
-game, at n+p in {4, 128}, timed the same way: a `CouplingSpectrum`, then
-`rate_curve` at one step size, `predict.limit`, `predict.distance` and
-`predict.witness` from that spectrum and report. `dogda_analysis`:
-microseconds per DOGDA analysis, the same without the witness, of a seeded
-general-sum game at n+p = 256 with nonzero b, c, e, f, the median of five.
+renderings. Every analysis below is timed on fresh copies of its game,
+made before the clock starts, so that no call finds the game in the memo of
+the last game analysed (`games.memo`). `rate_report` and `predict_limit`:
+microseconds per call of the public function at one step size, n+p in
+{4, 128}, the median of five batches of 50 calls. `analysis`: microseconds
+per shared analysis of one game, at n+p in {4, 128}, timed the same way: a
+`CouplingSpectrum`, then `rate_curve` at one step size, `predict.limit`,
+`predict.distance` and `predict.witness` from that spectrum and report.
+`analysis_op`: microseconds per analysis op of the analysis-scan benchmark,
+at n+p in {4, 64}, timed the same way: `rate_report`, `lambda_spectrum`,
+`predict_limit`, `distance_to_nash` and `tight_witness` on one game.
+`dogda_analysis`: microseconds per DOGDA analysis, the same as `analysis`
+without the witness, of a seeded general-sum game at n+p = 256 with nonzero
+b, c, e, f, the median of five.
 `parse_config`: microseconds per call of
 `cli.parse_config` on the config of the n+p = 256 game, read back from its
-JSON text, timed the same way. The games are seeded zero-sum games with A
+JSON text, the median of five batches of 50 calls. The games are seeded zero-sum games with A
 scaled by 1/sqrt(n), and eta is small enough that no run stops early.
 `general_sum_curve`: microseconds per general-sum analysis over a sweep, a
 `CouplingSpectrum` and its `rate_curve` at 50 steps up to
@@ -30,6 +36,7 @@ scaled by 1/sqrt(n), and eta is small enough that no run stops early.
     PYTHONPATH=src python3 scripts/kernel_timing.py
 """
 
+import dataclasses
 import json
 import time
 
@@ -58,6 +65,14 @@ def analysis(g, init):
     report = spectral.rate_curve(spec, [0.01])[0]
     return (predict.limit(spec, report, init), predict.distance(spec, init),
             predict.witness(spec, report))
+
+
+def analysis_op(g, init):
+    """The five public calls of one analysis-scan op at eta = 0.01."""
+    report = spectral.rate_report(g, 0.01)
+    return (report, spectral.lambda_spectrum(g, 0.01),
+            predict.predict_limit(g, "OGDA", 0.01, init),
+            predict.distance_to_nash(g, init), predict.tight_witness(g, 0.01))
 
 
 def dogda_game(size: int):
@@ -93,6 +108,21 @@ def median_time(call) -> float:
     return sorted(times)[REPEATS // 2]
 
 
+def fresh_us(function, g, *args, calls: int | None = None) -> float:
+    """Microseconds per call of function(copy, *args): the median of REPEATS
+    batches of `calls` (default CALLS) calls, each on its own copy of the
+    game g, the copies made before the batch is timed."""
+    calls = CALLS if calls is None else calls
+    times = []
+    for _ in range(REPEATS):
+        copies = [dataclasses.replace(g) for _ in range(calls)]
+        start = time.perf_counter()
+        for copy in copies:
+            function(copy, *args)
+        times.append(time.perf_counter() - start)
+    return sorted(times)[REPEATS // 2] / calls * 1e6
+
+
 def main() -> None:
     settings = {"max_steps": STEPS, "stop_tol": 0.0, "record_stride": 1}
     out = {}
@@ -123,15 +153,15 @@ def main() -> None:
         out[f"csv_us_per_row_np{size}"] = seconds / len(traj.times) * 1e6
     for size in (4, 128):
         g, init = game(size)
-        seconds = median_time(lambda: [spectral.rate_report(g, 0.01) for _ in range(CALLS)])
-        out[f"rate_report_us_np{size}"] = seconds / CALLS * 1e6
-        seconds = median_time(
-            lambda: [predict.predict_limit(g, "OGDA", 0.01, init) for _ in range(CALLS)])
-        out[f"predict_limit_us_np{size}"] = seconds / CALLS * 1e6
-        seconds = median_time(lambda: [analysis(g, init) for _ in range(CALLS)])
-        out[f"analysis_us_np{size}"] = seconds / CALLS * 1e6
+        out[f"rate_report_us_np{size}"] = fresh_us(spectral.rate_report, g, 0.01)
+        out[f"predict_limit_us_np{size}"] = fresh_us(predict.predict_limit, g, "OGDA",
+                                                     0.01, init)
+        out[f"analysis_us_np{size}"] = fresh_us(analysis, g, init)
+    for size in (4, 64):
+        g, init = game(size)
+        out[f"analysis_op_us_np{size}"] = fresh_us(analysis_op, g, init)
     g, init = dogda_game(256)
-    out["dogda_analysis_us_np256"] = median_time(lambda: dogda_analysis(g, init)) * 1e6
+    out["dogda_analysis_us_np256"] = fresh_us(dogda_analysis, g, init, calls=1)
     g, init = game(256)
     config = json.loads(json.dumps({
         "game": game_to_json(g), "algo": "OGDA", "eta": 0.01, "max_steps": STEPS,
@@ -139,7 +169,7 @@ def main() -> None:
     seconds = median_time(lambda: [cli.parse_config(config) for _ in range(CALLS)])
     out["parse_config_us_np256"] = seconds / CALLS * 1e6
     g = verify.random_spd_coupled_game(np.random.default_rng(3), 40, 24)
-    out["general_sum_curve_us_np64"] = median_time(lambda: general_sum_curve(g)) * 1e6
+    out["general_sum_curve_us_np64"] = fresh_us(general_sum_curve, g, calls=1)
     print(json.dumps(out))
 
 

@@ -238,7 +238,7 @@ def _json_dump(obj, path: Path | None) -> str:
 def cmd_analyze(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     if cfg.eta is None:
         raise ConfigError("analyze needs a scalar eta")
-    spec = spectral.CouplingSpectrum(cfg.game, cfg.algo)
+    spec = spectral.CouplingSpectrum.of(cfg.game, cfg.algo)
     report = spectral.rate_curve(spec, [cfg.eta])[0]
     pred = predict.limit(spec, report, cfg.init)
     payload = {"report": report.to_json(), "limit": pred.to_json()}
@@ -268,7 +268,7 @@ def _fit(cfg: ExperimentConfig, spec: spectral.CouplingSpectrum, report: spectra
 
 
 def _run_one(cfg: ExperimentConfig, eta: float) -> dict:
-    spec = spectral.CouplingSpectrum(cfg.game, cfg.algo)
+    spec = spectral.CouplingSpectrum.of(cfg.game, cfg.algo)
     report = spectral.rate_curve(spec, [eta])[0]
     traj = run(cfg.game, cfg.algo, eta, cfg.init, **cfg.step_settings())
     pred, fit = _fit(cfg, spec, report, traj)
@@ -341,7 +341,7 @@ def cmd_run(configs: list[ExperimentConfig], out_dir: Path, fmt: str) -> int:
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.eta_range is None:
         raise ConfigError("sweep needs an eta range {start, stop, step}")
-    spec = spectral.CouplingSpectrum(cfg.game, cfg.algo)
+    spec = spectral.CouplingSpectrum.of(cfg.game, cfg.algo)
     curve = spectral.rate_curve(spec, cfg.etas())
     reports = [curve[i] for i in np.flatnonzero(curve.applicable)]
     trajs = run_batch(cfg.game, cfg.algo, [r.eta for r in reports], cfg.init,

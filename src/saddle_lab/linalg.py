@@ -65,6 +65,13 @@ def as_vector(v, length: int | None = None) -> np.ndarray:
     return out
 
 
+def read_only(*arrays: np.ndarray) -> None:
+    """Clear the write flag of each array: a shared result cannot be
+    changed under a later caller."""
+    for arr in arrays:
+        arr.setflags(write=False)
+
+
 def row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a 2-D array.
 
@@ -216,7 +223,7 @@ def eig_complex(m) -> ComplexScalarSet:
 
 class RankedSVD(NamedTuple):
     """Full SVD a = u diag(s) vh, of which the leading `rank` singular values
-    count as nonzero."""
+    count as nonzero. The factors are read-only."""
 
     u: np.ndarray
     s: np.ndarray
@@ -249,6 +256,7 @@ def svd_rank(a) -> RankedSVD:
     reads it."""
     m = as_matrix(a)
     u, s, vh = np.linalg.svd(m)
+    read_only(u, s, vh)
     rank = int(np.count_nonzero(s > default_rank_tol(m) * s.max(initial=0.0)))
     return RankedSVD(u, s, vh, rank)
 

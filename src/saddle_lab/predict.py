@@ -84,8 +84,9 @@ def limit(spec: CouplingSpectrum, report: SpectralReport,
 
 def predict_limit(game: BilinearGame, algo: Algo, eta: float,
                   init: IterateState) -> LimitPrediction:
-    """`limit` at one step size; the orthogonal paths need no report."""
-    spec = CouplingSpectrum(game, algo)
+    """`limit` at one step size, on CouplingSpectrum.of(game, algo); the
+    orthogonal paths need no report."""
+    spec = CouplingSpectrum.of(game, algo)
     if spec.general_sum:
         return _oblique_limit(spec, rate_curve(spec, [eta])[0], init)
     return _orthogonal_limit(spec, eta, init)
@@ -217,14 +218,14 @@ def witness(spec: CouplingSpectrum, report: SpectralReport) -> IterateState:
 
 
 def tight_witness(game: BilinearGame, eta: float) -> IterateState:
-    spec = CouplingSpectrum(game)
+    spec = CouplingSpectrum.of(game)
     return witness(spec, rate_curve(spec, [eta])[0])
 
 
 def divergence_witness(game: BilinearGame, eta: float) -> IterateState:
     """Initialization aligned with an expanding eigendirection (|lambda| > 1);
     only exists beyond the step-size threshold (at it the root has modulus 1)."""
-    spec = _witness_spectrum(CouplingSpectrum(game))
+    spec = _witness_spectrum(CouplingSpectrum.of(game))
     if eta * math.sqrt(spec.mu_max) <= DIVERGENCE_THRESHOLD:
         raise ValueError(f"eta={eta} is inside the convergence range")
     return _eigen_witness(spec, eta, spec.mu_max)

@@ -113,9 +113,19 @@ def _coupling_product(game: BilinearGame) -> np.ndarray:
     return game.B.T @ game.A if game.p <= game.n else game.A @ game.B.T
 
 
+def _coupling_eigenvalues(game: BilinearGame) -> ComplexScalarSet:
+    """eig_complex of the coupling product, once per game (see games.memo),
+    as read-only arrays."""
+    def decompose() -> ComplexScalarSet:
+        eig = linalg.eig_complex(_coupling_product(game))
+        linalg.read_only(eig.values, eig.multiplicities)
+        return eig
+    return games_mod.memo(game, "coupling_eigenvalues", decompose)
+
+
 def coupling_spectrum(game: BilinearGame) -> ComplexScalarSet:
     """Distinct eigenvalues of B^T A and A B^T pooled together."""
-    values = linalg.eig_complex(_coupling_product(game)).values
+    values = _coupling_eigenvalues(game).values
     if game.n != game.p:
         values = np.append(values, 0j)
     scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
@@ -131,7 +141,7 @@ def lambda_spectrum(game: BilinearGame, eta: float) -> ComplexScalarSet:
     and the |n - p| leftover dimensions contribute {0, 1} pairs. Totals always
     match the companion dimension 2(n + p).
     """
-    base = linalg.eig_complex(_coupling_product(game))
+    base = _coupling_eigenvalues(game)
     roots: list[complex] = []
     for mu, mult in zip(base.values, base.multiplicities):
         if abs(mu.imag) <= REALITY_REL_TOL * (1.0 + abs(mu)):
@@ -223,8 +233,11 @@ class SpectralReport:
 class CouplingSpectrum:
     """The part of the rate analysis of one (game, algo) that no step size changes.
 
-    `svds` holds the ranked SVDs of A and B (games.coupling_svds), taken
-    once on first use: every rank decision of the analysis reads them.
+    `CouplingSpectrum.of(game, algo)` is the one the public calls share: it
+    is built once per game and algo while the game is the last one analysed
+    (games.memo). A spectrum built directly shares the game's decompositions
+    through the same memo. `svds` holds the ranked SVDs of A and B
+    (games.coupling_svds): every rank decision of the analysis reads them.
     Zero-sum OGDA pools the spectra of A^T A and A A^T. DOGDA, zero-sum
     OGDA on games.doubled(game) with coupling blockdiag(-B, A), pools those
     of A^T A, A A^T, B^T B and B B^T. General-sum OGDA takes the magnitudes
@@ -232,10 +245,11 @@ class CouplingSpectrum:
     spectrum is real and non-positive; `growth_mu` is its largest real
     value that fails the second check, the one that drives payoff growth
     (None when there is none, and for the other spectra). `positives` are the numerically
-    positive values, ascending. `assumptions` are the conditions a report
-    checks, in order, and `violated` names the one that fails at every step
-    size (None when the step size decides). `nash` is the game's Nash
-    set, `aux` the aux half of the Nash set of DOGDA's doubled game,
+    positive values, ascending, in a read-only array; `mu_set` is a tuple.
+    `assumptions` are the conditions a report checks, in order, and
+    `violated` names the one that fails at every step size (None when the
+    step size decides). `nash` is the game's Nash set (games.nash_set),
+    `aux` the aux half of the Nash set of DOGDA's doubled game,
     `invertible` the test of A and B and `diagonalizable` the general-sum
     verdict on the companion matrix, each read from `svds` on first use.
     """
@@ -250,7 +264,7 @@ class CouplingSpectrum:
         if self.algo is Algo.GDA:
             self.assumptions: tuple[str, ...] = ()
             self.violated = "no_convergence_theory_for_gda"
-            self.mu_set, self.mu_max, self.positives = [], 0.0, np.zeros(0)
+            self.mu_set, self.mu_max, self.positives = (), 0.0, np.zeros(0)
         elif game.zero_sum or self.algo is Algo.DOGDA:
             self.assumptions = ("eta_below_divergence_threshold",)
             # A^T A is p x p and A A^T is n x n, and B's Gram products for DOGDA
@@ -261,7 +275,14 @@ class CouplingSpectrum:
             self.assumptions = ("spectrum_real_nonpositive", "eta_below_half_threshold",
                                 "companion_diagonalizable")
             self._coupling()
+        linalg.read_only(self.positives)
         self.mu_min = float(self.positives[0]) if self.positives.size else None
+
+    @classmethod
+    def of(cls, game: BilinearGame, algo: Algo = Algo.OGDA) -> "CouplingSpectrum":
+        """The spectrum of (game, algo), built once per game (see games.memo)."""
+        algo = Algo(algo)
+        return games_mod.memo(game, ("spectrum", algo), lambda: cls(game, algo))
 
     def _gram(self, svds: tuple[RankedSVD, ...], size: int) -> None:
         """Pool the Gram spectra of the factors whose SVDs are `svds`. The
@@ -275,8 +296,8 @@ class CouplingSpectrum:
         null = self.positives.size < squares.size or any(svd.rank < size for svd in svds)
         scale = max(1.0, self.mu_max)
         distinct = cluster_scalars(self.positives, GRAM_CLUSTER_REL_TOL * scale).values.real
-        self.mu_set = sorted([float(v) for v in distinct] + ([0.0] if null else []),
-                             reverse=True)
+        self.mu_set = tuple(sorted([float(v) for v in distinct] + ([0.0] if null else []),
+                                   reverse=True))
 
     def _coupling(self) -> None:
         mus = coupling_spectrum(self.game).values
@@ -290,7 +311,7 @@ class CouplingSpectrum:
         mu_reals = np.minimum(mus.real, 0.0)
         mu_mags = -mu_reals
         self.mu_max = float(mu_mags.max(initial=0.0))
-        self.mu_set = sorted((float(v) for v in mu_reals), reverse=True)
+        self.mu_set = tuple(sorted((float(v) for v in mu_reals), reverse=True))
         # magnitudes within max(n, p) eps of mu_max are kernel directions,
         # unless A and B are square and of full rank: B^T A is then invertible
         cutoff = max(self.game.n, self.game.p) * np.finfo(float).eps * max(self.mu_max, 1e-300)
@@ -311,7 +332,7 @@ class CouplingSpectrum:
 
     @functools.cached_property
     def nash(self) -> NashSet:
-        return games_mod.nash_from_svds(self.game, *self.svds)
+        return games_mod.nash_set(self.game)
 
     @functools.cached_property
     def aux(self) -> NashSet:
@@ -510,10 +531,13 @@ def rate_report(game: BilinearGame, eta: float, algo: Algo = Algo.OGDA) -> Spect
     diagonalizable companion matrix (CouplingSpectrum.diagonalizable, decided
     from the coupling, not from the companion), and otherwise come back
     Inapplicable with the violated assumption named.
-    This is rate_curve at the one step size; for many step sizes of one
-    game, build the CouplingSpectrum once and call rate_curve.
+    This is rate_curve at the one step size, on CouplingSpectrum.of(game,
+    algo): the game's SVDs, coupling eigenvalues, Nash set and spectrum are
+    taken once while it is the last game analysed (games.memo), so a
+    report, limit, distance or witness that follows on the same game object
+    decomposes nothing again. For many step sizes, call rate_curve.
     """
-    return rate_curve(CouplingSpectrum(game, algo), [eta])[0]
+    return rate_curve(CouplingSpectrum.of(game, algo), [eta])[0]
 
 
 def optimal_eta(mu_min: float, mu_max: float) -> tuple[float, float]:

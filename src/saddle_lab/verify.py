@@ -575,7 +575,7 @@ def suite_optimal_eta_argmin(rng: np.random.Generator) -> CheckResult:
         mu_min, mu_max = float(alpha), 1.0
         eta_star, lam_star = spectral.optimal_eta(mu_min, mu_max)
         game = BilinearGame.zero_sum_game(np.diag([math.sqrt(mu_min), 1.0]))
-        lams = spectral.rate_curve(spectral.CouplingSpectrum(game),
+        lams = spectral.rate_curve(spectral.CouplingSpectrum.of(game),
                                    np.concatenate([[eta_star], grid])).lambda_max
         worst = max(worst, abs(float(lams[0]) - lam_star),
                     float(np.max(lam_star - lams[1:])))
@@ -611,7 +611,7 @@ def _applicable_prediction_cases(rng: np.random.Generator, count: int):
             algo = Algo.DOGDA
         eta = _safe_eta(game, rng, lo=0.4, hi=0.8)
         init = _random_iterate(rng, game.n, game.p)
-        spec = spectral.CouplingSpectrum(game, algo)
+        spec = spectral.CouplingSpectrum.of(game, algo)
         report = spectral.rate_curve(spec, [eta])[0]
         pred = predict.limit(spec, report, init)
         if not pred.valid:
@@ -646,7 +646,7 @@ def suite_init_independence(rng: np.random.Generator) -> CheckResult:
         init_a = _random_iterate(rng, game.n, game.p)
         init_b = IterateState(init_a.x, init_a.y, rng.uniform(-1, 1, game.n),
                               rng.uniform(-1, 1, game.p))
-        spec = spectral.CouplingSpectrum(game)
+        spec = spectral.CouplingSpectrum.of(game)
         report = spectral.rate_curve(spec, [eta])[0]
         pred_a = predict.limit(spec, report, init_a)
         pred_b = predict.limit(spec, report, init_b)
@@ -678,7 +678,7 @@ def suite_witness_rates(rng: np.random.Generator) -> CheckResult:
         game = random_zero_sum_game(rng, affine=False)
         mu_max = float(np.linalg.norm(game.A, 2)) ** 2
         eta = float(rng.uniform(0.3, 0.9)) / math.sqrt(3.0 * mu_max)
-        spec = spectral.CouplingSpectrum(game)
+        spec = spectral.CouplingSpectrum.of(game)
         report = spectral.rate_curve(spec, [eta])[0]
         if not report.applicable or report.eta_regime is Regime.PART3B:
             continue
@@ -706,7 +706,7 @@ def suite_cooperation_never_diverges(rng: np.random.Generator) -> CheckResult:
         eta = float(rng.uniform(0.4, 0.9)) * 0.5 / math.sqrt(mu_max)
         traj = run(game, Algo.OGDA, eta, _random_iterate(rng, n, p),
                    max_steps=40000)
-        outcome = classify(traj, spectral.CouplingSpectrum(game))
+        outcome = classify(traj, spectral.CouplingSpectrum.of(game))
         if outcome.kind in (OutcomeKind.DIVERGED, OutcomeKind.UNFINISHED):
             return CheckResult("verify.cooperation_never_diverges", False, 1.0, 0.0,
                                f"{outcome.kind.value} with alpha={alpha}")
@@ -719,7 +719,7 @@ def suite_part2_bounds(rng: np.random.Generator) -> CheckResult:
         game = random_zero_sum_game(rng)
         mu_max = float(np.linalg.norm(game.A, 2)) ** 2
         eta = float(rng.uniform(0.3, 0.9)) * 0.5 / math.sqrt(mu_max)
-        spec = spectral.CouplingSpectrum(game)
+        spec = spectral.CouplingSpectrum.of(game)
         report = spectral.rate_curve(spec, [eta])[0]
         if report.eta_regime is not Regime.PART2:
             continue
@@ -743,7 +743,7 @@ def suite_part3a_bounds(rng: np.random.Generator) -> CheckResult:
         game = random_zero_sum_game(rng)
         mu_max = float(np.linalg.norm(game.A, 2)) ** 2
         eta = float(rng.uniform(0.51, 0.98)) / math.sqrt(3.0 * mu_max)
-        spec = spectral.CouplingSpectrum(game)
+        spec = spectral.CouplingSpectrum.of(game)
         report = spectral.rate_curve(spec, [eta])[0]
         if report.eta_regime is not Regime.PART3A or report.lambda_max > 0.995:
             continue
@@ -770,7 +770,7 @@ def suite_diagonalizable_oracle(rng: np.random.Generator) -> CheckResult:
         dense = spectral.is_diagonalizable(companion_matrix(game, _safe_eta(game, rng)))
         if dense is spectral.Verdict.BORDERLINE:
             borderline += 1
-        elif dense is not spectral.CouplingSpectrum(game).diagonalizable:
+        elif dense is not spectral.CouplingSpectrum.of(game).diagonalizable:
             disagree += 1
     return CheckResult("spectral.diagonalizable_oracle", disagree == 0, disagree, 0,
                        f"dense test Borderline on {borderline} of {games_count} games")

@@ -1,7 +1,11 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from saddle_lab import games, linalg
+from saddle_lab import games, linalg, spectral
 from saddle_lab.games import BilinearGame
 
 
@@ -100,6 +104,49 @@ class TestNashSet:
             assert ns.nonempty
             rx, ry = ns.residuals(g)
             assert rx < 1e-10 and ry < 1e-10
+
+
+class TestMemo:
+    """The memo of the last game analysed (games.memo)."""
+
+    def test_game_is_frozen(self):
+        g = BilinearGame.zero_sum_game([[1.0, 2.0]])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.A = np.zeros((1, 2))
+        assert np.array_equal(g.A, [[1.0, 2.0]])
+
+    def test_nash_set_arrays_are_read_only(self):
+        g = BilinearGame.zero_sum_game(np.diag([1.0, 0.0]), b=[1.0, 0.0], c=[2.0, 0.0])
+        ns = games.nash_set(g)
+        x_star = ns.x_star.copy()
+        with pytest.raises(ValueError):
+            ns.x_star[0] = 7.0
+        assert np.array_equal(games.nash_set(g).x_star, x_star)
+        arrays = [part.point for part in (ns.x_part, ns.y_part)]
+        arrays += [part.directions for part in (ns.x_part, ns.y_part)]
+        arrays += [part.image for part in (ns.x_part, ns.y_part)]
+        arrays += [factor for svd in games.coupling_svds(g) for factor in svd[:3]]
+        eig = spectral._coupling_eigenvalues(g)
+        arrays += [eig.values, eig.multiplicities, spectral.CouplingSpectrum.of(g).positives]
+        assert not any(arr.flags.writeable for arr in arrays)
+
+    def test_holds_one_game(self):
+        first = BilinearGame.zero_sum_game(np.diag([1.0, 2.0]))
+        spectral.rate_report(first, 0.1)
+        gone = weakref.ref(first)
+        del first
+        gc.collect()
+        assert gone() is not None  # the memo holds the last game analysed
+        second = BilinearGame.zero_sum_game(np.diag([3.0, 4.0]))
+        games.nash_set(second)
+        gc.collect()
+        assert gone() is None
+
+    def test_keyed_by_identity_not_equality(self):
+        a = np.diag([1.0, 2.0])
+        first, second = BilinearGame.zero_sum_game(a), BilinearGame.zero_sum_game(a)
+        assert games.nash_set(first) is games.nash_set(first)
+        assert games.nash_set(second) is not games.nash_set(first)
 
 
 class TestAccelerate:

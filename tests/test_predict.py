@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -307,12 +308,12 @@ class TestWitnesses:
             monkeypatch.setattr(np.linalg, name, counting(name))
         return game, IterateState.at(np.ones(4), np.ones(4)), calls
 
-    @pytest.mark.parametrize("algo, decompositions", [(Algo.OGDA, 4), (Algo.DOGDA, 6)])
+    @pytest.mark.parametrize("algo, decompositions", [(Algo.OGDA, 1), (Algo.DOGDA, 2)])
     def test_analysis_op_decompositions(self, monkeypatch, algo, decompositions):
-        # one SVD per matrix and public function: rate_report, predict_limit
-        # (whose Nash set and aux solves read its spectrum's SVDs),
-        # distance_to_nash and tight_witness; a zero-sum B = -A reuses the
-        # SVD of A
+        # one SVD per matrix of the game for all the public functions:
+        # rate_report, predict_limit, distance_to_nash and tight_witness read
+        # them from the memo of the last game analysed; a zero-sum B = -A
+        # reuses the SVD of A
         game, init, calls = self.count_decompositions(monkeypatch, algo)
         spectral.rate_report(game, 0.1, algo)
         assert predict.predict_limit(game, algo, 0.1, init).valid
@@ -369,3 +370,51 @@ class TestWitnesses:
     def test_divergence_witness_needs_large_eta(self):
         with pytest.raises(ValueError):
             predict.divergence_witness(PENNIES, 0.3)
+
+
+# the four game kinds of the analysis scan benchmark
+ANALYSIS_KINDS = {
+    "zero-sum": verify.random_zero_sum_game,
+    "scaled": lambda rng, n, p: games.scale_opponent(verify.random_zero_sum_game(rng, n, p), 1.5),
+    "accelerated": lambda rng, n, p: games.accelerate(verify.random_zero_sum_game(rng, n, p)),
+    "spd": verify.random_spd_coupled_game,
+}
+
+
+def analysis_op(game, eta, init):
+    """The public calls of one analysis of `game`, each result as arrays."""
+    report = spectral.rate_report(game, eta)
+    spectrum = spectral.lambda_spectrum(game, eta)
+    pred = predict.predict_limit(game, Algo.OGDA, eta, init)
+    out = {"report": report.to_json(), "spectrum": (spectrum.values, spectrum.multiplicities),
+           "limit": (pred.x_inf, pred.y_inf)}
+    assert pred.valid and report.applicable
+    out["distance"] = (np.array(predict.distance_to_nash(game, init).value),)
+    if game.zero_sum:
+        out["witness"] = (predict.tight_witness(game, eta).z,)
+    return out
+
+
+class TestMemo:
+    @pytest.mark.parametrize("kind", sorted(ANALYSIS_KINDS))
+    @pytest.mark.parametrize("n, p", [(4, 4), (5, 3)])
+    def test_warm_equals_cold(self, monkeypatch, kind, n, p):
+        rng = np.random.default_rng(21)
+        game = ANALYSIS_KINDS[kind](rng, n, p)
+        init = IterateState(*(rng.uniform(-1.0, 1.0, k) for k in (n, p, n, p)))
+        mu_max = float(np.max(np.abs(np.linalg.eigvals(game.B.T @ game.A))))
+        eta = 0.2 / math.sqrt(mu_max)
+        analysis_op(game, eta, init)
+        counts = {"svd_rank": 0, "eig_complex": 0}
+        for name in counts:
+            def counted(m, _real=getattr(linalg, name), _name=name):
+                counts[_name] += 1
+                return _real(m)
+            monkeypatch.setattr(linalg, name, counted)
+        warm = analysis_op(game, eta, init)
+        assert counts == {"svd_rank": 0, "eig_complex": 0}
+        cold = analysis_op(dataclasses.replace(game), eta, init)
+        assert counts["svd_rank"] > 0
+        assert warm.keys() == cold.keys() and warm["report"] == cold["report"]
+        for key in warm.keys() - {"report"}:
+            assert all(np.array_equal(w, c) for w, c in zip(warm[key], cold[key], strict=True))

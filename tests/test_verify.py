@@ -216,6 +216,22 @@ class TestOracleReconcile:
             rep = verify.oracle_reconcile(g, eta)
             assert rep.counts_match and rep.max_distance < 1e-7
 
+    def test_decomposes_the_companion_on_a_warm_game(self, monkeypatch):
+        # the oracle solves the companion matrix itself, never from the memo
+        # of the last game analysed
+        g = BilinearGame.zero_sum_game(np.random.default_rng(3).normal(size=(3, 2)))
+        spectral.lambda_spectrum(g, 0.1)
+        shapes, eigvals = [], np.linalg.eigvals
+
+        def counted(m):
+            shapes.append(np.shape(m))
+            return eigvals(m)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        for _ in range(2):
+            assert verify.oracle_reconcile(g, 0.1).max_distance < 1e-7
+        assert shapes == [(10, 10)] * 2
+
     def test_dimension_cap(self):
         # 2(n + p) = 66 is above the oracle's cap of 64
         g = BilinearGame.zero_sum_game(np.eye(17, 16))
