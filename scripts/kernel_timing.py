@@ -1,6 +1,12 @@
 #!/usr/bin/env python3
 """Time the step kernel and print one JSON line.
 
+Every time is taken with perfbench's `speed.SpeedClock`, which scales wall
+time by the speed of a fixed probe run every 5 ms, so that a host busy with
+other tenants does not show; figures read roughly as seconds on a quiet
+2-vCPU x86-64 machine at its fastest. The clock runs on SIGALRM, so run the
+script in the main thread.
+
 `run`: microseconds per step of OGDA at n+p in {4, 32, 128, 256}, and of
 GDA and DOGDA at n+p = 4, the median of five runs of 4000 steps, each step
 recorded, with the stop rules off.
@@ -32,22 +38,33 @@ scaled by 1/sqrt(n), and eta is small enough that no run stops early.
 `CouplingSpectrum` and its `rate_curve` at 50 steps up to
 0.99 / (2 sqrt(mu_max)), timed together on the 40x24 game B = -A S of
 `verify.random_spd_coupled_game` (rng seed 3), the median of five.
+`sweep_diag12`: milliseconds per sweep of the diag(1, 2) config of
+scripts/step_size_sweep.py as `saddle-lab sweep` runs it (`cli.sweep_fits`):
+its 48 applicable step sizes as one `run_batch` of up to 3000 steps, each
+run fitted as it stops, the median of five.
 
     PYTHONPATH=src python3 scripts/kernel_timing.py
 """
 
 import dataclasses
 import json
-import time
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from saddle_lab import cli, dynamics, predict, spectral, verify
-from saddle_lab.games import BilinearGame, game_to_json
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "scripts")]
+from speed import SpeedClock  # noqa: E402
+from step_size_sweep import CONFIG as DIAG12_SWEEP  # noqa: E402
+
+from saddle_lab import cli, dynamics, predict, spectral, verify  # noqa: E402
+from saddle_lab.games import BilinearGame, game_to_json  # noqa: E402
 
 STEPS = 4000
 REPEATS = 5
 CALLS = 50  # calls per timed batch of an analysis function
+CLOCK = SpeedClock()  # started and stopped by main
 
 
 def game(size: int):
@@ -99,13 +116,21 @@ def general_sum_curve(g):
     return spectral.rate_curve(spec, half * np.linspace(0.02, 0.99, 50))
 
 
+def clocked(call) -> float:
+    """Seconds of CLOCK that one call takes. The call starts just after a
+    probe: a reading between two probes runs at the last probe's speed, and
+    the next probe counts that stretch again at the mean of both speeds, so
+    a short call read across a probe could take less than no time."""
+    count = CLOCK.count
+    while CLOCK.count == count:
+        pass
+    start = CLOCK.read()
+    call()
+    return CLOCK.seconds(CLOCK.read() - start)
+
+
 def median_time(call) -> float:
-    times = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - start)
-    return sorted(times)[REPEATS // 2]
+    return sorted(clocked(call) for _ in range(REPEATS))[REPEATS // 2]
 
 
 def fresh_us(function, g, *args, calls: int | None = None) -> float:
@@ -116,14 +141,25 @@ def fresh_us(function, g, *args, calls: int | None = None) -> float:
     times = []
     for _ in range(REPEATS):
         copies = [dataclasses.replace(g) for _ in range(calls)]
-        start = time.perf_counter()
-        for copy in copies:
-            function(copy, *args)
-        times.append(time.perf_counter() - start)
+
+        def batch():
+            for copy in copies:
+                function(copy, *args)
+
+        times.append(clocked(batch))
     return sorted(times)[REPEATS // 2] / calls * 1e6
 
 
 def main() -> None:
+    CLOCK.start()
+    try:
+        out = layers()
+    finally:
+        CLOCK.stop()
+    print(json.dumps(out))
+
+
+def layers() -> dict:
     settings = {"max_steps": STEPS, "stop_tol": 0.0, "record_stride": 1}
     out = {}
     for size in (4, 32, 128, 256):
@@ -170,7 +206,9 @@ def main() -> None:
     out["parse_config_us_np256"] = seconds / CALLS * 1e6
     g = verify.random_spd_coupled_game(np.random.default_rng(3), 40, 24)
     out["general_sum_curve_us_np64"] = fresh_us(general_sum_curve, g, calls=1)
-    print(json.dumps(out))
+    cfg = cli.parse_config(DIAG12_SWEEP)
+    out["sweep_diag12_ms"] = median_time(lambda: cli.sweep_fits(cfg)) * 1e3
+    return out
 
 
 if __name__ == "__main__":

@@ -253,25 +253,23 @@ def cmd_analyze(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     return EXIT_OK if report.applicable else EXIT_INAPPLICABLE
 
 
-def _fit(cfg: ExperimentConfig, spec: spectral.CouplingSpectrum, report: spectral.SpectralReport,
-         traj: Trajectory) -> tuple[LimitPrediction, RateFit | None]:
-    """Predict the limit of a run of `cfg` and fit its rate (None without a
-    valid prediction, after divergence or on too few points)."""
-    pred = predict.limit(spec, report, cfg.init)
-    fit = None
+def _fit(pred: LimitPrediction, traj: Trajectory) -> RateFit | None:
+    """The rate of a run toward its predicted limit (None without a valid
+    prediction, after divergence or on too few points)."""
     if pred.valid and traj.stop_reason is not StopReason.DIVERGED:
         try:
-            fit = verify.estimate_rate(traj, pred)
+            return verify.estimate_rate(traj, pred)
         except InsufficientDataError:
             pass
-    return pred, fit
+    return None
 
 
 def _run_one(cfg: ExperimentConfig, eta: float) -> dict:
     spec = spectral.CouplingSpectrum.of(cfg.game, cfg.algo)
     report = spectral.rate_curve(spec, [eta])[0]
     traj = run(cfg.game, cfg.algo, eta, cfg.init, **cfg.step_settings())
-    pred, fit = _fit(cfg, spec, report, traj)
+    pred = predict.limit(spec, report, cfg.init)
+    fit = _fit(pred, traj)
     result = {
         "trajectory": traj,
         "report": report,
@@ -338,22 +336,32 @@ def cmd_run(configs: list[ExperimentConfig], out_dir: Path, fmt: str) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
-    if cfg.eta_range is None:
-        raise ConfigError("sweep needs an eta range {start, stop, step}")
+def sweep_fits(cfg: ExperimentConfig) -> list[tuple[spectral.SpectralReport, RateFit | None]]:
+    """Each applicable step size of the sweep `cfg`, in eta order, as its
+    report and the rate fit of its run (None where `_fit` has none).
+
+    The runs are one `run_batch`, whose rows come as they stop; each is
+    fitted and dropped before the batch goes on, so its record is freed.
+    The limit is projected once for every step size (`predict.limits`)."""
     spec = spectral.CouplingSpectrum.of(cfg.game, cfg.algo)
     curve = spectral.rate_curve(spec, cfg.etas())
     reports = [curve[i] for i in np.flatnonzero(curve.applicable)]
-    trajs = run_batch(cfg.game, cfg.algo, [r.eta for r in reports], cfg.init,
-                      **cfg.step_settings())
-    # map drops each trajectory once it is fitted, so one block of the batch
-    # is alive at a time
-    fits = map(functools.partial(_fit, cfg, spec), reports, trajs)
-    usable = []
-    for report, (_, fit) in zip(reports, fits):
-        if fit is not None and np.isfinite(fit.fitted_ratio):
-            usable.append({"eta": report.eta, "fitted_ratio": fit.fitted_ratio,
-                           "lambda_max": report.lambda_max})
+    preds = predict.limits(spec, reports, cfg.init)
+    fits = {}
+    for i, traj in run_batch(cfg.game, cfg.algo, [r.eta for r in reports], cfg.init,
+                             **cfg.step_settings()):
+        fits[i] = _fit(preds[i], traj)
+        del traj
+    return [(report, fits[i]) for i, report in enumerate(reports)]
+
+
+def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
+    if cfg.eta_range is None:
+        raise ConfigError("sweep needs an eta range {start, stop, step}")
+    usable = [{"eta": report.eta, "fitted_ratio": fit.fitted_ratio,
+               "lambda_max": report.lambda_max}
+              for report, fit in sweep_fits(cfg)
+              if fit is not None and np.isfinite(fit.fitted_ratio)]
     if not usable:
         print("no eta in the requested range is applicable", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -443,9 +451,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built once per process: a parse leaves it as it was."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.seed is not None and args.seed < 0:  # numpy seeds are >= 0
             raise ConfigError(f"argument --seed: must be >= 0, got {args.seed}")
         out_dir = Path(args.out_dir) if args.out_dir else None

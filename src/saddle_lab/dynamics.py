@@ -3,11 +3,12 @@
 GDA and OGDA advance the flat stacked state (x_t, y_t, x_{t-1}, y_{t-1});
 DOGDA is OGDA on the doubled game (`games.doubled`). `run` iterates until a
 step budget, a convergence floor, or a divergence cap is hit; `run_batch`
-does the same for many step sizes at once, as the rows of one state block.
-Both run one step body, `_simulate`, on 1-d operands for one step size and
-on a (k, 2(n+p)) block for k of them. It advances STOP_TEST_STEPS steps at a
-time and tests the stop rules once per chunk, on every step of it, so a run
-stops at the same step, with the same bits, as one tested after every step.
+does the same for many step sizes at once, as the rows of one state block,
+and hands out each row as it stops. Both run one step body, `_simulate`, on
+1-d operands for one step size and on a (k, 2(n+p)) block for k of them. It
+advances STOP_TEST_STEPS steps at a time and tests the stop rules once per
+chunk, on every step of it, so a run stops at the same step, with the same
+bits, as one tested after every step.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ class StopReason(str, enum.Enum):
 
 DEFAULT_STOP_TOL = 1e-13   # just above the double-precision floor of log-distance plots
 DEFAULT_BLOW_CAP = 1e12
-# The record of a run starts with at most this many rows and doubles when full;
-# every run of the verify suites (60000 steps at most) and of perfbench fits.
-RECORD_ROWS_CAP = 1 << 16
 # Steps advanced between two tests of the stop rules. A block holds the states
 # of one chunk, (T+1) x rows x 2(n+p) float64 cells with T this many steps
 # (4(n+p) for DOGDA's doubled state), and their differences, T x rows x 2(n+p)
@@ -131,8 +129,7 @@ def _check_count(name: str, value) -> None:
 class _Plan:
     """What `run` and `run_batch` share once the settings are checked: the
     game the loop iterates (doubled for DOGDA), the initial state in it (never
-    written), the indices of the recorded pair, its width 2(n+p), and the rows
-    a record starts with."""
+    written), the indices of the recorded pair and its width 2(n+p)."""
 
     game: BilinearGame
     n: int
@@ -144,7 +141,6 @@ class _Plan:
     blow_cap: float
     record_stride: int
     width: int
-    record_rows: int
 
 
 def _plan(game: BilinearGame, algo: Algo, init: IterateState, max_steps: int,
@@ -169,8 +165,7 @@ def _plan(game: BilinearGame, algo: Algo, init: IterateState, max_steps: int,
         m = 2 * (n + p)
         played = np.r_[0:n, 2 * n + p:m, m:m + n, m + 2 * n + p:2 * m]
     return _Plan(game, n, algo is not Algo.GDA, z0, played, max_steps, stop_tol, blow_cap,
-                 record_stride, 2 * (n + p),
-                 min(max_steps // record_stride + 2, RECORD_ROWS_CAP))
+                 record_stride, 2 * (n + p))
 
 
 def _check_eta(eta) -> None:
@@ -193,69 +188,84 @@ def run(game: BilinearGame, algo: Algo, eta: float, init: IterateState,
     """
     _check_eta(eta)
     plan = _plan(game, algo, init, max_steps, stop_tol, blow_cap, record_stride)
-    return _run_block(plan, [eta])[0]
+    [(_, traj)] = _simulate(plan, [eta])
+    return traj
 
 
-# A batch advances in blocks of rows whose record (rows x recorded steps x
-# 2(n+p)) holds at most this many float64 cells, 2 MB, or of one row when a
-# row's record alone is larger. The chunk of states and differences that
-# `_simulate` keeps is held to the same budget; it is the smaller unless a row
-# records fewer than about 2 STOP_TEST_STEPS states. The record is the memory a
-# batch adds: on the sweep benchmark workload (2-vCPU x86-64, numpy 2.4.6) the
-# peak resident size rose over the serial loop by about 2% at 2**17 cells, 4.6%
-# at 2**18 (median of ten runs) and 9% at 2**19, against a 10% bound, while a
-# pass took about 0.33x, 0.2x and 0.16x as long. 2**18 keeps the memory well
-# inside the bound.
+# A batch advances in blocks of rows whose longest record (rows x (max_steps //
+# record_stride + 2) x 2(n+p)) holds at most this many float64 cells, 16 MB,
+# or of one row when a row's record alone is larger. The chunk of states and
+# differences that `_simulate` keeps is held to the same budget; it is the
+# smaller unless a row records fewer than about 2 STOP_TEST_STEPS states. A
+# row's record grows a chunk at a time and is handed out when the row stops,
+# so a block holds the worst case only while every row runs to max_steps.
+# 2**21 makes the 48 step sizes of the diag(1, 2) sweep one block (48 x 3002 x
+# 8 cells), whose 18 rows at eta 0.05-0.135 run to max_steps together (3.46 MB
+# of records). On the sweep benchmark workload (2-vCPU x86-64, numpy 2.4.6,
+# ten pairs) a pass took 0.69x as long as at 2**18, with its blocks of 10
+# rows, and the peak resident size rose by 2.0%, against a 10% bound.
 # Per step on the same machine (scripts/kernel_timing.py, Python 3.11.7, median
 # of twenty runs): one row, ndarray.dot per product, costs 3.0, 3.7, 5.6 and
 # 10.1 us at n+p = 4, 32, 128 and 256, and a block of 8 rows, np.matvec per
 # product, 0.81 us per row at n+p = 4.
-BATCH_RECORD_CELLS = 1 << 18
+BATCH_RECORD_CELLS = 1 << 21
 
 
 def run_batch(game: BilinearGame, algo: Algo, etas, init: IterateState,
               max_steps: int = 10000, stop_tol: float = DEFAULT_STOP_TOL,
               blow_cap: float = DEFAULT_BLOW_CAP,
-              record_stride: int | None = None) -> Iterator[Trajectory]:
-    """`run` at every step size in `etas`: an iterator of one trajectory per
-    step size, in order, each equal to the one `run` returns.
+              record_stride: int | None = None) -> Iterator[tuple[int, Trajectory]]:
+    """`run` at every step size in `etas`: an iterator of (index, trajectory)
+    pairs, one per step size, the trajectory equal to the one `run` returns
+    at etas[index].
 
     The step sizes advance together as the rows of one (k, 2(n+p)) state
-    block, in blocks of at most BATCH_RECORD_CELLS recorded cells (or cells
-    of the chunk `_simulate` keeps, where that is larger). A row that
-    converges or diverges records its final state and leaves the block; the
-    others go on. A block's trajectories are views of its record, so a caller
-    that drops each trajectory before taking the next holds one block at a time.
+    block, in blocks of at most BATCH_RECORD_CELLS cells of worst-case record
+    (or of the chunk `_simulate` keeps, where that is larger). A row that
+    converges, diverges or runs out of steps leaves the block and comes out
+    at once, so the pairs of a block come in stop order, rows that stop at
+    the same step in index order. Each trajectory owns its states: a caller
+    that drops it frees its record while the batch goes on.
     """
     etas = list(etas)
     for eta in etas:
         _check_eta(eta)
     plan = _plan(game, algo, init, max_steps, stop_tol, blow_cap, record_stride)
     chunk = min(STOP_TEST_STEPS, plan.max_steps)
-    cells = max(plan.record_rows * plan.width, (2 * chunk + 1) * plan.z0.size)
+    record_rows = plan.max_steps // plan.record_stride + 2
+    cells = max(record_rows * plan.width, (2 * chunk + 1) * plan.z0.size)
     rows = max(1, BATCH_RECORD_CELLS // cells)
     return _blocks(plan, etas, rows)
 
 
-def _blocks(plan: _Plan, etas: list, rows: int) -> Iterator[Trajectory]:
+def _blocks(plan: _Plan, etas: list, rows: int) -> Iterator[tuple[int, Trajectory]]:
     for start in range(0, len(etas), rows):
-        # no name holds the block, so it is freed before the next one starts
-        yield from _run_block(plan, etas[start:start + rows])
+        # the block numbers its pairs itself: a loop here would hold each
+        # trajectory in a name until the next one comes
+        yield from _simulate(plan, etas[start:start + rows], start)
 
 
-def _run_block(plan: _Plan, etas: list) -> list[Trajectory]:
-    # a step may overflow; the divergence test stops the row on that state
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _simulate(plan, etas)
+def _quiet() -> np.errstate:
+    """A step may overflow; the divergence test stops the row on that state.
+    A new context each time: an np.errstate cannot be entered twice."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
-def _grown(record: np.ndarray) -> np.ndarray:
-    """The record with its second-to-last axis (recorded steps) twice as long."""
-    shape = list(record.shape)
-    shape[-2] *= 2
-    grown = np.empty(shape)
-    grown[..., :record.shape[-2], :] = record
-    return grown
+def _joined(pieces: list, length: int, last: np.ndarray | None) -> np.ndarray:
+    """The first `length` rows of `pieces`, in order, then `last` if given,
+    as one array. Each piece is dropped as soon as it is copied, so the
+    record is never held twice over."""
+    states = np.empty((length + (last is not None), pieces[0].shape[-1]))
+    pieces.reverse()  # so that pop takes them in order
+    at = 0
+    while at < length:
+        piece = pieces.pop()[:length - at]
+        states[at:at + len(piece)] = piece
+        at += len(piece)
+    pieces.clear()
+    if last is not None:
+        states[length] = last
+    return states
 
 
 def _squared_limits(blow_cap: float, stop_tol: float) -> tuple[float, float]:
@@ -276,9 +286,11 @@ def _squared_limits(blow_cap: float, stop_tol: float) -> tuple[float, float]:
     return c2, t2
 
 
-def _simulate(plan: _Plan, etas: list) -> list[Trajectory]:
+def _simulate(plan: _Plan, etas: list,
+              offset: int = 0) -> Iterator[tuple[int, Trajectory]]:
     """The step loop of one row per step size. OGDA adds (2 g_t - g_{t-1}) eta
     to (x_t, y_t), GDA adds g_t eta, with g_t = (A y_t + b, B^T x_t + f).
+    Yields (offset + row, trajectory) as each row stops.
 
     The state advances STOP_TEST_STEPS steps at a time through a history
     buffer: row j of it is the state j steps into the chunk, and row 0 the
@@ -296,10 +308,14 @@ def _simulate(plan: _Plan, etas: list) -> list[Trajectory]:
     (the same bits as `v.dot(v)` on a row), against `_squared_limits`. A
     row stops at its first failing step, as divergence if x_t or y_t fails
     there, else as convergence; the last step of the budget stops every row
-    as MaxSteps. The recorded steps of the chunk go to the record (k, rows,
-    width) in one slice, a stop step that is not one of them in one more
-    row, and a row that stops leaves the block. The steps a chunk computes
-    past a row's stop are dropped; they may overflow.
+    as MaxSteps. Each row's record is a list of pieces, a copy of the
+    chunk's recorded steps each. A row that stops leaves the block: its
+    pieces up to the stop, and the stop step where it is not a recorded
+    one, are joined into its trajectory, which is yielded at once, rows in
+    the order of their stop steps. The steps a chunk computes past a row's
+    stop are dropped; they may overflow. The error state is set around the
+    arithmetic only, never around a yield, so the caller's holds between
+    the rows it is handed.
     """
     game, played, optimistic = plan.game, plan.played, plan.optimistic
     max_steps, stride = plan.max_steps, plan.record_stride
@@ -308,33 +324,30 @@ def _simulate(plan: _Plan, etas: list) -> list[Trajectory]:
     k = len(etas)
     c2, t2 = _squared_limits(plan.blow_cap, plan.stop_tol)
     x0, y0 = z0[:n], z0[n:m]
-    if not (x0.dot(x0) <= c2 and y0.dot(y0) <= c2):
-        c2 = -math.inf  # x_0 or y_0 past the cap: every row diverges at step 1
+    with _quiet():
+        if not (x0.dot(x0) <= c2 and y0.dot(y0) <= c2):
+            c2 = -math.inf  # x_0 or y_0 past the cap: every row diverges at step 1
+        g_old = np.concatenate([A @ z0[m + n:] + game.b, BT @ z0[m:m + n] + game.f])  # unused by GDA
     bias = np.concatenate([game.b, game.f])
-    g_old = np.concatenate([A @ z0[m + n:] + game.b, BT @ z0[m:m + n] + game.f])  # unused by GDA
     z = z0  # copied into each chunk's history, never written
     if k > 1:  # the per-row operands at full size, so that no step broadcasts
         z, bias, g_old = np.tile(z0, (k, 1)), np.tile(bias, (k, 1)), np.tile(g_old, (k, 1))
     # the step size of each cell, so that no step converts a scalar
     eta = np.repeat(np.array(etas, dtype=float), m).reshape(bias.shape)
     # ndarray.dot makes the gemv that np.matvec makes on one row, at about
-    # half the call cost. A matrix that BLAS cannot read in place stays on
-    # np.matvec: dot would copy it and sum in another order than a block does.
-    contiguous = all(M.flags.c_contiguous or M.flags.f_contiguous for M in (A, BT))
-    product = np.ndarray.dot if k == 1 and contiguous else np.matvec
+    # half the call cost
+    product = np.ndarray.dot if k == 1 else np.matvec
     add, subtract, multiply = np.add, np.subtract, np.multiply
     chunk = min(STOP_TEST_STEPS, max_steps)
     # |x_t|^2 <= c2, |y_t|^2 <= c2 and -|Z_t - Z_{t-1}|^2 <= -t2 while a row goes on
     limits = np.array([c2, c2, -t2]).reshape((3,) + (1,) * z.ndim)
-    record = np.empty((k, plan.record_rows, plan.width))
-    record[:, 0] = z0[played]
+    start = np.array(z0[played], ndmin=2)  # a copy: z0 may be the caller's
+    fancy = not isinstance(played, slice)  # DOGDA's index array copies what it picks
+    records = [[start] for _ in range(k)]  # the pieces of each live row's record
     times = [0]  # the recorded times that every live row shares
     live = np.arange(k)
-    ends: list = [None] * k  # (record length, times, stop reason) of each row
     t = 0
     while live.size:  # once per shape of the block
-        # the record rows of the block: a slice while they are one range
-        rows = slice(live[0], live[-1] + 1) if live[-1] - live[0] + 1 == live.size else live
         hist = np.empty((chunk + 1,) + z.shape)
         hist[0] = z
         flat = hist.reshape(chunk + 1, -1, z.shape[-1])  # (step, row, state), a view
@@ -346,72 +359,71 @@ def _simulate(plan: _Plan, etas: list) -> list[Trajectory]:
         g = np.empty_like(bias)
         gv, ov = (g, g[..., :n], g[..., n:]), (g_old, g_old[..., :n], g_old[..., n:])
         update = np.empty_like(bias)
-        while True:  # once per chunk
-            size = min(chunk, max_steps - t)
-            if optimistic:
-                for x, y, xy, new_xy in steps[:size]:
+        with _quiet():  # around the arithmetic only: never around a yield
+            while True:  # once per chunk
+                size = min(chunk, max_steps - t)
+                if optimistic:
+                    for x, y, xy, new_xy in steps[:size]:
+                        g, gx, gy = gv
+                        product(A, y, gx)
+                        product(BT, x, gy)
+                        add(g, bias, g)
+                        add(g, g, update)  # 2 g, exactly
+                        subtract(update, ov[0], update)
+                        multiply(update, eta, update)
+                        add(xy, update, new_xy)
+                        gv, ov = ov, gv
+                else:
                     g, gx, gy = gv
-                    product(A, y, gx)
-                    product(BT, x, gy)
-                    add(g, bias, g)
-                    add(g, g, update)  # 2 g, exactly
-                    subtract(update, ov[0], update)
-                    multiply(update, eta, update)
-                    add(xy, update, new_xy)
-                    gv, ov = ov, gv
-            else:
-                g, gx, gy = gv
-                for x, y, xy, new_xy in steps[:size]:
-                    product(A, y, gx)
-                    product(BT, x, gy)
-                    add(g, bias, g)
-                    multiply(g, eta, update)
-                    add(xy, update, new_xy)
-            new, old = hist[1:size + 1], hist[:size]
-            new[..., m:] = old[..., :m]
-            np.subtract(new, old, out=diff[:size])
-            np.vecdot(new[..., :n], new[..., :n], out=norms[0, :size])
-            np.vecdot(new[..., n:m], new[..., n:m], out=norms[1, :size])
-            np.vecdot(diff[:size], diff[:size], out=norms[2, :size])
-            np.negative(norms[2, :size], out=norms[2, :size])
-            np.less_equal(norms[:, :size], limits, out=within[:, :size])
-            # the chunk's recorded steps: t + first, t + first + stride, ...
-            first, end = stride - t % stride, t + size
-            recorded = range(t + first, end + 1, stride)
-            while record.shape[1] < len(times) + len(recorded) + 1:
-                record = _grown(record)
-            base = len(times)
-            if recorded:
-                record[rows, base:base + len(recorded)] = (
-                    flat[first:size + 1:stride, :, played].swapaxes(0, 1))
-                times.extend(recorded)
-            if end < max_steps and within[:, :size].all():
+                    for x, y, xy, new_xy in steps[:size]:
+                        product(A, y, gx)
+                        product(BT, x, gy)
+                        add(g, bias, g)
+                        multiply(g, eta, update)
+                        add(xy, update, new_xy)
+                new, old = hist[1:size + 1], hist[:size]
+                new[..., m:] = old[..., :m]
+                np.subtract(new, old, out=diff[:size])
+                np.vecdot(new[..., :n], new[..., :n], out=norms[0, :size])
+                np.vecdot(new[..., n:m], new[..., n:m], out=norms[1, :size])
+                np.vecdot(diff[:size], diff[:size], out=norms[2, :size])
+                np.negative(norms[2, :size], out=norms[2, :size])
+                np.less_equal(norms[:, :size], limits, out=within[:, :size])
+                # the chunk's recorded steps: t + first, t + first + stride, ...
+                first, end = stride - t % stride, t + size
+                recorded = range(t + first, end + 1, stride)
+                base = len(times)
+                if recorded:
+                    block = flat[first:size + 1:stride]
+                    for i, pieces in enumerate(records):
+                        piece = block[:, i, played]
+                        pieces.append(piece if fancy else piece.copy())
+                    times.extend(recorded)
+                if end == max_steps or not within[:, :size].all():
+                    break
                 hist[0], t = hist[size], end
-                continue
-            # some row stops in this chunk, or every row at the end of the budget
-            ok = within[:, :size].reshape(3, size, -1)  # (rule, step, row)
-            stop = ~ok.all(axis=0)
-            stop[-1] |= end == max_steps
-            at = stop.argmax(axis=0)  # the hist row of each row's first stop step, less one
-            failed = ~ok[:, at, np.arange(at.size)]
-            going = ~stop.any(axis=0)
-            for i in np.flatnonzero(~going).tolist():
-                step = t + int(at[i]) + 1
-                length = base + step // stride - t // stride
-                ended = times[:length]
-                if step % stride:  # not a recorded step: one more row
-                    record[live[i], length] = flat[at[i] + 1, i, played]
-                    length += 1
-                    ended.append(step)
-                reason = (StopReason.DIVERGED if failed[0, i] or failed[1, i] else
-                          StopReason.CONVERGED if failed[2, i] else StopReason.MAX_STEPS)
-                ends[live[i]] = (length, ended, reason)
-            live, t = live[going], end
-            if live.size:
-                z, eta, bias, g_old = flat[size, going], eta[going], bias[going], ov[0][going]
-            break
-    return [Trajectory(float(eta_i), plan.n, record[i, :length], t_i, stop)
-            for i, (eta_i, (length, t_i, stop)) in enumerate(zip(etas, ends))]
+        # some row stops in this chunk, or every row at the end of the budget
+        ok = within[:, :size].reshape(3, size, -1)  # (rule, step, row)
+        stop = ~ok.all(axis=0)
+        stop[-1] |= end == max_steps
+        at = stop.argmax(axis=0)  # the hist row of each row's first stop step, less one
+        failed = ~ok[:, at, np.arange(at.size)]
+        going = ~stop.any(axis=0)
+        stopped = np.flatnonzero(~going)
+        for i in stopped[np.argsort(at[stopped], kind="stable")].tolist():
+            step = t + int(at[i]) + 1
+            length = base + step // stride - t // stride
+            last = None if step % stride == 0 else flat[at[i] + 1, i, played]
+            reason = (StopReason.DIVERGED if failed[0, i] or failed[1, i] else
+                      StopReason.CONVERGED if failed[2, i] else StopReason.MAX_STEPS)
+            # no name keeps the trajectory, so a caller that drops it frees it
+            yield offset + int(live[i]), Trajectory(
+                float(etas[live[i]]), plan.n, _joined(records[i], length, last),
+                times[:length] + ([] if last is None else [step]), reason)
+        live, t = live[going], end
+        records = [pieces for pieces, go in zip(records, going.tolist()) if go]
+        if live.size:
+            z, eta, bias, g_old = flat[size, going], eta[going], bias[going], ov[0][going]
 
 
 def recorded_payoffs(traj: Trajectory, game: BilinearGame) -> tuple[np.ndarray, np.ndarray]:

@@ -45,12 +45,17 @@ class NotComplementaryError(ValueError):
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D float64 array and reject non-finite entries."""
+    """Coerce to a 2-D float64 array that BLAS reads in place and reject
+    non-finite entries. A C- or F-contiguous input is not moved; any other
+    view is copied to C order, so that a product with it sums in the order
+    of a product with its contiguous copy."""
     m = np.asarray(a, dtype=float)
     if m.ndim == 1:
         m = m.reshape(1, -1) if m.size else m.reshape(0, 0)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
+    if not (m.flags.c_contiguous or m.flags.f_contiguous):
+        m = np.ascontiguousarray(m)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m

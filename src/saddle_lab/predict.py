@@ -10,6 +10,7 @@ at exactly the closed-form ratio.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,9 +78,22 @@ def limit(spec: CouplingSpectrum, report: SpectralReport,
     applicable. Zero-sum OGDA and DOGDA, zero-sum OGDA on the doubled game,
     have one below the divergence threshold.
     """
+    return limits(spec, [report], init)[0]
+
+
+def limits(spec: CouplingSpectrum, reports: list[SpectralReport],
+           init: IterateState) -> list[LimitPrediction]:
+    """`limit` at each of `reports`. Where a limit exists it is one point at
+    every step size, so it is projected once, at the first report that has
+    one, and every valid prediction is that one object."""
     if spec.general_sum:
-        return _oblique_limit(spec, report, init)
-    return _orthogonal_limit(spec, report.eta, init)
+        point = functools.cache(functools.partial(_oblique_point, spec, init))
+        return [point() if report.applicable else
+                _invalid(Geometry.OBLIQUE_ALONG_IMAGES,
+                         report.violated or "rate_theory_inapplicable")
+                for report in reports]
+    point = functools.cache(functools.partial(_orthogonal_point, spec, init))
+    return [_orthogonal_at(spec, report.eta, point) for report in reports]
 
 
 def predict_limit(game: BilinearGame, algo: Algo, eta: float,
@@ -88,15 +102,22 @@ def predict_limit(game: BilinearGame, algo: Algo, eta: float,
     orthogonal paths need no report."""
     spec = CouplingSpectrum.of(game, algo)
     if spec.general_sum:
-        return _oblique_limit(spec, rate_curve(spec, [eta])[0], init)
-    return _orthogonal_limit(spec, eta, init)
+        return limit(spec, rate_curve(spec, [eta])[0], init)
+    return _orthogonal_at(spec, eta, functools.partial(_orthogonal_point, spec, init))
 
 
-def _orthogonal_limit(spec: CouplingSpectrum, eta: float,
-                      init: IterateState) -> LimitPrediction:
+def _orthogonal_at(spec: CouplingSpectrum, eta: float, point) -> LimitPrediction:
+    """The prediction `point()` where it is valid and eta converges."""
+    pred = point()
+    if pred.valid and spec.divergent(eta):
+        return _invalid(pred.geometry, "eta_in_divergent_regime")
+    return pred
+
+
+def _orthogonal_point(spec: CouplingSpectrum, init: IterateState) -> LimitPrediction:
     """Zero-sum OGDA, and DOGDA, each of whose halves is a plain zero-sum
     system: the played pair converges to the orthogonal projections onto
-    the two Nash constraints."""
+    the two Nash constraints, at every step size below the threshold."""
     if spec.algo is Algo.GDA:
         return _invalid(Geometry.ORTHOGONAL_ONTO_KERNELS,
                         "GDA has no characterized limit (it cycles or diverges)")
@@ -109,19 +130,16 @@ def _orthogonal_limit(spec: CouplingSpectrum, eta: float,
     if dogda and not spec.aux.nonempty:
         player = 2 if not spec.aux.y_part.feasible else 1
         return _invalid(geo, f"aux_constraint_infeasible_for_player{player}_payoff")
-    if spec.divergent(eta):
-        return _invalid(geo, "eta_in_divergent_regime")
     # the Nash points are least-norm solutions, hence orthogonal to the kernels
     x_inf = ns.x_star + linalg.project(init.x, ns.x_part.directions)
     y_inf = ns.y_star + linalg.project(init.y, ns.y_part.directions)
     return LimitPrediction(x_inf, y_inf, geo, True)
 
 
-def _oblique_limit(spec: CouplingSpectrum, report: SpectralReport,
-                   init: IterateState) -> LimitPrediction:
+def _oblique_point(spec: CouplingSpectrum, init: IterateState) -> LimitPrediction:
+    """General-sum OGDA: the oblique projections onto the Nash constraints,
+    at every step size where the report is applicable."""
     geo = Geometry.OBLIQUE_ALONG_IMAGES
-    if not report.applicable:
-        return _invalid(geo, report.violated or "rate_theory_inapplicable")
     ns = spec.nash
     if not ns.nonempty:
         return _invalid(geo, "nash_set_empty")

@@ -70,6 +70,14 @@ def test_usage_error_exit_one(capsys, argv, message):
     assert err.count("\n") == 1 and err.startswith("config error:") and message in err
 
 
+def test_parser_is_built_once(monkeypatch):
+    parser = cli._parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("the parser was rebuilt"))
+    assert cli.main(["verify", "--seed", "-1"]) == cli.EXIT_CONFIG_ERROR
+    assert cli.main(["sweep", "--seed", "1"]) == cli.EXIT_CONFIG_ERROR
+    assert cli._parser() is parser
+
+
 def dogda_config(eta):
     """DOGDA on A = B = [[1]] with e = [5], from the origin: the aux half of
     the doubled game's Nash set lies away from the start."""
@@ -656,6 +664,26 @@ class TestSweep:
         assert len((tmp_path / "pennies.sweep.csv").read_text().splitlines()[2:]) == 8
         assert len(calls) == 4
         assert svds == [(1, 1)]
+
+    def test_general_sum_limit_projected_once(self, tmp_path, monkeypatch):
+        # the SVDs of A and B, then one of each oblique projection's stack,
+        # at any number of step sizes; every step size is applicable
+        game = verify.random_spd_coupled_game(np.random.default_rng(3), 3, 3)
+        obj = {"name": "spd", "game": games.game_to_json(game), "algo": "OGDA",
+               "eta": {"start": 0.03, "stop": 0.27, "step": 0.03},
+               "init": {"random": True, "seed": 4}, "max_steps": 2000}
+        assert len(cli.parse_config(obj).etas()) == 9
+        svds, svd = [], np.linalg.svd
+
+        def counted_svd(*args, **kwargs):
+            svds.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        cfg = write_config(tmp_path, obj)
+        assert cli.main(["sweep", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        assert len((tmp_path / "spd.sweep.csv").read_text().splitlines()[2:]) == 9
+        assert svds == [(3, 3)] * 4
 
     def test_multiline_description_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, zero_sum_config(

@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -288,22 +289,24 @@ class TestRun:
         assert np.array_equal(init.z, before)
 
     def test_huge_step_budget(self):
-        # the record starts at RECORD_ROWS_CAP rows, not max_steps + 2
+        # the record grows a chunk at a time: nothing is reserved for max_steps
         traj = dynamics.run(PENNIES, Algo.OGDA, 0.3, IterateState.at([1.0], [1.0]),
                             max_steps=10**300)
         assert traj.stop_reason is StopReason.CONVERGED and traj.times[-1] == 564
 
     @pytest.mark.parametrize("stride", [1, 3])
-    def test_record_grows(self, monkeypatch, stride):
+    def test_record_grows(self, stride):
+        # a record of many chunks' pieces, joined into one array at the stop
         g = BilinearGame.zero_sum_game([[1.0, 0.5], [0.0, 2.0]])
         init = IterateState([1.0, -1.0], [0.5, 2.0], [0.0, 0.0], [1.0, 1.0])
-        whole = dynamics.run(g, Algo.OGDA, 0.1, init, max_steps=50, stop_tol=0.0,
+        steps = 10 * CHUNK + 5
+        grown = dynamics.run(g, Algo.OGDA, 0.1, init, max_steps=steps, stop_tol=0.0,
                              record_stride=stride)
-        monkeypatch.setattr(dynamics, "RECORD_ROWS_CAP", 4)
-        grown = dynamics.run(g, Algo.OGDA, 0.1, init, max_steps=50, stop_tol=0.0,
-                             record_stride=stride)
-        assert grown.times == whole.times and len(whole.times) > 4
-        assert np.array_equal(grown.states, whole.states)
+        rows, times, reason = reference_run(g, Algo.OGDA, 0.1, init, steps, stride, stop_tol=0.0)
+        assert grown.times == times and len(times) > 3 * CHUNK
+        assert grown.stop_reason is reason is StopReason.MAX_STEPS
+        assert grown.states.tobytes() == rows.tobytes()
+        assert grown.states.flags.c_contiguous and grown.states.base is None
 
     def test_common_payoff_growth(self):
         g = BilinearGame.from_matrices([[1.0]], [[1.0]])
@@ -370,9 +373,10 @@ def dense_init(seed=12):
 
 def batch_matches_run(game, algo, etas, init, **settings):
     """Run the batch, check every trajectory against `run` bit for bit, and
-    return the trajectories."""
-    trajs = list(dynamics.run_batch(game, algo, etas, init, **settings))
-    assert len(trajs) == len(etas)
+    return the trajectories in the order of `etas`."""
+    by_index = dict(dynamics.run_batch(game, algo, etas, init, **settings))
+    assert sorted(by_index) == list(range(len(etas)))
+    trajs = [by_index[i] for i in range(len(etas))]
     for eta, traj in zip(etas, trajs):
         ref = dynamics.run(game, algo, eta, init, **settings)
         assert traj.eta == ref.eta and traj.n == ref.n
@@ -395,15 +399,29 @@ class TestRunBatch:
 
     @pytest.mark.parametrize("zero_sum", [True, False])
     def test_matrices_without_a_unit_stride(self, zero_sum):
-        # views that BLAS cannot read in place, which ndarray.dot would copy
-        # and np.matvec does not
+        # views that BLAS cannot read in place: the game holds their C copies,
+        # so a run on the views gets the bits of a run on the copies
         rng = np.random.default_rng(5)
         a, b = (rng.normal(size=(9, 10))[::3, ::2] for _ in range(2))
         vectors = [rng.normal(size=k) for k in (3, 5, 3, 5)]
-        game = (BilinearGame.zero_sum_game(a, *vectors[:2]) if zero_sum
-                else BilinearGame(a, b, *vectors))
-        assert not (game.A.flags.c_contiguous or game.A.flags.f_contiguous)
-        batch_matches_run(game, Algo.OGDA, self.ETAS, dense_init(), max_steps=400)
+
+        def make(a, b):
+            return (BilinearGame.zero_sum_game(a, *vectors[:2]) if zero_sum
+                    else BilinearGame(a, b, *vectors))
+
+        assert not (a.flags.c_contiguous or a.flags.f_contiguous)
+        game = make(a, b)
+        copy = make(np.ascontiguousarray(a), np.ascontiguousarray(b))
+        assert game.A.flags.c_contiguous and game.B.T.flags.f_contiguous
+        init = dense_init()
+        for eta in self.ETAS:
+            got = dynamics.run(game, Algo.OGDA, eta, init, max_steps=400)
+            ref = dynamics.run(copy, Algo.OGDA, eta, init, max_steps=400)
+            rows, times, reason = reference_run(game, Algo.OGDA, eta, init, 400, 1)
+            assert got.times == ref.times == times
+            assert got.stop_reason is ref.stop_reason is reason
+            assert got.states.tobytes() == ref.states.tobytes() == rows.tobytes()
+        batch_matches_run(game, Algo.OGDA, self.ETAS, init, max_steps=400)
 
     @pytest.mark.parametrize("stride", [1, 3])
     def test_mixed_stop_reasons(self, stride):
@@ -435,20 +453,69 @@ class TestRunBatch:
         # blocks of 2, 2, 2 and 1 rows, the last one on 1-d operands
         monkeypatch.setattr(dynamics, "BATCH_RECORD_CELLS", 401 * 16 * 5 // 2)
         etas = self.ETAS + [0.17]
-        trajs = batch_matches_run(dense_game(True), Algo.OGDA, etas, dense_init(),
-                                  max_steps=399)
-        shared = [[a.states.base is b.states.base for b in trajs] for a in trajs]
-        blocks = [0, 0, 1, 1, 2, 2, 3]
-        assert shared == [[i == j for j in blocks] for i in blocks]
+        batch_matches_run(dense_game(True), Algo.OGDA, etas, dense_init(), max_steps=399)
+        blocks, simulate = [], dynamics._simulate
+
+        def counted(plan, rows, *args):
+            blocks.append(len(rows))
+            return simulate(plan, rows, *args)
+
+        monkeypatch.setattr(dynamics, "_simulate", counted)
+        list(dynamics.run_batch(dense_game(True), Algo.OGDA, etas, dense_init(), max_steps=399))
+        assert blocks == [2, 2, 2, 1]
 
     @pytest.mark.parametrize("stride", [1, 3])
-    def test_record_grows(self, monkeypatch, stride):
-        monkeypatch.setattr(dynamics, "RECORD_ROWS_CAP", 4)
+    def test_record_grows(self, stride):
+        # every row's record spans many chunks
         g = BilinearGame.zero_sum_game([[1.0, 0.0], [0.0, 2.0]])
         init = IterateState([1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
         trajs = batch_matches_run(g, Algo.OGDA, [0.3, 0.28, 0.01], init, max_steps=700,
                                   record_stride=stride)
-        assert all(len(t.times) > 4 for t in trajs)
+        assert all(t.times[-1] > 4 * CHUNK and len(t.times) > 4 * CHUNK // stride
+                   for t in trajs)
+
+    def test_pairs_come_in_stop_order(self):
+        # two rows overflow at step 1, three converge at their own steps, and
+        # two run out of steps at 1000; ties come in index order
+        g = BilinearGame.zero_sum_game([[1.0, 0.0], [0.0, 2.0]])
+        init = IterateState([1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0])
+        etas = [0.01, 1e300, 0.28, 0.3, 1e308, 0.25, 0.02]
+        order = [(traj.times[-1], i)
+                 for i, traj in dynamics.run_batch(g, Algo.OGDA, etas, init, max_steps=1000)]
+        assert order == sorted(order) and sorted(i for _, i in order) == list(range(7))
+        assert [i for _, i in order][:2] == [1, 4] and [i for _, i in order][-2:] == [0, 6]
+        # the three large steps pass the cap at steps 4, 3 and 2 of one chunk
+        pairs = dynamics.run_batch(PENNIES, Algo.OGDA, [0.3, 3e3, 1e5, 1e10, 0.01],
+                                   IterateState.at([1.0], [1.0]), max_steps=600)
+        assert [(i, traj.times[-1]) for i, traj in pairs] == [
+            (3, 2), (2, 3), (1, 4), (0, 564), (4, 600)]
+
+    def test_a_dropped_row_is_freed_while_the_batch_goes_on(self):
+        # 0.3 converges at step 564, the others run to 3000
+        stream = dynamics.run_batch(PENNIES, Algo.OGDA, [0.01, 0.3, 0.02],
+                                    IterateState.at([1.0], [1.0]), max_steps=3000)
+        index, traj = next(stream)
+        assert index == 1 and traj.times[-1] == 564
+        states = weakref.ref(traj.states)
+        del traj
+        assert states() is None
+        assert [i for i, _ in stream] == [0, 2]
+
+    @pytest.mark.filterwarnings("error")
+    def test_caller_error_state_holds_between_rows(self):
+        # rows whose steps overflow, handed to a caller that raises on overflow
+        init = IterateState.at([10.0], [10.0])
+        with np.errstate(over="raise", invalid="raise"):
+            caller = np.geterr()
+            reasons = {}
+            for i, traj in dynamics.run_batch(PENNIES, Algo.OGDA, [1e308, 0.3, 1e300], init):
+                assert np.geterr() == caller
+                with pytest.raises(FloatingPointError):
+                    np.multiply(np.float64(1e308), 10.0)
+                reasons[i] = traj.stop_reason
+        assert np.geterr() != caller
+        assert reasons == {0: StopReason.DIVERGED, 1: StopReason.CONVERGED,
+                           2: StopReason.DIVERGED}
 
     def test_checks_before_the_first_step(self):
         with pytest.raises(ValueError, match="eta must be positive"):
@@ -525,8 +592,10 @@ def assert_engine_matches_reference(game, algo, etas, init, max_steps, stride, *
         refs = [reference_run(game, algo, eta, init, max_steps, stride, **settings)
                 for eta in etas]
     common = {"max_steps": max_steps, "record_stride": stride, **settings}
-    batch = list(dynamics.run_batch(game, algo, etas, init, **common))
-    for eta, traj, (rows, times, reason) in zip(etas, batch, refs):
+    batch = dict(dynamics.run_batch(game, algo, etas, init, **common))
+    assert sorted(batch) == list(range(len(etas)))
+    for eta, i, (rows, times, reason) in zip(etas, range(len(etas)), refs):
+        traj = batch[i]
         for got in (dynamics.run(game, algo, eta, init, **common), traj):
             assert got.times == times and got.stop_reason is reason
             assert got.states.tobytes() == rows.tobytes()  # NaN and -0.0 alike
@@ -633,7 +702,6 @@ class TestChunks:
     @pytest.mark.parametrize("chunk", [5, 64])
     @pytest.mark.parametrize("stride", [1, 3])
     def test_record_grows_across_chunks(self, monkeypatch, chunk, stride):
-        monkeypatch.setattr(dynamics, "RECORD_ROWS_CAP", 4)
         monkeypatch.setattr(dynamics, "STOP_TEST_STEPS", chunk)
         assert_engine_matches_reference(dense_game(True), Algo.OGDA, self.ETAS, dense_init(),
                                         200, stride)
@@ -660,8 +728,10 @@ class TestChunks:
         monkeypatch.setattr(dynamics, "STOP_TEST_STEPS", 5)
         init = IterateState.at([1.0], [1.0])
         etas = [0.3, 1e10, 1e5, 3e3, 0.01]
-        trajs = list(dynamics.run_batch(PENNIES, Algo.OGDA, etas, init, max_steps=600))
-        assert [t.times[-1] for t in trajs] == [564, 2, 3, 4, 600]
+        pairs = list(dynamics.run_batch(PENNIES, Algo.OGDA, etas, init, max_steps=600))
+        assert [i for i, _ in pairs] == [1, 2, 3, 0, 4]
+        trajs = dict(pairs)
+        assert [trajs[i].times[-1] for i in range(len(etas))] == [564, 2, 3, 4, 600]
         assert_engine_matches_reference(PENNIES, Algo.OGDA, etas, init, 600, stride)
 
 

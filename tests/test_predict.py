@@ -171,6 +171,29 @@ class TestPredictLimit:
         stepped = dynamics.run(g, Algo.OGDA, 0.05, s, max_steps=1).final
         assert np.linalg.norm(stepped.stacked() - s.stacked()) < 1e-10
 
+    @pytest.mark.parametrize("algo, make, valid", [
+        (Algo.OGDA, lambda rng: verify.random_zero_sum_game(rng), 4),
+        (Algo.DOGDA, lambda rng: verify.random_spd_coupled_game(rng, 3, 2), 4),
+        (Algo.GDA, lambda rng: verify.random_zero_sum_game(rng), 0),
+        (Algo.OGDA, lambda rng: verify.random_spd_coupled_game(rng, 3, 2), 3)],
+        ids=["zero-sum", "dogda", "gda", "general-sum"])
+    def test_limits_equal_one_limit_per_step(self, algo, make, valid):
+        # step sizes on both sides of the divergence threshold (and of the
+        # general-sum half threshold): the valid ones share one projection
+        rng = np.random.default_rng(6)
+        game = make(rng)
+        init = IterateState(*(rng.normal(size=k) for k in (game.n, game.p, game.n, game.p)))
+        spec = spectral.CouplingSpectrum(game, algo)
+        scale = spectral.CouplingSpectrum(game, Algo.OGDA if algo is Algo.GDA else algo).mu_max
+        etas = [s / math.sqrt(scale) for s in (0.1, 0.3, 0.55, 0.7, 0.2)]
+        preds = predict.limits(spec, spectral.rate_curve(spec, etas), init)
+        for eta, pred in zip(etas, preds):
+            alone = spectral.CouplingSpectrum(dataclasses.replace(game), algo)
+            one = predict.limit(alone, spectral.rate_curve(alone, [eta])[0], init)
+            assert pred.to_json() == one.to_json()
+        shared = [pred for pred in preds if pred.valid]
+        assert len(shared) == valid and all(pred is shared[0] for pred in shared)
+
 
 class TestDistance:
     def test_zero_at_embedded_nash(self):

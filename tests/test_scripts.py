@@ -58,6 +58,6 @@ def test_kernel_timing_prints_every_layer(monkeypatch, capsys):
                for size in (4, 128)]
             + [f"analysis_op_us_np{size}" for size in (4, 64)]
             + ["dogda_analysis_us_np256", "parse_config_us_np256",
-               "general_sum_curve_us_np64"])
+               "general_sum_curve_us_np64", "sweep_diag12_ms"])
     assert sorted(out) == sorted(keys)
     assert all(out[key] > 0 for key in keys)
