@@ -41,7 +41,10 @@ scaled by 1/sqrt(n), and eta is small enough that no run stops early.
 `sweep_diag12`: milliseconds per sweep of the diag(1, 2) config of
 scripts/step_size_sweep.py as `saddle-lab sweep` runs it (`cli.sweep_fits`):
 its 48 applicable step sizes as one `run_batch` of up to 3000 steps, each
-run fitted as it stops, the median of five.
+run fitted as it stops, the median of five. `fit`: microseconds per fit of
+one run of that config, at eta 0.05, which runs to its 3000 steps:
+`verify.estimate_rate`, `check_bound` and `classify` on its 3001 recorded
+states, the median of five.
 
     PYTHONPATH=src python3 scripts/kernel_timing.py
 """
@@ -175,7 +178,7 @@ def layers() -> dict:
         return dynamics.run(g, "OGDA", 1.0, init, max_steps=10 ** 6)
 
     out["run_converging_us_np4"] = median_time(converging) * 1e6
-    out["run_converging_steps_np4"] = converging().times[-1]
+    out["run_converging_steps_np4"] = int(converging().times[-1])
     etas = [0.01 + 0.001 * i for i in range(8)]
     for size in (4, 32):
         g, init = game(size)
@@ -208,6 +211,16 @@ def layers() -> dict:
     out["general_sum_curve_us_np64"] = fresh_us(general_sum_curve, g, calls=1)
     cfg = cli.parse_config(DIAG12_SWEEP)
     out["sweep_diag12_ms"] = median_time(lambda: cli.sweep_fits(cfg)) * 1e3
+    spec = spectral.CouplingSpectrum.of(cfg.game, cfg.algo)
+    report = spectral.rate_curve(spec, [0.05])[0]
+    traj = dynamics.run(cfg.game, cfg.algo, 0.05, cfg.init, **cfg.step_settings())
+    pred, dist = predict.limit(spec, report, cfg.init), predict.distance(spec, cfg.init)
+
+    def fit():
+        return (verify.estimate_rate(traj, pred), verify.check_bound(traj, report, dist, pred),
+                verify.classify(traj, spec))
+
+    out["fit_us_diag12"] = median_time(fit) * 1e6
     return out
 
 

@@ -292,7 +292,7 @@ def _verification_json(result: dict) -> dict:
         "report": result["report"].to_json(),
         "limit": result["prediction"].to_json(),
         "stop_reason": result["trajectory"].stop_reason.value,
-        "steps": result["trajectory"].times[-1],
+        "steps": int(result["trajectory"].times[-1]),
         "classification": {
             "kind": outcome.kind.value,
             "growth_ratio": outcome.growth_ratio,
@@ -327,7 +327,7 @@ def cmd_run(configs: list[ExperimentConfig], out_dir: Path, fmt: str) -> int:
             n, p = cfg.game.n, cfg.game.p
             _json_dump({
                 "comments": comments,
-                "times": traj.times,
+                "times": traj.times.tolist(),
                 "x": traj.states[:, :n].tolist(),
                 "y": traj.states[:, n:n + p].tolist(),
             }, traj_path)
@@ -390,12 +390,15 @@ def cmd_verify(seed: int, out_dir: Path | None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / "verification.json" if out_dir else None
     text = _json_dump(payload, target)
+    # a document piped to stdout is all that goes there: the lines go to stderr
+    piped = target is None and not sys.stdout.isatty()
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.name} (measured={r.measured:.3e}, tol={r.tolerance:.0e})")
+        print(f"{status} {r.name} (measured={r.measured:.3e}, tol={r.tolerance:.0e})",
+              file=sys.stderr if piped else sys.stdout)
     if target is not None:
         print(f"wrote {target}")
-    elif not sys.stdout.isatty():
+    elif piped:
         sys.stdout.write(text)
     return EXIT_OK if payload["all_passed"] else EXIT_VERIFY_FAILED
 

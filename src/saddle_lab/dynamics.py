@@ -1,11 +1,12 @@
 """The iteration engine for bilinear games and the companion form of the linear system.
 
 GDA and OGDA advance the flat stacked state (x_t, y_t, x_{t-1}, y_{t-1});
-DOGDA is OGDA on the doubled game (`games.doubled`). `run` iterates until a
-step budget, a convergence floor, or a divergence cap is hit; `run_batch`
-does the same for many step sizes at once, as the rows of one state block,
-and hands out each row as it stops. Both run one step body, `_simulate`, on
-1-d operands for one step size and on a (k, 2(n+p)) block for k of them. It
+DOGDA is OGDA on the doubled game (`games.doubled`). `run_batch` iterates
+many step sizes at once, as the rows of one state block, until a step
+budget, a convergence floor, or a divergence cap is hit, and hands out each
+row as it stops; `run` is `run_batch` at one step size. The step body,
+`_simulate`, runs on 1-d operands for one step size and on a (k, 2(n+p))
+block for k of them. It
 advances STOP_TEST_STEPS steps at a time and tests the stop rules once per
 chunk, on every step of it, so a run stops at the same step, with the same
 bits, as one tested after every step.
@@ -17,7 +18,6 @@ import enum
 import functools
 import math
 import numbers
-import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -99,13 +99,15 @@ def companion_matrix(game: BilinearGame, eta: float) -> np.ndarray:
 @dataclass
 class Trajectory:
     """Recorded states of one run: row k of `states` is the stacked state
-    (x_t, y_t, x_{t-1}, y_{t-1}) at t = times[k]. A DOGDA run records the
-    played pair only."""
+    (x_t, y_t, x_{t-1}, y_{t-1}) at t = times[k]. `times` is an int64 array
+    derived from the stop step and the stride: 0, stride, 2 stride, ...
+    below the stop step, then the stop step. A DOGDA run records the played
+    pair only."""
 
     eta: float
     n: int
     states: np.ndarray
-    times: list[int]
+    times: np.ndarray
     stop_reason: StopReason = StopReason.MAX_STEPS
 
     @property
@@ -184,11 +186,10 @@ def run(game: BilinearGame, algo: Algo, eta: float, init: IterateState,
     eigendirection). Every record_stride-th state is kept, plus the final one.
     DOGDA runs OGDA on `games.doubled(game)`, starting each aux copy at the
     played one (previous pairs alike); both stop rules see the doubled state,
-    and only the played pair is recorded.
+    and only the played pair is recorded. The one row of `run_batch` at eta.
     """
-    _check_eta(eta)
-    plan = _plan(game, algo, init, max_steps, stop_tol, blow_cap, record_stride)
-    [(_, traj)] = _simulate(plan, [eta])
+    [(_, traj)] = run_batch(game, algo, [eta], init, max_steps, stop_tol, blow_cap,
+                            record_stride)
     return traj
 
 
@@ -251,11 +252,12 @@ def _quiet() -> np.errstate:
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _joined(pieces: list, length: int, last: np.ndarray | None) -> np.ndarray:
-    """The first `length` rows of `pieces`, in order, then `last` if given,
-    as one array. Each piece is dropped as soon as it is copied, so the
-    record is never held twice over."""
-    states = np.empty((length + (last is not None), pieces[0].shape[-1]))
+def _joined(pieces: list, length: int) -> np.ndarray:
+    """The first `length` rows of all pieces but the last, in order, then the
+    last piece, the stop row, as one array. Each piece is dropped as soon as
+    it is copied, so the record is never held twice over."""
+    states = np.empty((length + 1, pieces[0].shape[-1]))
+    states[length] = pieces.pop()
     pieces.reverse()  # so that pop takes them in order
     at = 0
     while at < length:
@@ -263,31 +265,10 @@ def _joined(pieces: list, length: int, last: np.ndarray | None) -> np.ndarray:
         states[at:at + len(piece)] = piece
         at += len(piece)
     pieces.clear()
-    if last is not None:
-        states[length] = last
     return states
 
 
-def _squared_limits(blow_cap: float, stop_tol: float) -> tuple[float, float]:
-    """(c2, t2) with sqrt(d) <= blow_cap exactly when d <= c2, and
-    sqrt(d) < stop_tol exactly when d < t2, for every double d >= 0: the
-    rounded square root is monotone, so each rule on a norm is one comparison
-    of its square."""
-    c2 = min(blow_cap * blow_cap, sys.float_info.max)
-    while math.sqrt(c2) > blow_cap:
-        c2 = math.nextafter(c2, 0.0)
-    while math.sqrt(math.nextafter(c2, math.inf)) <= blow_cap:
-        c2 = math.nextafter(c2, math.inf)
-    t2 = stop_tol * stop_tol
-    while math.sqrt(t2) < stop_tol:
-        t2 = math.nextafter(t2, math.inf)
-    while t2 > 0.0 and math.sqrt(math.nextafter(t2, 0.0)) >= stop_tol:
-        t2 = math.nextafter(t2, 0.0)
-    return c2, t2
-
-
-def _simulate(plan: _Plan, etas: list,
-              offset: int = 0) -> Iterator[tuple[int, Trajectory]]:
+def _simulate(plan: _Plan, etas: list, offset: int) -> Iterator[tuple[int, Trajectory]]:
     """The step loop of one row per step size. OGDA adds (2 g_t - g_{t-1}) eta
     to (x_t, y_t), GDA adds g_t eta, with g_t = (A y_t + b, B^T x_t + f).
     Yields (offset + row, trajectory) as each row stops.
@@ -304,15 +285,16 @@ def _simulate(plan: _Plan, etas: list,
     y_{t+1}); the previous pairs of a chunk are copied in once, after it.
 
     Then the stop rules are tested on every step of the chunk at once: the
-    squared norms of x_t, of y_t and of Z_t - Z_{t-1}, one np.vecdot each
-    (the same bits as `v.dot(v)` on a row), against `_squared_limits`. A
-    row stops at its first failing step, as divergence if x_t or y_t fails
-    there, else as convergence; the last step of the budget stops every row
-    as MaxSteps. Each row's record is a list of pieces, a copy of the
-    chunk's recorded steps each. A row that stops leaves the block: its
-    pieces up to the stop, and the stop step where it is not a recorded
-    one, are joined into its trajectory, which is yielded at once, rows in
-    the order of their stop steps. The steps a chunk computes past a row's
+    norms of x_t, of y_t and of Z_t - Z_{t-1}, the square root of one
+    np.vecdot each (the bits of np.linalg.norm on a row), against blow_cap
+    and stop_tol as given. A row stops at its first failing step, as
+    divergence if x_t or y_t fails there, else as convergence; the last step
+    of the budget stops every row as MaxSteps. Each row's record is a list
+    of pieces, a copy of the chunk's recorded steps each. A row that stops
+    leaves the block: its recorded rows before the stop step, then the stop
+    step, are joined into its trajectory, and its times derived from the
+    stop step and the stride; the trajectory is yielded at once, rows in the
+    order of their stop steps. The steps a chunk computes past a row's
     stop are dropped; they may overflow. The error state is set around the
     arithmetic only, never around a yield, so the caller's holds between
     the rows it is handed.
@@ -322,11 +304,11 @@ def _simulate(plan: _Plan, etas: list,
     n, m = game.n, game.n + game.p
     A, BT, z0 = game.A, game.B.T, plan.z0
     k = len(etas)
-    c2, t2 = _squared_limits(plan.blow_cap, plan.stop_tol)
+    cap, tol = plan.blow_cap, plan.stop_tol
     x0, y0 = z0[:n], z0[n:m]
     with _quiet():
-        if not (x0.dot(x0) <= c2 and y0.dot(y0) <= c2):
-            c2 = -math.inf  # x_0 or y_0 past the cap: every row diverges at step 1
+        if not (math.sqrt(x0.dot(x0)) <= cap and math.sqrt(y0.dot(y0)) <= cap):
+            cap = -math.inf  # x_0 or y_0 past the cap: every row diverges at step 1
         g_old = np.concatenate([A @ z0[m + n:] + game.b, BT @ z0[m:m + n] + game.f])  # unused by GDA
     bias = np.concatenate([game.b, game.f])
     z = z0  # copied into each chunk's history, never written
@@ -339,12 +321,9 @@ def _simulate(plan: _Plan, etas: list,
     product = np.ndarray.dot if k == 1 else np.matvec
     add, subtract, multiply = np.add, np.subtract, np.multiply
     chunk = min(STOP_TEST_STEPS, max_steps)
-    # |x_t|^2 <= c2, |y_t|^2 <= c2 and -|Z_t - Z_{t-1}|^2 <= -t2 while a row goes on
-    limits = np.array([c2, c2, -t2]).reshape((3,) + (1,) * z.ndim)
     start = np.array(z0[played], ndmin=2)  # a copy: z0 may be the caller's
     fancy = not isinstance(played, slice)  # DOGDA's index array copies what it picks
     records = [[start] for _ in range(k)]  # the pieces of each live row's record
-    times = [0]  # the recorded times that every live row shares
     live = np.arange(k)
     t = 0
     while live.size:  # once per shape of the block
@@ -387,18 +366,18 @@ def _simulate(plan: _Plan, etas: list,
                 np.vecdot(new[..., :n], new[..., :n], out=norms[0, :size])
                 np.vecdot(new[..., n:m], new[..., n:m], out=norms[1, :size])
                 np.vecdot(diff[:size], diff[:size], out=norms[2, :size])
-                np.negative(norms[2, :size], out=norms[2, :size])
-                np.less_equal(norms[:, :size], limits, out=within[:, :size])
+                np.sqrt(norms[:, :size], out=norms[:, :size])
+                # |x_t| <= blow_cap, |y_t| <= blow_cap and |Z_t - Z_{t-1}| >= stop_tol
+                # while a row goes on
+                np.less_equal(norms[:2, :size], cap, out=within[:2, :size])
+                np.greater_equal(norms[2, :size], tol, out=within[2, :size])
                 # the chunk's recorded steps: t + first, t + first + stride, ...
                 first, end = stride - t % stride, t + size
-                recorded = range(t + first, end + 1, stride)
-                base = len(times)
-                if recorded:
+                if first <= size:
                     block = flat[first:size + 1:stride]
                     for i, pieces in enumerate(records):
                         piece = block[:, i, played]
                         pieces.append(piece if fancy else piece.copy())
-                    times.extend(recorded)
                 if end == max_steps or not within[:, :size].all():
                     break
                 hist[0], t = hist[size], end
@@ -412,14 +391,15 @@ def _simulate(plan: _Plan, etas: list,
         stopped = np.flatnonzero(~going)
         for i in stopped[np.argsort(at[stopped], kind="stable")].tolist():
             step = t + int(at[i]) + 1
-            length = base + step // stride - t // stride
-            last = None if step % stride == 0 else flat[at[i] + 1, i, played]
+            # the recorded steps below the stop step, then the stop step
+            times = np.append(np.arange(0, step, min(stride, step), dtype=np.int64), step)
+            records[i].append(flat[at[i] + 1, i, played])
             reason = (StopReason.DIVERGED if failed[0, i] or failed[1, i] else
                       StopReason.CONVERGED if failed[2, i] else StopReason.MAX_STEPS)
             # no name keeps the trajectory, so a caller that drops it frees it
             yield offset + int(live[i]), Trajectory(
-                float(etas[live[i]]), plan.n, _joined(records[i], length, last),
-                times[:length] + ([] if last is None else [step]), reason)
+                float(etas[live[i]]), plan.n, _joined(records[i], len(times) - 1), times,
+                reason)
         live, t = live[going], end
         records = [pieces for pieces, go in zip(records, going.tolist()) if go]
         if live.size:
@@ -472,14 +452,14 @@ def trajectory_to_csv(traj: Trajectory, game: BilinearGame,
     block_rows = max(1, CSV_BLOCK_CELLS // width)
     # one grid for every block: each block writes every byte of its rows
     grid = np.empty(min(block_rows, len(traj.times)), [
-        ("t", f"S{len(str(max(traj.times)))}"), ("cells", _CELL, (width,)), ("end", "S1")])
+        ("t", f"S{len(str(traj.times[-1]))}"), ("cells", _CELL, (width,)), ("end", "S1")])
     grid["end"] = b"\n"
     for start in range(0, len(traj.times), block_rows):
         block = slice(start, start + block_rows)
         rows = grid[:len(traj.times[block])]
         dist = (np.ones((len(rows), 1)) if target is None  # a placeholder, blanked below
                 else row_norms(xy[block] - target)[:, None])
-        rows["t"] = traj.times[block]
+        rows["t"] = traj.times[block].tolist()  # numpy writes ints faster than int64s as text
         _format_cells(np.hstack([xy[block], dist, g1[block, None], g2[block, None]]),
                       rows["cells"])
         if target is None:

@@ -69,12 +69,11 @@ def estimate_rate(traj: Trajectory, limit: LimitPrediction) -> RateFit:
         raise NotConvergedError("trajectory diverged; no rate to fit")
     x_inf, y_inf = limit.pair()
     dists = _distances(traj, x_inf, y_inf)
-    times = np.asarray(traj.times)
     start = int(math.ceil(TRANSIENT_FRACTION * len(dists)))
     floor_hits = np.nonzero(dists <= FLOOR)[0]
     end = int(floor_hits[0]) if floor_hits.size else len(dists)
     keep = slice(start, end)
-    t_win, d_win = times[keep], dists[keep]
+    t_win, d_win = traj.times[keep], dists[keep]
     mask = d_win > FLOOR
     t_win, d_win = t_win[mask], d_win[mask]
     if t_win.size < 10:
@@ -121,16 +120,15 @@ def classify(traj: Trajectory, spec: spectral.CouplingSpectrum) -> OutcomeClass:
         return OutcomeClass(OutcomeKind.CONVERGED, limit=(s.x.copy(), s.y.copy()),
                             evidence=evidence)
     g1, g2 = recorded_payoffs(traj, spec.game)
-    times = np.asarray(traj.times)
-    tail = slice(max(0, len(times) - COOP_TREND_POINTS), len(times))
+    tail = slice(-COOP_TREND_POINTS, None)
     g1_tail, g2_tail = g1[tail], g2[tail]
     evidence.update({"final_g1": float(g1[-1]), "final_g2": float(g2[-1])})
     if spec.growth_mu is not None:
         roots = spectral.s_star_roots(spec.growth_mu, traj.eta).roots
         evidence["expected_growth_ratio"] = float(np.abs(roots).max()) ** 2
     if min(g1[-1], g2[-1]) > COOP_CAP and (g1_tail > 0).all() and (g2_tail > 0).all():
-        s1, _, _ = _log_linear_fit(times[tail], g1_tail)
-        s2, _, _ = _log_linear_fit(times[tail], g2_tail)
+        s1, _, _ = _log_linear_fit(traj.times[tail], g1_tail)
+        s2, _, _ = _log_linear_fit(traj.times[tail], g2_tail)
         growth = math.exp(min(s1, s2))
         evidence.update({"growth_g1": math.exp(s1), "growth_g2": math.exp(s2)})
         if growth > 1.0:
@@ -162,9 +160,8 @@ def check_bound(traj: Trajectory, report: SpectralReport, D: DistanceD,
     """
     x_inf, y_inf = limit.pair()
     dists = _distances(traj, x_inf, y_inf)
-    times = np.asarray(traj.times, dtype=float)
     mask = dists > FLOOR
-    t_use, d_use = times[mask], dists[mask]
+    t_use, d_use = traj.times[mask], dists[mask]
     if t_use.size == 0:
         return BoundCheck(True, 0.0, 0.0, report.lambda_max, 0.0, False)
 

@@ -786,6 +786,39 @@ class TestVerifyCommand:
         assert payload["all_passed"]
         assert len(payload["checks"]) >= 20
 
+    def test_piped_document_is_all_of_stdout(self, monkeypatch, capsys):
+        # without --out-dir and with stdout not a terminal, the JSON document
+        # goes to stdout and the per-suite lines to stderr
+        results = [verify.CheckResult("first", True, 1e-15, 1e-10),
+                   verify.CheckResult("second", False, 0.5, 1e-3)]
+        monkeypatch.setattr(verify, "run_all_suites", lambda seed: results)
+        assert cli.main(["verify", "--seed", "3"]) == cli.EXIT_VERIFY_FAILED
+        out, err = capsys.readouterr()
+        payload = json.loads(out, parse_constant=reject_constant)
+        assert payload["seed"] == 3 and not payload["all_passed"]
+        assert [check["name"] for check in payload["checks"]] == ["first", "second"]
+        assert err.splitlines() == ["PASS first (measured=1.000e-15, tol=1e-10)",
+                                    "FAIL second (measured=5.000e-01, tol=1e-03)"]
+
+
+ETA_RANGE = {"start": 0.1, "stop": 0.3, "step": 0.1}
+
+
+@pytest.mark.parametrize("command, obj, message", [
+    ("analyze", [zero_sum_config(0.3), zero_sum_config(0.2)],
+     "analyze expects exactly one config"),
+    ("sweep", [zero_sum_config(ETA_RANGE), zero_sum_config(ETA_RANGE)],
+     "sweep expects exactly one config"),
+    ("analyze", zero_sum_config(ETA_RANGE), "analyze needs a scalar eta"),
+    ("run", zero_sum_config(ETA_RANGE), "run needs a scalar eta"),
+    ("sweep", zero_sum_config(0.3), "sweep needs an eta range")])
+def test_input_of_another_command_exit_one(tmp_path, capsys, command, obj, message):
+    cfg = write_config(tmp_path, obj)
+    out_dir = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out-dir", str(out_dir)]) == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error:") and message in err
+
 
 def json_paths(obj, prefix=()):
     """Every path to a value inside a JSON tree, the root excluded."""

@@ -147,6 +147,15 @@ class TestPredictLimit:
                                      IterateState.at([1.0], [1.0]))
         assert not pred.valid and pred.reason == "nash_set_empty"
 
+    def test_empty_general_sum_nash_invalid(self):
+        # A y + b = 0 asks 0 = 1 of the second row
+        g = BilinearGame(np.diag([1.0, 0.0]), np.diag([-2.0, 0.0]), [0.0, 1.0],
+                         np.zeros(2), np.zeros(2), np.zeros(2))
+        assert spectral.rate_report(g, 0.1).eta_regime is spectral.Regime.PART2
+        pred = predict.predict_limit(g, Algo.OGDA, 0.1, IterateState.at([1.0, 1.0], [1.0, 1.0]))
+        assert not pred.valid and pred.reason == "nash_set_empty"
+        assert pred.geometry is Geometry.OBLIQUE_ALONG_IMAGES
+
     def test_defective_example_invalid_with_reason(self):
         a = np.ones((2, 2))
         b = np.array([[1.0, 1.0], [-1.0, -1.0]])

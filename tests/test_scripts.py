@@ -58,6 +58,7 @@ def test_kernel_timing_prints_every_layer(monkeypatch, capsys):
                for size in (4, 128)]
             + [f"analysis_op_us_np{size}" for size in (4, 64)]
             + ["dogda_analysis_us_np256", "parse_config_us_np256",
-               "general_sum_curve_us_np64", "sweep_diag12_ms"])
+               "general_sum_curve_us_np64", "sweep_diag12_ms", "fit_us_diag12"])
     assert sorted(out) == sorted(keys)
     assert all(out[key] > 0 for key in keys)
+    assert type(out["run_converging_steps_np4"]) is int

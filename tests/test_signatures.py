@@ -9,6 +9,7 @@ caller that passes it.
 import dataclasses
 import inspect
 
+import numpy as np
 import pytest
 
 from saddle_lab import dynamics, games, linalg, predict, spectral, verify
@@ -88,6 +89,8 @@ def test_removed_methods_stay_removed():
     assert "residual" not in [f.name for f in dataclasses.fields(games.AffineSet)]
     spec = spectral.CouplingSpectrum(games.BilinearGame.zero_sum_game([[1.0, 2.0]]))
     assert not hasattr(spec, "ata_eig")
+    # the engine tests the stop rules on the norms against the thresholds as given
+    assert not hasattr(dynamics, "_squared_limits")
 
 
 def test_one_stored_form_of_a_state():
@@ -96,3 +99,15 @@ def test_one_stored_form_of_a_state():
         "eta", "n", "states", "times", "stop_reason"]
     assert [f.name for f in dataclasses.fields(games.AffineSet)] == [
         "point", "directions", "feasible", "image"]
+    # the recorded times are one int64 array, derived when a run stops
+    game = games.BilinearGame.zero_sum_game([[1.0]])
+    init = dynamics.IterateState.at([1.0], [1.0])
+    trajs = [dynamics.run(game, "OGDA", 0.3, init, max_steps=100),
+             *(traj for _, traj in dynamics.run_batch(game, "OGDA", [0.2, 0.3], init,
+                                                      max_steps=100)),
+             dynamics.run(game, "DOGDA", 0.3, init, max_steps=100, record_stride=3),
+             dynamics.run(game, "OGDA", 0.3, init, record_stride=int(1e300))]
+    for traj in trajs:
+        assert type(traj.times) is np.ndarray and traj.times.dtype == np.int64
+        assert len(traj.times) == len(traj.states)
+    assert trajs[-1].times.tolist() == [0, 564]

@@ -529,6 +529,13 @@ class TestDiagonalizable:
     def test_identity(self):
         assert spectral.is_diagonalizable(np.eye(4)) is Verdict.YES
 
+    def test_empty_matrix(self):
+        assert spectral.is_diagonalizable(np.zeros((0, 0))) is Verdict.YES
+
+    def test_close_clusters_are_borderline(self):
+        # 1e-4 apart: past the cluster radius, inside ten times it
+        assert spectral.is_diagonalizable(np.diag([1.0, 1.0 + 1e-4])) is Verdict.BORDERLINE
+
     def test_generic_companion(self):
         lam = dynamics.companion_matrix(DIAG12, 0.1)
         assert spectral.is_diagonalizable(lam) is Verdict.YES

@@ -138,6 +138,15 @@ class TestCheckBound:
         assert not bound.ok and bound.worst_ratio == math.inf
         assert bound.max_violation == verify._distances(traj, *pred.pair()).max()
 
+    def test_start_at_the_limit_has_no_point_to_check(self):
+        # from the Nash point every distance is 0, under the floor
+        init = IterateState.at([0.0], [0.0])
+        traj = dynamics.run(PENNIES, Algo.OGDA, 0.3, init)
+        report = spectral.rate_report(PENNIES, 0.3)
+        pred = predict.predict_limit(PENNIES, Algo.OGDA, 0.3, init)
+        bound = verify.check_bound(traj, report, predict.distance_to_nash(PENNIES, init), pred)
+        assert bound.ok and bound.worst_ratio == 0.0 and bound.max_violation == 0.0
+
     def test_part3b_fitted_envelope(self):
         w = predict.tight_witness(PENNIES, 0.5)
         traj = dynamics.run(PENNIES, Algo.OGDA, 0.5, w, max_steps=2000)
