@@ -16,14 +16,18 @@ beside it, the median of five. `run_batch`: row-steps per
 second at k = 8 step sizes, n+p in {4, 32}, the median of five batches.
 `trajectory_to_csv`: microseconds per row of the CSV of a 4000-step OGDA
 record at n+p in {4, 32, 256}, with its distance column, the median of five
-renderings. Every analysis below is timed on fresh copies of its game,
-made before the clock starts, so that no call finds the game in the memo of
-the last game analysed (`games.memo`). `rate_report` and `predict_limit`:
-microseconds per call of the public function at one step size, n+p in
-{4, 128}, the median of five batches of 50 calls. `analysis`: microseconds
-per shared analysis of one game, at n+p in {4, 128}, timed the same way: a
-`CouplingSpectrum`, then `rate_curve` at one step size, `predict.limit`,
-`predict.distance` and `predict.witness` from that spectrum and report.
+renderings. `run_json`: milliseconds per `cli.cmd_run` with `--format json`
+of the config of the 4000-step OGDA run at n+p in {4, 32}, each step
+recorded, into a temporary directory: the run, its analysis and fit, and
+the two JSON documents, the median of five. Every analysis below is timed
+on fresh copies of its game, made before the clock starts, so that no call
+finds the game in the memo of the last game analysed (`games.memo`).
+`rate_report` and `predict_limit`: microseconds per call of the public
+function at one step size, n+p in {4, 128}, the median of five batches of
+50 calls. `analysis`: microseconds per shared analysis of one game, at n+p
+in {4, 128}, timed the same way: a `CouplingSpectrum`, then `rate_curve`
+at one step size, `predict.limit`, `predict.distance` and
+`predict.witness` from that spectrum and report.
 `analysis_op`: microseconds per analysis op of the analysis-scan benchmark,
 at n+p in {4, 64}, timed the same way: `rate_report`, `lambda_spectrum`,
 `predict_limit`, `distance_to_nash` and `tight_witness` on one game.
@@ -49,9 +53,12 @@ states, the median of five.
     PYTHONPATH=src python3 scripts/kernel_timing.py
 """
 
+import contextlib
 import dataclasses
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +124,14 @@ def general_sum_curve(g):
     spec = spectral.CouplingSpectrum(g)
     half = 0.5 / np.sqrt(spec.mu_max)
     return spectral.rate_curve(spec, half * np.linspace(0.02, 0.99, 50))
+
+
+def run_config(g, init) -> dict:
+    """The config of the 4000-step OGDA run of `g` from `init`, read back
+    from its JSON text."""
+    return json.loads(json.dumps({
+        "game": game_to_json(g), "algo": "OGDA", "eta": 0.01, "max_steps": STEPS,
+        "init": {"x0": init.x.tolist(), "y0": init.y.tolist()}}))
 
 
 def clocked(call) -> float:
@@ -190,6 +205,11 @@ def layers() -> dict:
         origin = (np.zeros(g.n), np.zeros(g.p))  # the Nash point of these games
         seconds = median_time(lambda: dynamics.trajectory_to_csv(traj, g, limit=origin))
         out[f"csv_us_per_row_np{size}"] = seconds / len(traj.times) * 1e6
+    for size in (4, 32):
+        cfg = cli.parse_config(run_config(*game(size)))
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            seconds = median_time(lambda: cli.cmd_run([cfg], Path(tmp), "json"))
+        out[f"run_json_ms_np{size}"] = seconds * 1e3
     for size in (4, 128):
         g, init = game(size)
         out[f"rate_report_us_np{size}"] = fresh_us(spectral.rate_report, g, 0.01)
@@ -201,10 +221,7 @@ def layers() -> dict:
         out[f"analysis_op_us_np{size}"] = fresh_us(analysis_op, g, init)
     g, init = dogda_game(256)
     out["dogda_analysis_us_np256"] = fresh_us(dogda_analysis, g, init, calls=1)
-    g, init = game(256)
-    config = json.loads(json.dumps({
-        "game": game_to_json(g), "algo": "OGDA", "eta": 0.01, "max_steps": STEPS,
-        "init": {"x0": init.x.tolist(), "y0": init.y.tolist()}}))
+    config = run_config(*game(256))
     seconds = median_time(lambda: [cli.parse_config(config) for _ in range(CALLS)])
     out["parse_config_us_np256"] = seconds / CALLS * 1e6
     g = verify.random_spd_coupled_game(np.random.default_rng(3), 40, 24)

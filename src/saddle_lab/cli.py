@@ -13,7 +13,7 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .dynamics import (DEFAULT_BLOW_CAP, DEFAULT_STOP_TOL, Algo, IterateState,
                        StopReason, Trajectory, run, run_batch,
                        trajectory_to_csv)
 from .games import BilinearGame
-from .linalg import json_number, json_vector
+from .linalg import json_number, json_vector, jsonable
 from .predict import LimitPrediction
 from .verify import InsufficientDataError, RateFit
 
@@ -54,8 +54,7 @@ class ExperimentConfig:
     description: str = ""
 
     def etas(self) -> list[float]:
-        if self.eta is not None:
-            return [self.eta]
+        """The step sizes of the sweep range."""
         start, step, count = self.eta_range
         return [start + i * step for i in range(count)]
 
@@ -216,20 +215,11 @@ PRESETS = {
 # ---------------------------------------------------------------------------
 
 
-def _finite_or_null(obj):
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {key: _finite_or_null(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite_or_null(value) for value in obj]
-    return obj
-
-
 def _json_dump(obj, path: Path | None) -> str:
-    """Strict JSON: non-finite floats are written as null."""
-    text = json.dumps(_finite_or_null(obj), sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
+    """`obj` as strict JSON, through the one converter `linalg.jsonable`:
+    dataclasses, enums and numpy values go in as they are, and non-finite
+    floats are written as null."""
+    text = json.dumps(jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if path is not None:
         path.write_text(text)
     return text
@@ -241,7 +231,7 @@ def cmd_analyze(cfg: ExperimentConfig, out_dir: Path | None) -> int:
     spec = spectral.CouplingSpectrum.of(cfg.game, cfg.algo)
     report = spectral.rate_curve(spec, [cfg.eta])[0]
     pred = predict.limit(spec, report, cfg.init)
-    payload = {"report": report.to_json(), "limit": pred.to_json()}
+    payload = {"report": report, "limit": pred}
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / f"{cfg.name}.analysis.json" if out_dir else None
@@ -285,21 +275,19 @@ def _run_one(cfg: ExperimentConfig, eta: float) -> dict:
 
 
 def _verification_json(result: dict) -> dict:
-    fit = result["rate_fit"]
-    bound = result["bound"]
-    outcome = result["outcome"]
+    traj, outcome = result["trajectory"], result["outcome"]
     return {
-        "report": result["report"].to_json(),
-        "limit": result["prediction"].to_json(),
-        "stop_reason": result["trajectory"].stop_reason.value,
-        "steps": int(result["trajectory"].times[-1]),
+        "report": result["report"],
+        "limit": result["prediction"],
+        "stop_reason": traj.stop_reason,
+        "steps": traj.times[-1],
         "classification": {
-            "kind": outcome.kind.value,
+            "kind": outcome.kind,
             "growth_ratio": outcome.growth_ratio,
             "evidence": outcome.evidence,
         },
-        "rate_fit": None if fit is None else asdict(fit),
-        "bound": None if bound is None else asdict(bound),
+        "rate_fit": result["rate_fit"],
+        "bound": result["bound"],
     }
 
 
@@ -325,12 +313,8 @@ def cmd_run(configs: list[ExperimentConfig], out_dir: Path, fmt: str) -> int:
             traj_path = out_dir / f"{cfg.name}.trajectory.json"
             traj = result["trajectory"]
             n, p = cfg.game.n, cfg.game.p
-            _json_dump({
-                "comments": comments,
-                "times": traj.times.tolist(),
-                "x": traj.states[:, :n].tolist(),
-                "y": traj.states[:, n:n + p].tolist(),
-            }, traj_path)
+            _json_dump({"comments": comments, "times": traj.times,
+                        "x": traj.states[:, :n], "y": traj.states[:, n:n + p]}, traj_path)
         _json_dump(_verification_json(result), out_dir / f"{cfg.name}.verify.json")
         print(f"wrote {traj_path}")
     return EXIT_OK
@@ -385,7 +369,7 @@ def cmd_verify(seed: int, out_dir: Path | None) -> int:
     results = verify.run_all_suites(seed)
     payload = {"seed": seed,
                "all_passed": all(r.passed for r in results),
-               "checks": [r.to_json() for r in results]}
+               "checks": results}
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / "verification.json" if out_dir else None
@@ -409,10 +393,7 @@ def cmd_verify(seed: int, out_dir: Path | None) -> int:
 
 
 def _load_configs(args) -> list[ExperimentConfig]:
-    if getattr(args, "preset", None):
-        if args.preset not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {args.preset!r}; have {sorted(PRESETS)}")
+    if getattr(args, "preset", None):  # argparse's choices admit only PRESETS
         return [parse_config(obj, seed=args.seed) for obj in PRESETS[args.preset]()]
     if not getattr(args, "config", None):
         raise ConfigError("either --config or --preset is required")

@@ -436,8 +436,10 @@ def trajectory_to_csv(traj: Trajectory, game: BilinearGame,
     """Render the recorded states as CSV.
 
     Header: t,x_0..x_{n-1},y_0..y_{p-1},dist_limit,g1,g2, each value written
-    as "%.17g" writes it. The dist_limit column is left empty when no limit
-    prediction is supplied.
+    as "%.17g" writes it (an integer t below 1e17 as str(t)). The dist_limit
+    column is left empty when no limit prediction is supplied. A block of
+    rows is one (rows, n+p+4) array of _CELL that the kernel fills, t too;
+    each row's first "," becomes the line break before it.
     """
     n, p = game.n, game.p
     xy = traj.states[:, :n + p]
@@ -447,24 +449,23 @@ def trajectory_to_csv(traj: Trajectory, game: BilinearGame,
     cols = (["t"] + [f"x_{i}" for i in range(n)] + [f"y_{j}" for j in range(p)]
             + ["dist_limit", "g1", "g2"])
     lines.append(",".join(cols))
-    parts = ["\n".join(lines) + "\n"]
-    width = n + p + 3
+    parts = ["\n".join(lines)]
+    width = n + p + 4
     block_rows = max(1, CSV_BLOCK_CELLS // width)
     # one grid for every block: each block writes every byte of its rows
-    grid = np.empty(min(block_rows, len(traj.times)), [
-        ("t", f"S{len(str(traj.times[-1]))}"), ("cells", _CELL, (width,)), ("end", "S1")])
-    grid["end"] = b"\n"
+    grid = np.empty((min(block_rows, len(traj.times)), width), _CELL)
     for start in range(0, len(traj.times), block_rows):
         block = slice(start, start + block_rows)
         rows = grid[:len(traj.times[block])]
         dist = (np.ones((len(rows), 1)) if target is None  # a placeholder, blanked below
                 else row_norms(xy[block] - target)[:, None])
-        rows["t"] = traj.times[block].tolist()  # numpy writes ints faster than int64s as text
-        _format_cells(np.hstack([xy[block], dist, g1[block, None], g2[block, None]]),
-                      rows["cells"])
+        _format_cells(np.hstack([traj.times[block, None], xy[block], dist,
+                                 g1[block, None], g2[block, None]]), rows)
+        rows["head"][:, 0] -= np.uint64(ord(",") - ord("\n"))  # the low byte: "," -> "\n"
         if target is None:
-            rows["cells"].view(f"S{_CELL.itemsize}")[:, n + p] = b","
+            rows.view(f"S{_CELL.itemsize}")[:, 1 + n + p] = b","
         parts.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
+    parts.append("\n")
     return "".join(parts)
 
 

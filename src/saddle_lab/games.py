@@ -67,8 +67,15 @@ class BilinearGame:
         return self.A.shape[1]
 
     @property
+    def zero_sum_coupling(self) -> bool:
+        """B = -A. The dynamics read only A, B, b and f, so they are those
+        of a zero-sum game; the analysis of the game rests on this test."""
+        return np.array_equal(self.B, -self.A)
+
+    @property
     def zero_sum(self) -> bool:
-        return (np.array_equal(self.B, -self.A) and np.array_equal(self.e, -self.b)
+        """The payoffs too: B = -A, e = -b, f = -c and g = -d."""
+        return (self.zero_sum_coupling and np.array_equal(self.e, -self.b)
                 and np.array_equal(self.f, -self.c) and self.g == -self.d)
 
     @classmethod
@@ -195,7 +202,7 @@ def coupling_svds(game: BilinearGame) -> tuple[RankedSVD, RankedSVD]:
     and B share a rank."""
     def decompose() -> tuple[RankedSVD, RankedSVD]:
         svd_a = linalg.svd_rank(game.A)
-        if np.array_equal(game.B, -game.A):
+        if game.zero_sum_coupling:
             neg_u = -svd_a.u
             linalg.read_only(neg_u)
             return svd_a, svd_a._replace(u=neg_u)

@@ -11,11 +11,14 @@ str), at or above a lower bound, and integral where the field is an integer
 (2.0 counts). `json_vector` applies the same rule to each entry of a JSON
 list of a given length, with one type scan of the list, and `json_object`
 names a field that must be an object; `matrix_from_json` reads a matrix
-through all three.
+through all three. Every document written goes through one converter the
+other way, `jsonable`, which writes a non-finite float as null.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import math
 import reprlib
 from dataclasses import dataclass
@@ -94,6 +97,28 @@ def matrix_to_json(a: np.ndarray) -> dict:
     m = as_matrix(a)
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]),
             "data": [float(x) for x in m.reshape(-1)]}
+
+
+def jsonable(obj):
+    """`obj` as the plain values that strict JSON writes: a dataclass as the
+    dict of its fields, an enum as its value, a numpy array or scalar as
+    Python values, a tuple as a list and a non-finite float as None, all the
+    way down. Anything else comes back as it is."""
+    if isinstance(obj, float):  # numpy's float64 too
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, enum.Enum):  # before str: the enums are str enums
+        return obj.value
+    if isinstance(obj, np.ndarray):  # a walk over the values only to null one
+        return obj.tolist() if np.isfinite(obj).all() else jsonable(obj.tolist())
+    if isinstance(obj, np.generic):
+        return jsonable(obj.item())
+    if isinstance(obj, dict):
+        return {key: jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(value) for value in obj]
+    if dataclasses.is_dataclass(obj):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    return obj
 
 
 def json_number(value, name: str, low: float | None = None, strict: bool = False,

@@ -56,13 +56,8 @@ class LimitPrediction:
         return self.x_inf, self.y_inf
 
     def to_json(self) -> dict:
-        return {
-            "x_inf": None if self.x_inf is None else [float(v) for v in self.x_inf],
-            "y_inf": None if self.y_inf is None else [float(v) for v in self.y_inf],
-            "geometry": self.geometry.value,
-            "valid": self.valid,
-            "reason": self.reason,
-        }
+        """The prediction's fields as strict JSON values (`linalg.jsonable`)."""
+        return linalg.jsonable(self)
 
 
 def _invalid(geometry: Geometry, reason: str) -> LimitPrediction:
@@ -217,7 +212,7 @@ def _eigen_witness(spec: CouplingSpectrum, eta: float, mu: float) -> IterateStat
 
 def _witness_spectrum(spec: CouplingSpectrum) -> CouplingSpectrum:
     """A witness is built from a zero-sum OGDA spectrum with some coupling."""
-    if spec.algo is not Algo.OGDA or not spec.game.zero_sum:
+    if spec.algo is not Algo.OGDA or not spec.game.zero_sum_coupling:
         raise ValueError("a witness needs a zero-sum game under OGDA")
     if spec.mu_min is None:
         raise ZeroMatrixError("witness undefined for the zero coupling matrix")

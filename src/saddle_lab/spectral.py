@@ -212,22 +212,8 @@ class SpectralReport:
         return self.eta_regime in _APPLICABLE
 
     def to_json(self) -> dict:
-        return {
-            "algo": self.algo.value,
-            "eta": self.eta,
-            "mu_set": self.mu_set,
-            "mu_imag_max": self.mu_imag_max,
-            "mu_min": self.mu_min,
-            "mu_max": self.mu_max,
-            "lambda_star": self.lambda_star,
-            "lambda_dstar": self.lambda_dstar,
-            "lambda_max": self.lambda_max,
-            "C": self.C,
-            "eta_regime": self.eta_regime.value,
-            "diagonalizable": self.diagonalizable.value,
-            "assumptions_met": self.assumptions_met,
-            "violated": self.violated,
-        }
+        """The report's fields as strict JSON values (`linalg.jsonable`)."""
+        return linalg.jsonable(self)
 
 
 class CouplingSpectrum:
@@ -238,14 +224,15 @@ class CouplingSpectrum:
     (games.memo). A spectrum built directly shares the game's decompositions
     through the same memo. `svds` holds the ranked SVDs of A and B
     (games.coupling_svds): every rank decision of the analysis reads them.
-    Zero-sum OGDA pools the spectra of A^T A and A A^T. DOGDA, zero-sum
-    OGDA on games.doubled(game) with coupling blockdiag(-B, A), pools those
-    of A^T A, A A^T, B^T B and B B^T. General-sum OGDA takes the magnitudes
-    of the non-positive real parts of Sp(B^T A), with the checks that the
-    spectrum is real and non-positive; `growth_mu` is its largest real
-    value that fails the second check, the one that drives payoff growth
-    (None when there is none, and for the other spectra). `positives` are the numerically
-    positive values, ascending, in a read-only array; `mu_set` is a tuple.
+    Zero-sum OGDA (B = -A, `zero_sum_coupling`) pools the spectra of A^T A
+    and A A^T. DOGDA, zero-sum OGDA on games.doubled(game) with coupling
+    blockdiag(-B, A), pools those of A^T A, A A^T, B^T B and B B^T.
+    General-sum OGDA takes the magnitudes of the non-positive real parts of
+    Sp(B^T A), with the checks that the spectrum is real and non-positive;
+    `growth_mu` is its largest real value that fails the second check, the
+    one that drives payoff growth (None when there is none, and for the
+    other spectra). `positives` are the numerically positive values,
+    ascending, in a read-only array; `mu_set` is a tuple.
     `assumptions` are the conditions a report checks, in order, and
     `violated` names the one that fails at every step size (None when the
     step size decides). `nash` is the game's Nash set (games.nash_set),
@@ -265,7 +252,7 @@ class CouplingSpectrum:
             self.assumptions: tuple[str, ...] = ()
             self.violated = "no_convergence_theory_for_gda"
             self.mu_set, self.mu_max, self.positives = (), 0.0, np.zeros(0)
-        elif game.zero_sum or self.algo is Algo.DOGDA:
+        elif game.zero_sum_coupling or self.algo is Algo.DOGDA:
             self.assumptions = ("eta_below_divergence_threshold",)
             # A^T A is p x p and A A^T is n x n, and B's Gram products for DOGDA
             self._gram(self.svds if self.algo is Algo.DOGDA else self.svds[:1],

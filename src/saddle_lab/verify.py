@@ -249,11 +249,6 @@ class CheckResult:
     tolerance: float
     detail: str = ""
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": bool(self.passed),
-                "measured": float(self.measured),
-                "tolerance": float(self.tolerance), "detail": self.detail}
-
 
 def random_matrix(rng: np.random.Generator, n: int, p: int,
                   rank: int | None = None) -> np.ndarray:
@@ -769,7 +764,7 @@ def suite_diagonalizable_oracle(rng: np.random.Generator) -> CheckResult:
             borderline += 1
         elif dense is not spectral.CouplingSpectrum.of(game).diagonalizable:
             disagree += 1
-    return CheckResult("spectral.diagonalizable_oracle", disagree == 0, disagree, 0,
+    return CheckResult("spectral.diagonalizable_oracle", disagree == 0, float(disagree), 0.0,
                        f"dense test Borderline on {borderline} of {games_count} games")
 
 

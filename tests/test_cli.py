@@ -63,7 +63,8 @@ def zero_sum_config(eta, **extra):
     ([], "required: command"), (["run", "--seed", "x"], "--seed: invalid int value"),
     (["verify", "--seed", "-5"], "--seed: must be >= 0"),
     (["run", "--config", "absent.json", "--seed", "-1"], "--seed: must be >= 0"),
-    (["sweep", "--seed", "-2"], "--seed: must be >= 0")])
+    (["sweep", "--seed", "-2"], "--seed: must be >= 0"),
+    (["run", "--preset", "nope"], "invalid choice")])
 def test_usage_error_exit_one(capsys, argv, message):
     assert cli.main(argv) == cli.EXIT_CONFIG_ERROR
     err = capsys.readouterr().err

@@ -854,6 +854,15 @@ class TestCellKernel:
         assert guards[0] in declined and guards[-1] in declined
         assert not set(guards[1:-1]) & set(declined)
 
+    def test_integers_are_written_as_str(self):
+        """The t column goes through the kernel: an integer t below 1e17 reads
+        as str(t), t = 0 included (the kernel declines it)."""
+        ints = np.unique(np.concatenate([
+            np.arange(0, 10 ** 4), np.random.default_rng(5).integers(0, 10 ** 6 + 1, 20000),
+            [10 ** 6], [10 ** k for k in range(17)], [2 ** 53 - 1]]))
+        cells, declined = kernel_cells(ints)
+        assert cells == [str(t) for t in ints.tolist()] and declined == [0.0]
+
     def test_random_bit_patterns(self):
         bits = np.random.default_rng(12).integers(0, 2 ** 64, 2 ** 20, dtype=np.uint64)
         for chunk in np.split(bits.view(np.float64), 16):

@@ -1,4 +1,7 @@
 import ast
+import dataclasses
+import enum
+import json
 import math
 from pathlib import Path
 
@@ -273,3 +276,45 @@ class TestJson:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             linalg.as_matrix([[np.nan, 0.0]])
+
+
+class Shade(str, enum.Enum):
+    DARK = "Dark"
+
+
+@dataclasses.dataclass
+class Inner:
+    shade: Shade
+    pair: tuple
+
+
+@dataclasses.dataclass
+class Outer:
+    inner: Inner
+    values: np.ndarray
+    extra: dict
+
+
+class TestJsonable:
+    def test_nested_values(self):
+        obj = Outer(Inner(Shade.DARK, (np.int64(3), math.inf)),
+                    np.array([[1.5, -math.inf], [math.nan, 2.0]]),
+                    {"flags": np.array([True, False]), "counts": np.arange(3),
+                     "scalars": [np.float64(0.25), np.bool_(True), np.float64(math.nan)],
+                     "plain": (1, "Dark", None, -0.0)})
+        out = linalg.jsonable(obj)
+        assert out == {"inner": {"shade": "Dark", "pair": [3, None]},
+                       "values": [[1.5, None], [None, 2.0]],
+                       "extra": {"flags": [True, False], "counts": [0, 1, 2],
+                                 "scalars": [0.25, True, None],
+                                 "plain": [1, "Dark", None, -0.0]}}
+        assert type(out["inner"]["shade"]) is str and type(out["inner"]["pair"][0]) is int
+        assert [type(v) for v in out["extra"]["scalars"][:2]] == [float, bool]
+        assert [type(v) for v in out["extra"]["flags"] + out["extra"]["counts"]] == (
+            [bool] * 2 + [int] * 3)
+        assert json.dumps(out, allow_nan=False)
+
+    def test_plain_values_pass_through(self):
+        for value in (0, 1.0, "x", None, True, [], {}):
+            assert linalg.jsonable(value) == value
+        assert linalg.jsonable(np.float64(-math.inf)) is None

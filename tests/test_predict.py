@@ -289,6 +289,26 @@ class TestWitnesses:
         assert self.fit(PENNIES, 0.55, w, steps=1000) == pytest.approx(
             rep.lambda_max, rel=5e-3)
 
+    def test_zero_sum_coupling_has_a_witness_and_a_limit(self):
+        """Only B = -A decides: f = 1 with c = 0 is the dynamics of the
+        zero-sum game with c = -1, whose limit is (1, 0)."""
+        game = BilinearGame([[1.0]], [[-1.0]], [0.0], [0.0], [0.0], [1.0])
+        init = IterateState.at(np.zeros(1), np.zeros(1))
+        pred = predict.predict_limit(game, Algo.OGDA, 0.55, init)
+        assert pred.valid and pred.geometry is Geometry.ORTHOGONAL_ONTO_KERNELS
+        assert np.allclose(np.concatenate(pred.pair()), [1.0, 0.0], atol=1e-12)
+        traj = dynamics.run(game, Algo.OGDA, 0.55, init, max_steps=3000)
+        assert traj.stop_reason is StopReason.CONVERGED
+        assert np.allclose(traj.states[-1, :2], [1.0, 0.0], atol=1e-6)
+        w = predict.tight_witness(game, 0.55)
+        rep = spectral.rate_report(game, 0.55)
+        assert self.fit(game, 0.55, w, steps=1000) == pytest.approx(rep.lambda_max, rel=5e-3)
+
+    def test_general_sum_has_no_witness(self):
+        g = BilinearGame.from_matrices([[1.0]], [[-2.0]])
+        with pytest.raises(ValueError, match="a witness needs a zero-sum game"):
+            predict.tight_witness(g, 0.1)
+
     def test_zero_matrix_rejected(self):
         g = BilinearGame.zero_sum_game(np.zeros((2, 2)))
         with pytest.raises(predict.ZeroMatrixError):

@@ -54,6 +54,7 @@ def test_kernel_timing_prints_every_layer(monkeypatch, capsys):
             + ["run_converging_us_np4", "run_converging_steps_np4"]
             + [f"run_batch_row_steps_per_s_k8_np{size}" for size in (4, 32)]
             + [f"csv_us_per_row_np{size}" for size in (4, 32, 256)]
+            + [f"run_json_ms_np{size}" for size in (4, 32)]
             + [f"{name}_us_np{size}" for name in ("rate_report", "predict_limit", "analysis")
                for size in (4, 128)]
             + [f"analysis_op_us_np{size}" for size in (4, 64)]

@@ -12,7 +12,7 @@ import inspect
 import numpy as np
 import pytest
 
-from saddle_lab import dynamics, games, linalg, predict, spectral, verify
+from saddle_lab import cli, dynamics, games, linalg, predict, spectral, verify
 
 PARAMETERS = {
     linalg.span: ["vectors"],
@@ -91,6 +91,9 @@ def test_removed_methods_stay_removed():
     assert not hasattr(spec, "ata_eig")
     # the engine tests the stop rules on the norms against the thresholds as given
     assert not hasattr(dynamics, "_squared_limits")
+    # every JSON document goes through linalg.jsonable
+    assert not hasattr(cli, "_finite_or_null")
+    assert not hasattr(verify.CheckResult, "to_json")
 
 
 def test_one_stored_form_of_a_state():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saddle_lab import dynamics, games, linalg, spectral, verify
+from saddle_lab import dynamics, games, linalg, predict, spectral, verify
 from saddle_lab.dynamics import Algo
 from saddle_lab.games import BilinearGame
 from saddle_lab.spectral import Regime, Verdict
@@ -225,7 +225,7 @@ class TestRateReport:
         a = np.array([[1.0, 0.0], [2.0, 0.0]])
         b = np.array([[-2.0, -1.0], [0.0, 0.0]])
         obj = spectral.rate_report(BilinearGame.from_matrices(a, b), 2.0).to_json()
-        assert math.isnan(obj.pop("lambda_max"))
+        assert obj.pop("lambda_max") is None
         assert obj == {
             "algo": "OGDA", "eta": 2.0, "mu_set": [0.0, -2.0], "mu_imag_max": 0.0,
             "mu_min": None, "mu_max": 2.0, "lambda_star": 0.0, "lambda_dstar": 0.0,
@@ -233,6 +233,28 @@ class TestRateReport:
             "assumptions_met": {"spectrum_real_nonpositive": True,
                                 "eta_below_half_threshold": False},
             "violated": "eta_below_half_threshold"}
+
+    def test_to_json_is_strict(self):
+        """An Inapplicable report's NaN rate and its invalid limit go out as null."""
+        a = np.array([[1.0, 0.0], [2.0, 0.0]])
+        b = np.array([[-2.0, -1.0], [0.0, 0.0]])
+        game = BilinearGame.from_matrices(a, b)
+        rep = spectral.rate_report(game, 2.0)
+        pred = predict.predict_limit(game, Algo.OGDA, 2.0,
+                                     dynamics.IterateState.at(np.ones(2), np.ones(2)))
+        assert math.isnan(rep.lambda_max) and not pred.valid
+        for obj in (rep, pred):
+            json.dumps(obj.to_json(), allow_nan=False)
+
+    def test_zero_sum_coupling_is_analysed_as_zero_sum(self):
+        """B = -A fixes the dynamics, whatever e, f and g are: the game with
+        f = 1 runs as the zero-sum game with c = -1."""
+        game = BilinearGame([[1.0]], [[-1.0]], [0.0], [0.0], [0.0], [1.0])
+        twin = BilinearGame.zero_sum_game([[1.0]], c=[-1.0])
+        assert not game.zero_sum and game.zero_sum_coupling
+        rep, twin_rep = spectral.rate_report(game, 0.55), spectral.rate_report(twin, 0.55)
+        assert rep.eta_regime is twin_rep.eta_regime is Regime.PART3A
+        assert rep.lambda_max == twin_rep.lambda_max == 0.9257654471963033
 
     def test_divergent_regime(self):
         rep = spectral.rate_report(PENNIES, 0.6)
