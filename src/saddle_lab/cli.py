@@ -452,19 +452,14 @@ def main(argv: list[str] | None = None) -> int:
         # Huge but finite inputs may overflow states, payoffs or norms: these are
         # written as inf/nan in CSV and null in JSON, without numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            if args.command == "analyze":
-                configs = _load_configs(args)
-                if len(configs) != 1:
-                    raise ConfigError("analyze expects exactly one config")
-                return cmd_analyze(configs[0], out_dir)
+            configs = _load_configs(args)
             if args.command == "run":
-                return cmd_run(_load_configs(args), out_dir or Path("."), args.format)
-            if args.command == "sweep":
-                configs = _load_configs(args)
-                if len(configs) != 1:
-                    raise ConfigError("sweep expects exactly one config")
-                return cmd_sweep(configs[0], out_dir or Path("."))
-        raise ConfigError(f"unknown command {args.command}")
+                return cmd_run(configs, out_dir or Path("."), args.format)
+            if len(configs) != 1:
+                raise ConfigError(f"{args.command} expects exactly one config")
+            if args.command == "analyze":
+                return cmd_analyze(configs[0], out_dir)
+            return cmd_sweep(configs[0], out_dir or Path("."))
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -17,14 +17,13 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .games import BilinearGame, DimensionMismatchError, doubled, payoffs
-from .linalg import as_vector, row_norms
+from .linalg import as_vector, json_number, row_norms
 
 
 class Algo(str, enum.Enum):
@@ -84,6 +83,7 @@ class IterateState:
 def companion_matrix(game: BilinearGame, eta: float) -> np.ndarray:
     """The 2(n+p)-square matrix driving Z_{t+1} = M Z_t for the homogeneous
     optimistic dynamics, Z_t = (x_t, y_t, x_{t-1}, y_{t-1})."""
+    eta = json_number(eta, "eta", 0, strict=True)
     n, p = game.n, game.p
     i_n, i_p = np.eye(n), np.eye(p)
     z_np, z_pn = np.zeros((n, p)), np.zeros((p, n))
@@ -122,11 +122,6 @@ def default_record_stride(n: int, p: int, max_steps: int) -> int:
     return max(1, math.ceil(max_steps / 4096))
 
 
-def _check_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 @dataclass
 class _Plan:
     """What `run` and `run_batch` share once the settings are checked: the
@@ -148,14 +143,12 @@ class _Plan:
 def _plan(game: BilinearGame, algo: Algo, init: IterateState, max_steps: int,
           stop_tol: float, blow_cap: float, record_stride: int | None) -> _Plan:
     algo = Algo(algo)
-    _check_count("max_steps", max_steps)
+    max_steps = json_number(max_steps, "max_steps", 1, integer=True)
     if record_stride is None:
         record_stride = default_record_stride(game.n, game.p, max_steps)
-    _check_count("record_stride", record_stride)
-    if not (math.isfinite(blow_cap) and blow_cap > 0):
-        raise ValueError(f"blow_cap must be finite and > 0, got {blow_cap}")
-    if not (math.isfinite(stop_tol) and stop_tol >= 0):
-        raise ValueError(f"stop_tol must be finite and >= 0, got {stop_tol}")
+    record_stride = json_number(record_stride, "record_stride", 1, integer=True)
+    stop_tol = json_number(stop_tol, "stop_tol", 0)
+    blow_cap = json_number(blow_cap, "blow_cap", 0, strict=True)
     n, p = game.n, game.p
     if init.n != n or init.z.size != 2 * (n + p):
         raise DimensionMismatchError(
@@ -168,11 +161,6 @@ def _plan(game: BilinearGame, algo: Algo, init: IterateState, max_steps: int,
         played = np.r_[0:n, 2 * n + p:m, m:m + n, m + 2 * n + p:2 * m]
     return _Plan(game, n, algo is not Algo.GDA, z0, played, max_steps, stop_tol, blow_cap,
                  record_stride, 2 * (n + p))
-
-
-def _check_eta(eta) -> None:
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
 
 
 def run(game: BilinearGame, algo: Algo, eta: float, init: IterateState,
@@ -228,9 +216,7 @@ def run_batch(game: BilinearGame, algo: Algo, etas, init: IterateState,
     the same step in index order. Each trajectory owns its states: a caller
     that drops it frees its record while the batch goes on.
     """
-    etas = list(etas)
-    for eta in etas:
-        _check_eta(eta)
+    etas = [json_number(eta, "eta", 0, strict=True) for eta in etas]
     plan = _plan(game, algo, init, max_steps, stop_tol, blow_cap, record_stride)
     chunk = min(STOP_TEST_STEPS, plan.max_steps)
     record_rows = plan.max_steps // plan.record_stride + 2

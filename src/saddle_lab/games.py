@@ -245,8 +245,8 @@ def scale_opponent(game: BilinearGame, l: float) -> BilinearGame:
     The Nash set is unchanged while the coupling spectrum is scaled by l,
     which trades off against the usable step-size range.
     """
-    if l <= 0:
-        raise NonPositiveScaleError(f"scale must be positive, got {l}")
+    if not 0 < l < np.inf:
+        raise NonPositiveScaleError(f"scale l must be finite and > 0, got {l}")
     if not game.zero_sum:
         raise ValueError("scale_opponent expects a zero-sum game")
     return BilinearGame(

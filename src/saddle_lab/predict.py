@@ -98,7 +98,8 @@ def predict_limit(game: BilinearGame, algo: Algo, eta: float,
     spec = CouplingSpectrum.of(game, algo)
     if spec.general_sum:
         return limit(spec, rate_curve(spec, [eta])[0], init)
-    return _orthogonal_at(spec, eta, functools.partial(_orthogonal_point, spec, init))
+    return _orthogonal_at(spec, linalg.json_number(eta, "eta", 0, strict=True),
+                          functools.partial(_orthogonal_point, spec, init))
 
 
 def _orthogonal_at(spec: CouplingSpectrum, eta: float, point) -> LimitPrediction:
@@ -238,6 +239,7 @@ def tight_witness(game: BilinearGame, eta: float) -> IterateState:
 def divergence_witness(game: BilinearGame, eta: float) -> IterateState:
     """Initialization aligned with an expanding eigendirection (|lambda| > 1);
     only exists beyond the step-size threshold (at it the root has modulus 1)."""
+    eta = linalg.json_number(eta, "eta", 0, strict=True)
     spec = _witness_spectrum(CouplingSpectrum.of(game))
     if eta * math.sqrt(spec.mu_max) <= DIVERGENCE_THRESHOLD:
         raise ValueError(f"eta={eta} is inside the convergence range")

@@ -25,7 +25,7 @@ from . import games as games_mod
 from . import linalg
 from .dynamics import Algo
 from .games import BilinearGame, NashSet
-from .linalg import ComplexScalarSet, RankedSVD, as_matrix, cluster_scalars
+from .linalg import ComplexScalarSet, RankedSVD, as_matrix, cluster_scalars, json_number
 
 MEMBERSHIP_REL_TOL = 1e-9       # for "1/(4 eta^2) in S(A)", the rate indicators and a positive mu
 REALITY_REL_TOL = 1e-8          # for accepting Sp(B^T A) as real non-positive
@@ -100,8 +100,7 @@ class RootSet:
 
 def s_star_roots(mu: float, eta: float) -> RootSet:
     """Root set S*(mu) for real mu; mu < 0 covers the zero-sum case S(-mu)."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    eta = json_number(eta, "eta", 0, strict=True)
     raw = _quartic_root_multiset(complex(mu), eta)
     dedup = cluster_scalars(raw, 1e-12 * (1.0 + abs(mu) * eta * eta)).values
     return RootSet(float(mu), float(eta), dedup)
@@ -141,6 +140,7 @@ def lambda_spectrum(game: BilinearGame, eta: float) -> ComplexScalarSet:
     and the |n - p| leftover dimensions contribute {0, 1} pairs. Totals always
     match the companion dimension 2(n + p).
     """
+    eta = json_number(eta, "eta", 0, strict=True)
     base = _coupling_eigenvalues(game)
     roots: list[complex] = []
     for mu, mult in zip(base.values, base.multiplicities):
@@ -332,7 +332,8 @@ class CouplingSpectrum:
     @functools.cached_property
     def invertible(self) -> bool:
         """A and B are square and of full rank, read from `svds`: then
-        `diagonalizable` is Yes with no further test."""
+        `diagonalizable` is Yes with no further test where B^T A has no
+        repeated eigenvalue."""
         n = self.game.n
         return n == self.game.p and all(svd.rank == n for svd in self.svds)
 
@@ -349,16 +350,19 @@ class CouplingSpectrum:
         rank(B^T A) = rank A, rank(A B^T) = rank B and the smaller of the
         two products is diagonalizable. The rank conditions hold iff A and
         B have one rank r and the r x r products of their image bases, and
-        of their row-space bases, are nonsingular (read from `svds`). Yes
-        at once when `invertible`.
+        of their row-space bases, are nonsingular (read from `svds`); they
+        hold at once when `invertible`. Then the verdict is Yes at once when
+        every eigenvalue of the product is simple; a repeated one may be
+        defective (a Jordan block).
         """
-        if self.invertible:
+        if not self.invertible:
+            svd_a, svd_b = self.svds
+            r = svd_a.rank
+            if not (svd_b.rank == r and _meets(svd_a.u[:, :r], svd_b.u[:, :r])
+                    and _meets(svd_a.vh[:r].T, svd_b.vh[:r].T)):
+                return Verdict.NO
+        elif (_coupling_eigenvalues(self.game).multiplicities == 1).all():
             return Verdict.YES
-        svd_a, svd_b = self.svds
-        r = svd_a.rank
-        if not (svd_b.rank == r and _meets(svd_a.u[:, :r], svd_b.u[:, :r])
-                and _meets(svd_a.vh[:r].T, svd_b.vh[:r].T)):
-            return Verdict.NO
         return is_diagonalizable(_coupling_product(self.game))
 
 
@@ -489,9 +493,8 @@ def rate_curve(spec: CouplingSpectrum, etas) -> RateCurve:
     also reads the spectrum's `diagonalizable` verdict, which it takes at
     most once, and only when some step lies below the half threshold.
     """
-    etas = np.asarray(etas, dtype=float).reshape(-1)
-    if (etas <= 0).any():
-        raise ValueError("eta must be positive")
+    etas = np.array([json_number(eta, "eta", 0, strict=True)
+                     for eta in np.ravel(etas).tolist()], dtype=float)
     curve = RateCurve(spec, etas)
     if spec.violated is not None:
         return curve
@@ -534,9 +537,9 @@ def optimal_eta(mu_min: float, mu_max: float) -> tuple[float, float]:
     decreasing branch (driven by mu_min) against the increasing branch
     (driven by mu_max), always landing at or above 1/(2 sqrt(mu_max)).
     """
-    if not (0.0 < mu_min <= mu_max):
+    if not (0.0 < mu_min <= mu_max < math.inf):
         raise InvalidRatioError(
-            f"need 0 < mu_min <= mu_max, got ({mu_min}, {mu_max})")
+            f"need 0 < mu_min <= mu_max < inf, got ({mu_min}, {mu_max})")
     alpha = mu_min / mu_max
     q = (3.0 + 6.0 * alpha - alpha * alpha
          - (1.0 - alpha) * math.sqrt((1.0 - alpha) * (9.0 - alpha)))

@@ -339,11 +339,29 @@ class TestRun:
     @pytest.mark.parametrize("settings", [
         {"max_steps": 0}, {"max_steps": -5}, {"record_stride": 0},
         {"record_stride": 2.5}, {"blow_cap": math.inf}, {"blow_cap": 0.0},
-        {"blow_cap": math.nan}, {"stop_tol": -1e-3}, {"stop_tol": math.inf}])
+        {"blow_cap": math.nan}, {"stop_tol": -1e-3}, {"stop_tol": math.inf},
+        {"max_steps": True}, {"max_steps": "10"}, {"record_stride": np.bool_(True)},
+        {"max_steps": 10**400}, {"stop_tol": None}])
     def test_rejects_bad_step_settings(self, settings):
-        with pytest.raises(ValueError):
+        # the message of linalg.json_number, naming the setting
+        with pytest.raises(ValueError, match=f"^{next(iter(settings))} must be "):
             dynamics.run(PENNIES, Algo.OGDA, 0.3, IterateState.at([1.0], [1.0]),
                          **settings)
+
+    def test_settings_pass_the_config_rule(self):
+        # numpy scalars and integral floats pass, as a config's numbers do
+        init = IterateState.at([1.0], [1.0])
+        ref = dynamics.run(PENNIES, Algo.OGDA, 0.3, init, max_steps=10)
+        for eta, settings in ((np.float64(0.3), {"max_steps": np.int64(10)}),
+                              (0.3, {"max_steps": 10.0, "record_stride": np.int32(1)}),
+                              (0.3, {"max_steps": 10, "stop_tol": np.float32(0.0),
+                                     "blow_cap": np.float64(DEFAULT_BLOW_CAP)})):
+            traj = dynamics.run(PENNIES, Algo.OGDA, eta, init, **settings)
+            assert type(traj.eta) is float and traj.times.tolist() == ref.times.tolist()
+            assert np.array_equal(traj.states, ref.states)
+        # integers beyond the float range's precision stay exact
+        traj = dynamics.run(PENNIES, Algo.OGDA, 0.3, init, max_steps=10**300)
+        assert traj.stop_reason is StopReason.CONVERGED
 
     def test_dogda_records_the_played_pair(self):
         g = BilinearGame.from_matrices([[1.0, 0.5]], [[0.3, -1.0]])
@@ -538,7 +556,7 @@ class TestRunBatch:
                            2: StopReason.DIVERGED}
 
     def test_checks_before_the_first_step(self):
-        with pytest.raises(ValueError, match="eta must be positive"):
+        with pytest.raises(ValueError, match="eta must be a finite number > 0"):
             dynamics.run_batch(PENNIES, Algo.OGDA, [0.3, 0.0], IterateState.at([1.0], [1.0]))
         with pytest.raises(ValueError, match="max_steps"):
             dynamics.run_batch(PENNIES, Algo.OGDA, [0.3], IterateState.at([1.0], [1.0]),

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -228,6 +229,18 @@ class TestScaleOpponent:
         g = BilinearGame.zero_sum_game([[1.0]])
         with pytest.raises(games.NonPositiveScaleError):
             games.scale_opponent(g, 0.0)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_non_finite_scale(self, scale):
+        g = BilinearGame.zero_sum_game([[1.0]])
+        with pytest.raises(games.NonPositiveScaleError, match="scale l must be finite"):
+            games.scale_opponent(g, scale)
+
+    def test_rejects_general_sum_game(self):
+        g = BilinearGame.from_matrices([[1.0]], [[1.0]])
+        with pytest.raises(ValueError, match="expects a zero-sum game"):
+            games.scale_opponent(g, 2.0)
 
 
 class TestJson:

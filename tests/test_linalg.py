@@ -261,6 +261,48 @@ class TestProject:
         with pytest.raises(linalg.NotComplementaryError):
             linalg.project([1.0, 1.0, 1.0], onto, along=along)
 
+    def test_different_ambient_spaces_rejected(self):
+        onto = linalg.span([[1.0, 0.0]])
+        along = linalg.span([[0.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="different ambient spaces"):
+            linalg.project([1.0, 1.0], onto, along=along)
+
+
+class TestAsMatrix:
+    def test_vector_is_one_row(self):
+        assert linalg.as_matrix([1.0, 2.0]).shape == (1, 2)
+        assert linalg.as_matrix([]).shape == (0, 0)
+
+    def test_three_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="expected a matrix, got ndim=3"):
+            linalg.as_matrix(np.zeros((2, 2, 2)))
+
+    def test_eig_complex_needs_a_square_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            linalg.eig_complex(np.ones((2, 3)))
+
+
+class TestJsonNumber:
+    def test_numpy_scalars_pass(self):
+        assert linalg.json_number(np.float64(0.25), "eta", 0, strict=True) == 0.25
+        assert type(linalg.json_number(np.float32(0.5), "eta")) is float
+        count = linalg.json_number(np.int64(10), "max_steps", 1, integer=True)
+        assert count == 10 and type(count) is int
+        assert linalg.json_number(2.0, "max_steps", 1, integer=True) == 2
+        assert linalg.json_number(10**300, "max_steps", 1, integer=True) == 10**300
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "1", None, [1.0], 1j,
+                                       math.nan, -math.inf, np.float64(math.inf), 10**400])
+    def test_other_values_rejected(self, value):
+        with pytest.raises(ValueError, match="^eta must be a finite number, got "):
+            linalg.json_number(value, "eta")
+
+    @pytest.mark.parametrize("value", [0, -1, np.float64(0.0)])
+    def test_lower_bound(self, value):
+        with pytest.raises(ValueError, match=r"^eta must be a finite number > 0, got "):
+            linalg.json_number(value, "eta", 0, strict=True)
+        assert linalg.json_number(value, "shift") == float(value)
+
 
 class TestJson:
     def test_round_trip(self):

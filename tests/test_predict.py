@@ -30,6 +30,12 @@ class TestPredictLimit:
         assert pred.valid and pred.geometry is Geometry.ORTHOGONAL_ONTO_KERNELS
         assert np.allclose(pred.x_inf, 0.0) and np.allclose(pred.y_inf, 0.0)
 
+    def test_invalid_prediction_has_no_pair(self):
+        pred = predict.predict_limit(PENNIES, Algo.GDA, 0.3, IterateState.at([1.0], [1.0]))
+        assert not pred.valid
+        with pytest.raises(ValueError, match="prediction invalid: GDA has no characterized"):
+            pred.pair()
+
     def test_mean_fitting_limits(self):
         g = wgan_game()
         for x0 in ([0.0, 0.0], [5.0, -3.0]):

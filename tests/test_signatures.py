@@ -8,6 +8,8 @@ caller that passes it.
 
 import dataclasses
 import inspect
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +96,9 @@ def test_removed_methods_stay_removed():
     # every JSON document goes through linalg.jsonable
     assert not hasattr(cli, "_finite_or_null")
     assert not hasattr(verify.CheckResult, "to_json")
+    # every step size and run setting goes through linalg.json_number
+    assert not hasattr(dynamics, "_check_eta")
+    assert not hasattr(dynamics, "_check_count")
 
 
 def test_one_stored_form_of_a_state():
@@ -114,3 +119,31 @@ def test_one_stored_form_of_a_state():
         assert type(traj.times) is np.ndarray and traj.times.dtype == np.int64
         assert len(traj.times) == len(traj.states)
     assert trajs[-1].times.tolist() == [0, 564]
+
+
+DIAG12 = games.BilinearGame.zero_sum_game(np.diag([1.0, 2.0]))
+DIAG12_INIT = dynamics.IterateState.at([1.0, 1.0], [1.0, -1.0])
+# each library entry point that takes a step size, called on DIAG12 at eta
+STEP_SIZE_ENTRY_POINTS = {
+    "run": lambda eta: dynamics.run(DIAG12, "OGDA", eta, DIAG12_INIT),
+    "run_batch": lambda eta: dynamics.run_batch(DIAG12, "OGDA", [0.1, eta], DIAG12_INIT),
+    "rate_curve": lambda eta: spectral.rate_curve(spectral.CouplingSpectrum(DIAG12), [eta]),
+    "rate_report": lambda eta: spectral.rate_report(DIAG12, eta),
+    "tight_witness": lambda eta: predict.tight_witness(DIAG12, eta),
+    "lambda_spectrum": lambda eta: spectral.lambda_spectrum(DIAG12, eta),
+    "oracle_reconcile": lambda eta: verify.oracle_reconcile(DIAG12, eta),
+    "s_star_roots": lambda eta: spectral.s_star_roots(-1.0, eta),
+    "companion_matrix": lambda eta: dynamics.companion_matrix(DIAG12, eta),
+    "predict_limit": lambda eta: predict.predict_limit(DIAG12, "OGDA", eta, DIAG12_INIT),
+    "divergence_witness": lambda eta: predict.divergence_witness(DIAG12, eta),
+}
+
+
+@pytest.mark.parametrize("eta", [-1, 0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", list(STEP_SIZE_ENTRY_POINTS))
+def test_step_size_rule(entry, eta):
+    # one ValueError from linalg.json_number, before any arithmetic on eta
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^eta must be a finite number > 0, got "):
+            STEP_SIZE_ENTRY_POINTS[entry](eta)

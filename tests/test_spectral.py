@@ -546,6 +546,11 @@ class TestOptimalEta:
         with pytest.raises(spectral.InvalidRatioError):
             spectral.optimal_eta(0.0, 1.0)
 
+    @pytest.mark.parametrize("mu_max", [math.inf, math.nan])
+    def test_non_finite_mu_max(self, mu_max):
+        with pytest.raises(spectral.InvalidRatioError):
+            spectral.optimal_eta(1.0, mu_max)
+
 
 class TestDiagonalizable:
     def test_identity(self):
@@ -567,6 +572,23 @@ class TestDiagonalizable:
         b = np.array([[1.0, 1.0], [-1.0, -1.0]])
         lam = dynamics.companion_matrix(BilinearGame.from_matrices(a, b), 0.1)
         assert spectral.is_diagonalizable(lam) is Verdict.NO
+
+    def test_square_full_rank_jordan_coupling(self):
+        # A and B are invertible, but B^T A = [[-1, 0], [2, -1]] is a Jordan
+        # block: full rank alone does not make the companion diagonalizable
+        game = BilinearGame.from_matrices([[1.0, -1.0], [1.0, 0.0]],
+                                          [[0.0, 1.0], [-1.0, 1.0]])
+        assert spectral.CouplingSpectrum(game).invertible
+        assert spectral.is_diagonalizable(game.B.T @ game.A) is Verdict.NO
+        assert spectral.is_diagonalizable(dynamics.companion_matrix(game, 0.1)) is Verdict.NO
+        report = spectral.rate_report(game, 0.1)
+        assert report.eta_regime is Regime.INAPPLICABLE
+        assert report.violated == "companion_diagonalizable"
+        assert report.diagonalizable is Verdict.NO
+
+    def test_needs_a_square_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            spectral.is_diagonalizable(np.ones((2, 3)))
 
     def test_knife_edge_zero_sum(self):
         lam = dynamics.companion_matrix(PENNIES, 0.5)
