@@ -12,12 +12,11 @@ from .games import (BilinearGame, NashSet, accelerate, doubled, game_from_json,
 from .predict import (DistanceD, Geometry, LimitPrediction, distance_to_nash,
                       divergence_witness, predict_limit, tight_witness)
 from .spectral import (CouplingSpectrum, RateCurve, Regime, RootSet,
-                       SpectralReport, Verdict, is_diagonalizable,
-                       lambda_spectrum, optimal_eta, rate_curve, rate_report,
-                       s_star_roots)
+                       SpectralReport, Verdict, lambda_spectrum, optimal_eta,
+                       rate_curve, rate_report, s_star_roots)
 from .verify import (BoundCheck, OutcomeClass, OutcomeKind, RateFit,
-                     check_bound, classify, estimate_rate, oracle_reconcile,
-                     run_all_suites)
+                     check_bound, classify, estimate_rate, is_diagonalizable,
+                     oracle_reconcile, run_all_suites)
 
 __all__ = [
     "Algo", "BilinearGame", "BoundCheck", "CouplingSpectrum", "DistanceD",

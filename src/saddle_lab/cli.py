@@ -20,8 +20,8 @@ import numpy as np
 
 from . import games as games_mod
 from . import predict, spectral, verify
-from .dynamics import (DEFAULT_BLOW_CAP, DEFAULT_STOP_TOL, Algo, IterateState,
-                       StopReason, Trajectory, run, run_batch,
+from .dynamics import (_CELL, DEFAULT_BLOW_CAP, DEFAULT_STOP_TOL, Algo, IterateState,
+                       StopReason, Trajectory, _csv_lines, run, run_batch,
                        trajectory_to_csv)
 from .games import BilinearGame
 from .linalg import json_number, json_vector, jsonable
@@ -357,10 +357,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         lines.append(f"# {cfg.description}")
     lines.append(f"# empirical_argmin_eta={best['eta']!r}")
     lines.append("eta,fitted_ratio,lambda_max_closed_form")
-    for r in usable:
-        lines.append(",".join(format(v, ".17g") for v in
-                              (r["eta"], r["fitted_ratio"], r["lambda_max"])))
-    path.write_text("\n".join(lines) + "\n")
+    values = np.array([[r["eta"], r["fitted_ratio"], r["lambda_max"]] for r in usable])
+    path.write_text("\n".join(lines) + _csv_lines(values, np.empty(values.shape, _CELL)) + "\n")
     print(f"wrote {path}")
     return EXIT_OK
 

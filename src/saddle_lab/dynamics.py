@@ -424,8 +424,8 @@ def trajectory_to_csv(traj: Trajectory, game: BilinearGame,
     Header: t,x_0..x_{n-1},y_0..y_{p-1},dist_limit,g1,g2, each value written
     as "%.17g" writes it (an integer t below 1e17 as str(t)). The dist_limit
     column is left empty when no limit prediction is supplied. A block of
-    rows is one (rows, n+p+4) array of _CELL that the kernel fills, t too;
-    each row's first "," becomes the line break before it.
+    rows is one (rows, n+p+4) array of _CELL that `_csv_lines` fills, t
+    too.
     """
     n, p = game.n, game.p
     xy = traj.states[:, :n + p]
@@ -443,16 +443,24 @@ def trajectory_to_csv(traj: Trajectory, game: BilinearGame,
     for start in range(0, len(traj.times), block_rows):
         block = slice(start, start + block_rows)
         rows = grid[:len(traj.times[block])]
-        dist = (np.ones((len(rows), 1)) if target is None  # a placeholder, blanked below
+        dist = (np.ones((len(rows), 1)) if target is None  # a placeholder, left empty
                 else row_norms(xy[block] - target)[:, None])
-        _format_cells(np.hstack([traj.times[block, None], xy[block], dist,
-                                 g1[block, None], g2[block, None]]), rows)
-        rows["head"][:, 0] -= np.uint64(ord(",") - ord("\n"))  # the low byte: "," -> "\n"
-        if target is None:
-            rows.view(f"S{_CELL.itemsize}")[:, 1 + n + p] = b","
-        parts.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
+        parts.append(_csv_lines(np.hstack([traj.times[block, None], xy[block], dist,
+                                           g1[block, None], g2[block, None]]), rows,
+                                1 + n + p if target is None else None))
     parts.append("\n")
     return "".join(parts)
+
+
+def _csv_lines(values: np.ndarray, cells: np.ndarray, blank: int | None = None) -> str:
+    """Each row of the 2-D `values` as a CSV line led by its line break, its
+    cells written by the kernel into `cells` (a _CELL array of the same
+    shape); the column `blank`, if any, is left empty."""
+    _format_cells(values, cells)
+    cells["head"][:, 0] -= np.uint64(ord(",") - ord("\n"))  # the low byte: "," -> "\n"
+    if blank is not None:
+        cells.view(f"S{_CELL.itemsize}")[:, blank] = b","
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
 # A CSV cell as fixed slots, each unused one NUL: "head" holds the separator,

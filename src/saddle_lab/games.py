@@ -179,11 +179,12 @@ def memo(game: BilinearGame, key, build):
     a memo on each game for the game's whole life raised the peak RSS of the
     benchmark's analysis scan, which keeps 8 pools of games up to n = 64
     alive, from 51.8 to 68.6 MB, where the one slot reads 51.9 MB. What it
-    holds (the ranked SVDs, the Nash set, the coupling eigenvalues, the
-    CouplingSpectrum of each algo) keeps its arrays read-only, so no caller
-    can change a later call's result. A thread that analyses another game
-    in between costs a rebuild, never a wrong result: each game's values go
-    to the dict paired with it.
+    holds (the ranked SVDs, the Nash set, the coupling product's
+    eigenvalues and eigenvector conditioning, the CouplingSpectrum of each
+    algo) keeps its arrays read-only, so no caller can change a later
+    call's result. A thread that analyses another game in between costs a
+    rebuild, never a wrong result: each game's values go to the dict paired
+    with it.
     """
     global _memo
     held, values = _memo
@@ -271,10 +272,10 @@ def game_to_json(game: BilinearGame) -> dict:
     return {
         "A": linalg.matrix_to_json(game.A),
         "B": None if game.zero_sum else linalg.matrix_to_json(game.B),
-        "b": [float(v) for v in game.b],
-        "c": [float(v) for v in game.c],
-        "e": [float(v) for v in game.e],
-        "f": [float(v) for v in game.f],
+        "b": linalg.jsonable(game.b),
+        "c": linalg.jsonable(game.c),
+        "e": linalg.jsonable(game.e),
+        "f": linalg.jsonable(game.f),
         "d": game.d,
         "g": game.g,
         "zero_sum": game.zero_sum,

@@ -32,7 +32,7 @@ import numpy as np
 # verify.oracle_reconcile runs the brute-force eigensolver on the 2(n+p)
 # companion matrix only up to this dimension; the analysis has no cap.
 MAX_ORACLE_DIM = 64
-# eig_complex clusters eigenvalues within this times max(1, largest modulus)
+# cluster_eigenvalues clusters within this times max(1, largest modulus)
 EIG_CLUSTER_REL_TOL = 1e-8
 # an oblique projection needs sigma_min of [onto | along] (orthonormal) above this
 COMPLEMENT_SIGMA_MIN = 1e-8
@@ -99,7 +99,7 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
 def matrix_to_json(a: np.ndarray) -> dict:
     m = as_matrix(a)
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]),
-            "data": [float(x) for x in m.reshape(-1)]}
+            "data": jsonable(m.reshape(-1))}
 
 
 def jsonable(obj):
@@ -234,12 +234,8 @@ def cluster_scalars(values, tol: float) -> ComplexScalarSet:
 
 
 def eig_complex(m) -> ComplexScalarSet:
-    """All complex eigenvalues of a real matrix, with multiplicities.
-
-    Conjugate-closed by construction: values within the clustering tolerance
-    of the real axis are clustered as reals, and the upper half-plane is
-    clustered once and mirrored.
-    """
+    """All complex eigenvalues of a real matrix, with multiplicities
+    (see cluster_eigenvalues)."""
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError("eig_complex needs a square matrix")
@@ -247,6 +243,18 @@ def eig_complex(m) -> ComplexScalarSet:
         vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
+    return cluster_eigenvalues(vals)
+
+
+def cluster_eigenvalues(vals: np.ndarray) -> ComplexScalarSet:
+    """The computed eigenvalues `vals` of a real matrix as distinct values
+    with multiplicities, clustered within EIG_CLUSTER_REL_TOL times
+    max(1, largest modulus).
+
+    Conjugate-closed by construction: values within the clustering tolerance
+    of the real axis are clustered as reals, and the upper half-plane is
+    clustered once and mirrored.
+    """
     tol = EIG_CLUSTER_REL_TOL * max(1.0, float(np.max(np.abs(vals), initial=0.0)))
     real = cluster_scalars(vals.real[np.abs(vals.imag) <= tol], tol)
     upper = cluster_scalars(vals[vals.imag > tol], tol)

@@ -30,8 +30,14 @@ from .linalg import ComplexScalarSet, RankedSVD, as_matrix, cluster_scalars, jso
 MEMBERSHIP_REL_TOL = 1e-9       # for "1/(4 eta^2) in S(A)", the rate indicators and a positive mu
 REALITY_REL_TOL = 1e-8          # for accepting Sp(B^T A) as real non-positive
 GRAM_CLUSTER_REL_TOL = 1e-12    # merges Gram eigenvalues, times max(1, largest)
-DIAGONALIZABLE_REL_TOL = 1e-8   # singular values counted as null, times max(1, ||m||_F),
-                                # and cosines of principal angles counted as right angles
+DIAGONALIZABLE_REL_TOL = 1e-8   # cosines of principal angles counted as right angles, and
+                                # singular values counted as null in verify.is_diagonalizable,
+                                # times max(1, ||m||_F)
+# The 2-norm condition number of the coupling product's unit-column
+# eigenvector matrix: below the first the product is diagonalizable (Yes),
+# above the second defective (No), Borderline between.
+DIAGONALIZABLE_COND = 1e6
+DEFECTIVE_COND = 1e12
 DIVERGENCE_THRESHOLD = 1.0 / math.sqrt(3.0)  # eta sqrt(mu_max) from which the Gram cases diverge
 
 
@@ -112,19 +118,29 @@ def _coupling_product(game: BilinearGame) -> np.ndarray:
     return game.B.T @ game.A if game.p <= game.n else game.A @ game.B.T
 
 
-def _coupling_eigenvalues(game: BilinearGame) -> ComplexScalarSet:
-    """eig_complex of the coupling product, once per game (see games.memo),
-    as read-only arrays."""
-    def decompose() -> ComplexScalarSet:
-        eig = linalg.eig_complex(_coupling_product(game))
+def _coupling_decomposition(game: BilinearGame) -> tuple[ComplexScalarSet, float]:
+    """The one eigendecomposition of the coupling product per game (see
+    games.memo): its eigenvalues, clustered as eig_complex clusters them, in
+    read-only arrays, and the 2-norm condition number of its unit-column
+    eigenvector matrix. Only a general-sum coupling has its eigenvectors
+    computed. A zero-sum product -A^T A is symmetric, so its eigenvectors
+    are orthonormal and the number is 1."""
+    def decompose() -> tuple[ComplexScalarSet, float]:
+        product = as_matrix(_coupling_product(game))
+        if game.zero_sum_coupling:
+            values, cond = np.linalg.eigvals(product), 1.0
+        else:
+            values, vectors = np.linalg.eig(product)
+            cond = float(np.linalg.cond(vectors))
+        eig = linalg.cluster_eigenvalues(values)
         linalg.read_only(eig.values, eig.multiplicities)
-        return eig
-    return games_mod.memo(game, "coupling_eigenvalues", decompose)
+        return eig, cond
+    return games_mod.memo(game, "coupling_decomposition", decompose)
 
 
 def coupling_spectrum(game: BilinearGame) -> ComplexScalarSet:
     """Distinct eigenvalues of B^T A and A B^T pooled together."""
-    values = _coupling_eigenvalues(game).values
+    values = _coupling_decomposition(game)[0].values
     if game.n != game.p:
         values = np.append(values, 0j)
     scale = max(1.0, float(np.max(np.abs(values), initial=0.0)))
@@ -141,7 +157,7 @@ def lambda_spectrum(game: BilinearGame, eta: float) -> ComplexScalarSet:
     match the companion dimension 2(n + p).
     """
     eta = json_number(eta, "eta", 0, strict=True)
-    base = _coupling_eigenvalues(game)
+    base = _coupling_decomposition(game)[0]
     roots: list[complex] = []
     for mu, mult in zip(base.values, base.multiplicities):
         if abs(mu.imag) <= REALITY_REL_TOL * (1.0 + abs(mu)):
@@ -236,9 +252,9 @@ class CouplingSpectrum:
     `assumptions` are the conditions a report checks, in order, and
     `violated` names the one that fails at every step size (None when the
     step size decides). `nash` is the game's Nash set (games.nash_set),
-    `aux` the aux half of the Nash set of DOGDA's doubled game,
-    `invertible` the test of A and B and `diagonalizable` the general-sum
-    verdict on the companion matrix, each read from `svds` on first use.
+    `aux` the aux half of the Nash set of DOGDA's doubled game and
+    `diagonalizable` the general-sum verdict on the companion matrix, each
+    taken on first use.
     """
 
     def __init__(self, game: BilinearGame, algo: Algo = Algo.OGDA):
@@ -301,8 +317,9 @@ class CouplingSpectrum:
         self.mu_set = tuple(sorted((float(v) for v in mu_reals), reverse=True))
         # magnitudes within max(n, p) eps of mu_max are kernel directions,
         # unless A and B are square and of full rank: B^T A is then invertible
-        cutoff = max(self.game.n, self.game.p) * np.finfo(float).eps * max(self.mu_max, 1e-300)
-        if (mu_mags <= cutoff).any() and self.invertible:
+        n, p = self.game.n, self.game.p
+        cutoff = max(n, p) * np.finfo(float).eps * max(self.mu_max, 1e-300)
+        if (mu_mags <= cutoff).any() and n == p and all(svd.rank == n for svd in self.svds):
             cutoff = 0.0
         self.positives = np.sort(mu_mags[mu_mags > cutoff])
         if not real.all() or positive.any():
@@ -330,14 +347,6 @@ class CouplingSpectrum:
                        y_part=games_mod.solve_affine(svd_b, self.game.e))
 
     @functools.cached_property
-    def invertible(self) -> bool:
-        """A and B are square and of full rank, read from `svds`: then
-        `diagonalizable` is Yes with no further test where B^T A has no
-        repeated eigenvalue."""
-        n = self.game.n
-        return n == self.game.p and all(svd.rank == n for svd in self.svds)
-
-    @functools.cached_property
     def diagonalizable(self) -> Verdict:
         """The general-sum verdict on the companion matrix at every step
         below the half threshold, where it does not depend on eta.
@@ -350,20 +359,26 @@ class CouplingSpectrum:
         rank(B^T A) = rank A, rank(A B^T) = rank B and the smaller of the
         two products is diagonalizable. The rank conditions hold iff A and
         B have one rank r and the r x r products of their image bases, and
-        of their row-space bases, are nonsingular (read from `svds`); they
-        hold at once when `invertible`. Then the verdict is Yes at once when
-        every eigenvalue of the product is simple; a repeated one may be
-        defective (a Jordan block).
+        of their row-space bases, are nonsingular (read from `svds`). Where r
+        is n, both image bases are orthogonal n x n matrices, so their test
+        holds and is skipped; the same goes for the row spaces where r is p.
+        The product is diagonalizable iff its eigenvector matrix is
+        nonsingular. The verdict reads the 2-norm condition number of that
+        matrix, with unit columns, from the product's one decomposition: Yes
+        below DIAGONALIZABLE_COND, No above DEFECTIVE_COND, Borderline
+        between. A Jordan block of size k splits by about eps^(1/k) in
+        floating point, so its eigenvalues look simple, but its computed
+        eigenvectors are nearly parallel.
         """
-        if not self.invertible:
-            svd_a, svd_b = self.svds
-            r = svd_a.rank
-            if not (svd_b.rank == r and _meets(svd_a.u[:, :r], svd_b.u[:, :r])
-                    and _meets(svd_a.vh[:r].T, svd_b.vh[:r].T)):
-                return Verdict.NO
-        elif (_coupling_eigenvalues(self.game).multiplicities == 1).all():
+        svd_a, svd_b = self.svds
+        r, n, p = svd_a.rank, self.game.n, self.game.p
+        if not (svd_b.rank == r and (r == n or _meets(svd_a.u[:, :r], svd_b.u[:, :r]))
+                and (r == p or _meets(svd_a.vh[:r].T, svd_b.vh[:r].T))):
+            return Verdict.NO
+        cond = _coupling_decomposition(self.game)[1]
+        if cond < DIAGONALIZABLE_COND:
             return Verdict.YES
-        return is_diagonalizable(_coupling_product(self.game))
+        return Verdict.NO if cond > DEFECTIVE_COND else Verdict.BORDERLINE
 
 
 def _meets(u: np.ndarray, v: np.ndarray) -> bool:
@@ -546,42 +561,3 @@ def optimal_eta(mu_min: float, mu_max: float) -> tuple[float, float]:
     eta_star = math.sqrt(q / (32.0 * alpha)) / math.sqrt(mu_max)
     lam_star = math.sqrt(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - q / 8.0))))
     return eta_star, lam_star
-
-
-def is_diagonalizable(m) -> Verdict:
-    """Numerical diagonalizability: do geometric multiplicities fill the dimension?
-
-    The analysis applies it to the coupling product only; on a companion
-    matrix it is the dense oracle that tests and `verify` check
-    CouplingSpectrum.diagonalizable against.
-
-    Eigenvalues are clustered (a defective pair splits by roughly the square
-    root of machine epsilon, well inside the cluster radius), then each
-    cluster's geometric multiplicity is the nullity of m - lambda I. Clusters
-    too close to each other for confident separation give Borderline.
-    """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("is_diagonalizable needs a square matrix")
-    dim = a.shape[0]
-    if dim == 0:
-        return Verdict.YES
-    scale = max(1.0, float(np.linalg.norm(a, ord="fro")))
-    if math.isinf(scale):  # the squares of the entries overflow: no radius to test with
-        return Verdict.BORDERLINE
-    # A defective eigenvalue of Jordan size k scatters by ~eps^(1/k); the
-    # cluster radius must swallow at least k <= 3 so the scattered copies are
-    # treated as one eigenvalue.
-    radius = 4.0 * np.finfo(float).eps ** (1.0 / 3.0) * scale
-    clusters = cluster_scalars(np.linalg.eigvals(a), radius)
-    centers, mults = clusters.values, clusters.multiplicities
-    gaps = np.abs(centers[:, None] - centers[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    if (gaps < 10.0 * radius).any():
-        return Verdict.BORDERLINE
-    # a simple eigenvalue has geometric multiplicity 1
-    geo_total = int(np.sum(mults == 1))
-    for lam in centers[mults > 1]:
-        sing = np.linalg.svd(a - lam * np.eye(dim), compute_uv=False)
-        geo_total += int(np.sum(sing <= DIAGONALIZABLE_REL_TOL * scale))
-    return Verdict.YES if geo_total == dim else Verdict.NO

@@ -1,11 +1,13 @@
 """Empirical verification: rate fits, outcome classification, bound envelopes,
-and reconciliation of every closed form against the brute-force eigensolver."""
+reconciliation of every closed form against the brute-force eigensolver, and
+the dense and exact oracles of the general-sum diagonalizability verdict."""
 
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -234,6 +236,134 @@ def oracle_reconcile(game: BilinearGame, eta: float) -> OracleReport:
     if len(pred) != len(obs):
         return OracleReport(float("inf"), len(pred), len(obs))
     return OracleReport(_greedy_match_distance(pred, obs), len(pred), len(obs))
+
+
+def is_diagonalizable(m) -> spectral.Verdict:
+    """The dense oracle of diagonalizability: do the geometric multiplicities
+    of a square matrix fill its dimension?
+
+    Tests and the `diagonalizable_oracle` suite check
+    CouplingSpectrum.diagonalizable against it on companion matrices; the
+    analysis never calls it. Eigenvalues are clustered (a defective pair
+    splits by roughly the square root of machine epsilon, well inside the
+    cluster radius), then each cluster's geometric multiplicity is the
+    nullity of m - lambda I. Clusters too close to each other for confident
+    separation give Borderline.
+
+    Its blind spot is a large Jordan block: a size-k block splits by about
+    eps^(1/k), which from k = 4 on can leave the cluster radius. The
+    companion of a nilpotent coupling with one size-6 block then reads Yes
+    at some steps. `exact_diagonalizable` decides such integer cases.
+    """
+    a = linalg.as_matrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError("is_diagonalizable needs a square matrix")
+    dim = a.shape[0]
+    if dim == 0:
+        return spectral.Verdict.YES
+    scale = max(1.0, float(np.linalg.norm(a, ord="fro")))
+    if math.isinf(scale):  # the squares of the entries overflow: no radius to test with
+        return spectral.Verdict.BORDERLINE
+    # A defective eigenvalue of Jordan size k scatters by ~eps^(1/k); the
+    # cluster radius must swallow at least k <= 3 so the scattered copies are
+    # treated as one eigenvalue.
+    radius = 4.0 * np.finfo(float).eps ** (1.0 / 3.0) * scale
+    clusters = linalg.cluster_scalars(np.linalg.eigvals(a), radius)
+    centers, mults = clusters.values, clusters.multiplicities
+    gaps = np.abs(centers[:, None] - centers[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    if (gaps < 10.0 * radius).any():
+        return spectral.Verdict.BORDERLINE
+    # a simple eigenvalue has geometric multiplicity 1
+    geo_total = int(np.sum(mults == 1))
+    for lam in centers[mults > 1]:
+        sing = np.linalg.svd(a - lam * np.eye(dim), compute_uv=False)
+        geo_total += int(np.sum(sing <= spectral.DIAGONALIZABLE_REL_TOL * scale))
+    return spectral.Verdict.YES if geo_total == dim else spectral.Verdict.NO
+
+
+# Exact linear algebra over the rationals. A matrix is a list of rows and a
+# polynomial a list of coefficients, the leading one first. Each number is a
+# Python int where it is integral, else a Fraction: a float converts exactly,
+# and integer arithmetic is several times faster than Fraction's.
+
+
+def _exact(x: Fraction) -> int | Fraction:
+    return x.numerator if x.denominator == 1 else x
+
+
+def _rational(m) -> list[list]:
+    return [[_exact(Fraction(x)) for x in row] for row in np.asarray(m).tolist()]
+
+
+def _matmul(a: list, b: list) -> list[list]:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _exact_rank(m: list) -> int:
+    """Rank by fraction-free Gaussian elimination."""
+    rows, rank = [list(row) for row in m], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            rows[i] = [top[col] * x - rows[i][col] * y for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def _charpoly(m: list) -> list:
+    """det(x I - m), by Faddeev-LeVerrier: with A_0 = 0 and c_0 = 1,
+    M_k = A_{k-1} + c_{k-1} I, A_k = m M_k and c_k = -tr(A_k) / k."""
+    dim = len(m)
+    coeffs = [1]
+    am = [[0] * dim for _ in range(dim)]
+    for k in range(1, dim + 1):
+        for i in range(dim):
+            am[i][i] += coeffs[-1]
+        am = _matmul(m, am)
+        coeffs.append(_exact(Fraction(-sum(am[i][i] for i in range(dim)), k)))
+    return coeffs
+
+
+def _poly_divmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of a / b, b with a nonzero leading coefficient;
+    the remainder has no leading zeros."""
+    quot, rem = [], list(a)
+    while len(rem) >= len(b):
+        factor = _exact(Fraction(rem[0]) / b[0])
+        quot.append(factor)
+        tail = b[1:] + [0] * (len(rem) - len(b))
+        rem = [x - factor * y for x, y in zip(rem[1:], tail)]
+    while rem and rem[0] == 0:
+        rem.pop(0)
+    return quot, rem
+
+
+def exact_diagonalizable(m) -> bool:
+    """Whether a square matrix with rational entries (ints, Fractions or
+    floats) is diagonalizable over C, decided with no tolerance: iff
+    q(m) = 0, where q = p / gcd(p, p') is the square-free part of its
+    characteristic polynomial p (then the minimal polynomial has only simple
+    roots)."""
+    a = _rational(m)
+    p = _charpoly(a)
+    deg = len(p) - 1
+    g, r = p, [c * (deg - i) for i, c in enumerate(p[:-1])]  # gcd(p, p')
+    while r:
+        g, r = r, _poly_divmod(g, r)[1]
+    # a monic g keeps q integral where m is (Gauss's lemma)
+    q = _poly_divmod(p, [_exact(Fraction(c) / g[0]) for c in g])[0]
+    acc = [[0] * deg for _ in range(deg)]
+    for c in q:  # Horner's rule on the matrix
+        acc = _matmul(acc, a)
+        for i in range(deg):
+            acc[i][i] += c
+    return not any(x for row in acc for x in row)
 
 
 # ----------------------------------------------------------------------------
@@ -759,13 +889,76 @@ def suite_diagonalizable_oracle(rng: np.random.Generator) -> CheckResult:
     games_count, borderline, disagree = 20, 0, 0
     for i in range(games_count):
         game = random_coupling_game(rng, COUPLING_KINDS[i % len(COUPLING_KINDS)])
-        dense = spectral.is_diagonalizable(companion_matrix(game, _safe_eta(game, rng)))
+        dense = is_diagonalizable(companion_matrix(game, _safe_eta(game, rng)))
         if dense is spectral.Verdict.BORDERLINE:
             borderline += 1
         elif dense is not spectral.CouplingSpectrum.of(game).diagonalizable:
             disagree += 1
     return CheckResult("spectral.diagonalizable_oracle", disagree == 0, float(disagree), 0.0,
                        f"dense test Borderline on {borderline} of {games_count} games")
+
+
+def _unimodular(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """An integer matrix of determinant 1 and its integer inverse: the
+    identity under random row additions, the inverse under the inverse
+    column operations."""
+    u, inv = np.eye(dim), np.eye(dim)
+    for _ in range(2 * dim if dim > 1 else 0):
+        i, j = rng.permutation(dim)[:2].tolist()
+        s = 2.0 * rng.integers(2) - 1.0
+        u[i] += s * u[j]  # u <- (I + s e_i e_j^T) u
+        inv[:, j] -= s * inv[:, i]
+    return u, inv
+
+
+EXACT_KINDS = ("jordan", "diagonal", "rank_deficient")
+
+
+def random_integer_game(rng: np.random.Generator, kind: str) -> BilinearGame:
+    """A general-sum game with integer A and B, n, p <= 3, of one of
+    EXACT_KINDS: B^T A a Jordan form with one block of size 2 or 3 under a
+    unimodular similarity; a diagonal one likewise (its eigenvalues may
+    repeat); or A and B with entries in {-1, 0, 1}, of any ranks. The first
+    two are square, with A unimodular, and their eigenvalues are in
+    {-1, -2, -3}."""
+    if kind == "rank_deficient":
+        n, p = (int(v) for v in rng.integers(1, 4, size=2))
+        return BilinearGame.from_matrices(rng.integers(-1, 2, size=(n, p)),
+                                          rng.integers(-1, 2, size=(n, p)))
+    dim = int(rng.integers(2, 4)) if kind == "jordan" else int(rng.integers(1, 4))
+    jordan = np.diag(rng.integers(-3, 0, size=dim).astype(float))
+    if kind == "jordan":
+        size = int(rng.integers(2, dim + 1))
+        jordan[:size, :size] = np.diag(np.full(size, jordan[0, 0])) + np.eye(size, k=1)
+    s, s_inv = _unimodular(rng, dim)
+    a, a_inv = _unimodular(rng, dim)
+    # B^T A = S J S^-1 with A unimodular, so B = (S J S^-1 A^-1)^T
+    return BilinearGame.from_matrices(a, (s @ jordan @ s_inv @ a_inv).T)
+
+
+def suite_diagonalizable_exact(rng: np.random.Generator) -> CheckResult:
+    """CouplingSpectrum.diagonalizable against the exact verdict on integer
+    games: the companion is diagonalizable iff rank(B^T A) = rank A,
+    rank(A B^T) = rank B and the smaller product is diagonalizable
+    (`exact_diagonalizable`), all decided over the rationals. `measured`
+    counts the games where the verdict is Yes or No and disagrees."""
+    games_count, borderline, defective, disagree = 36, 0, 0, 0
+    for i in range(games_count):
+        game = random_integer_game(rng, EXACT_KINDS[i % len(EXACT_KINDS)])
+        a, b_t = _rational(game.A), _rational(game.B.T)
+        products = _matmul(b_t, a), _matmul(a, b_t)
+        exact = (_exact_rank(products[0]) == _exact_rank(a)
+                 and _exact_rank(products[1]) == _exact_rank(b_t)
+                 and exact_diagonalizable(products[game.p > game.n]))
+        defective += not exact
+        verdict = spectral.CouplingSpectrum.of(game).diagonalizable
+        if verdict is spectral.Verdict.BORDERLINE:
+            borderline += 1
+        elif (verdict is spectral.Verdict.YES) != exact:
+            disagree += 1
+    return CheckResult("spectral.diagonalizable_exact", disagree == 0, float(disagree), 0.0,
+                       f"{defective} of {games_count} games defective, "
+                       f"verdict Borderline on {borderline}")
 
 
 def run_all_suites(seed: int = 20240) -> list[CheckResult]:
@@ -783,6 +976,7 @@ def run_all_suites(seed: int = 20240) -> list[CheckResult]:
         suite_init_independence, suite_prediction_is_fixed_point,
         suite_witness_rates, suite_cooperation_never_diverges,
         suite_part2_bounds, suite_part3a_bounds, suite_diagonalizable_oracle,
+        suite_diagonalizable_exact,
     ]
     return [suite(np.random.default_rng(seed + idx))
             for idx, suite in enumerate(suites) if suite is not None]

@@ -186,7 +186,7 @@ def test_criterion_10_non_diagonalizable_counterexample():
     a = np.ones((2, 2))
     b = np.array([[1.0, 1.0], [-1.0, -1.0]])
     g = BilinearGame.from_matrices(a, b)
-    verdict = spectral.is_diagonalizable(dynamics.companion_matrix(g, 0.1))
+    verdict = verify.is_diagonalizable(dynamics.companion_matrix(g, 0.1))
     pred = predict.predict_limit(g, Algo.OGDA, 0.1,
                                  IterateState.at([1.0, 0.0], [1.0, 0.0]))
     traj = dynamics.run(g, Algo.OGDA, 0.1,

@@ -156,6 +156,19 @@ class TestAnalyze:
         report = spectral.rate_report(games.game_from_json(obj["game"]), eta, algo)
         assert code == (cli.EXIT_OK if report.applicable else cli.EXIT_INAPPLICABLE)
 
+    def test_jordan_coupling_exit_two(self, tmp_path, capsys):
+        # B^T A is a size-3 Jordan block under a similarity: its eigenvalues
+        # look simple, and the run's envelope check failed where it read Part2
+        obj = zero_sum_config(0.1, init={"x0": [1.0, -0.5, 0.3], "y0": [0.2, 0.7, -1.0]})
+        obj["game"] = {"A": {"rows": 3, "cols": 3, "data": [0, 1, -1, -1, 2, 0, 1, -1, 0]},
+                       "B": {"rows": 3, "cols": 3, "data": [-1, -1, 1, 2, 1, -1, -1, 0, -1]},
+                       "zero_sum": False}
+        assert cli.main(["analyze", "--config", write_config(tmp_path, obj)]) == (
+            cli.EXIT_INAPPLICABLE)
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["violated"] == "companion_diagonalizable"
+        assert report["diagonalizable"] in ("No", "Borderline")
+
     def test_large_general_sum_exit_zero(self, tmp_path, capsys):
         # an 80x48 game B = -A S, S SPD: above the oracle cap, yet applicable
         game = verify.random_spd_coupled_game(np.random.default_rng(3), 80, 48)

@@ -127,7 +127,7 @@ class TestMemo:
         arrays += [part.directions for part in (ns.x_part, ns.y_part)]
         arrays += [part.image for part in (ns.x_part, ns.y_part)]
         arrays += [factor for svd in games.coupling_svds(g) for factor in svd[:3]]
-        eig = spectral._coupling_eigenvalues(g)
+        eig, _ = spectral._coupling_decomposition(g)
         arrays += [eig.values, eig.multiplicities, spectral.CouplingSpectrum.of(g).positives]
         assert not any(arr.flags.writeable for arr in arrays)
 

@@ -404,11 +404,12 @@ class TestWitnesses:
             assert np.array_equal(w.z, predict.tight_witness(game, 0.1).z)
 
     def test_general_sum_spectrum_decomposes_each_matrix_once(self, monkeypatch):
-        # the invertibility test and the Nash set of a square general-sum
-        # game read one SVD of A and one of B
+        # the rank facts and the Nash set of a square general-sum game read
+        # one SVD of A and one of B
         game, _, calls = self.count_decompositions(monkeypatch, Algo.DOGDA)
         spec = spectral.CouplingSpectrum(game)
-        assert spec.general_sum and spec.invertible
+        assert spec.general_sum and game.n == game.p
+        assert all(svd.rank == game.n for svd in spec.svds)
         assert spec.nash.nonempty and spec.aux.nonempty
         assert calls == ["svd"] * 2
 

@@ -33,7 +33,6 @@ PARAMETERS = {
     spectral.rate_report: ["game", "eta", "algo"],
     spectral.CouplingSpectrum: ["game", "algo"],
     spectral.rate_curve: ["spec", "etas"],
-    spectral.is_diagonalizable: ["m"],
     spectral.rate_root: ["eta", "mu"],
     # the benchmark workloads call these four positionally
     predict.predict_limit: ["game", "algo", "eta", "init"],
@@ -48,6 +47,7 @@ PARAMETERS = {
     verify.check_bound: ["traj", "report", "D", "limit"],
     verify.classify: ["traj", "spec"],
     verify.random_matrix: ["rng", "n", "p", "rank"],
+    verify.is_diagonalizable: ["m"],
     verify._applicable_prediction_cases: ["rng", "count"],
     dynamics.IterateState.at: ["x", "y"],
     dynamics.run: ["game", "algo", "eta", "init", "max_steps", "stop_tol", "blow_cap",
@@ -65,7 +65,7 @@ def test_parameter_list(fn, params):
 
 def test_suites_take_only_the_generator():
     suites = [getattr(verify, name) for name in dir(verify) if name.startswith("suite_")]
-    assert len(suites) == 23
+    assert len(suites) == 24
     for suite in suites:
         assert list(inspect.signature(suite).parameters) == ["rng"], suite.__name__
 
@@ -81,8 +81,12 @@ def test_removed_methods_stay_removed():
         assert not hasattr(linalg, name), name
     for name in ("_expected_payoff_growth", "GROWTH_MU_MIN"):
         assert not hasattr(verify, name), name
-    # the analysis decides diagonalizability from the coupling, not the companion
+    # the analysis decides diagonalizability from the coupling, not the companion,
+    # by the conditioning of the coupling's one eigendecomposition; the dense
+    # test is an oracle only
     assert not hasattr(spectral, "companion_matrix")
+    assert not hasattr(spectral, "is_diagonalizable")
+    assert not hasattr(spectral.CouplingSpectrum, "invertible")
     # DOGDA is analysed as zero-sum OGDA on the doubled game
     assert not hasattr(spectral, "_below_half_threshold")
     assert not hasattr(spectral.CouplingSpectrum, "aux_infeasible")

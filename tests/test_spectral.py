@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -430,7 +431,8 @@ class TestRateCurve:
                                       CURVE_CASES["general-sum-defective"][0],
                                       verify.random_spd_coupled_game(np.random.default_rng(4), 4, 3)])
     def test_general_sum_curve_builds_no_companion(self, monkeypatch, game):
-        # the verdict is taken once per spectrum, from the coupling product
+        # the verdict is taken once per spectrum, from the coupling product's
+        # one decomposition: the dense test is never called
         shapes = {"companion_matrix": [], "is_diagonalizable": []}
 
         def counting(module, name):
@@ -442,16 +444,16 @@ class TestRateCurve:
             monkeypatch.setattr(module, name, wrapped)
 
         counting(dynamics, "companion_matrix")
-        counting(spectral, "is_diagonalizable")
+        counting(verify, "is_diagonalizable")
         spec = spectral.CouplingSpectrum(game)
-        assert spec.general_sum and not spec.invertible
+        assert spec.general_sum
+        assert not (game.n == game.p and all(svd.rank == game.n for svd in spec.svds))
         for etas in (np.linspace(0.01, 1.0, 40), [0.01]):
             curve = spectral.rate_curve(spec, etas)
             assert (curve.violated[0] == "companion_diagonalizable") == (
                 spec.diagonalizable is not Verdict.YES)
         assert shapes["companion_matrix"] == []
-        assert len(shapes["is_diagonalizable"]) <= 1
-        assert all(dim < 2 * (game.n + game.p) for dim, _ in shapes["is_diagonalizable"])
+        assert shapes["is_diagonalizable"] == []
 
     def test_bound_constant_from_singular_values(self):
         # C from its definition, on mu = squared singular values of A:
@@ -480,29 +482,31 @@ class TestRateCurve:
 
     @pytest.mark.parametrize("game, algo, calls", [
         (functools.partial(BilinearGame.zero_sum_game, np.diag([1.0, 2.0])), Algo.OGDA,
-         {"svd_rank": 1, "eig_complex": 0}),
+         {"svd_rank": 1, "eig": 0, "eigvals": 0}),
         (functools.partial(BilinearGame.zero_sum_game, np.diag([1.0, 2.0])), Algo.DOGDA,
-         {"svd_rank": 1, "eig_complex": 0}),
+         {"svd_rank": 1, "eig": 0, "eigvals": 0}),
         (functools.partial(spd_coupled_game, 5, 3), Algo.OGDA,
-         {"svd_rank": 2, "eig_complex": 1})])
+         {"svd_rank": 2, "eig": 1, "eigvals": 0})])
     def test_decomposes_once_for_many_steps(self, monkeypatch, game, algo, calls):
         # one SVD of A, which a zero-sum B = -A reuses; general-sum: one
-        # eigendecomposition of B^T A, and the SVDs of A and B for the
-        # invertibility test. The game is built here, so no earlier test
-        # left it in the memo of the last game analysed.
+        # LAPACK eigendecomposition of B^T A, whose values and eigenvectors
+        # the verdict reads, and the SVDs of A and B for the rank test. The
+        # game is built here, so no earlier test left it in the memo of the
+        # last game analysed.
         game = game()
-        counts = {"svd_rank": 0, "eig_complex": 0}
+        counts = dict.fromkeys(calls, 0)
 
-        def counting(name):
-            real = getattr(linalg, name)
+        def counting(module, name):
+            real = getattr(module, name)
 
             def wrapped(m):
                 counts[name] += 1
                 return real(m)
-            return wrapped
+            monkeypatch.setattr(module, name, wrapped)
 
-        for name in counts:
-            monkeypatch.setattr(linalg, name, counting(name))
+        counting(linalg, "svd_rank")
+        counting(np.linalg, "eig")
+        counting(np.linalg, "eigvals")
         etas = np.linspace(0.01, 1.0, 400)
         curve = spectral.rate_curve(spectral.CouplingSpectrum(game, algo), etas)
         assert len(curve) == 400 and curve.applicable.any()
@@ -554,33 +558,33 @@ class TestOptimalEta:
 
 class TestDiagonalizable:
     def test_identity(self):
-        assert spectral.is_diagonalizable(np.eye(4)) is Verdict.YES
+        assert verify.is_diagonalizable(np.eye(4)) is Verdict.YES
 
     def test_empty_matrix(self):
-        assert spectral.is_diagonalizable(np.zeros((0, 0))) is Verdict.YES
+        assert verify.is_diagonalizable(np.zeros((0, 0))) is Verdict.YES
 
     def test_close_clusters_are_borderline(self):
         # 1e-4 apart: past the cluster radius, inside ten times it
-        assert spectral.is_diagonalizable(np.diag([1.0, 1.0 + 1e-4])) is Verdict.BORDERLINE
+        assert verify.is_diagonalizable(np.diag([1.0, 1.0 + 1e-4])) is Verdict.BORDERLINE
 
     def test_generic_companion(self):
         lam = dynamics.companion_matrix(DIAG12, 0.1)
-        assert spectral.is_diagonalizable(lam) is Verdict.YES
+        assert verify.is_diagonalizable(lam) is Verdict.YES
 
     def test_defective_general_sum_example(self):
         a = np.ones((2, 2))
         b = np.array([[1.0, 1.0], [-1.0, -1.0]])
         lam = dynamics.companion_matrix(BilinearGame.from_matrices(a, b), 0.1)
-        assert spectral.is_diagonalizable(lam) is Verdict.NO
+        assert verify.is_diagonalizable(lam) is Verdict.NO
 
     def test_square_full_rank_jordan_coupling(self):
         # A and B are invertible, but B^T A = [[-1, 0], [2, -1]] is a Jordan
         # block: full rank alone does not make the companion diagonalizable
         game = BilinearGame.from_matrices([[1.0, -1.0], [1.0, 0.0]],
                                           [[0.0, 1.0], [-1.0, 1.0]])
-        assert spectral.CouplingSpectrum(game).invertible
-        assert spectral.is_diagonalizable(game.B.T @ game.A) is Verdict.NO
-        assert spectral.is_diagonalizable(dynamics.companion_matrix(game, 0.1)) is Verdict.NO
+        assert all(svd.rank == 2 for svd in spectral.CouplingSpectrum(game).svds)
+        assert verify.is_diagonalizable(game.B.T @ game.A) is Verdict.NO
+        assert verify.is_diagonalizable(dynamics.companion_matrix(game, 0.1)) is Verdict.NO
         report = spectral.rate_report(game, 0.1)
         assert report.eta_regime is Regime.INAPPLICABLE
         assert report.violated == "companion_diagonalizable"
@@ -588,11 +592,11 @@ class TestDiagonalizable:
 
     def test_needs_a_square_matrix(self):
         with pytest.raises(ValueError, match="square"):
-            spectral.is_diagonalizable(np.ones((2, 3)))
+            verify.is_diagonalizable(np.ones((2, 3)))
 
     def test_knife_edge_zero_sum(self):
         lam = dynamics.companion_matrix(PENNIES, 0.5)
-        assert spectral.is_diagonalizable(lam) is Verdict.NO
+        assert verify.is_diagonalizable(lam) is Verdict.NO
 
     def test_coupling_rule_matches_dense_oracle(self):
         # CouplingSpectrum.diagonalizable against the dense test of the
@@ -602,7 +606,7 @@ class TestDiagonalizable:
         for i in range(240):
             game = verify.random_coupling_game(rng, verify.COUPLING_KINDS[i % 4])
             eta = 0.45 / max(np.linalg.norm(game.A, 2), np.linalg.norm(game.B, 2))
-            dense = spectral.is_diagonalizable(dynamics.companion_matrix(game, eta))
+            dense = verify.is_diagonalizable(dynamics.companion_matrix(game, eta))
             if dense is not Verdict.BORDERLINE:
                 assert spectral.CouplingSpectrum(game).diagonalizable is dense, (i, game)
                 verdicts.add(dense)
@@ -612,7 +616,7 @@ class TestDiagonalizable:
         # a Jordan block whose Frobenius norm overflows leaves no cluster
         # radius to test with; an infinite one called it diagonalizable
         with np.errstate(over="ignore"):
-            verdict = spectral.is_diagonalizable([[1e300, 1e300], [0.0, 1e300]])
+            verdict = verify.is_diagonalizable([[1e300, 1e300], [0.0, 1e300]])
         assert verdict is Verdict.BORDERLINE
 
     def test_kernel_mismatch_is_defective(self):
@@ -624,4 +628,77 @@ class TestDiagonalizable:
         assert report.diagonalizable is Verdict.NO
         assert report.violated == "companion_diagonalizable"
         lam = dynamics.companion_matrix(game, 0.1)
-        assert spectral.is_diagonalizable(lam) is Verdict.NO
+        assert verify.is_diagonalizable(lam) is Verdict.NO
+
+    @pytest.mark.parametrize("eta", [0.1, 0.3])
+    def test_jordan_block_under_similarity(self, eta):
+        # B^T A = [[-3, 4, 1], [-1, 1, 1], [0, 0, -1]] is one size-3 Jordan
+        # block at -1. Its computed eigenvalues lie about 2e-8 apart, so they
+        # look simple, but its computed eigenvectors are nearly parallel
+        game = BilinearGame.from_matrices([[0, 1, -1], [-1, 2, 0], [1, -1, 0]],
+                                          [[-1, -1, 1], [2, 1, -1], [-1, 0, -1]])
+        assert (game.B.T @ game.A).tolist() == [[-3, 4, 1], [-1, 1, 1], [0, 0, -1]]
+        report = spectral.rate_report(game, eta)
+        assert report.eta_regime is Regime.INAPPLICABLE
+        assert report.violated == "companion_diagonalizable"
+        assert report.diagonalizable in (Verdict.NO, Verdict.BORDERLINE)
+        assert not verify.exact_diagonalizable(game.B.T @ game.A)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 4])
+    def test_large_spd_coupling_is_diagonalizable(self, seed):
+        # B = -A S, S SPD: B^T A = -S A^T A is similar to a symmetric matrix.
+        # The eigenvector condition number is about 1.4; the dense test of the
+        # product found clusters too close to separate at seeds 1 and 2 and
+        # read Borderline (seed 3 is test_large_general_sum_curve_is_part2)
+        game = verify.random_spd_coupled_game(np.random.default_rng(seed), 80, 48)
+        assert spectral.CouplingSpectrum(game).diagonalizable is Verdict.YES
+
+    def test_nilpotent_coupling(self):
+        # B^T A is nilpotent and M = [[0, A], [B^T, 0]] one size-6 Jordan
+        # block: the dense oracle reads the companion Borderline at eta 1/8
+        # and Yes at 1/2, the exact test No at both
+        game = BilinearGame.from_matrices([[-1, 1, -1], [0, 1, 1], [-1, -1, 0]],
+                                          [[0, 0, -1], [0, 0, -1], [1, -1, 1]])
+        assert spectral.CouplingSpectrum(game).diagonalizable is Verdict.NO
+        for eta in (0.125, 0.5):
+            assert not verify.exact_diagonalizable(dynamics.companion_matrix(game, eta))
+
+
+class TestExactDiagonalizable:
+    @pytest.mark.parametrize("m, expected", [
+        ([[5]], True),
+        (np.eye(3), True),
+        (np.diag([-1.0, -1.0, -2.0]), True),
+        ([[-1, 0], [2, -1]], False),           # a Jordan block
+        ([[0, 1], [-1, 0]], True),             # eigenvalues +-i
+        ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], False),
+        ([[2, 1, 0], [0, 2, 0], [0, 0, 3]], False),
+        ([[Fraction(1, 3), 1], [0, Fraction(1, 3)]], False),
+        ([[0.5, 0.25], [0.0, -0.125]], True),  # floats convert exactly
+        (np.zeros((2, 2)), True)])
+    def test_small_matrices(self, m, expected):
+        assert verify.exact_diagonalizable(m) is expected
+
+    def test_invariant_under_similarity(self):
+        # the one-block forms above, moved by unimodular similarities
+        rng = np.random.default_rng(5)
+        for jordan, expected in ((np.diag([-2.0, -2.0, -1.0]), True),
+                                 (np.array([[-2.0, 1, 0], [0, -2, 0], [0, 0, -1]]), False),
+                                 (np.array([[-1.0, 1, 0], [0, -1, 1], [0, 0, -1]]), False)):
+            for _ in range(5):
+                s, s_inv = verify._unimodular(rng, 3)
+                assert np.array_equal(s @ s_inv, np.eye(3))
+                assert verify.exact_diagonalizable(s @ jordan @ s_inv) is expected
+
+    def test_integer_games_are_drawn_of_each_kind(self):
+        rng = np.random.default_rng(9)
+        for kind in verify.EXACT_KINDS:
+            for _ in range(10):
+                game = verify.random_integer_game(rng, kind)
+                assert np.array_equal(game.A, np.round(game.A))
+                assert np.array_equal(game.B, np.round(game.B))
+                assert max(game.n, game.p) <= 3
+                if kind != "rank_deficient":
+                    product = game.B.T @ game.A
+                    assert verify.exact_diagonalizable(product) is (kind == "diagonal")
+                    assert set(np.round(np.linalg.eigvals(product).real)) <= {-1.0, -2.0, -3.0}
