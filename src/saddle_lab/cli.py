@@ -395,8 +395,11 @@ def _load_configs(args) -> list[ExperimentConfig]:
         return [parse_config(obj, seed=args.seed) for obj in PRESETS[args.preset]()]
     if not getattr(args, "config", None):
         raise ConfigError("either --config or --preset is required")
-    with open(args.config) as fh:
-        obj = json.load(fh)
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
+        raise ConfigError(f"{args.config}: {exc}") from None
     items = obj if isinstance(obj, list) else [obj]
     return [parse_config(item, seed=args.seed) for item in items]
 

@@ -2,7 +2,7 @@
 
 The limit of the optimistic dynamics is a projection of (x_0, y_0) onto the
 Nash set: orthogonal in the zero-sum and doubled schemes, oblique (along the
-coupling images) in the applicable general-sum case. Witness initializations
+coupling images) in the general-sum case. Witness initializations
 are built from eigenvectors of the companion matrix so their distance decays
 at exactly the closed-form ratio.
 """
@@ -69,9 +69,9 @@ def limit(spec: CouplingSpectrum, report: SpectralReport,
     """Predict the limit of (x_t, y_t) from the analysis of (game, algo) and
     its report at the run's step size; invalidity is a value, not an error.
 
-    GDA has no limit. General-sum OGDA has one where the report is
-    applicable. Zero-sum OGDA and DOGDA, zero-sum OGDA on the doubled game,
-    have one below the divergence threshold.
+    GDA has no limit. Zero-sum OGDA, DOGDA (zero-sum OGDA on the doubled
+    game) and general-sum OGDA whose spectrum meets its assumptions have one
+    below the divergence threshold.
     """
     return limits(spec, [report], init)[0]
 
@@ -81,29 +81,32 @@ def limits(spec: CouplingSpectrum, reports: list[SpectralReport],
     """`limit` at each of `reports`. Where a limit exists it is one point at
     every step size, so it is projected once, at the first report that has
     one, and every valid prediction is that one object."""
-    if spec.general_sum:
-        point = functools.cache(functools.partial(_oblique_point, spec, init))
-        return [point() if report.applicable else
-                _invalid(Geometry.OBLIQUE_ALONG_IMAGES,
-                         report.violated or "rate_theory_inapplicable")
-                for report in reports]
-    point = functools.cache(functools.partial(_orthogonal_point, spec, init))
-    return [_orthogonal_at(spec, report.eta, point) for report in reports]
+    point = functools.cache(_projection(spec, init))
+    return [_limit_at(spec, report.eta, point) for report in reports]
 
 
 def predict_limit(game: BilinearGame, algo: Algo, eta: float,
                   init: IterateState) -> LimitPrediction:
-    """`limit` at one step size, on CouplingSpectrum.of(game, algo); the
-    orthogonal paths need no report."""
+    """`limit` at one step size, on CouplingSpectrum.of(game, algo); it
+    needs no report."""
     spec = CouplingSpectrum.of(game, algo)
-    if spec.general_sum:
-        return limit(spec, rate_curve(spec, [eta])[0], init)
-    return _orthogonal_at(spec, linalg.json_number(eta, "eta", 0, strict=True),
-                          functools.partial(_orthogonal_point, spec, init))
+    return _limit_at(spec, linalg.json_number(eta, "eta", 0, strict=True),
+                     _projection(spec, init))
 
 
-def _orthogonal_at(spec: CouplingSpectrum, eta: float, point) -> LimitPrediction:
-    """The prediction `point()` where it is valid and eta converges."""
+def _projection(spec: CouplingSpectrum, init: IterateState):
+    """The projection of `init` onto the Nash set, as a call with no
+    arguments: oblique for general-sum OGDA, orthogonal otherwise."""
+    return functools.partial(_oblique_point if spec.general_sum else _orthogonal_point,
+                             spec, init)
+
+
+def _limit_at(spec: CouplingSpectrum, eta: float, point) -> LimitPrediction:
+    """The one rule for where a limit exists: a general-sum spectrum that
+    fails an assumption has none, and otherwise `point()` is the limit where
+    it is valid and eta converges."""
+    if spec.general_sum and spec.violated is not None:
+        return _invalid(Geometry.OBLIQUE_ALONG_IMAGES, spec.violated)
     pred = point()
     if pred.valid and spec.divergent(eta):
         return _invalid(pred.geometry, "eta_in_divergent_regime")
@@ -134,7 +137,7 @@ def _orthogonal_point(spec: CouplingSpectrum, init: IterateState) -> LimitPredic
 
 def _oblique_point(spec: CouplingSpectrum, init: IterateState) -> LimitPrediction:
     """General-sum OGDA: the oblique projections onto the Nash constraints,
-    at every step size where the report is applicable."""
+    at every step size below the divergence threshold."""
     geo = Geometry.OBLIQUE_ALONG_IMAGES
     ns = spec.nash
     if not ns.nonempty:

@@ -38,7 +38,7 @@ DIAGONALIZABLE_REL_TOL = 1e-8   # cosines of principal angles counted as right a
 # above the second defective (No), Borderline between.
 DIAGONALIZABLE_COND = 1e6
 DEFECTIVE_COND = 1e12
-DIVERGENCE_THRESHOLD = 1.0 / math.sqrt(3.0)  # eta sqrt(mu_max) from which the Gram cases diverge
+DIVERGENCE_THRESHOLD = 1.0 / math.sqrt(3.0)  # eta sqrt(mu_max) from which OGDA diverges
 
 
 class InvalidRatioError(ValueError):
@@ -244,8 +244,10 @@ class CouplingSpectrum:
     and A A^T. DOGDA, zero-sum OGDA on games.doubled(game) with coupling
     blockdiag(-B, A), pools those of A^T A, A A^T, B^T B and B B^T.
     General-sum OGDA takes the magnitudes of the non-positive real parts of
-    Sp(B^T A), with the checks that the spectrum is real and non-positive;
-    `growth_mu` is its largest real value that fails the second check, the
+    Sp(B^T A), with the checks that the spectrum is real and non-positive
+    and that the companion is diagonalizable; each mu = -m then gives the
+    quartic of the zero-sum Gram value m, so the same curve applies.
+    `growth_mu` is its largest real value that fails the sign check, the
     one that drives payoff growth (None when there is none, and for the
     other spectra). `positives` are the numerically positive values,
     ascending, in a read-only array; `mu_set` is a tuple.
@@ -254,7 +256,8 @@ class CouplingSpectrum:
     step size decides). `nash` is the game's Nash set (games.nash_set),
     `aux` the aux half of the Nash set of DOGDA's doubled game and
     `diagonalizable` the general-sum verdict on the companion matrix, each
-    taken on first use.
+    taken on first use; a general-sum spectrum that passes the sign check
+    takes the verdict when it is built.
     """
 
     def __init__(self, game: BilinearGame, algo: Algo = Algo.OGDA):
@@ -275,9 +278,11 @@ class CouplingSpectrum:
                        max(game.n, game.p))
         else:
             self.general_sum = True
-            self.assumptions = ("spectrum_real_nonpositive", "eta_below_half_threshold",
-                                "companion_diagonalizable")
+            self.assumptions = ("spectrum_real_nonpositive", "companion_diagonalizable",
+                                "eta_below_divergence_threshold")
             self._coupling()
+            if self.violated is None and self.diagonalizable is not Verdict.YES:
+                self.violated = "companion_diagonalizable"
         linalg.read_only(self.positives)
         self.mu_min = float(self.positives[0]) if self.positives.size else None
 
@@ -348,14 +353,15 @@ class CouplingSpectrum:
 
     @functools.cached_property
     def diagonalizable(self) -> Verdict:
-        """The general-sum verdict on the companion matrix at every step
-        below the half threshold, where it does not depend on eta.
+        """The general-sum verdict on the companion matrix at every step off
+        the knife edge, where it does not depend on eta.
 
         With M = [[0, A], [B^T, 0]] the companion is
         [[I + 2 eta M, -eta M], [I, 0]]. Each eigenvalue nu of M gives the
         roots of lambda (lambda - 1) = eta nu (2 lambda - 1), two distinct
-        ones unless nu^2 = -1/(4 eta^2), which no such step reaches. So the
-        companion is diagonalizable iff M is, that is, iff
+        ones unless nu^2 = -1/(4 eta^2): the knife edge m = 1/(4 eta^2),
+        which reads Part3b with verdict No. Elsewhere the companion is
+        diagonalizable iff M is, that is, iff
         rank(B^T A) = rank A, rank(A B^T) = rank B and the smaller of the
         two products is diagonalizable. The rank conditions hold iff A and
         B have one rank r and the r x r products of their image bases, and
@@ -394,7 +400,8 @@ class RateCurve:
 
     The arrays and lists align with `etas`; C is NaN where a report has no
     constant. Element i is the SpectralReport at etas[i]. A new curve is
-    Inapplicable at every step, for the spectrum's `violated` reason.
+    Inapplicable at every step, for the spectrum's `violated` reason, with
+    the spectrum's diagonalizability verdict where that is the reason.
     """
 
     def __init__(self, spectrum: CouplingSpectrum, etas: np.ndarray):
@@ -403,7 +410,9 @@ class RateCurve:
         self.lambda_star, self.lambda_dstar = np.zeros(m), np.zeros(m)
         self.lambda_max, self.C = np.full(m, math.nan), np.full(m, math.nan)
         self.eta_regime: list[Regime] = [Regime.INAPPLICABLE] * m
-        self.diagonalizable: list[Verdict] = [Verdict.BORDERLINE] * m
+        verdict = (spectrum.diagonalizable if spectrum.violated == "companion_diagonalizable"
+                   else Verdict.BORDERLINE)
+        self.diagonalizable: list[Verdict] = [verdict] * m
         self.violated: list[str | None] = [spectrum.violated] * m
 
     @property
@@ -433,16 +442,6 @@ class RateCurve:
             assumptions_met={name: name != violated for name in names},
             violated=violated)
 
-    def _settle(self, where: np.ndarray, lam, c_const=math.nan) -> None:
-        """Part2 with ratio `lam` (and lambda_dstar 0) at the steps `where`."""
-        self.lambda_star[where] = lam
-        self.lambda_max[where] = lam
-        self.C[where] = c_const
-        for i in np.flatnonzero(where):
-            self.eta_regime[i] = Regime.PART2
-            self.diagonalizable[i] = Verdict.YES
-            self.violated[i] = None
-
 
 def _zero_sum_constant(eta: np.ndarray, positives: np.ndarray) -> np.ndarray:
     """The bound constant: the larger of the low-step angle constant at the
@@ -460,7 +459,7 @@ def _zero_sum_constant(eta: np.ndarray, positives: np.ndarray) -> np.ndarray:
     return c_const
 
 
-def _zero_sum_curve(curve: RateCurve) -> None:
+def _curve(curve: RateCurve) -> None:
     spec, eta = curve.spectrum, curve.etas
     mu_min, mu_max = spec.mu_min, spec.mu_max
     member_tol = MEMBERSHIP_REL_TOL * mu_max
@@ -486,27 +485,13 @@ def _zero_sum_curve(curve: RateCurve) -> None:
     curve.violated = [reasons[d] for d in divergent.tolist()]
 
 
-def _general_sum_curve(curve: RateCurve) -> None:
-    spec, eta = curve.spectrum, curve.etas
-    ok = (eta < 0.5 / math.sqrt(spec.mu_max) if spec.mu_max > 0
-          else np.ones(eta.size, dtype=bool))
-    for i in np.flatnonzero(~ok):
-        curve.violated[i] = "eta_below_half_threshold"
-    if ok.any() and spec.diagonalizable is not Verdict.YES:
-        for i in np.flatnonzero(ok):
-            curve.violated[i] = "companion_diagonalizable"
-            curve.diagonalizable[i] = spec.diagonalizable
-        ok[:] = False
-    curve._settle(ok, 0.0 if spec.mu_min is None else rate_lambda_star(eta[ok], spec.mu_min))
-
-
 def rate_curve(spec: CouplingSpectrum, etas) -> RateCurve:
     """Regime, exact geometric ratio and (where it exists) the bound constant
     of one spectrum at every step size in `etas`.
 
-    Each closed form is a numpy expression in eta. The general-sum curve
-    also reads the spectrum's `diagonalizable` verdict, which it takes at
-    most once, and only when some step lies below the half threshold.
+    Each closed form is a numpy expression in eta. Every spectrum with some
+    coupling follows one curve: the Gram values of zero-sum OGDA and DOGDA,
+    or the magnitudes of a general-sum spectrum that meets its assumptions.
     """
     etas = np.array([json_number(eta, "eta", 0, strict=True)
                      for eta in np.ravel(etas).tolist()], dtype=float)
@@ -516,26 +501,31 @@ def rate_curve(spec: CouplingSpectrum, etas) -> RateCurve:
     # Overflow goes to inf silently, as in Python float arithmetic. An angle
     # constant whose ratio rounds to 1 (a step just below 1/(2 sqrt(mu))) is inf.
     with np.errstate(over="ignore", divide="ignore"):
-        if spec.general_sum:
-            _general_sum_curve(curve)
-        elif spec.positives.size == 0:
-            # No coupling: the dynamics freeze at once; ratio 0 by convention.
-            curve._settle(np.ones(etas.size, dtype=bool), 0.0,
-                          _angle_constant_low(etas, 0.0))
+        if spec.positives.size:
+            _curve(curve)
         else:
-            _zero_sum_curve(curve)
+            # No coupling: the dynamics freeze at once; Part2, ratio 0 by convention.
+            curve.lambda_max[:] = 0.0
+            curve.C = _angle_constant_low(etas, 0.0)
+            curve.eta_regime = [Regime.PART2] * etas.size
+            curve.diagonalizable = [Verdict.YES] * etas.size
+            curve.violated = [None] * etas.size
+    if spec.general_sum:
+        # the angle constants assume orthogonal eigenvectors: a general-sum
+        # envelope fits its constant
+        curve.C[:] = math.nan
     return curve
 
 
 def rate_report(game: BilinearGame, eta: float, algo: Algo = Algo.OGDA) -> SpectralReport:
     """Regime, exact geometric ratio and (where it exists) the bound constant.
 
-    Zero-sum games, and DOGDA on any game, follow the full regime analysis
-    (Part2 / Part3a / Part3b / Divergent); general-sum games under OGDA
-    require a real non-positive coupling spectrum, a small enough step and a
-    diagonalizable companion matrix (CouplingSpectrum.diagonalizable, decided
-    from the coupling, not from the companion), and otherwise come back
-    Inapplicable with the violated assumption named.
+    OGDA and DOGDA follow the full regime analysis (Part2 / Part3a / Part3b /
+    Divergent). General-sum games under OGDA also require a real
+    non-positive coupling spectrum and a diagonalizable companion matrix
+    (CouplingSpectrum.diagonalizable, decided from the coupling, not from the
+    companion), and otherwise come back Inapplicable with the violated
+    assumption named.
     This is rate_curve at the one step size, on CouplingSpectrum.of(game,
     algo): the game's SVDs, coupling eigenvalues, Nash set and spectrum are
     taken once while it is the last game analysed (games.memo), so a

@@ -961,6 +961,41 @@ def suite_diagonalizable_exact(rng: np.random.Generator) -> CheckResult:
                        f"verdict Borderline on {borderline}")
 
 
+def suite_general_sum_part3a(rng: np.random.Generator) -> CheckResult:
+    """General-sum OGDA at Part3a steps, eta sqrt(mu_max) between 1/2 and
+    the divergence threshold, where the zero-sum curve on the magnitudes of
+    Sp(B^T A) gives the rate. Each run must pass its envelope (check_bound,
+    fitted constant) and end at predict.limit (relative 1e-6, as in
+    limit_predictions); `measured` is the worst gap, either way, between the
+    fitted ratio and lambda_max, against the 0.02 of part2_bounds."""
+    count, worst_fit, worst_limit = 0, 0.0, 0.0
+    while count < 6:
+        game = random_negative_spectrum_game(rng)
+        spec = spectral.CouplingSpectrum.of(game)
+        if spec.violated is not None or spec.mu_min is None:
+            continue
+        eta = float(rng.uniform(0.5, spectral.DIVERGENCE_THRESHOLD)) / math.sqrt(spec.mu_max)
+        report = spectral.rate_curve(spec, [eta])[0]
+        if report.eta_regime is not Regime.PART3A or report.lambda_max > 0.98:
+            continue
+        init = _random_iterate(rng, game.n, game.p)
+        pred = predict.limit(spec, report, init)
+        traj = run(game, Algo.OGDA, eta, init, max_steps=5000, stop_tol=1e-14)
+        final = traj.final
+        gap = np.linalg.norm(np.concatenate([final.x - pred.x_inf, final.y - pred.y_inf]))
+        allowed = max(1e-8, 1e-6 * float(np.linalg.norm(init.stacked())))
+        worst_limit = max(worst_limit, float(gap) / allowed * 1e-6)
+        check = check_bound(traj, report, predict.distance(spec, init), pred)
+        if worst_limit >= 1e-6 or not check.ok:
+            return CheckResult("verify.general_sum_part3a", False, float("inf"), 0.02,
+                               f"limit gap {worst_limit:.2e}, envelope ok {check.ok}")
+        fit = estimate_rate(traj, pred)
+        worst_fit = max(worst_fit, abs(fit.fitted_ratio - report.lambda_max))
+        count += 1
+    return CheckResult("verify.general_sum_part3a", worst_fit <= 0.02, worst_fit, 0.02,
+                       f"limit gap {worst_limit:.2e}")
+
+
 def run_all_suites(seed: int = 20240) -> list[CheckResult]:
     """Every module's invariants, as named pass/fail checks (deterministic).
     Suite i draws from seed + i; the None slot keeps the later suites' seeds."""
@@ -976,7 +1011,7 @@ def run_all_suites(seed: int = 20240) -> list[CheckResult]:
         suite_init_independence, suite_prediction_is_fixed_point,
         suite_witness_rates, suite_cooperation_never_diverges,
         suite_part2_bounds, suite_part3a_bounds, suite_diagonalizable_oracle,
-        suite_diagonalizable_exact,
+        suite_diagonalizable_exact, suite_general_sum_part3a,
     ]
     return [suite(np.random.default_rng(seed + idx))
             for idx, suite in enumerate(suites) if suite is not None]

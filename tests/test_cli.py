@@ -118,10 +118,15 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out)
         assert payload["report"]["lambda_max"] == 0.0
 
-    def test_malformed_config_exit_one(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+    def test_malformed_config_exit_one(self, tmp_path, capsys):
+        # not JSON, not UTF-8, and nested deeper than the decoder recurses
+        for i, text in enumerate([b"{not json", b'{"name": "\xff"}',
+                                  b"[" * 200000 + b"]" * 200000]):
+            path = tmp_path / f"bad{i}.json"
+            path.write_bytes(text)
+            assert cli.main(["analyze", "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1, err
 
     def test_missing_eta_exit_one(self, tmp_path):
         obj = zero_sum_config(0.3)

@@ -190,11 +190,11 @@ class TestPredictLimit:
         (Algo.OGDA, lambda rng: verify.random_zero_sum_game(rng), 4),
         (Algo.DOGDA, lambda rng: verify.random_spd_coupled_game(rng, 3, 2), 4),
         (Algo.GDA, lambda rng: verify.random_zero_sum_game(rng), 0),
-        (Algo.OGDA, lambda rng: verify.random_spd_coupled_game(rng, 3, 2), 3)],
+        (Algo.OGDA, lambda rng: verify.random_spd_coupled_game(rng, 3, 2), 4)],
         ids=["zero-sum", "dogda", "gda", "general-sum"])
     def test_limits_equal_one_limit_per_step(self, algo, make, valid):
-        # step sizes on both sides of the divergence threshold (and of the
-        # general-sum half threshold): the valid ones share one projection
+        # step sizes on both sides of the divergence threshold: the valid
+        # ones share one projection
         rng = np.random.default_rng(6)
         game = make(rng)
         init = IterateState(*(rng.normal(size=k) for k in (game.n, game.p, game.n, game.p)))

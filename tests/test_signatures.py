@@ -65,7 +65,7 @@ def test_parameter_list(fn, params):
 
 def test_suites_take_only_the_generator():
     suites = [getattr(verify, name) for name in dir(verify) if name.startswith("suite_")]
-    assert len(suites) == 24
+    assert len(suites) == 25
     for suite in suites:
         assert list(inspect.signature(suite).parameters) == ["rng"], suite.__name__
 
@@ -87,8 +87,13 @@ def test_removed_methods_stay_removed():
     assert not hasattr(spectral, "companion_matrix")
     assert not hasattr(spectral, "is_diagonalizable")
     assert not hasattr(spectral.CouplingSpectrum, "invertible")
-    # DOGDA is analysed as zero-sum OGDA on the doubled game
+    # DOGDA is analysed as zero-sum OGDA on the doubled game, and general-sum
+    # OGDA on the magnitudes of its coupling spectrum, by one curve and one
+    # limit rule
     assert not hasattr(spectral, "_below_half_threshold")
+    assert not hasattr(spectral, "_general_sum_curve")
+    assert not hasattr(spectral.RateCurve, "_settle")
+    assert not hasattr(predict, "_orthogonal_at")
     assert not hasattr(spectral.CouplingSpectrum, "aux_infeasible")
     # a subspace is the SVD's orthonormal column array, and no copy of it is kept
     assert not hasattr(linalg, "SubspaceBasis")

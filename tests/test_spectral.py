@@ -213,6 +213,31 @@ class TestRateReport:
         rep_close = spectral.rate_report(acc, 0.4999)
         assert rep_close.lambda_max < 0.72
 
+    def test_accelerated_thresholds(self):
+        # B^T A = -I: the zero-sum curve of m = 1 from Part2 through the knife
+        # edge eta = 1/2 (defective companion) and Part3a up to 1/sqrt(3)
+        game = games.accelerate(BilinearGame.zero_sum_game(np.diag([1.0, 1.0 / 16])))
+        assert np.allclose(game.B.T @ game.A, -np.eye(2))
+        init = dynamics.IterateState.at(np.ones(2), -np.ones(2))
+        cases = [(0.49, Regime.PART2, 0.774273), (0.5, Regime.PART3B, math.sqrt(0.5)),
+                 (0.501, Regime.PART3A, 0.730550), (0.577, Regime.PART3A, 0.999090),
+                 (0.578, Regime.DIVERGENT, None)]
+        for eta, regime, lam in cases:
+            rep = spectral.rate_report(game, eta)
+            assert rep.eta_regime is regime, eta
+            assert rep.diagonalizable is (Verdict.NO if regime is Regime.PART3B else Verdict.YES)
+            pred = predict.predict_limit(game, Algo.OGDA, eta, init)
+            assert pred.valid is (regime is not Regime.DIVERGENT), eta
+            if lam is not None:
+                assert rep.lambda_max == pytest.approx(lam, abs=1e-6)
+            if regime is Regime.PART3B:
+                assert not verify.exact_diagonalizable(dynamics.companion_matrix(game, eta))
+                continue
+            vals = np.linalg.eigvals(dynamics.companion_matrix(game, eta))
+            rho = float(np.abs(vals[np.abs(vals - 1.0) > 1e-9]).max())
+            assert abs(rep.lambda_max - rho) <= 1e-9, eta
+        assert pred.reason == "eta_in_divergent_regime"
+
     def test_general_sum_example(self):
         a = np.array([[1.0, 0.0], [2.0, 0.0]])
         b = np.array([[-2.0, -1.0], [0.0, 0.0]])
@@ -222,24 +247,25 @@ class TestRateReport:
             math.sqrt(0.5 * (1 + math.sqrt(0.92))))
         assert rep.mu_min == pytest.approx(2.0)
 
-    def test_step_above_half_threshold_is_inapplicable(self):
+    def test_step_above_divergence_threshold_is_divergent(self):
         a = np.array([[1.0, 0.0], [2.0, 0.0]])
         b = np.array([[-2.0, -1.0], [0.0, 0.0]])
         obj = spectral.rate_report(BilinearGame.from_matrices(a, b), 2.0).to_json()
-        assert obj.pop("lambda_max") is None
+        assert obj.pop("lambda_dstar") == obj.pop("lambda_max") == pytest.approx(
+            float(spectral.rate_lambda_dstar(2.0, 2.0)))
         assert obj == {
             "algo": "OGDA", "eta": 2.0, "mu_set": [0.0, -2.0], "mu_imag_max": 0.0,
-            "mu_min": None, "mu_max": 2.0, "lambda_star": 0.0, "lambda_dstar": 0.0,
-            "C": None, "eta_regime": "Inapplicable", "diagonalizable": "Borderline",
+            "mu_min": 2.0, "mu_max": 2.0, "lambda_star": 0.0,
+            "C": None, "eta_regime": "Divergent", "diagonalizable": "Yes",
             "assumptions_met": {"spectrum_real_nonpositive": True,
-                                "eta_below_half_threshold": False},
-            "violated": "eta_below_half_threshold"}
+                                "companion_diagonalizable": True,
+                                "eta_below_divergence_threshold": False},
+            "violated": "eta_below_divergence_threshold"}
 
     def test_to_json_is_strict(self):
         """An Inapplicable report's NaN rate and its invalid limit go out as null."""
         a = np.array([[1.0, 0.0], [2.0, 0.0]])
-        b = np.array([[-2.0, -1.0], [0.0, 0.0]])
-        game = BilinearGame.from_matrices(a, b)
+        game = BilinearGame.from_matrices(a, a)
         rep = spectral.rate_report(game, 2.0)
         pred = predict.predict_limit(game, Algo.OGDA, 2.0,
                                      dynamics.IterateState.at(np.ones(2), np.ones(2)))
@@ -338,9 +364,9 @@ CURVE_CASES = {
                             {"Part2", "Part3b", "Part3a", "Divergent"}),
     "general-sum": (BilinearGame.from_matrices([[1.0, 0.0], [2.0, 0.0]],
                                                [[-2.0, -1.0], [0.0, 0.0]]),
-                    Algo.OGDA, [0.1, 0.3, 0.35, 2.0], {"Part2", "eta_below_half_threshold"}),
-    "general-sum-invertible": (spd_coupled_game(5, 3), Algo.OGDA, [0.05, 0.2, 0.4, 0.8],
-                               {"Part2", "eta_below_half_threshold"}),
+                    Algo.OGDA, [0.1, 0.3, 0.35, 0.38, 2.0], {"Part2", "Part3a", "Divergent"}),
+    "general-sum-invertible": (spd_coupled_game(5, 3), Algo.OGDA, [0.05, 0.2, 0.23, 0.4, 0.8],
+                               {"Part2", "Part3a", "Divergent"}),
     "general-sum-positive": (BilinearGame.from_matrices([[1.0]], [[1.0]]), Algo.OGDA,
                              [0.1, 0.6], {"spectrum_real_nonpositive"}),
     "general-sum-defective": (BilinearGame.from_matrices(np.ones((2, 2)),
@@ -689,6 +715,39 @@ class TestExactDiagonalizable:
                 s, s_inv = verify._unimodular(rng, 3)
                 assert np.array_equal(s @ s_inv, np.eye(3))
                 assert verify.exact_diagonalizable(s @ jordan @ s_inv) is expected
+
+    def test_companion_charpoly_from_coupling_charpoly(self):
+        # det(l I - companion) = (l^2 - l)^|n-p| det(l^2 (l-1)^2 I - eta^2 (2l-1)^2 P)
+        # over the rationals, P the smaller coupling product with
+        # det(x I - P) = sum_j c_j x^(k-j): the root map of lambda_spectrum,
+        # multiplicities included; eta = 1/8 keeps the companion exact in floats
+        def mul(a, b):
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return out
+
+        def power(a, k):
+            return functools.reduce(mul, [a] * k, [1])
+
+        eta_sq = Fraction(1, 64)
+        quartic, step = [1, -2, 1, 0, 0], [4 * eta_sq, -4 * eta_sq, eta_sq]
+        rng = np.random.default_rng(8)
+        shapes = []
+        for i in range(5):
+            game = verify.random_integer_game(rng, verify.EXACT_KINDS[i % 3])
+            coeffs = verify._charpoly(verify._rational(spectral._coupling_product(game)))
+            k = len(coeffs) - 1
+            expected = [0] * (4 * k + 1)
+            for j, c in enumerate(coeffs):
+                term = mul(power(quartic, k - j), power(step, j))
+                expected = [x + c * y for x, y in zip(expected, [0] * (2 * j) + term)]
+            expected = mul(power([1, -1, 0], abs(game.n - game.p)), expected)
+            companion = dynamics.companion_matrix(game, 0.125)
+            assert verify._charpoly(verify._rational(companion)) == expected
+            shapes.append((game.n, game.p))
+        assert any(n != p for n, p in shapes), shapes
 
     def test_integer_games_are_drawn_of_each_kind(self):
         rng = np.random.default_rng(9)
