@@ -49,6 +49,13 @@ run fitted as it stops, the median of five. `fit`: microseconds per fit of
 one run of that config, at eta 0.05, which runs to its 3000 steps:
 `verify.estimate_rate`, `check_bound` and `classify` on its 3001 recorded
 states, the median of five.
+`verify`: milliseconds of plain `time.perf_counter` wall time, not of the
+clock, at the default seed, the median of five: `verify_ms` is
+`verify.run_all_suites` as `saddle-lab verify` runs it, shared with a forked
+child per further CPU; `verify_serial_ms` runs the suites of
+`verify.suites()` one after another in this process; and
+`verify_longest_suite_ms` is the longest single suite, the floor of any
+split. The clock would count a child busy on another CPU as load on the host.
 
     PYTHONPATH=src python3 scripts/kernel_timing.py
 """
@@ -59,6 +66,7 @@ import io
 import json
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -168,12 +176,31 @@ def fresh_us(function, g, *args, calls: int | None = None) -> float:
     return sorted(times)[REPEATS // 2] / calls * 1e6
 
 
+def wall_ms(call) -> float:
+    start = time.perf_counter()
+    call()
+    return (time.perf_counter() - start) * 1e3
+
+
+def verify_layers() -> dict:
+    seed = 20240  # `saddle-lab verify`'s default
+    timed = [(i, suite) for i, suite in enumerate(verify.suites()) if suite is not None]
+    runs = [[wall_ms(lambda: suite(np.random.default_rng(seed + i))) for i, suite in timed]
+            for _ in range(REPEATS)]
+    return {"verify_ms": sorted(wall_ms(lambda: verify.run_all_suites(seed))
+                                for _ in range(REPEATS))[REPEATS // 2],
+            "verify_serial_ms": sorted(map(sum, runs))[REPEATS // 2],
+            "verify_longest_suite_ms": max(sorted(times)[REPEATS // 2]
+                                           for times in zip(*runs))}
+
+
 def main() -> None:
     CLOCK.start()
     try:
         out = layers()
     finally:
         CLOCK.stop()
+    out.update(verify_layers())
     print(json.dumps(out))
 
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import pickle
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -996,10 +998,11 @@ def suite_general_sum_part3a(rng: np.random.Generator) -> CheckResult:
                        f"limit gap {worst_limit:.2e}")
 
 
-def run_all_suites(seed: int = 20240) -> list[CheckResult]:
-    """Every module's invariants, as named pass/fail checks (deterministic).
-    Suite i draws from seed + i; the None slot keeps the later suites' seeds."""
-    suites = [
+def suites() -> list:
+    """Every suite, in seed order: suite i draws from seed + i, and the None
+    slot keeps the later suites' seeds. The list is built at each call, so a
+    suite patched on this module runs patched."""
+    return [
         suite_penrose, suite_pinv_kernel, suite_projection_idempotent,
         suite_eig_determinant, None,
         suite_nash_scale_invariance, suite_accelerate_spectrum,
@@ -1013,5 +1016,81 @@ def run_all_suites(seed: int = 20240) -> list[CheckResult]:
         suite_part2_bounds, suite_part3a_bounds, suite_diagonalizable_oracle,
         suite_diagonalizable_exact, suite_general_sum_part3a,
     ]
-    return [suite(np.random.default_rng(seed + idx))
-            for idx, suite in enumerate(suites) if suite is not None]
+
+
+def _take_suites(listed: list, seed: int, todo: int) -> dict[int, CheckResult]:
+    """Run the suites whose indices this process reads, one byte each, from
+    the pipe `todo`, until it is empty."""
+    done = {}
+    while token := os.read(todo, 1):
+        done[token[0]] = listed[token[0]](np.random.default_rng(seed + token[0]))
+    return done
+
+
+def _fork_worker(listed: list, seed: int, todo: int) -> tuple[int, int]:
+    """Fork a child that takes suites from `todo` and, when none is left,
+    pickles its results (or the exception that stopped it, with the
+    traceback text) into a pipe of its own. Returns (pid, read end)."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    status = 1
+    try:  # the child never returns into the caller's stack
+        os.close(read_end)
+        try:
+            outcome = _take_suites(listed, seed, todo)
+        except Exception as exc:
+            import traceback
+            outcome = (exc, traceback.format_exc())
+        with open(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def run_all_suites(seed: int = 20240) -> list[CheckResult]:
+    """Every module's invariants, as named pass/fail checks (deterministic).
+
+    This process and one forked child for each further CPU in its affinity
+    mask share the suites: each takes the next suite not yet started, until
+    none is left. Suite i draws from seed + i wherever it runs, so the
+    results, returned in suite order, do not depend on the CPU count. With
+    one CPU, or without os.fork, this process runs every suite. An exception
+    in a child is raised here; every child is reaped before this returns."""
+    listed = suites()
+    indices = bytes(i for i, suite in enumerate(listed) if suite is not None)
+    workers = (min(len(os.sched_getaffinity(0)), len(indices))
+               if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+    todo, todo_w = os.pipe()
+    os.write(todo_w, indices)
+    os.close(todo_w)
+    children: dict[int, int] = {}  # pid -> read end of its result pipe
+    try:
+        for _ in range(workers - 1):
+            pid, read_end = _fork_worker(listed, seed, todo)
+            children[pid] = read_end
+        done = _take_suites(listed, seed, todo)
+        for pid, read_end in list(children.items()):
+            with open(read_end, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(children.pop(pid))
+            if code != 0 or not payload:
+                raise RuntimeError(f"verify worker {pid} exited with status {code} "
+                                   "before it sent its results")
+            outcome = pickle.loads(payload)
+            if isinstance(outcome, tuple):
+                exc, text = outcome
+                raise exc from RuntimeError(f"in verify worker {pid}:\n{text}")
+            done.update(outcome)
+    finally:
+        os.close(todo)
+        for pid, read_end in children.items():  # left only when a call raised
+            import signal
+            os.close(read_end)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [done[i] for i in indices]

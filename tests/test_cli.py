@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -818,6 +819,14 @@ class TestVerifyCommand:
         assert [check["name"] for check in payload["checks"]] == ["first", "second"]
         assert err.splitlines() == ["PASS first (measured=1.000e-15, tol=1e-10)",
                                     "FAIL second (measured=5.000e-01, tol=1e-03)"]
+
+    def test_one_cpu_writes_the_same_bytes(self, verify_command, monkeypatch, tmp_path):
+        # the suites run in this process alone when it may use one CPU
+        _, shared = verify_command
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert cli.main(["verify", "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        assert ((tmp_path / "verification.json").read_bytes()
+                == (shared / "verification.json").read_bytes())
 
 
 ETA_RANGE = {"start": 0.1, "stop": 0.3, "step": 0.1}

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from saddle_lab import cli, spectral
+from saddle_lab import cli, spectral, verify
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -47,6 +47,9 @@ def test_kernel_timing_prints_every_layer(monkeypatch, capsys):
     monkeypatch.setattr(module, "STEPS", 20)
     monkeypatch.setattr(module, "REPEATS", 1)
     monkeypatch.setattr(module, "CALLS", 1)
+    # four of verify's cheapest suites stand in for the 25
+    suites = verify.suites()[:4]
+    monkeypatch.setattr(verify, "suites", lambda: suites)
     module.main()
     out = json.loads(capsys.readouterr().out)
     keys = ([f"run_us_per_step_np{size}" for size in (4, 32, 128, 256)]
@@ -59,7 +62,8 @@ def test_kernel_timing_prints_every_layer(monkeypatch, capsys):
                for size in (4, 128)]
             + [f"analysis_op_us_np{size}" for size in (4, 64)]
             + ["dogda_analysis_us_np256", "parse_config_us_np256",
-               "general_sum_curve_us_np64", "sweep_diag12_ms", "fit_us_diag12"])
+               "general_sum_curve_us_np64", "sweep_diag12_ms", "fit_us_diag12",
+               "verify_ms", "verify_serial_ms", "verify_longest_suite_ms"])
     assert sorted(out) == sorted(keys)
     assert all(out[key] > 0 for key in keys)
     assert type(out["run_converging_steps_np4"]) is int

@@ -1,6 +1,8 @@
 import json
 import math
-from dataclasses import replace
+import os
+import time
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -255,10 +257,13 @@ class TestSuites:
         failed = [r["name"] for r in results if not r["passed"]]
         assert failed == []
 
-    def test_deterministic(self):
-        a = [r.measured for r in verify.run_all_suites(seed=7)]
-        b = [r.measured for r in verify.run_all_suites(seed=7)]
-        assert a == b
+    def test_deterministic(self, monkeypatch):
+        # the suites shared with a child per further CPU, then all in this
+        # process: the same checks, field for field
+        shared = verify.run_all_suites(seed=7)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        alone = verify.run_all_suites(seed=7)
+        assert [astuple(r) for r in shared] == [astuple(r) for r in alone]
 
     def test_mutation_is_detected(self, monkeypatch):
         # corrupt the closed-form ratio; the spectrum-based checks must notice
@@ -268,3 +273,87 @@ class TestSuites:
         result = verify.suite_rate_realized_by_spectrum(
             np.random.default_rng(123))
         assert not result.passed
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "check_bound's fitted constant is too small for the second half of a "
+        "general-sum Part3a run just above eta sqrt(mu_max) = 1/2, where the "
+        "companion is nearly defective and the distance follows t lambda^t"))
+    @pytest.mark.parametrize("seed", [1104, 1368])
+    def test_general_sum_part3a_near_the_half_threshold(self, seed):
+        assert verify.suite_general_sum_part3a(np.random.default_rng(seed)).passed
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSuiteWorkers:
+    """A failure in a forked child reaches the caller, and no child outlives
+    the call. The process claims two CPUs, so the call forks one child
+    whatever the machine has."""
+
+    @staticmethod
+    def run(monkeypatch, in_child, in_caller=lambda: time.sleep(0.05)):
+        # the caller's suites sleep, so the child takes some of the four
+        caller = os.getpid()
+
+        def suite(rng):
+            (in_caller if os.getpid() == caller else in_child)()
+            return verify.CheckResult("verify.probe", True, 0.0, 0.0)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(verify, "suites", lambda: [suite] * 4)
+        try:
+            return verify.run_all_suites()
+        finally:
+            assert_no_child_left()
+
+    def test_each_suite_runs_once_with_more_workers_than_cpus(self, monkeypatch, tmp_path):
+        # eight processes on this machine's CPUs take 40 suites from one pipe;
+        # each suite appends its index to a shared log
+        log = tmp_path / "ran"
+
+        def numbered(i):
+            def suite(rng):
+                with open(log, "a") as fh:
+                    fh.write(f"{i}\n")
+                return verify.CheckResult(f"verify.s{i}", True, float(rng.random()), 0.0)
+            return suite
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        monkeypatch.setattr(verify, "suites", lambda: [numbered(i) for i in range(40)])
+        try:
+            results = verify.run_all_suites(seed=5)
+        finally:
+            assert_no_child_left()
+        assert sorted(map(int, log.read_text().split())) == list(range(40))
+        assert results == [verify.CheckResult(f"verify.s{i}", True,
+                                              float(np.random.default_rng(5 + i).random()), 0.0)
+                           for i in range(40)]
+
+    def test_exception_reaches_the_caller(self, monkeypatch):
+        def bad():
+            raise ValueError("bad suite")
+
+        with pytest.raises(ValueError, match="bad suite") as info:
+            self.run(monkeypatch, bad)
+        assert "in verify worker" in str(info.value.__cause__)
+
+    def test_child_exit_raises(self, monkeypatch):
+        with pytest.raises(RuntimeError, match="exited with status 1"):
+            self.run(monkeypatch, lambda: os._exit(1))
+
+    def test_numpy_warning_fails_the_call(self, monkeypatch):
+        # pyproject.toml turns warnings into errors, in the child as here
+        with pytest.raises(RuntimeWarning, match="divide by zero"):
+            self.run(monkeypatch, lambda: np.log(np.zeros(1)))
+
+    def test_caller_exception_kills_the_child(self, monkeypatch):
+        def bad():
+            raise ValueError("bad suite")
+
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="bad suite"):
+            self.run(monkeypatch, lambda: time.sleep(60), in_caller=bad)
+        assert time.perf_counter() - start < 30
