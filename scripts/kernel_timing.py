@@ -14,9 +14,10 @@ recorded, with the stop rules off.
 game with the default stop rules, which converges in the step count printed
 beside it, the median of five. `run_batch`: row-steps per
 second at k = 8 step sizes, n+p in {4, 32}, the median of five batches.
-`trajectory_to_csv`: microseconds per row of the CSV of a 4000-step OGDA
-record at n+p in {4, 32, 256}, with its distance column, the median of five
-renderings. `run_json`: milliseconds per `cli.cmd_run` with `--format json`
+`csv`: microseconds per row of the CSV of a 4000-step OGDA record at n+p
+in {4, 32, 256}, with its distance column, written by `dynamics.write_csv`
+into a file in a temporary directory as `saddle-lab run` writes it, the
+median of five. `run_json`: milliseconds per `cli.cmd_run` with `--format json`
 of the config of the 4000-step OGDA run at n+p in {4, 32}, each step
 recorded, into a temporary directory: the run, its analysis and fit, and
 the two JSON documents, the median of five. Every analysis below is timed
@@ -56,6 +57,10 @@ child per further CPU; `verify_serial_ms` runs the suites of
 `verify.suites()` one after another in this process; and
 `verify_longest_suite_ms` is the longest single suite, the floor of any
 split. The clock would count a child busy on another CPU as load on the host.
+`run_csv_peak_mb_np256`: the `tracemalloc` peak, in MB, of one `cli.cmd_run`
+with `--format csv` of the config of a 1500-step OGDA run at n+p = 256
+(parsed beforehand), taken after every timed layer: the record, the
+analysis and the CSV writer's one block.
 
     PYTHONPATH=src python3 scripts/kernel_timing.py
 """
@@ -67,6 +72,7 @@ import json
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +86,7 @@ from saddle_lab import cli, dynamics, predict, spectral, verify  # noqa: E402
 from saddle_lab.games import BilinearGame, game_to_json  # noqa: E402
 
 STEPS = 4000
+PEAK_STEPS = 1500  # the steps of the n+p = 256 run of the trajectories benchmark
 REPEATS = 5
 CALLS = 50  # calls per timed batch of an analysis function
 CLOCK = SpeedClock()  # started and stopped by main
@@ -194,6 +201,20 @@ def verify_layers() -> dict:
                                            for times in zip(*runs))}
 
 
+def run_csv_peak_mb() -> float:
+    """The tracemalloc peak of one CSV `cmd_run` of the 1500-step n+p = 256
+    config, in MB."""
+    cfg = cli.parse_config(dict(run_config(*game(256)), max_steps=PEAK_STEPS))
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        tracemalloc.start()
+        try:
+            cli.cmd_run([cfg], Path(tmp), "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak / 1e6
+
+
 def main() -> None:
     CLOCK.start()
     try:
@@ -201,6 +222,7 @@ def main() -> None:
     finally:
         CLOCK.stop()
     out.update(verify_layers())
+    out["run_csv_peak_mb_np256"] = run_csv_peak_mb()
     print(json.dumps(out))
 
 
@@ -226,12 +248,18 @@ def layers() -> dict:
         g, init = game(size)
         seconds = median_time(lambda: list(dynamics.run_batch(g, "OGDA", etas, init, **settings)))
         out[f"run_batch_row_steps_per_s_k8_np{size}"] = len(etas) * STEPS / seconds
-    for size in (4, 32, 256):
-        g, init = game(size)
-        traj = dynamics.run(g, "OGDA", 0.01, init, **settings)
-        origin = (np.zeros(g.n), np.zeros(g.p))  # the Nash point of these games
-        seconds = median_time(lambda: dynamics.trajectory_to_csv(traj, g, limit=origin))
-        out[f"csv_us_per_row_np{size}"] = seconds / len(traj.times) * 1e6
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.csv"
+        for size in (4, 32, 256):
+            g, init = game(size)
+            traj = dynamics.run(g, "OGDA", 0.01, init, **settings)
+            origin = (np.zeros(g.n), np.zeros(g.p))  # the Nash point of these games
+
+            def csv():
+                with path.open("wb") as file:
+                    dynamics.write_csv(file, traj, g, limit=origin)
+
+            out[f"csv_us_per_row_np{size}"] = median_time(csv) / len(traj.times) * 1e6
     for size in (4, 32):
         cfg = cli.parse_config(run_config(*game(size)))
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):

@@ -6,7 +6,7 @@ spectral oracle confirming every formula.
 """
 
 from .dynamics import (Algo, IterateState, StopReason, Trajectory,
-                       companion_matrix, run, trajectory_to_csv)
+                       companion_matrix, run, write_csv)
 from .games import (BilinearGame, NashSet, accelerate, doubled, game_from_json,
                     game_to_json, nash_set, payoffs, scale_opponent)
 from .predict import (DistanceD, Geometry, LimitPrediction, distance_to_nash,
@@ -28,7 +28,7 @@ __all__ = [
     "game_to_json", "is_diagonalizable", "lambda_spectrum", "nash_set",
     "optimal_eta", "oracle_reconcile", "payoffs", "predict_limit",
     "rate_curve", "rate_report", "run", "run_all_suites", "s_star_roots",
-    "scale_opponent", "tight_witness", "trajectory_to_csv",
+    "scale_opponent", "tight_witness", "write_csv",
 ]
 
 __version__ = "0.1.0"

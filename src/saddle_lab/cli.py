@@ -20,9 +20,8 @@ import numpy as np
 
 from . import games as games_mod
 from . import predict, spectral, verify
-from .dynamics import (_CELL, DEFAULT_BLOW_CAP, DEFAULT_STOP_TOL, Algo, IterateState,
-                       StopReason, Trajectory, _csv_lines, run, run_batch,
-                       trajectory_to_csv)
+from .dynamics import (DEFAULT_BLOW_CAP, DEFAULT_STOP_TOL, Algo, IterateState, StopReason,
+                       Trajectory, run, run_batch, write_csv, write_table)
 from .games import BilinearGame
 from .linalg import json_number, json_vector, jsonable
 from .predict import LimitPrediction
@@ -306,9 +305,9 @@ def cmd_run(configs: list[ExperimentConfig], out_dir: Path, fmt: str) -> int:
                         f"stop={result['trajectory'].stop_reason.value}")
         if fmt == "csv":
             traj_path = out_dir / f"{cfg.name}.csv"
-            traj_path.write_text(trajectory_to_csv(
-                result["trajectory"], cfg.game, limit=limit_pair,
-                comments=tuple(comments)))
+            with traj_path.open("wb") as file:
+                write_csv(file, result["trajectory"], cfg.game, limit=limit_pair,
+                          comments=tuple(comments))
         else:
             traj_path = out_dir / f"{cfg.name}.trajectory.json"
             traj = result["trajectory"]
@@ -358,7 +357,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
     lines.append(f"# empirical_argmin_eta={best['eta']!r}")
     lines.append("eta,fitted_ratio,lambda_max_closed_form")
     values = np.array([[r["eta"], r["fitted_ratio"], r["lambda_max"]] for r in usable])
-    path.write_text("\n".join(lines) + _csv_lines(values, np.empty(values.shape, _CELL)) + "\n")
+    with path.open("wb") as file:
+        write_table(file, lines, [values])
     print(f"wrote {path}")
     return EXIT_OK
 

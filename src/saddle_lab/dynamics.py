@@ -10,6 +10,10 @@ block for k of them. It
 advances STOP_TEST_STEPS steps at a time and tests the stop rules once per
 chunk, on every step of it, so a run stops at the same step, with the same
 bits, as one tested after every step.
+
+`write_csv` streams a trajectory's CSV into a binary file, one block of
+CSV_BLOCK_CELLS cells at a time, as bytes: a writer holds the record and
+one block of text, never the whole file.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -241,7 +246,8 @@ def _quiet() -> np.errstate:
 def _joined(pieces: list, length: int) -> np.ndarray:
     """The first `length` rows of all pieces but the last, in order, then the
     last piece, the stop row, as one array. Each piece is dropped as soon as
-    it is copied, so the record is never held twice over."""
+    it is copied, but the array is allocated while every piece is alive, so
+    the record is held twice over as it is joined."""
     states = np.empty((length + 1, pieces[0].shape[-1]))
     states[length] = pieces.pop()
     pieces.reverse()  # so that pop takes them in order
@@ -408,51 +414,62 @@ def recorded_payoffs(traj: Trajectory, game: BilinearGame) -> tuple[np.ndarray, 
 # and go through a 4-digit lookup table into fixed byte slots, which one
 # bytes.translate compacts. Non-finite values, ±0, |v| outside [1e-240,
 # 1e240] and values within 1e-9 of a rounding tie go through "%.17g" itself.
-# A block holds its slots (50 bytes a cell, 400 kB) and about 2 MB of
-# temporaries, beside the text returned. On a 4000-step OGDA record
+# A block holds its slots (50 bytes a cell, 400 kB), their compacted bytes
+# (at most 25 a cell) and about 2 MB of temporaries; the writer holds one
+# block at a time beside the record. On a 4000-step OGDA record
 # (scripts/kernel_timing.py, 2-vCPU x86-64, numpy 2.4.6, median of ten runs)
 # a row costs 2.4, 10.5 and 77 us at n+p = 4, 32 and 256 (one "%.17g" per
 # cell: 8.4, 38 and 279 us).
 CSV_BLOCK_CELLS = 8192
 
 
-def trajectory_to_csv(traj: Trajectory, game: BilinearGame,
-                      limit: tuple[np.ndarray, np.ndarray] | None = None,
-                      comments: tuple[str, ...] = ()) -> str:
-    """Render the recorded states as CSV.
+def write_csv(file: BinaryIO, traj: Trajectory, game: BilinearGame,
+              limit: tuple[np.ndarray, np.ndarray] | None = None,
+              comments: tuple[str, ...] = ()) -> None:
+    """Write the recorded states as CSV into the binary file `file`.
 
     Header: t,x_0..x_{n-1},y_0..y_{p-1},dist_limit,g1,g2, each value written
     as "%.17g" writes it (an integer t below 1e17 as str(t)). The dist_limit
     column is left empty when no limit prediction is supplied. A block of
-    rows is one (rows, n+p+4) array of _CELL that `_csv_lines` fills, t
-    too.
+    rows is one (rows, n+p+4) array of values, t too, rendered and written
+    by `write_table`.
     """
     n, p = game.n, game.p
     xy = traj.states[:, :n + p]
     g1, g2 = recorded_payoffs(traj, game)
     target = None if limit is None else np.concatenate(limit)
-    lines = [f"# {text}" for text in comments]
     cols = (["t"] + [f"x_{i}" for i in range(n)] + [f"y_{j}" for j in range(p)]
             + ["dist_limit", "g1", "g2"])
-    lines.append(",".join(cols))
-    parts = ["\n".join(lines)]
-    width = n + p + 4
-    block_rows = max(1, CSV_BLOCK_CELLS // width)
-    # one grid for every block: each block writes every byte of its rows
-    grid = np.empty((min(block_rows, len(traj.times)), width), _CELL)
-    for start in range(0, len(traj.times), block_rows):
-        block = slice(start, start + block_rows)
-        rows = grid[:len(traj.times[block])]
-        dist = (np.ones((len(rows), 1)) if target is None  # a placeholder, left empty
-                else row_norms(xy[block] - target)[:, None])
-        parts.append(_csv_lines(np.hstack([traj.times[block, None], xy[block], dist,
-                                           g1[block, None], g2[block, None]]), rows,
-                                1 + n + p if target is None else None))
-    parts.append("\n")
-    return "".join(parts)
+    block_rows = max(1, CSV_BLOCK_CELLS // (n + p + 4))
+
+    def blocks():
+        for start in range(0, len(traj.times), block_rows):
+            block = slice(start, start + block_rows)
+            dist = (np.ones((len(traj.times[block]), 1)) if target is None  # left empty
+                    else row_norms(xy[block] - target)[:, None])
+            yield np.hstack([traj.times[block, None], xy[block], dist,
+                             g1[block, None], g2[block, None]])
+
+    write_table(file, [f"# {text}" for text in comments] + [",".join(cols)], blocks(),
+                1 + n + p if target is None else None)
 
 
-def _csv_lines(values: np.ndarray, cells: np.ndarray, blank: int | None = None) -> str:
+def write_table(file: BinaryIO, lines: list[str], blocks: Iterable[np.ndarray],
+                blank: int | None = None) -> None:
+    """Write `lines` (UTF-8), then each row of each 2-D block of values as a
+    CSV line, into the binary file `file`, one block at a time: the file gets
+    each block's bytes as the kernel renders them, and nothing holds more
+    than one block of text. The column `blank`, if any, is left empty."""
+    file.write("\n".join(lines).encode())
+    grid = None  # one grid for every block: each block writes every byte of its rows
+    for values in blocks:
+        if grid is None or len(grid) < len(values):
+            grid = np.empty(values.shape, _CELL)
+        file.write(_csv_lines(values, grid[:len(values)], blank))
+    file.write(b"\n")
+
+
+def _csv_lines(values: np.ndarray, cells: np.ndarray, blank: int | None = None) -> bytes:
     """Each row of the 2-D `values` as a CSV line led by its line break, its
     cells written by the kernel into `cells` (a _CELL array of the same
     shape); the column `blank`, if any, is left empty."""
@@ -460,7 +477,7 @@ def _csv_lines(values: np.ndarray, cells: np.ndarray, blank: int | None = None) 
     cells["head"][:, 0] -= np.uint64(ord(",") - ord("\n"))  # the low byte: "," -> "\n"
     if blank is not None:
         cells.view(f"S{_CELL.itemsize}")[:, blank] = b","
-    return cells.tobytes().translate(None, b"\0").decode("ascii")
+    return cells.tobytes().translate(None, b"\0")
 
 
 # A CSV cell as fixed slots, each unused one NUL: "head" holds the separator,

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import sys
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saddle_lab import dynamics, games
+from saddle_lab import dynamics, games, linalg
 from saddle_lab.dynamics import DEFAULT_BLOW_CAP, Algo, IterateState, StopReason
 from saddle_lab.games import BilinearGame
 
@@ -755,11 +756,30 @@ class TestChunks:
         assert_engine_matches_reference(PENNIES, Algo.OGDA, etas, init, 600, stride)
 
 
+def csv_text(traj, game, **kwargs):
+    """The CSV that write_csv writes for `traj` into an in-memory file."""
+    file = io.BytesIO()
+    dynamics.write_csv(file, traj, game, **kwargs)
+    return file.getvalue().decode()
+
+
+class WriteSizes(io.BytesIO):
+    """An in-memory binary file that records the size of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, data):
+        self.sizes.append(len(data))
+        return super().write(data)
+
+
 class TestCsv:
     def test_header_and_precision(self):
         traj = dynamics.run(PENNIES, Algo.OGDA, 0.3,
                             IterateState.at([1.0], [1.0]), max_steps=5)
-        text = dynamics.trajectory_to_csv(traj, PENNIES, comments=("demo",))
+        text = csv_text(traj, PENNIES, comments=("demo",))
         lines = text.strip().split("\n")
         assert lines[0] == "# demo"
         assert lines[1] == "t,x_0,y_0,dist_limit,g1,g2"
@@ -770,8 +790,7 @@ class TestCsv:
     def test_distance_column(self):
         traj = dynamics.run(PENNIES, Algo.OGDA, 0.3,
                             IterateState.at([1.0], [1.0]), max_steps=5)
-        text = dynamics.trajectory_to_csv(
-            traj, PENNIES, limit=(np.zeros(1), np.zeros(1)))
+        text = csv_text(traj, PENNIES, limit=(np.zeros(1), np.zeros(1)))
         first = text.strip().split("\n")[1].split(",")
         assert float(first[3]) == pytest.approx(np.sqrt(2.0))
 
@@ -791,7 +810,7 @@ class TestCsv:
                             record_stride=1)
         assert len(traj.times) == 3000 > 3 * dynamics.CSV_BLOCK_CELLS // (n + p + 3)
         for limit in ((rng.normal(size=n), rng.normal(size=p)), None):
-            text = dynamics.trajectory_to_csv(traj, g, limit=limit, comments=("c",))
+            text = csv_text(traj, g, limit=limit, comments=("c",))
             lines = text.split("\n")
             assert lines[:2] == ["# c", "t," + ",".join(
                 [f"x_{i}" for i in range(n)] + [f"y_{j}" for j in range(p)]
@@ -813,9 +832,36 @@ class TestCsv:
                     dist = math.hypot(*(xy - np.concatenate(limit)))
                     assert abs(float(cells[-3]) - dist) <= 1e-14 * max(1.0, dist)
 
+    def test_writes_one_block_at_a_time(self):
+        """Each write holds at most one block's text, 25 bytes a cell at most
+        (",-d.dddddddddddddddde-ddd"), and the writes join into "%.17g" of
+        each cell of the table."""
+        rng = np.random.default_rng(4)
+        n, p = 20, 12
+        g = BilinearGame.zero_sum_game(rng.normal(size=(n, p)) / 4)
+        init = IterateState.at(rng.normal(size=n), rng.normal(size=p))
+        traj = dynamics.run(g, Algo.OGDA, 0.05, init, max_steps=2999, stop_tol=0.0,
+                            record_stride=1)
+        limit = (rng.normal(size=n), rng.normal(size=p))
+        file = WriteSizes()
+        dynamics.write_csv(file, traj, g, limit=limit, comments=("c",))
+        head = ("# c\nt," + ",".join([f"x_{i}" for i in range(n)] + [f"y_{j}" for j in range(p)]
+                                     + ["dist_limit", "g1", "g2"])).encode()
+        block_rows = dynamics.CSV_BLOCK_CELLS // (n + p + 4)
+        assert len(traj.times) == 3000 and len(file.sizes) == 2 + -(-3000 // block_rows) > 4
+        assert file.sizes[0] == len(head)
+        assert max(file.sizes[1:]) <= 25 * dynamics.CSV_BLOCK_CELLS
+        xy = traj.states[:, :n + p]
+        g1, g2 = dynamics.recorded_payoffs(traj, g)
+        dist = linalg.row_norms(xy - np.concatenate(limit))
+        rows = zip(traj.times.tolist(), xy.tolist(), dist.tolist(), g1.tolist(), g2.tolist())
+        lines = [",".join("%.17g" % v for v in [t, *cells, d, a, b])
+                 for t, cells, d, a, b in rows]
+        assert file.getvalue() == head + "".join(f"\n{line}" for line in lines).encode() + b"\n"
+
 
 def kernel_cells(values):
-    """The CSV cells that the kernel of trajectory_to_csv writes for `values`,
+    """The CSV cells that the kernel of write_csv writes for `values`,
     and the values it declined (and left to "%.17g")."""
     values = np.asarray(values, dtype=float).reshape(1, -1)
     cells = np.empty(values.shape, dynamics._CELL)  # the kernel writes every byte
@@ -838,7 +884,7 @@ def near_tie(x):
 
 
 class TestCellKernel:
-    """The vectorized "%.17g" of trajectory_to_csv against Python's, byte for
+    """The vectorized "%.17g" of write_csv against Python's, byte for
     byte. A cell is declined only when it is non-finite, ±0, outside
     [1e-240, 1e240] or near a rounding tie."""
 
