@@ -57,6 +57,13 @@ child per further CPU; `verify_serial_ms` runs the suites of
 `verify.suites()` one after another in this process; and
 `verify_longest_suite_ms` is the longest single suite, the floor of any
 split. The clock would count a child busy on another CPU as load on the host.
+`import`: milliseconds of plain `time.perf_counter` wall time in fresh
+Python processes, started in the caller's environment (so with or without
+cached bytecode as it has it) with the package this script imported first
+on PYTHONPATH, the median of five: `import_cli_ms` is `import saddle_lab.cli`,
+numpy included, as every `saddle-lab` command starts; `import_verify_ms` is
+`import saddle_lab.verify` on top of it, which only `saddle-lab verify`
+adds.
 `run_csv_peak_mb_np256`: the `tracemalloc` peak, in MB, of one `cli.cmd_run`
 with `--format csv` of the config of a 1500-step OGDA run at n+p = 256
 (parsed beforehand), taken after every timed layer: the record, the
@@ -69,6 +76,8 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -201,6 +210,28 @@ def verify_layers() -> dict:
                                            for times in zip(*runs))}
 
 
+# prints the milliseconds of `import saddle_lab.cli`, then of `saddle_lab.verify` on top
+COLD_START = """import time
+start = time.perf_counter()
+import saddle_lab.cli
+mid = time.perf_counter()
+import saddle_lab.verify
+print((mid - start) * 1e3, (time.perf_counter() - mid) * 1e3)
+"""
+
+
+def import_layers() -> dict:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    runs = [[float(ms) for ms in subprocess.run(
+                [sys.executable, "-c", COLD_START], env=env, capture_output=True,
+                text=True, check=True).stdout.split()]
+            for _ in range(REPEATS)]
+    cli_ms, verify_ms = (sorted(times)[REPEATS // 2] for times in zip(*runs))
+    return {"import_cli_ms": cli_ms, "import_verify_ms": verify_ms}
+
+
 def run_csv_peak_mb() -> float:
     """The tracemalloc peak of one CSV `cmd_run` of the 1500-step n+p = 256
     config, in MB."""
@@ -222,6 +253,7 @@ def main() -> None:
     finally:
         CLOCK.stop()
     out.update(verify_layers())
+    out.update(import_layers())
     out["run_csv_peak_mb_np256"] = run_csv_peak_mb()
     print(json.dumps(out))
 

@@ -14,9 +14,8 @@ from .predict import (DistanceD, Geometry, LimitPrediction, distance_to_nash,
 from .spectral import (CouplingSpectrum, RateCurve, Regime, RootSet,
                        SpectralReport, Verdict, lambda_spectrum, optimal_eta,
                        rate_curve, rate_report, s_star_roots)
-from .verify import (BoundCheck, OutcomeClass, OutcomeKind, RateFit,
-                     check_bound, classify, estimate_rate, is_diagonalizable,
-                     oracle_reconcile, run_all_suites)
+from .fits import (BoundCheck, OutcomeClass, OutcomeKind, RateFit, check_bound,
+                   classify, estimate_rate)
 
 __all__ = [
     "Algo", "BilinearGame", "BoundCheck", "CouplingSpectrum", "DistanceD",
@@ -32,3 +31,14 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The oracles and property suites of `verify` are loaded on first access: a
+# process that runs, sweeps or analyses never compiles them.
+_FROM_VERIFY = ("is_diagonalizable", "oracle_reconcile", "run_all_suites")
+
+
+def __getattr__(name):
+    if name in _FROM_VERIFY:
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,13 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import games as games_mod
-from . import predict, spectral, verify
+from . import fits, predict, spectral
 from .dynamics import (DEFAULT_BLOW_CAP, DEFAULT_STOP_TOL, Algo, IterateState, StopReason,
                        Trajectory, run, run_batch, write_csv, write_table)
 from .games import BilinearGame
 from .linalg import json_number, json_vector, jsonable
 from .predict import LimitPrediction
-from .verify import InsufficientDataError, RateFit
+from .fits import InsufficientDataError, RateFit
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -247,7 +247,7 @@ def _fit(pred: LimitPrediction, traj: Trajectory) -> RateFit | None:
     prediction, after divergence or on too few points)."""
     if pred.valid and traj.stop_reason is not StopReason.DIVERGED:
         try:
-            return verify.estimate_rate(traj, pred)
+            return fits.estimate_rate(traj, pred)
         except InsufficientDataError:
             pass
     return None
@@ -263,13 +263,13 @@ def _run_one(cfg: ExperimentConfig, eta: float) -> dict:
         "trajectory": traj,
         "report": report,
         "prediction": pred,
-        "outcome": verify.classify(traj, spec),
+        "outcome": fits.classify(traj, spec),
         "rate_fit": fit,
         "bound": None,
     }
     if pred.valid and traj.stop_reason is not StopReason.DIVERGED and report.applicable:
         dist = predict.distance(spec, cfg.init)
-        result["bound"] = verify.check_bound(traj, report, dist, pred)
+        result["bound"] = fits.check_bound(traj, report, dist, pred)
     return result
 
 
@@ -330,12 +330,12 @@ def sweep_fits(cfg: ExperimentConfig) -> list[tuple[spectral.SpectralReport, Rat
     curve = spectral.rate_curve(spec, cfg.etas())
     reports = [curve[i] for i in np.flatnonzero(curve.applicable)]
     preds = predict.limits(spec, reports, cfg.init)
-    fits = {}
+    fitted = {}
     for i, traj in run_batch(cfg.game, cfg.algo, [r.eta for r in reports], cfg.init,
                              **cfg.step_settings()):
-        fits[i] = _fit(preds[i], traj)
+        fitted[i] = _fit(preds[i], traj)
         del traj
-    return [(report, fits[i]) for i, report in enumerate(reports)]
+    return [(report, fitted[i]) for i, report in enumerate(reports)]
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -364,6 +364,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_verify(seed: int, out_dir: Path | None) -> int:
+    from . import verify  # the suites load only for this command
     results = verify.run_all_suites(seed)
     payload = {"seed": seed,
                "all_passed": all(r.passed for r in results),
@@ -401,6 +402,8 @@ def _load_configs(args) -> list[ExperimentConfig]:
     except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
         raise ConfigError(f"{args.config}: {exc}") from None
     items = obj if isinstance(obj, list) else [obj]
+    if not items:
+        raise ConfigError(f"{args.config}: the config list is empty")
     return [parse_config(item, seed=args.seed) for item in items]
 
 
@@ -417,10 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, run=False):
-        p.add_argument("--config", help="JSON experiment config")
+        source = p.add_mutually_exclusive_group() if run else p
+        source.add_argument("--config", help="JSON experiment config")
         if run:
-            p.add_argument("--preset", choices=sorted(PRESETS),
-                           help="named built-in experiment")
+            source.add_argument("--preset", choices=sorted(PRESETS),
+                                help="named built-in experiment")
             p.add_argument("--format", choices=("csv", "json"), default="csv",
                            help="trajectory output format")
         p.add_argument("--out-dir", default=None, help="output directory")

@@ -514,7 +514,8 @@ def _packed(texts: list[bytes]) -> np.ndarray:
 
 class _CsvTables:
     """The kernel's lookup tables, each indexed by a small integer. Built on
-    the first CSV rendered (`_csv_tables`), so that no other command pays."""
+    the first CSV rendered (`_csv_tables`), so that `verify` and `analyze`,
+    which render none, never pay."""
 
     def __init__(self):
         hi, lo = [], []

@@ -1,14 +1,18 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from saddle_lab import cli, dynamics, games, predict, spectral, verify
+import saddle_lab
+from saddle_lab import cli, dynamics, fits, games, predict, spectral, verify
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -406,6 +410,25 @@ class TestRun:
         cfg = write_config(tmp_path, obj)
         assert cli.main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
         assert cli.parse_config(obj).game.A.shape == (1, 1)
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "analyze"])
+    def test_empty_config_list_exit_one(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, [])
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out-dir", str(out)]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err == f"config error: {cfg}: the config list is empty\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("order", [["--preset", "wgan-basic", "--config", "c.json"],
+                                       ["--config", "c.json", "--preset", "wgan-basic"]])
+    def test_preset_with_config_exit_one(self, tmp_path, capsys, order):
+        out = tmp_path / "out"
+        assert cli.main(["run", *order, "--out-dir", str(out)]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error:")
+        assert "not allowed with argument" in err
+        assert not out.exists()
 
     def test_list_of_non_objects_exit_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, [zero_sum_config(0.3), 1, "x"])
@@ -827,6 +850,68 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--out-dir", str(tmp_path)]) == cli.EXIT_OK
         assert ((tmp_path / "verification.json").read_bytes()
                 == (shared / "verification.json").read_bytes())
+
+
+# run, analyze and sweep in a fresh process, then what the process has loaded
+COLD_START = """
+import json, sys
+from saddle_lab import cli
+out, analyze_cfg, sweep_cfg = sys.argv[1:]
+codes = [cli.main(["run", "--preset", "matching-pennies-ogda", "--out-dir", out]),
+         cli.main(["analyze", "--config", analyze_cfg, "--out-dir", out]),
+         cli.main(["sweep", "--config", sweep_cfg, "--out-dir", out])]
+loaded = sorted(name for name in ("saddle_lab.verify", "fractions") if name in sys.modules)
+import saddle_lab
+first = saddle_lab.run_all_suites
+from saddle_lab import verify
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "same": first is verify.run_all_suites}))
+"""
+
+# the names fits owns, which verify re-exports
+MOVED = ["FLOOR", "TRANSIENT_FRACTION", "ENVELOPE_SLACK", "COOP_CAP", "COOP_TREND_POINTS",
+         "InsufficientDataError", "NotConvergedError", "_log_linear_fit", "_distances",
+         "RateFit", "estimate_rate", "OutcomeKind", "OutcomeClass", "classify",
+         "BoundCheck", "check_bound"]
+
+
+class TestColdStart:
+    def test_run_analyze_and_sweep_load_no_suites(self, tmp_path):
+        analyze_cfg = write_config(tmp_path, zero_sum_config(0.3), "analyze.json")
+        sweep_cfg = write_config(tmp_path, zero_sum_config(
+            {"start": 0.1, "stop": 0.3, "step": 0.1}, max_steps=500), "sweep.json")
+        src = str(Path(saddle_lab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path / "out"),
+                               analyze_cfg, sweep_cfg],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result == {"codes": [0, 0, 0], "loaded": [], "same": True}
+
+    def test_package_names_are_unchanged(self):
+        assert saddle_lab.__all__ == [
+            "Algo", "BilinearGame", "BoundCheck", "CouplingSpectrum", "DistanceD",
+            "Geometry", "IterateState", "LimitPrediction", "NashSet", "OutcomeClass",
+            "OutcomeKind", "RateCurve", "RateFit", "Regime", "RootSet",
+            "SpectralReport", "StopReason", "Trajectory", "Verdict", "accelerate",
+            "check_bound", "classify", "companion_matrix", "distance_to_nash",
+            "divergence_witness", "doubled", "estimate_rate", "game_from_json",
+            "game_to_json", "is_diagonalizable", "lambda_spectrum", "nash_set",
+            "optimal_eta", "oracle_reconcile", "payoffs", "predict_limit",
+            "rate_curve", "rate_report", "run", "run_all_suites", "s_star_roots",
+            "scale_opponent", "tight_witness", "write_csv",
+        ]
+        for name in ("is_diagonalizable", "oracle_reconcile", "run_all_suites"):
+            assert getattr(saddle_lab, name) is getattr(verify, name)
+        with pytest.raises(AttributeError, match="no attribute 'suites'"):
+            saddle_lab.suites
+
+    @pytest.mark.parametrize("name", MOVED)
+    def test_verify_re_exports_the_same_object(self, name):
+        # perfbench's tracer rebinds a wrapper wherever the same object is bound
+        assert getattr(verify, name) is getattr(fits, name)
 
 
 ETA_RANGE = {"start": 0.1, "stop": 0.3, "step": 0.1}

@@ -64,7 +64,7 @@ def test_kernel_timing_prints_every_layer(monkeypatch, capsys):
             + ["dogda_analysis_us_np256", "parse_config_us_np256",
                "general_sum_curve_us_np64", "sweep_diag12_ms", "fit_us_diag12",
                "verify_ms", "verify_serial_ms", "verify_longest_suite_ms",
-               "run_csv_peak_mb_np256"])
+               "import_cli_ms", "import_verify_ms", "run_csv_peak_mb_np256"])
     assert sorted(out) == sorted(keys)
     assert all(out[key] > 0 for key in keys)
     assert type(out["run_converging_steps_np4"]) is int

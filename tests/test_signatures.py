@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from saddle_lab import cli, dynamics, games, linalg, predict, spectral, verify
+from saddle_lab import cli, dynamics, fits, games, linalg, predict, spectral, verify
 
 PARAMETERS = {
     linalg.span: ["vectors"],
@@ -43,9 +43,9 @@ PARAMETERS = {
     predict.limit: ["spec", "report", "init"],
     predict.witness: ["spec", "report"],
     predict.distance: ["spec", "init"],
-    verify.estimate_rate: ["traj", "limit"],
-    verify.check_bound: ["traj", "report", "D", "limit"],
-    verify.classify: ["traj", "spec"],
+    fits.estimate_rate: ["traj", "limit"],
+    fits.check_bound: ["traj", "report", "D", "limit"],
+    fits.classify: ["traj", "spec"],
     verify.random_matrix: ["rng", "n", "p", "rank"],
     verify.is_diagonalizable: ["m"],
     verify._applicable_prediction_cases: ["rng", "count"],
